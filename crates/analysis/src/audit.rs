@@ -1,64 +1,29 @@
-//! Static re-derivation of the superblock fusion invariants.
+//! Static audit of the self-modifying-code (SMC) patch contract.
 //!
-//! The engine's superblock tier retires straight-line runs of fusable
-//! instructions in one batch; correctness rests on invariants the decoder
-//! establishes at compile time. This lint re-derives them from first
-//! principles — directly from each [`Instr`], without trusting
-//! [`MicroOp`](smack_uarch::decoded::MicroOp) lowering — and compares
-//! against the compiled metadata:
+//! The engine re-decodes a self-modified instruction in place only when
+//! the write-back keeps instruction boundaries
+//! (`DecodedProgram::patch`); anything else costs a full recompile, and a
+//! store that lands mid-instruction would desynchronize decode. This lint
+//! checks both sides of that contract from the instruction stream alone:
 //!
-//! - **No control transfer or probe boundary inside a fused run.** Every
-//!   instruction inside a run must be a pure register/flags/clock op:
-//!   never a branch, call, return, halt, fence, probe
-//!   (`Instr::probe_kind()`), memory access or `rdtsc`.
-//! - **Runs chain only through adjacent fall-throughs**, and line
-//!   segments never span a cache-line boundary.
-//! - **The compiled `run_end`/`line_end` tables match the re-derivation**
-//!   exactly — a mismatch means the fusion metadata and the instruction
-//!   stream disagree (e.g. after a buggy in-place patch).
-//! - **SMC patch targets sit on instruction boundaries and at run
-//!   heads.** Candidate patch targets are harvested from immediate
-//!   operands that point into the program's code lines (the
-//!   `mov_imm reg, target; store (reg)` self-modifying idiom): a store
-//!   landing mid-instruction would desynchronize decode, and one landing
-//!   in the interior of a fused run could invalidate a superblock that
-//!   already retired its head.
-//! - **Planned patches are length-preserving** ([`audit_patches`]): the
-//!   in-place `DecodedProgram::patch` contract.
+//! - **SMC patch targets sit on instruction boundaries.** Candidate patch
+//!   targets are harvested from immediate operands that point into the
+//!   program's code lines (the `mov_imm reg, target; store (reg)`
+//!   self-modifying idiom): a store landing mid-instruction would
+//!   desynchronize decode.
+//! - **Planned patches are length-preserving and mapped**
+//!   ([`audit_patches`]): the in-place `DecodedProgram::patch` contract.
 
 use smack_uarch::asm::Program;
 use smack_uarch::isa::Instr;
 use smack_uarch::DecodedProgram;
 
-/// One invariant violation found by the lint.
+/// One contract violation found by the lint.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AuditViolation {
-    /// A fused run contains an instruction that must terminate fusion
-    /// (control transfer, probe, memory access, fence, `rdtsc`, `halt`).
-    NonFusableInRun {
-        /// Address of the offending instruction.
-        pc: u64,
-    },
-    /// A same-line segment extends across a cache-line boundary.
-    RunCrossesLine {
-        /// Address of the instruction whose segment leaks past its line.
-        pc: u64,
-    },
-    /// The compiled fusion metadata disagrees with the re-derivation.
-    MetadataMismatch {
-        /// Address of the instruction with inconsistent metadata.
-        pc: u64,
-        /// Which table disagreed (`"run_end"` or `"line_end"`).
-        what: &'static str,
-    },
     /// A harvested SMC patch target points into the middle of an encoded
     /// instruction.
     PatchTargetMidInstruction {
-        /// The target address.
-        target: u64,
-    },
-    /// A harvested SMC patch target lands in the interior of a fused run.
-    PatchTargetInsideRun {
         /// The target address.
         target: u64,
     },
@@ -78,91 +43,12 @@ pub enum AuditViolation {
     },
 }
 
-/// Whether `instr` may legally sit *inside* a fused superblock run,
-/// re-derived from the instruction alone. Mirrors (and double-checks) the
-/// `MicroOp::lower` whitelist: pure register/flags/clock operations only.
-fn fusable(instr: &Instr) -> bool {
-    if instr.probe_kind().is_some() {
-        return false; // probe boundary
-    }
-    matches!(
-        instr,
-        Instr::Nop
-            | Instr::MovImm { .. }
-            | Instr::Mov { .. }
-            | Instr::Add { .. }
-            | Instr::AddImm { .. }
-            | Instr::Sub { .. }
-            | Instr::Mul { .. }
-            | Instr::And { .. }
-            | Instr::Or { .. }
-            | Instr::Xor { .. }
-            | Instr::ShlImm { .. }
-            | Instr::ShrImm { .. }
-            | Instr::Cmp { .. }
-            | Instr::CmpImm { .. }
-            | Instr::Delay { .. }
-    )
-}
-
-/// Whether a run may chain from entry `i` to `i + 1`: both fusable, and
-/// `i` falls through to the adjacent table entry.
-fn chains(d: &DecodedProgram, i: u32) -> bool {
-    (i as usize) + 1 < d.len()
-        && fusable(&d.get(i).instr)
-        && fusable(&d.get(i + 1).instr)
-        && d.get(i).fall == i + 1
-}
-
-/// Run the lint over `prog`. An empty result means every fusion invariant
-/// holds for this program.
+/// Run the lint over `prog`. An empty result means every harvested SMC
+/// patch target sits on an instruction boundary.
 pub fn audit(prog: &Program) -> Vec<AuditViolation> {
     let d = DecodedProgram::compile(prog);
     let n = d.len() as u32;
     let mut v = Vec::new();
-
-    // Re-derive run/segment ends tail-to-head, exactly like the decoder
-    // claims to, but from the raw instructions.
-    let mut run_end = vec![0u32; n as usize];
-    let mut line_end = vec![0u32; n as usize];
-    for i in (0..n).rev() {
-        if !fusable(&d.get(i).instr) {
-            run_end[i as usize] = i;
-            line_end[i as usize] = i;
-            continue;
-        }
-        if chains(&d, i) {
-            run_end[i as usize] = run_end[i as usize + 1];
-            line_end[i as usize] =
-                if d.get(i).line == d.get(i + 1).line { line_end[i as usize + 1] } else { i + 1 };
-        } else {
-            run_end[i as usize] = i + 1;
-            line_end[i as usize] = i + 1;
-        }
-    }
-
-    for i in 0..n {
-        let e = d.get(i);
-        // Interior instructions of the *compiled* run must be fusable.
-        for j in i..d.run_end(i) {
-            if !fusable(&d.get(j).instr) {
-                v.push(AuditViolation::NonFusableInRun { pc: d.get(j).pc });
-            }
-        }
-        // Compiled line segments must stay on one cache line.
-        for j in i..d.line_end(i) {
-            if d.get(j).line != e.line {
-                v.push(AuditViolation::RunCrossesLine { pc: d.get(j).pc });
-            }
-        }
-        // And the compiled tables must match the re-derivation.
-        if d.run_end(i) != run_end[i as usize] {
-            v.push(AuditViolation::MetadataMismatch { pc: e.pc, what: "run_end" });
-        }
-        if d.line_end(i) != line_end[i as usize] {
-            v.push(AuditViolation::MetadataMismatch { pc: e.pc, what: "line_end" });
-        }
-    }
 
     // Harvest candidate SMC patch targets: immediates that point into the
     // program's code lines (the self-modifying store idiom materializes
@@ -184,20 +70,18 @@ pub fn audit(prog: &Program) -> Vec<AuditViolation> {
             if !code_lines.contains(&(imm & !63)) {
                 continue;
             }
-            let idx = d.index_of(imm);
-            if idx == smack_uarch::decoded::NO_IDX {
-                // Inside a code line but not on an instruction boundary —
-                // only a violation if it lands *within* an encoded
-                // instruction (gaps between regions are fine).
-                let mid = (0..n).any(|j| {
-                    let e = d.get(j);
-                    imm > e.pc && imm < e.pc + e.len
-                });
-                if mid {
-                    v.push(AuditViolation::PatchTargetMidInstruction { target: imm });
-                }
-            } else if idx > 0 && d.run_end(idx - 1) > idx {
-                v.push(AuditViolation::PatchTargetInsideRun { target: imm });
+            if d.index_of(imm) != smack_uarch::decoded::NO_IDX {
+                continue;
+            }
+            // Inside a code line but not on an instruction boundary — only
+            // a violation if it lands *within* an encoded instruction (gaps
+            // between regions are fine).
+            let mid = (0..n).any(|j| {
+                let e = d.get(j);
+                imm > e.pc && imm < e.pc + e.len
+            });
+            if mid {
+                v.push(AuditViolation::PatchTargetMidInstruction { target: imm });
             }
         }
     }
@@ -206,8 +90,7 @@ pub fn audit(prog: &Program) -> Vec<AuditViolation> {
 
 /// Lint a planned set of in-place patches against `prog`: each site must
 /// be a decoded instruction and keep its encoded length (the
-/// `DecodedProgram::patch` contract), and must not land in the interior
-/// of a fused run.
+/// `DecodedProgram::patch` contract).
 pub fn audit_patches(prog: &Program, patches: &[(u64, Instr)]) -> Vec<AuditViolation> {
     let d = DecodedProgram::compile(prog);
     let mut v = Vec::new();
@@ -224,9 +107,6 @@ pub fn audit_patches(prog: &Program, patches: &[(u64, Instr)]) -> Vec<AuditViola
                 old_len: old.len,
                 new_len: instr.len(),
             });
-        }
-        if idx > 0 && d.run_end(idx - 1) > idx {
-            v.push(AuditViolation::PatchTargetInsideRun { target: *pc });
         }
     }
     v
@@ -254,7 +134,7 @@ mod tests {
     #[test]
     fn smc_store_to_run_head_is_fine() {
         // The amg idiom: materialize a code address, store to it. The
-        // target starts its own run, so the lint stays quiet.
+        // target is an instruction boundary, so the lint stays quiet.
         let mut a = Assembler::new(0x2000);
         a.mov_imm(Reg::R2, 0x2000 + 0x400).store_imm(MemRef::base(Reg::R2), 0x90).halt();
         a.org(0x2000 + 0x400).nop().nop().ret();
@@ -271,32 +151,6 @@ mod tests {
         assert!(v.iter().any(|x| matches!(
             x,
             AuditViolation::PatchTargetMidInstruction { target } if *target == 0x3401
-        )));
-    }
-
-    #[test]
-    fn smc_store_into_run_interior_is_flagged() {
-        // Target the second of three chained ALU ops: run interior.
-        let mut a = Assembler::new(0x4000);
-        a.mov_imm(Reg::R2, 0).store_imm(MemRef::base(Reg::R2), 1).halt();
-        a.org(0x4000 + 0x400)
-            .add(Reg::R0, Reg::R1)
-            .add(Reg::R0, Reg::R1)
-            .add(Reg::R0, Reg::R1)
-            .halt();
-        // Point the first mov at the middle add (3-byte adds).
-        let mid = 0x4000 + 0x400 + 3;
-        let mut b = Assembler::new(0x4000);
-        b.mov_imm(Reg::R2, mid).store_imm(MemRef::base(Reg::R2), 1).halt();
-        b.org(0x4000 + 0x400)
-            .add(Reg::R0, Reg::R1)
-            .add(Reg::R0, Reg::R1)
-            .add(Reg::R0, Reg::R1)
-            .halt();
-        let v = audit(&b.assemble().unwrap());
-        assert!(v.iter().any(|x| matches!(
-            x,
-            AuditViolation::PatchTargetInsideRun { target } if *target == mid
         )));
     }
 

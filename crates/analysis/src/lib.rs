@@ -25,11 +25,9 @@
 //!    summarized) are *leaky*; a tainted indirect call leaks the
 //!    non-shared lines of its candidate targets. Leaky lines map to the
 //!    probe classes that can observe them on a given microarchitecture.
-//! 4. [`audit`] independently re-derives the superblock fusion invariants
-//!    (no control transfer or probe instruction inside a fused run, line
-//!    segments within one cache line, SMC patch targets on instruction
-//!    boundaries and at run heads, patches length-preserving) as a lint
-//!    over decoded programs.
+//! 4. [`audit`] checks the self-modifying-code patch contract (SMC patch
+//!    targets on instruction boundaries, planned patches mapped and
+//!    length-preserving) as a lint over decoded programs.
 //!
 //! The analysis is a *may*-analysis throughout: the static fetch footprint
 //! over-approximates any dynamic execution's fetched lines (including
@@ -139,12 +137,12 @@ pub struct AnalysisReport {
     pub tainted_branches: Vec<u64>,
     /// Program counters of secret-dependent indirect transfers.
     pub tainted_transfers: Vec<u64>,
-    /// Superblock/SMC audit findings (empty = all invariants hold).
+    /// SMC patch audit findings (empty = the patch contract holds).
     pub audit: Vec<AuditViolation>,
 }
 
 /// Run the full pipeline — CFG construction, taint dataflow, leakage
-/// verdict, fusion audit — on `prog` starting at `entry`.
+/// verdict, SMC patch audit — on `prog` starting at `entry`.
 pub fn analyze(prog: &Program, entry: u64, spec: &SecretSpec) -> AnalysisReport {
     let cfg = Cfg::build(prog, entry, spec);
     let taint = taint::propagate(&cfg, spec);

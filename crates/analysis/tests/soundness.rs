@@ -239,8 +239,8 @@ proptest! {
         prop_assert_eq!(&before.footprint, &after.footprint);
 
         // The same rewrite expressed as a decoded-table patch: the helper
-        // head is a run head, so `patch` succeeds in place and the audit
-        // has nothing to flag.
+        // head is a mapped instruction of the same length, so `patch`
+        // succeeds in place and the audit has nothing to flag.
         let mut d = DecodedProgram::compile(&prog);
         let xor_instr = {
             let dp = DecodedProgram::compile(&patched);

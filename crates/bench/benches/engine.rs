@@ -3,13 +3,13 @@
 //! Every SMaCk experiment is millions of `Engine::step` calls, so the
 //! steady-state cost of one simulated instruction bounds every campaign.
 //! This benchmark times victim-shaped loop programs (straight-line ALU
-//! bodies closed by a backward branch, like `mul_n`) under the three
-//! interpreter tiers — superblock execution (the default), the per-step
-//! decoded fast path (`Machine::set_superblocks(false)`), and the
+//! bodies closed by a backward branch, like `mul_n`) under the two
+//! interpreter tiers — the decoded fast path (the default) and the
 //! original per-step `BTreeMap` reference interpreter
-//! (`Machine::set_decoded_fast_path(false)`) — plus a full covert-channel
-//! trial to translate instructions/sec into trials/sec, and one quick
-//! repro (`all`) wall-time sample when the binary is available.
+//! (`Machine::set_decoded_fast_path(false)`), the test oracle whose cost
+//! this measures — plus a full covert-channel trial to translate
+//! instructions/sec into trials/sec, and one quick repro (`all`)
+//! wall-time sample when the binary is available.
 //!
 //! Results go to stdout and to `BENCH_engine.json` at the workspace root
 //! (CI uploads it as an artifact). `SMACK_BENCH_QUICK=1` cuts the
@@ -49,26 +49,11 @@ fn loop_program(body: usize, iters: u64) -> (smack_uarch::asm::Program, u64) {
     (a.assemble().expect("loop program assembles"), (body as u64 + 3) * iters)
 }
 
-/// The three interpreter tiers, fastest first.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Tier {
-    /// Decoded fast path + superblock batched retirement (the default).
-    Superblock,
-    /// Decoded fast path, per-step retirement.
-    Decoded,
-    /// Original per-step `BTreeMap` reference interpreter.
-    Reference,
-}
-
-/// One timed run of `steps` instructions of `prog` on a fresh machine
-/// under the given interpreter tier.
-fn one_run(prog: &smack_uarch::asm::Program, steps: u64, tier: Tier) -> f64 {
+/// One timed run of `steps` instructions of `prog` on a fresh machine,
+/// on the decoded fast path or the reference interpreter.
+fn one_run(prog: &smack_uarch::asm::Program, steps: u64, decoded: bool) -> f64 {
     let mut m = Machine::new(MicroArch::CascadeLake.profile());
-    match tier {
-        Tier::Superblock => m.set_superblocks(true),
-        Tier::Decoded => m.set_superblocks(false),
-        Tier::Reference => m.set_decoded_fast_path(false),
-    }
+    m.set_decoded_fast_path(decoded);
     m.load_program(prog);
     m.start_program(ThreadId::T0, prog.entry(), &[]);
     let t = Instant::now();
@@ -76,18 +61,16 @@ fn one_run(prog: &smack_uarch::asm::Program, steps: u64, tier: Tier) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Best-of-`reps` wall time for the three interpreter tiers, interleaved
-/// (superblock, decoded, reference, superblock, …) so transient system
-/// load biases every tier equally and the speedup ratios stay stable even
-/// on a busy host.
-fn time_interpreters(prog: &smack_uarch::asm::Program, steps: u64, reps: usize) -> (f64, f64, f64) {
-    let (mut sb, mut fast, mut refr) = (f64::MAX, f64::MAX, f64::MAX);
+/// Best-of-`reps` wall time for the two interpreter tiers, interleaved
+/// (decoded, reference, decoded, …) so transient system load biases both
+/// tiers equally and the speedup ratio stays stable even on a busy host.
+fn time_interpreters(prog: &smack_uarch::asm::Program, steps: u64, reps: usize) -> (f64, f64) {
+    let (mut fast, mut refr) = (f64::MAX, f64::MAX);
     for _ in 0..reps {
-        sb = sb.min(one_run(prog, steps, Tier::Superblock));
-        fast = fast.min(one_run(prog, steps, Tier::Decoded));
-        refr = refr.min(one_run(prog, steps, Tier::Reference));
+        fast = fast.min(one_run(prog, steps, true));
+        refr = refr.min(one_run(prog, steps, false));
     }
-    (sb, fast, refr)
+    (fast, refr)
 }
 
 /// Best-of-`reps` wall time for one pooled covert-channel trial
@@ -240,19 +223,16 @@ fn main() {
     let mut rows = Vec::new();
     for (body, iters) in sizes {
         let (prog, steps) = loop_program(body, iters);
-        let (sb, fast, refr) = time_interpreters(&prog, steps, reps);
-        let sb_ips = steps as f64 / sb;
+        let (fast, refr) = time_interpreters(&prog, steps, reps);
         let fast_ips = steps as f64 / fast;
         let ref_ips = steps as f64 / refr;
         println!(
-            "  body={body:<5} superblock {:>6.2} ns ({sb_ips:.3e}/s)   decoded {:>6.2} ns ({fast_ips:.3e}/s)   reference {:>6.2} ns ({ref_ips:.3e}/s)   speedup {:.2}x/{:.2}x",
-            sb / steps as f64 * 1e9,
+            "  body={body:<5} decoded {:>6.2} ns ({fast_ips:.3e}/s)   reference {:>6.2} ns ({ref_ips:.3e}/s)   speedup {:.2}x",
             fast / steps as f64 * 1e9,
             refr / steps as f64 * 1e9,
-            sb_ips / fast_ips,
-            sb_ips / ref_ips,
+            fast_ips / ref_ips,
         );
-        rows.push((body, sb_ips, fast_ips, ref_ips));
+        rows.push((body, fast_ips, ref_ips));
     }
 
     let sessions = Sessions::new();
@@ -292,9 +272,9 @@ fn main() {
         recompile_ns * 1e9,
     );
 
-    // One quick repro wall-time sample: the end-to-end number the
-    // superblock work is meant to move. Skipped (null) when the repro
-    // binary has not been built.
+    // One quick repro wall-time sample: the end-to-end number engine
+    // work is meant to move. Skipped (null) when the repro binary has not
+    // been built.
     let quick_all_ms = time_quick_all();
     match quick_all_ms {
         Some(ms) => println!("engine/quick-all: {ms:.1} ms"),
@@ -303,13 +283,11 @@ fn main() {
 
     // Headline steady-state numbers: the victim-scale (1200-instr body)
     // program, the size class the modexp victims live in.
-    let (_, sb_ips, fast_ips, ref_ips) = rows[1];
+    let (_, fast_ips, ref_ips) = rows[1];
     let json = format!(
         "{{\n  \"bench\": \"engine\",\n  \"arch\": \"CascadeLake\",\n  \"quick\": {quick},\n  \
-         \"superblock_instrs_per_sec\": {sb_ips:.0},\n  \
          \"decoded_instrs_per_sec\": {fast_ips:.0},\n  \
          \"reference_instrs_per_sec\": {ref_ips:.0},\n  \
-         \"superblock_speedup\": {:.2},\n  \
          \"speedup\": {:.2},\n  \
          \"quick_all_wall_ms\": {},\n  \
          \"trials_per_sec\": {trials_per_sec:.1},\n  \
@@ -321,7 +299,6 @@ fn main() {
          \"patch_recompile_ns\": {:.1},\n  \
          \"patch_recompiles_per_boundary_patch\": {recompile_rate:.2},\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",
-        sb_ips / fast_ips,
         fast_ips / ref_ips,
         quick_all_ms.map_or("null".to_string(), |ms| format!("{ms:.1}")),
         trial_stepped / trial,
@@ -337,9 +314,8 @@ fn main() {
         inplace_ns * 1e9,
         recompile_ns * 1e9,
         rows.iter()
-            .map(|(body, s, f, r)| format!(
-                "    {{ \"body_instrs\": {body}, \"superblock_instrs_per_sec\": {s:.0}, \
-                 \"decoded_instrs_per_sec\": {f:.0}, \
+            .map(|(body, f, r)| format!(
+                "    {{ \"body_instrs\": {body}, \"decoded_instrs_per_sec\": {f:.0}, \
                  \"reference_instrs_per_sec\": {r:.0} }}"
             ))
             .collect::<Vec<_>>()

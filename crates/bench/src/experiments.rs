@@ -797,7 +797,7 @@ pub struct AnalyzeRow {
     pub verdict: Verdict,
     /// Number of statically leaky cache lines.
     pub leaky_lines: usize,
-    /// Number of superblock/SMC audit violations.
+    /// Number of SMC patch audit violations.
     pub audit_violations: usize,
     /// Whether the observed victim-only fetch-line log was a subset of the
     /// static footprint (the soundness obligation, checked in production).
@@ -985,7 +985,7 @@ fn analyze_differential_unit(
 }
 
 /// The static analyzer joined with dynamic ground truth: every victim is
-/// analyzed (verdict, leaky lines, fusion audit) and then *measured* — the
+/// analyzed (verdict, leaky lines, SMC patch audit) and then *measured* — the
 /// attacks' recovery for the secret-processing victims, a differential
 /// fetch-footprint comparison for the no-secret ones — and the `join`
 /// column must read `ok` on every row. The observed fetch-line log is also

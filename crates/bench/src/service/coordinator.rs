@@ -139,10 +139,21 @@ impl PartStore {
     }
 }
 
+/// What the coordinator knows about one worker id that has polled.
+struct WorkerSeen {
+    /// When the worker is overdue: its last live contact plus one lease
+    /// period (heartbeats on a held lease extend it, like the lease).
+    deadline_ms: u64,
+    /// Whether it has been answered `DONE`.
+    done: bool,
+}
+
 /// Shared state between the protocol handlers and the main loop.
 struct Shared {
     queue: Mutex<LeaseQueue>,
     store: Mutex<PartStore>,
+    /// Every worker id that has polled, for the wind-down `DONE` handshake.
+    workers: Mutex<BTreeMap<String, WorkerSeen>>,
     start: Instant,
     /// `now_ms + 1` of the last worker contact (0 = never).
     last_contact: AtomicU64,
@@ -150,6 +161,7 @@ struct Shared {
     shutdown: AtomicBool,
     mode: Mode,
     tau_jitter: u64,
+    lease_ms: u64,
     inline_units: AtomicU64,
 }
 
@@ -162,13 +174,35 @@ impl Shared {
         self.last_contact.store(self.now_ms() + 1, Ordering::Relaxed);
     }
 
+    /// Record live contact from `worker` (`done`: it was just answered
+    /// `DONE`), pushing its deadline one lease period out.
+    fn seen(&self, worker: &str, done: bool) {
+        let deadline_ms = self.now_ms() + self.lease_ms;
+        let mut workers = self.workers.lock().expect("worker table poisoned");
+        let w = workers.entry(worker.to_owned()).or_insert(WorkerSeen { deadline_ms, done });
+        w.deadline_ms = deadline_ms;
+        w.done |= done;
+    }
+
+    /// Whether some worker that has polled is still owed `DONE`: it has
+    /// not received one and its deadline has not passed. Wind-down keeps
+    /// the listener open until this clears, so a worker polling just
+    /// after the queue settles is told to exit instead of finding the
+    /// coordinator gone.
+    fn owes_done(&self, now_ms: u64) -> bool {
+        let workers = self.workers.lock().expect("worker table poisoned");
+        workers.values().any(|w| !w.done && now_ms < w.deadline_ms)
+    }
+
     /// Serve one request against the queue + store.
     fn respond(&self, req: Request) -> Response {
         match req {
             Request::Poll { worker } => {
                 self.touch();
                 let mut q = self.queue.lock().expect("lease queue poisoned");
-                if q.settled() {
+                let settled = q.settled();
+                self.seen(&worker, settled);
+                if settled {
                     return Response::Done;
                 }
                 match q.next(&worker, self.now_ms()) {
@@ -185,17 +219,20 @@ impl Shared {
                 self.touch();
                 let mut q = self.queue.lock().expect("lease queue poisoned");
                 if q.heartbeat(unit, &worker, self.now_ms()) {
+                    self.seen(&worker, false);
                     Response::Ok
                 } else {
                     Response::Bad { reason: format!("lease on unit {unit} was lost") }
                 }
             }
-            Request::Result { worker: _, unit, files } => {
+            Request::Result { worker, unit, files } => {
                 self.touch();
+                self.seen(&worker, false);
                 self.offer(unit, &files)
             }
             Request::Fail { worker, unit, error } => {
                 self.touch();
+                self.seen(&worker, false);
                 let mut q = self.queue.lock().expect("lease queue poisoned");
                 eprintln!("[service] worker {worker} failed unit {unit}: {error}");
                 q.fail(unit, &error);
@@ -267,11 +304,13 @@ impl Service {
         let shared = Arc::new(Shared {
             queue: Mutex::new(LeaseQueue::new(tasks, cfg.lease_ms)),
             store: Mutex::new(PartStore::new(cfg.out_root.join("service").join("parts"))),
+            workers: Mutex::new(BTreeMap::new()),
             start: Instant::now(),
             last_contact: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             mode: cfg.mode,
             tau_jitter: cfg.tau_jitter,
+            lease_ms: cfg.lease_ms,
             inline_units: AtomicU64::new(0),
         });
         Ok(Service { cfg, listener, addr, shared })
@@ -322,12 +361,18 @@ impl Service {
             std::thread::sleep(Duration::from_millis(20));
         };
 
-        // Wind down: answer remaining polls with DONE long enough for
-        // live workers (even a chaos-stalled one) to exit cleanly, then
-        // stop accepting and kill stragglers.
+        // Wind down: answer remaining polls with DONE until every worker
+        // that has polled received it (or went overdue) and every spawned
+        // worker (even a chaos-stalled one) had time to exit cleanly, then
+        // stop accepting and kill stragglers. The run timeout bounds it.
         let reap_deadline = Instant::now() + Duration::from_millis(2 * self.cfg.lease_ms + 1000);
-        while !children.is_empty() && Instant::now() < reap_deadline {
+        loop {
             reap_exited_workers(&mut children, &mut worker_notes);
+            let now = self.shared.now_ms();
+            let children_left = !children.is_empty() && Instant::now() < reap_deadline;
+            if !(children_left || self.shared.owes_done(now)) || now >= self.cfg.timeout_ms {
+                break;
+            }
             std::thread::sleep(Duration::from_millis(20));
         }
         for (index, mut child) in children {

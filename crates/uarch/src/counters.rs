@@ -184,10 +184,10 @@ impl CounterBank {
 
     /// Increment `event` by `n`.
     ///
-    /// Superblock retirement leans on this being a plain saturating-free
-    /// addition: one `add(InstRetired, n)` at block retire must equal `n`
-    /// per-step bumps (the `batched_add_equals_single_adds` test locks
-    /// that contract).
+    /// The fused call and idle tiers lean on this being a plain
+    /// saturating-free addition: one `add(InstRetired, n)` for a fused
+    /// routine or idle window must equal `n` per-step bumps (the
+    /// `batched_add_equals_single_adds` test locks that contract).
     #[inline]
     pub fn add(&mut self, event: PerfEvent, n: u64) {
         self.values[event.slot()] += n;
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn batched_add_equals_single_adds() {
-        // The superblock path retires a whole fused run with one add();
+        // The fused call path retires a whole `nop*; ret` routine with one add();
         // snapshots and deltas taken around it must be indistinguishable
         // from per-step retirement.
         let mut batched = CounterBank::new();

@@ -19,171 +19,6 @@ use crate::addr::Addr;
 use crate::asm::Program;
 use crate::isa::Instr;
 
-/// A pre-lowered register/flags micro-operation — the subset of [`Instr`]
-/// the engine may retire inside a fused superblock.
-///
-/// A micro-op qualifies when its execution (the matching arm of
-/// `Engine::exec`) touches **only** the owning thread's registers, ready
-/// stamps, flags and clock, cannot fail, consumes no randomness, and makes
-/// no memory, cache, TLB, branch-predictor, tracer or speculation
-/// interaction. Everything else — loads/stores, probes, fences, branches,
-/// calls, `rdtsc` (jitter!), `halt` — lowers to [`MicroOp::NotFused`] and
-/// terminates fusion.
-///
-/// Operands are pre-converted at decode time (register numbers to masked
-/// `u8` indices, shift amounts to `u32`, `AddImm`'s `i64` through the
-/// wrapping `as u64` cast `exec` performs) so the superblock executor does
-/// no per-retire operand conversion at all.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum MicroOp {
-    /// Not fusable; always its own single-instruction "run".
-    NotFused,
-    /// `nop`.
-    Nop,
-    /// `dst ← imm`.
-    MovImm {
-        /// Destination register index.
-        dst: u8,
-        /// Immediate value.
-        imm: u64,
-    },
-    /// `dst ← src`.
-    Mov {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst + src` (wrapping).
-    Add {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst + imm` (wrapping; immediate pre-cast to `u64`).
-    AddImm {
-        /// Destination register index.
-        dst: u8,
-        /// Immediate, already converted with `as u64`.
-        imm: u64,
-    },
-    /// `dst ← dst − src` (wrapping).
-    Sub {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst × src` (wrapping; 3-cycle latency).
-    Mul {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst & src`.
-    And {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst | src`.
-    Or {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst ^ src`.
-    Xor {
-        /// Destination register index.
-        dst: u8,
-        /// Source register index.
-        src: u8,
-    },
-    /// `dst ← dst << amount` (wrapping shift, amount pre-cast to `u32`).
-    ShlImm {
-        /// Destination register index.
-        dst: u8,
-        /// Shift amount.
-        amount: u32,
-    },
-    /// `dst ← dst >> amount` (wrapping shift, amount pre-cast to `u32`).
-    ShrImm {
-        /// Destination register index.
-        dst: u8,
-        /// Shift amount.
-        amount: u32,
-    },
-    /// Compare two registers into the flags.
-    Cmp {
-        /// Left operand register index.
-        a: u8,
-        /// Right operand register index.
-        b: u8,
-    },
-    /// Compare a register against an immediate into the flags.
-    CmpImm {
-        /// Left operand register index.
-        a: u8,
-        /// Immediate right operand.
-        imm: u64,
-    },
-    /// Pure delay (cycle count pre-cast to `u64`; may be zero).
-    Delay {
-        /// Cycles to advance the thread clock.
-        cycles: u64,
-    },
-}
-
-impl MicroOp {
-    /// Lower an instruction, or [`MicroOp::NotFused`] when it does not
-    /// qualify for superblock retirement.
-    fn lower(instr: &Instr) -> MicroOp {
-        let r = |reg: crate::isa::Reg| reg.index() as u8;
-        match *instr {
-            Instr::Nop => MicroOp::Nop,
-            Instr::MovImm { dst, imm } => MicroOp::MovImm { dst: r(dst), imm },
-            Instr::Mov { dst, src } => MicroOp::Mov { dst: r(dst), src: r(src) },
-            Instr::Add { dst, src } => MicroOp::Add { dst: r(dst), src: r(src) },
-            Instr::AddImm { dst, imm } => MicroOp::AddImm { dst: r(dst), imm: imm as u64 },
-            Instr::Sub { dst, src } => MicroOp::Sub { dst: r(dst), src: r(src) },
-            Instr::Mul { dst, src } => MicroOp::Mul { dst: r(dst), src: r(src) },
-            Instr::And { dst, src } => MicroOp::And { dst: r(dst), src: r(src) },
-            Instr::Or { dst, src } => MicroOp::Or { dst: r(dst), src: r(src) },
-            Instr::Xor { dst, src } => MicroOp::Xor { dst: r(dst), src: r(src) },
-            Instr::ShlImm { dst, amount } => MicroOp::ShlImm { dst: r(dst), amount: amount as u32 },
-            Instr::ShrImm { dst, amount } => MicroOp::ShrImm { dst: r(dst), amount: amount as u32 },
-            Instr::Cmp { a, b } => MicroOp::Cmp { a: r(a), b: r(b) },
-            Instr::CmpImm { a, imm } => MicroOp::CmpImm { a: r(a), imm },
-            Instr::Delay { cycles } => MicroOp::Delay { cycles: cycles as u64 },
-            _ => MicroOp::NotFused,
-        }
-    }
-
-    /// Whether this micro-op participates in fusion.
-    #[inline]
-    pub fn fused(&self) -> bool {
-        !matches!(self, MicroOp::NotFused)
-    }
-
-    /// Exact execution cost in cycles — what the matching `Engine::exec`
-    /// arm adds to the thread clock (fetch excluded). Zero for
-    /// [`MicroOp::NotFused`] so prefix sums stay well-defined across run
-    /// boundaries (never consulted across them).
-    #[inline]
-    pub fn cost(&self) -> u64 {
-        match self {
-            MicroOp::NotFused => 0,
-            MicroOp::Mul { .. } => 3,
-            MicroOp::Delay { cycles } => *cycles,
-            _ => 1,
-        }
-    }
-}
-
 /// Sentinel index meaning "no decoded successor" (the address is not mapped,
 /// or the successor must be resolved through [`DecodedProgram::index_of`]).
 pub const NO_IDX: u32 = u32::MAX;
@@ -208,38 +43,10 @@ pub struct DecodedInstr {
 }
 
 /// The compiled side table. See the [module documentation](self).
-///
-/// Beyond the per-instruction entries, the table carries **superblock
-/// fusion metadata** computed once at compile time: each instruction's
-/// pre-lowered [`MicroOp`], the extent of the maximal straight-line fusable
-/// run it belongs to, same-cache-line segment boundaries within runs, and
-/// prefix sums of execution cost and line breaks. The engine's superblock
-/// path uses these to decide — before executing anything — how many
-/// instructions it can legally retire in one batch, and to retire them
-/// without consulting the `Instr` representation at all.
 #[derive(Clone, Debug, Default)]
 pub struct DecodedProgram {
     instrs: Vec<DecodedInstr>,
     by_pc: HashMap<u64, u32>,
-    /// Pre-lowered micro-op per instruction (parallel to `instrs`).
-    micro: Vec<MicroOp>,
-    /// `run_end[i]`: exclusive end of the maximal fusable run containing
-    /// `i` — every `k` in `i..run_end[i]` is fused and falls through to
-    /// `k + 1`. Equals `i` when `instrs[i]` itself is not fusable, so
-    /// `run_end[i] - i` is always "how many instructions a superblock
-    /// starting at `i` could retire".
-    run_end: Vec<u32>,
-    /// `line_end[i]`: exclusive end of the same-cache-line prefix of the
-    /// fusable run at `i` (`line_end[i] <= run_end[i]`); the superblock
-    /// executor fetches once per `[i, line_end[i])` segment.
-    line_end: Vec<u32>,
-    /// `cum_cost[i]`: total [`MicroOp::cost`] of instructions `0..i`
-    /// (length `n + 1`).
-    cum_cost: Vec<u64>,
-    /// `cum_breaks[i]`: number of positions `j` in `1..i` where
-    /// instruction `j` starts on a different cache line than `j − 1`
-    /// (length `n + 1`) — a prefix-sum bound on mid-run fetches.
-    cum_breaks: Vec<u32>,
 }
 
 impl DecodedProgram {
@@ -274,59 +81,7 @@ impl DecodedProgram {
                 d.target = by_pc.get(&t).copied().unwrap_or(NO_IDX);
             }
         }
-        let mut table = DecodedProgram {
-            instrs,
-            by_pc,
-            micro: Vec::new(),
-            run_end: Vec::new(),
-            line_end: Vec::new(),
-            cum_cost: Vec::new(),
-            cum_breaks: Vec::new(),
-        };
-        table.fuse();
-        table
-    }
-
-    /// (Re)build the superblock fusion metadata from `instrs`. Linear; run
-    /// at compile time and after boundary-preserving patches that change an
-    /// instruction's fusability or cost.
-    fn fuse(&mut self) {
-        let n = self.instrs.len();
-        self.micro.clear();
-        self.micro.extend(self.instrs.iter().map(|d| MicroOp::lower(&d.instr)));
-        self.run_end.clear();
-        self.run_end.resize(n, 0);
-        self.line_end.clear();
-        self.line_end.resize(n, 0);
-        // Tail-to-head: a fused instruction that falls through to the
-        // adjacent entry inherits its successor's run end; anything else
-        // ends its run (and line segment) immediately.
-        for i in (0..n).rev() {
-            if !self.micro[i].fused() {
-                self.run_end[i] = i as u32;
-                self.line_end[i] = i as u32;
-                continue;
-            }
-            let chains =
-                self.instrs[i].fall == (i + 1) as u32 && i + 1 < n && self.micro[i + 1].fused();
-            self.run_end[i] = if chains { self.run_end[i + 1] } else { (i + 1) as u32 };
-            self.line_end[i] = if chains && self.instrs[i].line == self.instrs[i + 1].line {
-                self.line_end[i + 1]
-            } else {
-                (i + 1) as u32
-            };
-        }
-        self.cum_cost.clear();
-        self.cum_cost.reserve(n + 1);
-        self.cum_cost.push(0);
-        self.cum_breaks.clear();
-        self.cum_breaks.reserve(n + 1);
-        self.cum_breaks.push(0);
-        for i in 0..n {
-            self.cum_cost.push(self.cum_cost[i] + self.micro[i].cost());
-            let brk = i >= 1 && self.instrs[i].line != self.instrs[i - 1].line;
-            self.cum_breaks.push(self.cum_breaks[i] + u32::from(brk));
-        }
+        DecodedProgram { instrs, by_pc }
     }
 
     /// Re-decode one instruction in place after a self-modifying
@@ -355,19 +110,6 @@ impl DecodedProgram {
         }
         d.instr = instr;
         d.target = target;
-        // Keep the fusion metadata honest: re-lower this entry, and rebuild
-        // run/segment/prefix tables only when the patch changed something
-        // they encode (fusability or cost). The common SMC patterns — a
-        // branch retargeted, an ALU op swapped for another 1-cycle ALU op —
-        // stay O(1); a patch that splits or merges runs (e.g. `add` →
-        // `lfence`) pays one linear re-fuse.
-        let lowered = MicroOp::lower(&instr);
-        let old = self.micro[idx as usize];
-        if lowered.fused() != old.fused() || lowered.cost() != old.cost() {
-            self.fuse();
-        } else {
-            self.micro[idx as usize] = lowered;
-        }
         true
     }
 
@@ -375,11 +117,6 @@ impl DecodedProgram {
     pub fn clear(&mut self) {
         self.instrs.clear();
         self.by_pc.clear();
-        self.micro.clear();
-        self.run_end.clear();
-        self.line_end.clear();
-        self.cum_cost.clear();
-        self.cum_breaks.clear();
     }
 
     /// Index of the instruction at `pc`, or [`NO_IDX`] if none is mapped
@@ -407,64 +144,6 @@ impl DecodedProgram {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
-    }
-
-    // ---- superblock fusion metadata ------------------------------------
-
-    /// The pre-lowered micro-op at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[inline]
-    pub fn micro(&self, idx: u32) -> MicroOp {
-        self.micro[idx as usize]
-    }
-
-    /// The pre-lowered micro-ops for instructions `from..to` as a slice,
-    /// so the superblock executor iterates without per-op bounds checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    #[inline]
-    pub fn micro_slice(&self, from: u32, to: u32) -> &[MicroOp] {
-        &self.micro[from as usize..to as usize]
-    }
-
-    /// Exclusive end of the maximal fusable straight-line run starting at
-    /// `idx` (equal to `idx` when the instruction is not fusable); see the
-    /// field docs on [`DecodedProgram`].
-    #[inline]
-    pub fn run_end(&self, idx: u32) -> u32 {
-        self.run_end[idx as usize]
-    }
-
-    /// Exclusive end of the same-cache-line segment of the fusable run
-    /// starting at `idx`.
-    #[inline]
-    pub fn line_end(&self, idx: u32) -> u32 {
-        self.line_end[idx as usize]
-    }
-
-    /// Exact total execution cost (cycles, fetch excluded) of instructions
-    /// `from..to` — one prefix-sum subtraction.
-    #[inline]
-    pub fn block_cost(&self, from: u32, to: u32) -> u64 {
-        self.cum_cost[to as usize] - self.cum_cost[from as usize]
-    }
-
-    /// Number of cache-line switches encountered while executing
-    /// instructions `from..to` sequentially *after* the first one, i.e.
-    /// positions `j` in `from+1..to` whose line differs from `j − 1`'s.
-    /// (Whether the first instruction itself needs a fetch depends on the
-    /// thread's `last_fetch_line` and is the caller's business.)
-    #[inline]
-    pub fn block_breaks(&self, from: u32, to: u32) -> u32 {
-        if to <= from + 1 {
-            return 0;
-        }
-        self.cum_breaks[to as usize] - self.cum_breaks[from as usize + 1]
     }
 }
 
@@ -576,84 +255,5 @@ mod tests {
         d.clear();
         assert!(d.is_empty());
         assert_eq!(d.index_of(0x1000), NO_IDX);
-    }
-
-    #[test]
-    fn runs_cover_fusable_straight_lines_and_stop_at_branches() {
-        // mov_imm, add_imm, cmp_imm fuse; jne and halt do not.
-        let d = DecodedProgram::compile(&looped());
-        let jne_idx =
-            (0..d.len() as u32).find(|i| matches!(d.get(*i).instr, Instr::Jcc { .. })).unwrap();
-        // The three leading ALU ops form one run ending at the jcc.
-        assert_eq!(d.run_end(0), jne_idx);
-        assert_eq!(d.run_end(1), jne_idx);
-        assert_eq!(d.run_end(jne_idx - 1), jne_idx);
-        // Non-fusable entries are zero-length runs.
-        assert!(!d.micro(jne_idx).fused());
-        assert_eq!(d.run_end(jne_idx), jne_idx);
-        // Cost prefix: each of the three ALU ops costs 1 cycle.
-        assert_eq!(d.block_cost(0, jne_idx), jne_idx as u64);
-    }
-
-    #[test]
-    fn line_segments_split_runs_at_cache_line_boundaries() {
-        // 20 five-byte mov_imms starting at a line boundary span lines
-        // 0x1000..0x1040..0x1080: segments of ⌈64/5⌉-ish instructions.
-        let mut a = Assembler::new(0x1000);
-        for i in 0..20 {
-            a.mov_imm(Reg::R0, i);
-        }
-        a.halt();
-        let d = DecodedProgram::compile(&a.assemble().unwrap());
-        assert_eq!(d.run_end(0), 20, "all 20 movs fuse into one run");
-        let first_seg = d.line_end(0);
-        assert!(first_seg < 20, "the run crosses at least one line");
-        assert_eq!(d.get(first_seg - 1).line, d.get(0).line);
-        assert_ne!(d.get(first_seg).line, d.get(0).line);
-        // Break prefix agrees with a direct scan.
-        let direct = (1..20).filter(|&j| d.get(j).line != d.get(j - 1).line).count() as u32;
-        assert_eq!(d.block_breaks(0, 20), direct);
-        assert_eq!(d.block_breaks(0, 1), 0);
-    }
-
-    #[test]
-    fn mul_and_delay_costs_enter_the_prefix_sums() {
-        let mut a = Assembler::new(0);
-        a.mov_imm(Reg::R0, 2).mul(Reg::R0, Reg::R0).delay(17).nop().halt();
-        let d = DecodedProgram::compile(&a.assemble().unwrap());
-        assert_eq!(d.run_end(0), 4, "mov+mul+delay+nop fuse; halt does not");
-        assert_eq!(d.block_cost(0, 4), 1 + 3 + 17 + 1);
-        assert_eq!(d.micro(2), MicroOp::Delay { cycles: 17 });
-    }
-
-    #[test]
-    fn patch_rebuilds_fusion_when_fusability_changes() {
-        let mut a = Assembler::new(0x2000);
-        a.add(Reg::R0, Reg::R1).add(Reg::R0, Reg::R1).add(Reg::R0, Reg::R1).halt();
-        let mut d = DecodedProgram::compile(&a.assemble().unwrap());
-        assert_eq!(d.run_end(0), 3);
-        // add (3 bytes) → lfence (3 bytes): same boundaries, run must split.
-        let pc1 = d.get(1).pc;
-        assert!(d.patch(pc1, Instr::Lfence));
-        assert_eq!(d.run_end(0), 1, "run now stops before the fence");
-        assert_eq!(d.run_end(1), 1, "fence is not fusable");
-        assert_eq!(d.run_end(2), 3, "tail re-fuses on its own");
-        assert_eq!(d.block_cost(0, 1), 1);
-        // lfence → add restores the original single run.
-        assert!(d.patch(pc1, Instr::Add { dst: Reg::R0, src: Reg::R1 }));
-        assert_eq!(d.run_end(0), 3);
-    }
-
-    #[test]
-    fn patch_updates_micro_in_place_when_shape_is_preserved() {
-        let mut a = Assembler::new(0x2000);
-        a.add(Reg::R0, Reg::R1).add(Reg::R0, Reg::R1).halt();
-        let mut d = DecodedProgram::compile(&a.assemble().unwrap());
-        let pc0 = d.get(0).pc;
-        // add → xor: both fused, both cost 1 — metadata must survive and
-        // the lowered op must change.
-        assert!(d.patch(pc0, Instr::Xor { dst: Reg::R0, src: Reg::R2 }));
-        assert_eq!(d.micro(0), MicroOp::Xor { dst: 0, src: 2 });
-        assert_eq!(d.run_end(0), 2);
     }
 }

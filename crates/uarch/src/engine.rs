@@ -36,7 +36,7 @@ use crate::addr::Addr;
 use crate::asm::Program;
 use crate::bpu::BranchPredictor;
 use crate::counters::{CounterBank, PerfEvent};
-use crate::decoded::{DecodedProgram, MicroOp, NO_IDX};
+use crate::decoded::{DecodedProgram, NO_IDX};
 use crate::hierarchy::{AccessInfo, CacheHierarchy, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::mem::Memory;
@@ -259,17 +259,9 @@ pub enum InjectedNext {
     },
 }
 
-/// Default superblock setting: on, unless the `SMACK_SUPERBLOCK`
-/// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs, exactly like `SMACK_BURST`).
-fn superblocks_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SMACK_SUPERBLOCK").map(|v| v != "0").unwrap_or(true))
-}
-
 /// Default fused-probe setting: on, unless the `SMACK_FUSED_PROBES`
 /// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs, exactly like `SMACK_SUPERBLOCK`).
+/// repro both ways and diffs CSVs, exactly like `SMACK_BURST`).
 fn fused_probes_default() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
@@ -352,9 +344,6 @@ pub struct Engine {
     /// Whether `step` uses the decoded table (default) or the original
     /// map-lookup reference interpreter (A/B equivalence testing).
     use_decoded: bool,
-    /// Whether burst execution may retire fused superblocks (default; see
-    /// [`Engine::set_superblocks`]). Requires `use_decoded`.
-    use_superblocks: bool,
     /// Whether injected probe sequences may retire through the fused probe
     /// tier (default; see [`Engine::set_fused_probes`]).
     use_fused_probes: bool,
@@ -416,7 +405,6 @@ impl Engine {
             code: Program::default(),
             decoded: DecodedProgram::default(),
             use_decoded: true,
-            use_superblocks: superblocks_default(),
             use_fused_probes: fused_probes_default(),
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
@@ -453,7 +441,6 @@ impl Engine {
         self.decoded.clear();
         self.decode_gen += 1;
         self.use_decoded = true;
-        self.use_superblocks = superblocks_default();
         self.use_fused_probes = fused_probes_default();
         self.mem.clear();
         self.hier.clear();
@@ -539,25 +526,6 @@ impl Engine {
     /// Whether the decoded fast path is active.
     pub fn decoded_fast_path(&self) -> bool {
         self.use_decoded
-    }
-
-    /// Enable or disable superblock retirement inside burst execution (the
-    /// third interpreter tier; requires the decoded fast path). When on,
-    /// [`Engine::run_burst`] and [`Engine::catch_up`] retire maximal
-    /// straight-line runs of fusable instructions in one batched update —
-    /// with guards that make the result bit-identical to per-step
-    /// execution: batching stops at control transfers, at cache-line
-    /// switches' worst-case causal-ordering bounds, and strictly before
-    /// any scheduled noise eviction. Default: on, unless the
-    /// `SMACK_SUPERBLOCK` environment variable is `0`. Reset restores the
-    /// default.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.use_superblocks = on;
-    }
-
-    /// Whether superblock retirement is active.
-    pub fn superblocks(&self) -> bool {
-        self.use_superblocks
     }
 
     /// Enable or disable the fused probe tier. When on,
@@ -816,42 +784,19 @@ impl Engine {
         if self.t(sib).state != ThreadState::Running {
             // Lone-thread fast loop: nothing inside the burst can wake the
             // sibling (that takes an external start_program/call), so the
-            // causal-order check is hoisted out entirely — and with no
-            // sibling clock to respect, superblocks get unlimited slack.
+            // causal-order check is hoisted out entirely.
             while steps < max_steps && self.t(tid).state == ThreadState::Running {
-                let fused = self.try_superblock(tid, max_steps - steps, u64::MAX);
-                if fused > 0 {
-                    steps += fused;
-                    continue;
-                }
                 self.step(tid)?;
                 steps += 1;
             }
             return Ok(steps);
         }
         while steps < max_steps && self.t(tid).state == ThreadState::Running {
+            // Causal order: the sibling runs while it is strictly behind
+            // `tid`'s clock, `tid` otherwise.
             if self.t(sib).state == ThreadState::Running && self.t(sib).clock < self.t(tid).clock {
-                // The per-step rule keeps choosing the sibling while its
-                // clock stays strictly behind `tid`'s.
-                let slack = self.t(tid).clock - self.t(sib).clock - 1;
-                let fused = self.try_superblock(sib, max_steps - steps, slack);
-                if fused > 0 {
-                    steps += fused;
-                    continue;
-                }
                 self.step(sib)?;
             } else {
-                // `tid` runs while the sibling is not strictly behind.
-                let slack = if self.t(sib).state == ThreadState::Running {
-                    self.t(sib).clock - self.t(tid).clock
-                } else {
-                    u64::MAX
-                };
-                let fused = self.try_superblock(tid, max_steps - steps, slack);
-                if fused > 0 {
-                    steps += fused;
-                    continue;
-                }
                 self.step(tid)?;
             }
             steps += 1;
@@ -876,304 +821,10 @@ impl Engine {
             && self.t(sib).state == ThreadState::Running
             && self.t(sib).clock < self.t(tid).clock
         {
-            // The loop continues only while the sibling's clock stays
-            // strictly below `tid`'s; superblock retirement on the sibling
-            // may not overshoot that (fused ops never stall `tid`, so its
-            // clock is stable across the batch).
-            let slack = self.t(tid).clock - self.t(sib).clock - 1;
-            let fused = self.try_superblock(sib, max_steps - steps, slack);
-            if fused > 0 {
-                steps += fused;
-                continue;
-            }
             self.step(sib)?;
             steps += 1;
         }
         Ok(steps)
-    }
-
-    /// Try to retire a fused superblock on `tid`: up to `max_steps`
-    /// instructions of the maximal straight-line fusable run starting at
-    /// the current pc, executed with batched clock/counter/noise updates.
-    /// Returns the number of instructions retired (0 = conditions not met;
-    /// the caller falls back to [`Engine::step`]).
-    ///
-    /// **Bit-identity argument.** Fusable micro-ops touch only the owning
-    /// thread's registers/ready/flags/clock (see [`MicroOp`]), so batching
-    /// them is exact as long as three *external* observation channels stay
-    /// silent across the block:
-    ///
-    /// * **Fetch** happens at exactly the same points as per-step
-    ///   execution: once per cache-line segment, guarded by the same
-    ///   `last_fetch_line` check. Nothing inside the block can evict code
-    ///   lines (no probes, and the noise guard below), so per-segment
-    ///   fetch outcomes match the per-step schedule exactly.
-    /// * **Noise**: `exec` feeds each instruction's execution cost (never
-    ///   fetch cost — `clock0` is taken after fetch) through
-    ///   [`NoiseSource::evictions_for`]. The schedule is exactly
-    ///   partition-invariant, so one batched call with the block's total
-    ///   cost leaves identical RNG/schedule state — provided no eviction
-    ///   fires *inside* the block, which the
-    ///   [`NoiseSource::cycles_to_next_eviction`] guard enforces by
-    ///   truncating the block strictly before the next scheduled eviction.
-    /// * **Causal order**: the burst scheduler re-picks a thread before
-    ///   every step by clock comparison. `clock_slack` is the number of
-    ///   cycles `tid`'s clock may grow *before its last batched
-    ///   instruction begins* without changing any of those decisions; the
-    ///   worst-case bound (exact exec costs plus worst-case fetch per line
-    ///   switch) is truncated against it. Fusable ops never touch the
-    ///   sibling, so the slack computed at entry stays valid.
-    ///
-    /// The run/segment boundaries come from decode-time fusion metadata;
-    /// SMC patches keep it current ([`DecodedProgram::patch`] re-fuses on
-    /// any fusability or cost change), and probe/branch/speculation
-    /// boundaries end runs by construction (those instructions are not
-    /// fusable). All guard math is prefix-sum lookups and one binary
-    /// search; the executor itself is a branchless-per-op register loop.
-    #[inline]
-    fn try_superblock(&mut self, tid: ThreadId, max_steps: u64, clock_slack: u64) -> u64 {
-        // This prologue is the *failure* fast path: the burst loops call it
-        // before every step, and most instructions sit at a control transfer
-        // or probe boundary where no fusable run starts. Everything up to the
-        // cold call is a handful of loads and compares.
-        if !(self.use_superblocks && self.use_decoded) {
-            return 0;
-        }
-        let t = &self.threads[tid.index()];
-        if t.spec.is_some() || t.pc == RETURN_SENTINEL {
-            return 0;
-        }
-        let idx = match t.pc_idx {
-            NO_IDX => {
-                let resolved = self.decoded.index_of(t.pc);
-                if resolved == NO_IDX {
-                    return 0;
-                }
-                // Cache the hash probe exactly as `step` would, so a
-                // rejected attempt does not force `step` to repeat it.
-                self.threads[tid.index()].pc_idx = resolved;
-                resolved
-            }
-            cached => cached,
-        };
-        let run_end = self.decoded.run_end(idx);
-        if u64::from(run_end - idx).min(max_steps) < 2 {
-            // A one-instruction "batch" is pure overhead over `step`.
-            return 0;
-        }
-        // Even n = 2 must fit the first instruction's exact exec cost in the
-        // slack (the full guard only adds fetch pessimism on top), so this
-        // one prefix-sum lookup conservatively kills lockstep-tight calls.
-        if clock_slack < self.decoded.block_cost(idx, idx + 1) {
-            return 0;
-        }
-        self.superblock_cold(tid, idx, run_end, max_steps, clock_slack)
-    }
-
-    /// Cold half of [`Engine::try_superblock`]: full guard evaluation and the
-    /// batched executor, reached only when a fusable run of ≥ 2 instructions
-    /// starts at the current pc and the slack passes the cheap pre-filter.
-    #[inline(never)]
-    fn superblock_cold(
-        &mut self,
-        tid: ThreadId,
-        idx: u32,
-        run_end: u32,
-        max_steps: u64,
-        clock_slack: u64,
-    ) -> u64 {
-        let t = &self.threads[tid.index()];
-        let avail = u64::from(run_end - idx).min(max_steps);
-        // Worst-case cycles a single line fetch can cost: full iTLB walk
-        // plus a DRAM-serviced instruction fetch.
-        let worst_fetch =
-            self.profile.tlb_walk as u64 + self.hier.config().ifetch_extra_dram as u64;
-        let init_fetch = u64::from(t.last_fetch_line != self.decoded.get(idx).line);
-        let noise_budget = self.noise.cycles_to_next_eviction();
-        // Predicate: retiring `n` instructions keeps every guard intact.
-        // Both guard quantities grow monotonically with `n`, so the largest
-        // admissible `n` is found by binary search.
-        let ok = |n: u64| {
-            let end = idx + n as u32;
-            // Strict: the batched `evictions_for(total)` call must return 0.
-            if self.decoded.block_cost(idx, end) >= noise_budget {
-                return false;
-            }
-            if clock_slack == u64::MAX {
-                return true;
-            }
-            // Clock growth before the last instruction begins: exact exec
-            // costs of the first n−1, pessimistic fetch per line switch.
-            let last = end - 1;
-            let fetches = init_fetch + u64::from(self.decoded.block_breaks(idx, last));
-            let growth = self.decoded.block_cost(idx, last) + worst_fetch * fetches;
-            growth <= clock_slack
-        };
-        let n = if ok(avail) {
-            avail
-        } else if !ok(2) {
-            return 0;
-        } else {
-            // Largest n in [2, avail] with ok(n): ok(lo) holds, ok(hi+1)
-            // fails throughout.
-            let (mut lo, mut hi) = (2u64, avail - 1);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if ok(mid) {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            lo
-        };
-        let end = idx + n as u32;
-        // Execute, one cache-line segment at a time. Segment boundaries
-        // are known up front, so the per-line fetches go through the
-        // hierarchy's batched multi-line API in groups of up to
-        // `FETCH_BATCH` lines — one resolution pass over the group — with
-        // each segment's fetch cost charged at its boundary, exactly where
-        // per-step execution charges it, before the tight register loop
-        // over the segment's micro-ops runs with the clock in a local.
-        // (Micro-ops touch only regs/flags/clock, never the hierarchy,
-        // TLBs or counters, so hoisting the group's fetch effects ahead of
-        // the intervening micro-ops is unobservable; the deferred clock
-        // charge is what keeps the ready-stamp math bit-identical.)
-        const FETCH_BATCH: usize = 8;
-        let mut seg = idx;
-        while seg < end {
-            let mut seg_ends = [0u32; FETCH_BATCH];
-            let mut lines = [0u64; FETCH_BATCH];
-            let mut n_seg = 0usize;
-            let mut s = seg;
-            while s < end && n_seg < FETCH_BATCH {
-                seg_ends[n_seg] = self.decoded.line_end(s).min(end);
-                lines[n_seg] = self.decoded.get(s).line;
-                s = seg_ends[n_seg];
-                n_seg += 1;
-            }
-            // Lines strictly increase across a straight-line run, so only
-            // the group's first segment can already be streaming.
-            let skip = usize::from(self.threads[tid.index()].last_fetch_line == lines[0]);
-            let mut infos = [COLD_ACCESS; FETCH_BATCH];
-            self.hier.fetch_lines(&lines[skip..n_seg], &mut infos[skip..n_seg]);
-            let mut costs = [0u64; FETCH_BATCH];
-            for j in skip..n_seg {
-                costs[j] = self.fetch_effects(tid, lines[j], infos[j]);
-            }
-            for (j, &seg_end) in seg_ends.iter().enumerate().take(n_seg) {
-                let ops = self.decoded.micro_slice(seg, seg_end);
-                let t = &mut self.threads[tid.index()];
-                t.clock += costs[j];
-                let mut clock = t.clock;
-                for op in ops {
-                    match *op {
-                        MicroOp::Nop => clock += 1,
-                        MicroOp::MovImm { dst, imm } => {
-                            let d = usize::from(dst & 0xf);
-                            clock += 1;
-                            t.regs[d] = imm;
-                            t.ready[d] = clock;
-                        }
-                        MicroOp::Mov { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[s];
-                            t.ready[d] = clock.max(t.ready[s]);
-                        }
-                        MicroOp::Add { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[d].wrapping_add(t.regs[s]);
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::AddImm { dst, imm } => {
-                            let d = usize::from(dst & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[d].wrapping_add(imm);
-                            t.ready[d] = clock.max(t.ready[d]);
-                        }
-                        MicroOp::Sub { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[d].wrapping_sub(t.regs[s]);
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::Mul { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 3;
-                            t.regs[d] = t.regs[d].wrapping_mul(t.regs[s]);
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::And { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] &= t.regs[s];
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::Or { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] |= t.regs[s];
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::Xor { dst, src } => {
-                            let d = usize::from(dst & 0xf);
-                            let s = usize::from(src & 0xf);
-                            clock += 1;
-                            t.regs[d] ^= t.regs[s];
-                            t.ready[d] = clock.max(t.ready[d]).max(t.ready[s]);
-                        }
-                        MicroOp::ShlImm { dst, amount } => {
-                            let d = usize::from(dst & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[d].wrapping_shl(amount);
-                            t.ready[d] = clock.max(t.ready[d]);
-                        }
-                        MicroOp::ShrImm { dst, amount } => {
-                            let d = usize::from(dst & 0xf);
-                            clock += 1;
-                            t.regs[d] = t.regs[d].wrapping_shr(amount);
-                            t.ready[d] = clock.max(t.ready[d]);
-                        }
-                        MicroOp::Cmp { a, b } => {
-                            let ia = usize::from(a & 0xf);
-                            let ib = usize::from(b & 0xf);
-                            clock += 1;
-                            t.flags = Flags::compare(t.regs[ia], t.regs[ib]);
-                            t.flags_ready = clock.max(t.ready[ia]).max(t.ready[ib]);
-                        }
-                        MicroOp::CmpImm { a, imm } => {
-                            let ia = usize::from(a & 0xf);
-                            clock += 1;
-                            t.flags = Flags::compare(t.regs[ia], imm);
-                            t.flags_ready = clock.max(t.ready[ia]);
-                        }
-                        MicroOp::Delay { cycles } => clock += cycles,
-                        MicroOp::NotFused => unreachable!("inside a fused run"),
-                    }
-                }
-                t.clock = clock;
-                seg = seg_end;
-            }
-        }
-        // Batched retire: pc/pc_idx from the last instruction's successor
-        // links, one counter update, one noise-schedule advance (which the
-        // guard proved emits nothing — but the schedule must still move).
-        let last = self.decoded.get(end - 1);
-        let t = &mut self.threads[tid.index()];
-        t.pc = last.pc + last.len;
-        t.pc_idx = last.fall;
-        t.counters.add(PerfEvent::InstRetired, n);
-        let evictions = self.noise.evictions_for(self.decoded.block_cost(idx, end));
-        debug_assert_eq!(evictions, 0, "noise guard must stop the block before an eviction");
-        n
     }
 
     /// Execute one injected instruction (attacker-style straight-line code;
@@ -1671,7 +1322,7 @@ impl Engine {
     /// so this only runs on an actual line switch. Routed through the
     /// hierarchy's batched multi-line API (as a one-line batch) so every
     /// fetch path — per-step, injected calls, probes — shares the exact
-    /// front-end sequence the superblock path batches over whole groups.
+    /// front-end sequence the fused call path batches over whole groups.
     fn fetch(&mut self, tid: ThreadId, line: u64) {
         let mut info = [COLD_ACCESS];
         self.hier.fetch_lines(std::slice::from_ref(&line), &mut info);
@@ -1680,14 +1331,13 @@ impl Engine {
     }
 
     /// Per-line bookkeeping for an already-performed hierarchy fetch,
-    /// shared by the per-step path and the superblock batched path:
-    /// fetch-log append, iTLB access, hit-level counters, the stall
-    /// counter, and fetch-window tracking. Returns the fetch's cycle
-    /// cost, which the caller charges to the thread clock at the point
-    /// per-step execution would (immediately for [`Engine::fetch`], at
-    /// the segment boundary for the superblock executor) — nothing here
-    /// reads the thread clock, which is what makes deferring the charge
-    /// exact.
+    /// shared by the per-step path and the fused call paths: fetch-log
+    /// append, iTLB access, hit-level counters, the stall counter, and
+    /// fetch-window tracking. Returns the fetch's cycle cost, which the
+    /// caller charges to the thread clock at the point per-step execution
+    /// would (immediately for [`Engine::fetch`], per call for
+    /// [`Engine::run_fused_calls`]) — nothing here reads the thread
+    /// clock, which is what makes deferring the charge exact.
     fn fetch_effects(&mut self, tid: ThreadId, line: u64, info: AccessInfo) -> u64 {
         if let Some(log) = &mut self.fetch_log {
             log.push(line);

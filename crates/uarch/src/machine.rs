@@ -130,28 +130,12 @@ impl Machine {
         self.engine.decoded_fast_path()
     }
 
-    /// Enable or disable superblock execution (batched retirement of fused
-    /// straight-line runs; requires the decoded fast path) — see
-    /// [`Engine::set_superblocks`]. The default comes from the
-    /// `SMACK_SUPERBLOCK` environment variable (`0` = off, anything else =
-    /// on, unset = on), mirroring `SMACK_BURST`; output is bit-identical
-    /// either way, so the toggle exists for the CI determinism gate and
-    /// for benchmarking the per-step path. Reset restores the default.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.engine.set_superblocks(on);
-    }
-
-    /// Whether superblock execution is active.
-    pub fn superblocks(&self) -> bool {
-        self.engine.superblocks()
-    }
-
     /// Enable or disable the fused probe tier (one-pass retirement of
     /// compiled `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences and
     /// batched idle advances) — see [`Engine::set_fused_probes`]. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable
     /// (`0` = off, anything else = on, unset = on), mirroring
-    /// `SMACK_SUPERBLOCK`; output is bit-identical either way, so the
+    /// `SMACK_BURST`; output is bit-identical either way, so the
     /// toggle exists for the CI determinism gate and for benchmarking the
     /// per-step probe path. Reset restores the default.
     pub fn set_fused_probes(&mut self, on: bool) {
@@ -687,29 +671,59 @@ mod tests {
 
     #[test]
     fn patched_code_executes_on_the_fast_path() {
-        // A counting loop calls a routine that adds 1; mid-run the routine
-        // is rewritten (same instruction length) to add 10. The decoded
-        // fast path must pick the patch up exactly like the reference
-        // interpreter (which re-reads the map every step).
-        let routine = |imm: i64| -> Program {
-            let mut a = Assembler::new(0x7_0000);
-            a.add_imm(Reg::R0, imm).ret();
+        // The SMC coherence contract every interpreter tier honours (the
+        // selfie `coherency-invalidation` idiom): make a routine
+        // icache-resident, store to its line (one machine clear, L1i line
+        // invalidated), rewrite its return value, and call it again through
+        // both the plain and the batched call path. The last two patches
+        // flip the routine into and out of the fused `nop*; ret` call shape,
+        // so a stale call-shape memo would skip the final `mov_imm`.
+        const ROUTINE: u64 = 0x7_0000;
+        let returns = |value: u64| -> Program {
+            let mut a = Assembler::new(ROUTINE);
+            a.mov_imm(Reg::R0, value).ret();
             a.assemble().unwrap()
         };
-        let run = |decoded: bool| -> u64 {
+        let nops = || -> Program {
+            let mut a = Assembler::new(ROUTINE);
+            // Seven one-byte nops cover the seven-byte `mov_imm`.
+            for _ in 0..7 {
+                a.nop();
+            }
+            a.ret();
+            a.assemble().unwrap()
+        };
+        for (decoded, fused) in [(false, false), (false, true), (true, false), (true, true)] {
+            let tier = format!("decoded={decoded} fused_probes={fused}");
             let mut m = cl();
             m.set_decoded_fast_path(decoded);
-            m.load_program(&routine(1));
-            for i in 0..6 {
-                if i == 3 {
-                    m.patch_program(&routine(10));
-                }
-                m.call(T0, 0x7_0000, &[]).unwrap();
-            }
-            m.reg(T0, Reg::R0)
-        };
-        assert_eq!(run(true), 3 + 30);
-        assert_eq!(run(false), 3 + 30);
+            m.set_fused_probes(fused);
+            m.load_program(&returns(1));
+            m.run_calls(T0, &[ROUTINE]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 1, "{tier}");
+            assert!(m.residency(Addr(ROUTINE)).l1i, "{tier}: routine is L1i-resident");
+
+            let before = m.counters(T0).snapshot();
+            m.set_reg(T0, Reg::R1, ROUTINE);
+            m.run_sequence(T0, &[Instr::StoreImm { mem: MemRef::base(Reg::R1), imm: 0x90 }])
+                .unwrap();
+            assert_eq!(m.counters(T0).delta(&before, PerfEvent::MachineClearsSmc), 1, "{tier}");
+            assert!(!m.residency(Addr(ROUTINE)).l1i, "{tier}: clear invalidates the line");
+
+            m.patch_program(&returns(2));
+            m.call(T0, ROUTINE, &[]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: call sees the patch");
+            m.set_reg(T0, Reg::R0, 0);
+            m.run_calls(T0, &[ROUTINE]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: run_calls sees the patch");
+
+            m.patch_program(&nops());
+            m.run_calls(T0, &[ROUTINE, ROUTINE]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: nop routine leaves R0");
+            m.patch_program(&returns(3));
+            m.run_calls(T0, &[ROUTINE, ROUTINE]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 3, "{tier}: no stale call shape");
+        }
     }
 
     #[test]

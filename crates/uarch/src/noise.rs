@@ -17,11 +17,11 @@
 //! progress is tracked as `(cycles, emitted)` — so [`NoiseSource::evictions_for`]
 //! is exactly invariant under partitioning: any way of slicing an interval
 //! into sub-intervals yields the same eviction count at every boundary.
-//! That invariance is what lets the engine retire a whole superblock's
-//! cycles in one call and still match per-instruction execution bit for
-//! bit, and it also makes [`NoiseSource::cycles_to_next_eviction`] exact,
-//! which the superblock scheduler uses to stop batched execution *before*
-//! an eviction would land mid-block.
+//! That invariance is what lets the engine's fused probe and call tiers
+//! retire several instructions' cycles in one call and still match
+//! per-instruction execution bit for bit, and it also makes
+//! [`NoiseSource::cycles_to_next_eviction`] exact, which the fused probe
+//! guard uses to prove no eviction lands inside a batched probe or call.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -222,7 +222,7 @@ impl NoiseSource {
     /// [`NoiseSource::evictions_for`] emits no eviction; feeding this many
     /// (or more) emits at least one. Returns `u64::MAX` when the eviction
     /// rate is zero (or the true distance exceeds `u64`). One field read —
-    /// the superblock scheduler consults this before every batched block.
+    /// the fused probe and call tiers consult this before every batch.
     #[inline]
     pub fn cycles_to_next_eviction(&self) -> u64 {
         if self.rate.is_none() {

@@ -1,12 +1,11 @@
-//! The decoded fast path and superblock execution are *optimizations*,
-//! never a semantic change: for arbitrary programs, executing through the
-//! pre-decoded side table — with or without fused superblock retirement —
+//! The decoded fast path is an *optimization*, never a semantic change:
+//! for arbitrary programs, executing through the pre-decoded side table
 //! must produce exactly the architectural state, clocks, and performance
 //! counters of the original per-step `BTreeMap` reference interpreter.
 //! The same holds across engine burst sizes (including burst 1, the
 //! historical one-instruction-per-call scheduling), under injected
-//! eviction noise, and across mid-run code patches that force decoded
-//! lines to re-fuse.
+//! eviction noise, and across mid-run code patches that re-decode lines
+//! in place or force a full recompile.
 
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
@@ -40,8 +39,8 @@ enum BodyOp {
     CallHelperReg,
     Clflush(u8),
     Nop,
-    /// A bounded inner loop (backward `jne`): superblocks must stop at
-    /// the branch and re-enter the run at the loop head every iteration.
+    /// A bounded inner loop (backward `jne`): the taken branch chases its
+    /// pre-resolved target index back to the loop head every iteration.
     InnerLoop(u8, u8),
 }
 
@@ -160,17 +159,14 @@ struct Outcome {
     data: Vec<u8>,
 }
 
-/// Interpreter configuration for one equivalence run. `superblocks`
-/// implies nothing unless `decoded` is set (the engine gates fusion on
-/// the decoded table), so (false, true) is normalized to plain reference.
+/// Interpreter configuration for one equivalence run.
 #[derive(Copy, Clone, Debug)]
 struct Cfg {
     decoded: bool,
-    superblocks: bool,
     burst: u64,
 }
 
-const REFERENCE: Cfg = Cfg { decoded: false, superblocks: false, burst: 4096 };
+const REFERENCE: Cfg = Cfg { decoded: false, burst: 4096 };
 
 fn machine(cfg: Cfg, noise_seed: Option<u64>) -> Machine {
     let profile = MicroArch::CascadeLake.profile();
@@ -179,7 +175,6 @@ fn machine(cfg: Cfg, noise_seed: Option<u64>) -> Machine {
         None => Machine::new(profile),
     };
     m.set_decoded_fast_path(cfg.decoded);
-    m.set_superblocks(cfg.superblocks);
     m.set_burst_steps(cfg.burst);
     m
 }
@@ -201,12 +196,10 @@ fn run(prog: &Program, cfg: Cfg, noise_seed: Option<u64>) -> Outcome {
 }
 
 /// A runtime rewrite of the helper routine's code line. Three variants:
-/// a same-length `xor` swap (instruction boundaries survive, entries
-/// re-decode in place), a same-length `mfence` swap (`mfence` cannot fuse
-/// into a superblock, so the helper line must re-fuse with a new break
-/// where a fusable run used to be), and the boundary-moving variant that
-/// also places a fresh routine at new addresses, forcing the
-/// full-recompile fallback.
+/// a same-length `xor` swap and a same-length `mfence` swap (instruction
+/// boundaries survive, entries re-decode in place), and the
+/// boundary-moving variant that also places a fresh routine at new
+/// addresses, forcing the full-recompile fallback.
 fn helper_patch(kind: u8) -> Program {
     let mut a = Assembler::new(HELPER_BASE);
     match kind {
@@ -239,22 +232,19 @@ fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Ou
     }
 }
 
-/// The non-reference configurations every proptest checks: superblocks
-/// across burst sizes, the per-step decoded path, and reference at
-/// burst 1.
-const CONFIGS: [Cfg; 5] = [
-    Cfg { decoded: true, superblocks: true, burst: 4096 },
-    Cfg { decoded: true, superblocks: true, burst: 1 },
-    Cfg { decoded: true, superblocks: true, burst: 7 },
-    Cfg { decoded: true, superblocks: false, burst: 4096 },
-    Cfg { decoded: false, superblocks: false, burst: 1 },
+/// The non-reference configurations every proptest checks: the decoded
+/// path across burst sizes, and reference at burst 1.
+const CONFIGS: [Cfg; 4] = [
+    Cfg { decoded: true, burst: 4096 },
+    Cfg { decoded: true, burst: 1 },
+    Cfg { decoded: true, burst: 7 },
+    Cfg { decoded: false, burst: 1 },
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Superblock vs per-step decoded vs reference interpreter, and
-    /// burst 1 vs large bursts: every configuration retires the same
+    /// Decoded vs reference interpreter, and burst 1 vs large bursts: every configuration retires the same
     /// architecture, time, and counter state for arbitrary programs
     /// (including backward inner-loop branches).
     #[test]
@@ -268,10 +258,9 @@ proptest! {
     }
 
     /// Self-modified code lines re-decode into the side table: rewriting
-    /// the helper routine mid-run (same-length in-place patch, the
-    /// fusability-flipping `mfence` patch, and the boundary-moving
-    /// variant that forces a recompile) must leave the decoded and
-    /// superblock paths bit-identical to the map-lookup reference, for
+    /// the helper routine mid-run (two same-length in-place patches and
+    /// the boundary-moving variant that forces a recompile) must leave
+    /// the decoded path bit-identical to the map-lookup reference, for
     /// every burst size.
     #[test]
     fn prop_rewritten_code_lines_match_reference(
@@ -282,15 +271,14 @@ proptest! {
         let prog = build_program(&ops);
         let patch = helper_patch(kind);
         let reference = run_with_patch(&prog, &patch, at_step, REFERENCE);
-        for cfg in &CONFIGS[..4] {
+        for cfg in &CONFIGS[..3] {
             let got = run_with_patch(&prog, &patch, at_step, *cfg);
             prop_assert_eq!(&got, &reference, "{:?} diverged after rewrite {}", cfg, kind);
         }
     }
 
-    /// Injected eviction noise is drawn from the engine clock, which the
-    /// superblock guards keep bit-identical: noisy runs must agree across
-    /// every interpreter tier and burst size too.
+    /// Injected eviction noise is drawn from the engine clock: noisy runs
+    /// must agree across every interpreter tier and burst size too.
     #[test]
     fn prop_noisy_runs_match_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -305,9 +293,9 @@ proptest! {
     }
 }
 
-/// Fused probe execution is held to the same bar as the decoded and
-/// superblock tiers: running a probe template through [`Machine::run_probe`]
-/// with fusion enabled must be bit-identical — registers, both clocks,
+/// Fused probe execution is held to the same bar as the decoded tier:
+/// running a probe template through [`Machine::run_probe`] with fusion
+/// enabled must be bit-identical — registers, both clocks,
 /// memory, timings, and hardware counters — to the per-step injected
 /// sequence, across probe classes, cold placements, injected noise, waits,
 /// and mid-run SMC patches of the probed line.
@@ -665,16 +653,9 @@ fn dual_thread_decoded_matches_reference() {
     let driver = b.assemble().unwrap();
 
     let mut outcomes = Vec::new();
-    for (decoded, superblocks, burst) in [
-        (false, false, 4096),
-        (true, true, 4096),
-        (true, true, 1),
-        (true, true, 64),
-        (true, false, 4096),
-    ] {
+    for (decoded, burst) in [(false, 4096), (true, 4096), (true, 1), (true, 64)] {
         let mut m = Machine::new(MicroArch::CascadeLake.profile());
         m.set_decoded_fast_path(decoded);
-        m.set_superblocks(superblocks);
         m.set_burst_steps(burst);
         m.load_program(&victim);
         m.load_program(&driver);
@@ -683,7 +664,7 @@ fn dual_thread_decoded_matches_reference() {
         m.run_until_halt(T0, 1_000_000).unwrap();
         m.run_until_halt(T1, 1_000_000).unwrap();
         outcomes.push((
-            (decoded, superblocks),
+            decoded,
             burst,
             m.reg(T0, Reg::R1),
             m.reg(T0, Reg::R2),
@@ -706,7 +687,7 @@ fn dual_thread_decoded_matches_reference() {
                 &outcomes[0].7,
                 &outcomes[0].8
             ),
-            "config (decoded, superblocks)={:?}, burst={} diverged from reference",
+            "config decoded={}, burst={} diverged from reference",
             o.0,
             o.1
         );

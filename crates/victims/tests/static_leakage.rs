@@ -5,7 +5,7 @@
 //! secret-dependent schedules are `Leaky` (and the leaky lines include the
 //! exact lines the attacks probe), the constant-time ladder and everything
 //! without secrets is `ConstantFootprint`, and no shipped program violates
-//! a superblock/SMC fusion invariant.
+//! the SMC patch contract.
 
 use smack_analysis::{analyze, Verdict};
 use smack_victims::modexp::ModexpAlgorithm;
@@ -23,7 +23,7 @@ fn binary_ltr_is_leaky_at_the_multiply_line() {
         r.leaky_lines
     );
     assert!(!r.tainted_branches.is_empty(), "the bit test is secret-dependent");
-    assert!(r.audit.is_empty(), "fusion invariants hold: {:?}", r.audit);
+    assert!(r.audit.is_empty(), "SMC patch contract holds: {:?}", r.audit);
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn benign_workloads_are_constant_footprint_and_audit_clean() {
             "benign workload {w} misclassified; leaky = {:x?}",
             r.leaky_lines
         );
-        assert!(r.audit.is_empty(), "workload {w} violates fusion invariants: {:?}", r.audit);
+        assert!(r.audit.is_empty(), "workload {w} violates the SMC patch contract: {:?}", r.audit);
     }
 }
 
