@@ -21,9 +21,6 @@ use crate::report::{banner, f, s, Table};
 /// Sweep the machine-clear latency surcharge and measure the covert
 /// channel's error rate: the SMC margin *is* the attack's robustness.
 pub fn smc_penalty_sweep(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — SMC latency surcharge vs. channel error rate");
     let bits = ctx.mode().pick(200, 1_000);
     let payload = random_payload(bits, 0xab1);
@@ -63,9 +60,6 @@ pub fn smc_penalty_sweep(ctx: &Ctx) {
 /// suddenly has a usable margin, explaining *why* Mastik struggles on real
 /// front ends.
 pub fn frontend_ablation(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — front-end L2-latency hiding vs. the Mastik margin");
     let samples = ctx.mode().pick(50, 500);
     let mut t = Table::new(&["front-end", "execute L1i (cycles)", "execute L2 (cycles)", "margin"]);
@@ -100,9 +94,6 @@ pub fn frontend_ablation(ctx: &Ctx) {
 /// 21) and measure channel reliability — the paper's §7 discussion of AMD
 /// timer resolution.
 pub fn timer_resolution_sweep(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — rdtsc resolution vs. channel error rate");
     let bits = ctx.mode().pick(200, 1_000);
     let payload = random_payload(bits, 0xab2);
@@ -135,9 +126,6 @@ pub fn timer_resolution_sweep(ctx: &Ctx) {
 /// Sweep the prime→probe wait (the paper's §5.2 τ_w discussion) against
 /// single-trace RSA recovery.
 pub fn tau_w_sweep(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — τ_w (prime→probe wait) vs. RSA single-trace recovery");
     let bits = ctx.mode().pick(128, 512);
     let mut rng = SmallRng::seed_from_u64(0xab3);
@@ -175,9 +163,6 @@ pub fn tau_w_sweep(ctx: &Ctx) {
 /// jitter decorrelates the misses so majority voting has independent
 /// errors to outvote.
 pub fn tau_jitter_sweep(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — τ_w jitter: fixed vs. jittered exposure window (RSA voting)");
     let bits = ctx.mode().pick(128, 512);
     let max_traces = ctx.mode().pick(8, 15);
@@ -230,9 +215,6 @@ pub fn tau_jitter_sweep(ctx: &Ctx) {
 /// §6.2 countermeasure: the identical attack against the leaky
 /// square-and-multiply victim vs. the constant-time Montgomery ladder.
 pub fn countermeasure(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Countermeasure — constant-time exponentiation defeats the attack (§6.2)");
     let bits = ctx.mode().pick(128, 512);
     let mut rng = SmallRng::seed_from_u64(0xab4);
@@ -278,9 +260,6 @@ pub fn countermeasure(ctx: &Ctx) {
 /// How much does the SMC storm slow the sibling? (§4.2's 235-cycle clear
 /// and §7's up-to-10x claims.)
 pub fn sibling_slowdown(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Ablation — victim slowdown under SMC machine-clear storms");
     use smack::oracle::EvictionSet;
     use smack::probe::Prober;

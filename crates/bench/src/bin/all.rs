@@ -1,15 +1,15 @@
-//! Regenerate every paper table and figure in sequence via the shared
-//! registry CLI (run `fingerprint` and `ablations` for the case-study
-//! and ablation bundles; any experiment name can also be given
-//! explicitly — `--list` enumerates them).
+//! Regenerate the paper's tables and figures via the shared registry CLI:
+//! `all` runs every paper artifact, `all NAME..` runs experiments by name
+//! (`ablations` selects every ablation; `--list` enumerates them).
 //!
-//! Unsharded runs end with a wall-time summary per figure/table so
+//! In-process runs end with a wall-time summary per figure/table so
 //! interpreter or scheduler regressions show up in the repro log itself.
-//! `--shards N` spawns one process per shard, shares the persistent
-//! calibration cache between them, and merges the per-shard CSVs into
-//! output bit-identical to the unsharded run.
+//! `--shards N` runs the units through the experiment service — the
+//! coordinator plus N−1 spawned worker processes sharing the persistent
+//! calibration cache — and merges their CSVs into output bit-identical to
+//! the in-process run.
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    smack_bench::cli::run(smack_bench::cli::Selection::Paper)
+    smack_bench::cli::run()
 }

@@ -1,77 +1,61 @@
-//! The one shared CLI behind every harness binary.
+//! The one CLI behind the `all` binary.
 //!
-//! All fourteen binaries (`all`, `fig1..fig6`, `table1..table5`,
-//! `fingerprint`, `ablations`) are thin shims over [`run`]: they differ
-//! only in their default selection. Experiments are looked up by name in
-//! the [`crate::registry`], so `all fig5 table2` runs exactly those two
-//! and `--list` enumerates everything.
+//! Experiments are looked up by name in the [`crate::registry`]: `all`
+//! alone runs the paper artifacts, `all fig5 table2` runs exactly those
+//! two, the word `ablations` selects every ablation, and `--list`
+//! enumerates everything.
 //!
 //! ```text
-//! all [EXPERIMENT..] [--full] [--threads N] [--shard K/N] [--shards N]
-//!     [--out DIR] [--tau-jitter N] [--merge DIR.. ] [--list]
-//! all coordinate [EXPERIMENT..] [--workers N] [--addr HOST:PORT]
-//!     [--lease-ms N] [--grace-ms N] [--timeout-ms N] [common flags]
+//! all [EXPERIMENT..] [--full] [--threads N] [--out DIR] [--tau-jitter N] [--list]
+//!     [--shards N [--addr HOST:PORT] [--lease-ms N] [--timeout-ms N]]
 //! all work --connect HOST:PORT [--threads N]
 //! ```
 //!
-//! * `--shard K/N` — run only the units this shard owns, writing
-//!   unit-tagged partial CSVs (merge them with `--merge`).
-//! * `--shards N` — distribute: run the fault-tolerant experiment
-//!   service ([`crate::service`]) with N spawned worker processes, then
-//!   merge the unit-tagged partial CSVs into the output directory —
-//!   bit-identical to the unsharded run even under worker crashes.
-//! * `coordinate` — run the service coordinator explicitly: `--workers
-//!   N` spawns a fleet (0 = wait for external workers, degrading to
-//!   in-process execution after `--grace-ms`), `--addr` picks the listen
-//!   address, `--lease-ms` the heartbeat deadline and `--timeout-ms` the
-//!   whole-run wall-clock bound.
+//! Units run one of two ways: in this process on runner threads (the
+//! default), or through the fault-tolerant experiment service
+//! ([`crate::service`]) with `--shards N`.
+//!
+//! * `--shards N` — N executors: the service coordinator (itself a
+//!   worker) plus N−1 spawned `work` processes. The unit-tagged partial
+//!   CSVs are merged into the output directory, bit-identical to the
+//!   in-process run even under worker crashes. `--addr` picks the listen
+//!   address (external `work --connect` processes may join there),
+//!   `--lease-ms` the heartbeat deadline and `--timeout-ms` the whole-run
+//!   wall-clock bound.
 //! * `work` — run a worker: connect to a coordinator, execute leased
 //!   units, stream partial CSVs back. Mode and τ jitter arrive with each
 //!   lease, so workers take no experiment flags.
-//! * `--merge DIR..` — merge previously written shard directories.
 //! * `--out DIR` — CSV output directory (default `target/repro/`).
 //! * `--tau-jitter N` — jitter the fig5/table2 exposure window by ±N
 //!   cycles per trace (default 0, the fixed historical window).
 //!
 //! The persistent calibration cache lives at `SMACK_CALIB_DIR` when set,
-//! else `<out>/calib/`; every process attaches it, so a shard spawned
-//! after another has warmed the cache loads calibrations instead of
+//! else `<out>/calib/`; every process attaches it, so a worker (or a later
+//! run) loads calibrations an earlier process computed instead of
 //! recomputing them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smack::session::Sessions;
 
 use crate::registry::{self, Experiment, Group, RunSpec};
 use crate::report;
-use crate::runner::{Runner, Shard};
+use crate::runner::Runner;
 use crate::service::chaos::ChaosPlan;
-use crate::service::coordinator::{
-    Service, ServiceConfig, DEFAULT_GRACE_MS, DEFAULT_LEASE_MS, DEFAULT_TIMEOUT_MS,
-};
+use crate::service::coordinator::{Service, ServiceConfig, DEFAULT_LEASE_MS, DEFAULT_TIMEOUT_MS};
 use crate::service::worker::{run_worker, WorkerConfig};
 use crate::Mode;
 
-/// What a binary runs when no experiment names are given.
-#[derive(Copy, Clone, Debug)]
-pub enum Selection {
-    /// The paper artifacts (the `all` binary).
-    Paper,
-    /// Every ablation (the `ablations` binary).
-    Ablations,
-    /// One named experiment (the per-figure shims).
-    Named(&'static str),
-}
+/// The word that selects every ablation.
+const ABLATIONS: &str = "ablations";
 
-/// The subcommand: a plain experiment run, the service coordinator, or
-/// a service worker.
+/// The subcommand: an experiment run or a service worker.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Cmd {
-    /// Run experiments in this process (possibly via `--shards N`).
+    /// Run experiments, in this process or through the service
+    /// (`--shards N`).
     Run,
-    /// Run the experiment-service coordinator (`coordinate`).
-    Coordinate,
     /// Run an experiment-service worker (`work`).
     Work,
 }
@@ -83,25 +67,21 @@ struct Args {
     names: Vec<String>,
     mode: Mode,
     threads: Option<usize>,
-    shard: Shard,
     shards: Option<usize>,
     out: Option<PathBuf>,
     tau_jitter: u64,
-    merge: bool,
     list: bool,
     addr: Option<String>,
     connect: Option<String>,
-    workers: Option<usize>,
     lease_ms: u64,
-    grace_ms: u64,
     timeout_ms: u64,
 }
 
-const USAGE: &str = "usage: <bin> [EXPERIMENT..] [--full] [--threads N] [--shard K/N] \
-                     [--shards N] [--out DIR] [--tau-jitter N] [--merge DIR..] [--list]\n\
-       <bin> coordinate [EXPERIMENT..] [--workers N] [--addr HOST:PORT] [--lease-ms N] \
-                     [--grace-ms N] [--timeout-ms N] [common flags]\n\
-       <bin> work --connect HOST:PORT [--threads N]";
+const USAGE: &str = "usage: all [EXPERIMENT..|ablations] [--full] [--threads N] [--out DIR] \
+                     [--tau-jitter N] [--list]\n\
+       all [EXPERIMENT..] --shards N [--addr HOST:PORT] [--lease-ms N] [--timeout-ms N] \
+                     [common flags]\n\
+       all work --connect HOST:PORT [--threads N]";
 
 fn parse(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
@@ -109,24 +89,16 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         names: Vec::new(),
         mode: Mode::Quick,
         threads: None,
-        shard: Shard::solo(),
         shards: None,
         out: None,
         tau_jitter: 0,
-        merge: false,
         list: false,
         addr: None,
         connect: None,
-        workers: None,
         lease_ms: DEFAULT_LEASE_MS,
-        grace_ms: DEFAULT_GRACE_MS,
         timeout_ms: DEFAULT_TIMEOUT_MS,
     };
     let argv = match argv.first().map(String::as_str) {
-        Some("coordinate") => {
-            args.cmd = Cmd::Coordinate;
-            &argv[1..]
-        }
         Some("work") => {
             args.cmd = Cmd::Work;
             &argv[1..]
@@ -147,16 +119,10 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         match arg.as_str() {
             "--full" => args.mode = Mode::Full,
             "--list" => args.list = true,
-            "--merge" => args.merge = true,
             a if a == "--threads" || a.starts_with("--threads=") => {
                 let v = value_of("--threads", &mut it, a)?;
                 let n = v.parse::<usize>().ok().filter(|n| *n > 0);
                 args.threads = Some(n.ok_or_else(|| format!("bad --threads value `{v}`"))?);
-            }
-            a if a == "--shard" || a.starts_with("--shard=") => {
-                let v = value_of("--shard", &mut it, a)?;
-                args.shard = Shard::parse(&v)
-                    .ok_or_else(|| format!("bad --shard value `{v}` (want K/N)"))?;
             }
             a if a == "--shards" || a.starts_with("--shards=") => {
                 let v = value_of("--shards", &mut it, a)?;
@@ -177,20 +143,10 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             a if a == "--connect" || a.starts_with("--connect=") => {
                 args.connect = Some(value_of("--connect", &mut it, a)?);
             }
-            a if a == "--workers" || a.starts_with("--workers=") => {
-                let v = value_of("--workers", &mut it, a)?;
-                args.workers =
-                    Some(v.parse::<usize>().map_err(|_| format!("bad --workers value `{v}`"))?);
-            }
             a if a == "--lease-ms" || a.starts_with("--lease-ms=") => {
                 let v = value_of("--lease-ms", &mut it, a)?;
                 let n = v.parse::<u64>().ok().filter(|n| *n > 0);
                 args.lease_ms = n.ok_or_else(|| format!("bad --lease-ms value `{v}`"))?;
-            }
-            a if a == "--grace-ms" || a.starts_with("--grace-ms=") => {
-                let v = value_of("--grace-ms", &mut it, a)?;
-                args.grace_ms =
-                    v.parse::<u64>().map_err(|_| format!("bad --grace-ms value `{v}`"))?;
             }
             a if a == "--timeout-ms" || a.starts_with("--timeout-ms=") => {
                 let v = value_of("--timeout-ms", &mut it, a)?;
@@ -201,68 +157,50 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             name => args.names.push(name.to_owned()),
         }
     }
-    if args.merge && (args.shards.is_some() || !args.shard.is_solo()) {
-        return Err("--merge cannot be combined with --shard/--shards".to_owned());
-    }
-    if args.shards.is_some() && !args.shard.is_solo() {
-        return Err("--shards spawns its own worker fleet".to_owned());
-    }
-    if args.connect.is_some() && args.cmd != Cmd::Work {
-        return Err("--connect only makes sense for the `work` subcommand".to_owned());
-    }
     match args.cmd {
         Cmd::Work => {
             if args.connect.is_none() {
                 return Err("work needs --connect HOST:PORT".to_owned());
             }
-            if !args.names.is_empty()
-                || args.merge
-                || args.shards.is_some()
-                || !args.shard.is_solo()
-            {
-                return Err("workers take no experiments or shard flags; \
+            if !args.names.is_empty() || args.shards.is_some() {
+                return Err("workers take no experiments or --shards; \
                             every run parameter arrives with its lease"
                     .to_owned());
             }
         }
-        Cmd::Coordinate => {
-            if args.merge || args.shards.is_some() || !args.shard.is_solo() {
-                return Err("coordinate owns the whole unit space; drop --shard/--shards/--merge"
-                    .to_owned());
-            }
-        }
         Cmd::Run => {
-            if args.workers.is_some() || args.addr.is_some() {
-                return Err("--workers/--addr belong to the `coordinate` subcommand \
-                            (plain runs distribute with --shards N)"
-                    .to_owned());
+            if args.connect.is_some() {
+                return Err("--connect only makes sense for the `work` subcommand".to_owned());
+            }
+            if args.addr.is_some() && args.shards.is_none() {
+                return Err(
+                    "--addr is the service's listen address; it needs --shards N".to_owned()
+                );
             }
         }
     }
     Ok(args)
 }
 
-/// Resolve the experiments to run: explicit names, else the binary's
-/// default selection.
-fn resolve(names: &[String], default: Selection) -> Result<Vec<&'static Experiment>, String> {
+/// Resolve the experiments to run: the paper artifacts when no names are
+/// given, else each name in order (`ablations` expands to every
+/// ablation).
+fn resolve(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
     if names.is_empty() {
-        return Ok(match default {
-            Selection::Paper => registry::group(Group::Paper),
-            Selection::Ablations => registry::group(Group::Ablation),
-            Selection::Named(name) => vec![registry::find(name).ok_or_else(|| {
-                format!("this binary's default experiment `{name}` is not registered")
-            })?],
-        });
+        return Ok(registry::group(Group::Paper));
     }
-    names
-        .iter()
-        .map(|n| {
-            registry::find(n).ok_or_else(|| {
-                let known: Vec<&str> = registry::registry().iter().map(|e| e.name).collect();
-                format!("unknown experiment `{n}` (known: {})", known.join(", "))
-            })
-        })
-        .collect()
+    let mut selection = Vec::new();
+    for name in names {
+        if name == ABLATIONS {
+            selection.extend(registry::group(Group::Ablation));
+            continue;
+        }
+        selection.push(registry::find(name).ok_or_else(|| {
+            let known: Vec<&str> = registry::registry().iter().map(|e| e.name).collect();
+            format!("unknown experiment `{name}` (known: {}, {ABLATIONS})", known.join(", "))
+        })?);
+    }
+    Ok(selection)
 }
 
 fn print_list() {
@@ -289,25 +227,25 @@ fn print_list() {
 
 /// The calibration-cache directory for this run: `SMACK_CALIB_DIR` when
 /// set, else `<out root>/calib`.
-fn calib_dir(out_root: &std::path::Path) -> PathBuf {
+fn calib_dir(out_root: &Path) -> PathBuf {
     std::env::var_os("SMACK_CALIB_DIR")
         .filter(|v| !v.is_empty())
         .map_or_else(|| out_root.join("calib"), PathBuf::from)
 }
 
-/// Distribute a run through the experiment service: bind the
-/// coordinator, spawn `workers` worker processes (0 = external fleet /
-/// inline degradation), serve leases until every unit has exactly one
-/// accepted result, merge. Replaces the old fork-per-shard orchestration
-/// — `all --shards N` is now a thin client of this path, and a crashed
-/// or hung worker costs one lease period instead of the whole run.
+/// Run a selection through the experiment service with `shards`
+/// executors: bind the coordinator (which runs its own worker), spawn
+/// `shards - 1` worker processes, serve leases until every unit has
+/// exactly one accepted result, merge. A crashed or hung worker costs one
+/// lease period instead of the whole run.
 fn run_service(
     args: &Args,
-    workers: usize,
+    shards: usize,
     selection: &[&'static Experiment],
-    out_root: &std::path::Path,
+    out_root: &Path,
 ) -> Result<(), String> {
     let calib = calib_dir(out_root);
+    let workers = shards - 1;
     let cfg = ServiceConfig {
         selection: selection.to_vec(),
         mode: args.mode,
@@ -317,23 +255,22 @@ fn run_service(
         bind: args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_owned()),
         workers,
         lease_ms: args.lease_ms,
-        grace_ms: args.grace_ms,
+        chaos: ChaosPlan::none(),
         timeout_ms: args.timeout_ms,
         calib_dir: calib.clone(),
     };
     let service = Service::bind(cfg)?;
-    println!("[service] coordinator on {} ({} spawned workers)", service.addr(), workers);
+    println!("[service] coordinator on {} ({workers} spawned workers)", service.addr());
     let summary = service.run()?;
     report::banner("service run");
     println!(
         "{} units, {} leases ({} expired, {} duplicates, {} failures), \
-         {} run inline, wall {:.1} ms; calibration cache: {}",
+         wall {:.1} ms; calibration cache: {}",
         summary.units,
         summary.stats.leased,
         summary.stats.expired,
         summary.stats.duplicates,
         summary.stats.failures,
-        summary.inline_units,
         summary.wall_ms,
         calib.display()
     );
@@ -367,24 +304,10 @@ fn run_work(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Merge previously written shard directories (`--merge DIR..`).
-fn run_merge(dirs: &[String], out_root: &std::path::Path) -> Result<(), String> {
-    if dirs.len() < 2 {
-        return Err("--merge needs at least two shard directories".to_owned());
-    }
-    let dirs: Vec<PathBuf> = dirs.iter().map(PathBuf::from).collect();
-    let merged = report::merge_shard_dirs(&dirs, out_root)
-        .map_err(|e| format!("merging shard CSVs: {e}"))?;
-    for path in &merged {
-        println!("[csv] {} (merged)", path.display());
-    }
-    Ok(())
-}
-
-/// Process entry point shared by every harness binary.
-pub fn run(default: Selection) -> ExitCode {
+/// Process entry point of the `all` binary.
+pub fn run() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run_inner(&argv, default) {
+    match run_inner(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -394,7 +317,7 @@ pub fn run(default: Selection) -> ExitCode {
     }
 }
 
-fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
+fn run_inner(argv: &[String]) -> Result<(), String> {
     let args = parse(argv)?;
     if args.list {
         print_list();
@@ -404,18 +327,9 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
         return run_work(&args);
     }
     let out_root = args.out.clone().unwrap_or_else(report::default_repro_dir);
-    if args.merge {
-        return run_merge(&args.names, &out_root);
-    }
-    let selection = resolve(&args.names, default)?;
-    if args.cmd == Cmd::Coordinate {
-        return run_service(&args, args.workers.unwrap_or(0), &selection, &out_root);
-    }
-    match args.shards {
-        // One shard of one is just the unsharded run — no worker fleet,
-        // no tagged CSVs, nothing to merge.
-        Some(1) | None => {}
-        Some(n) => return run_service(&args, n, &selection, &out_root),
+    let selection = resolve(&args.names)?;
+    if let Some(shards) = args.shards {
+        return run_service(&args, shards, &selection, &out_root);
     }
 
     // Persistent calibration cache: attach before the first experiment so
@@ -423,8 +337,7 @@ fn run_inner(argv: &[String], default: Selection) -> Result<(), String> {
     // everything an earlier process computed is loaded instead.
     Sessions::global().attach_disk_cache(calib_dir(&out_root));
 
-    let runner =
-        args.threads.map_or_else(Runner::from_env, Runner::with_threads).with_shard(args.shard);
+    let runner = args.threads.map_or_else(Runner::available, Runner::with_threads);
     let spec =
         RunSpec { mode: args.mode, runner, out_dir: args.out.clone(), tau_jitter: args.tau_jitter };
     let times = registry::run_selection(&selection, &spec);
@@ -464,12 +377,12 @@ mod tests {
 
     #[test]
     fn parses_flags_in_both_spellings() {
-        let a = parse(&strings(&["fig5", "--full", "--threads", "4", "--shard=2/4"]))
-            .expect("--full, --threads N, and --shard K/N should all parse");
+        let a = parse(&strings(&["fig5", "--full", "--threads", "4", "--shards=3"]))
+            .expect("--full, --threads N, and --shards=N should all parse");
         assert_eq!(a.names, vec!["fig5"]);
         assert_eq!(a.mode, Mode::Full);
         assert_eq!(a.threads, Some(4));
-        assert_eq!(a.shard, Shard::new(1, 4));
+        assert_eq!(a.shards, Some(3));
 
         let b = parse(&strings(&["--threads=8", "--out", "x/y", "--tau-jitter=32"]))
             .expect("--threads=N, --out DIR, and --tau-jitter=N should all parse");
@@ -483,19 +396,18 @@ mod tests {
     fn rejects_bad_flags() {
         assert!(parse(&strings(&["--threads", "0"])).is_err());
         assert!(parse(&strings(&["--threads", "zero"])).is_err());
-        assert!(parse(&strings(&["--shard", "5/4"])).is_err());
+        assert!(parse(&strings(&["--shards", "0"])).is_err());
         assert!(parse(&strings(&["--wat"])).is_err());
-        assert!(parse(&strings(&["--merge", "--shards", "2"])).is_err());
-        assert!(parse(&strings(&["--shards", "2", "--shard", "1/2"])).is_err());
     }
 
     #[test]
     fn parses_service_subcommands() {
-        let c = parse(&strings(&["coordinate", "fig5", "--workers=3", "--lease-ms", "500"]))
-            .expect("coordinate with workers and lease period should parse");
-        assert_eq!(c.cmd, Cmd::Coordinate);
-        assert_eq!(c.names, vec!["fig5"]);
-        assert_eq!(c.workers, Some(3));
+        let c =
+            parse(&strings(&["fig5", "--shards=1", "--addr", "0.0.0.0:7070", "--lease-ms=500"]))
+                .expect("a service run with an address and lease period should parse");
+        assert_eq!(c.cmd, Cmd::Run);
+        assert_eq!(c.shards, Some(1));
+        assert_eq!(c.addr.as_deref(), Some("0.0.0.0:7070"));
         assert_eq!(c.lease_ms, 500);
         assert_eq!(c.timeout_ms, DEFAULT_TIMEOUT_MS);
 
@@ -507,26 +419,37 @@ mod tests {
 
         assert!(parse(&strings(&["work"])).is_err(), "work needs --connect");
         assert!(parse(&strings(&["work", "--connect=x", "fig5"])).is_err());
-        assert!(parse(&strings(&["coordinate", "--shards", "2"])).is_err());
-        assert!(parse(&strings(&["--workers", "2"])).is_err(), "--workers is coordinate-only");
+        assert!(parse(&strings(&["work", "--connect=x", "--shards=2"])).is_err());
         assert!(parse(&strings(&["fig5", "--connect=x"])).is_err());
-        assert!(parse(&strings(&["coordinate", "--lease-ms", "0"])).is_err());
+        assert!(parse(&strings(&["--addr=127.0.0.1:0"])).is_err(), "--addr needs --shards");
+        assert!(parse(&strings(&["--shards=2", "--lease-ms", "0"])).is_err());
+    }
+
+    #[test]
+    fn removed_execution_paths_are_rejected() {
+        for argv in [
+            &["--shard", "1/2"][..],
+            &["--shard=2/2"],
+            &["--merge", "a", "b"],
+            &["--shards=2", "--workers=3"],
+            &["--shards=2", "--grace-ms=100"],
+            &["coordinate", "fig5"],
+        ] {
+            let argv = strings(argv);
+            assert!(parse(&argv).and_then(|a| resolve(&a.names)).is_err(), "{argv:?} accepted");
+        }
     }
 
     #[test]
     fn resolves_defaults_and_names() {
-        let paper =
-            resolve(&[], Selection::Paper).expect("no names + Paper default should resolve");
+        let paper = resolve(&[]).expect("no names should resolve to the paper group");
         assert_eq!(paper.len(), 11);
-        let abl = resolve(&[], Selection::Ablations)
-            .expect("no names + Ablations default should resolve");
-        assert!(abl.len() >= 7);
-        let named = resolve(&[], Selection::Named("fig5"))
-            .expect("the registered default experiment `fig5` should resolve");
-        assert_eq!(named[0].name, "fig5");
-        let picked = resolve(&strings(&["table2", "fig5"]), Selection::Paper)
+        let abl = resolve(&strings(&[ABLATIONS])).expect("`ablations` should resolve");
+        assert_eq!(abl.len(), registry::group(Group::Ablation).len());
+        assert!(abl.len() >= 7 && abl.iter().all(|e| e.group == Group::Ablation));
+        let picked = resolve(&strings(&["table2", "fig5"]))
             .expect("explicit names `table2 fig5` should resolve");
         assert_eq!(picked.iter().map(|e| e.name).collect::<Vec<_>>(), ["table2", "fig5"]);
-        assert!(resolve(&strings(&["nope"]), Selection::Paper).is_err());
+        assert!(resolve(&strings(&["nope"])).is_err());
     }
 }

@@ -5,23 +5,23 @@
 //! can assert on shapes.
 //!
 //! Every experiment receives a [`Ctx`] from the registry: the run mode,
-//! the one shard-aware [`Runner`](crate::runner::Runner) threaded down
-//! from the CLI (so `--threads` and `--shard` apply uniformly — no
-//! harness consults the environment on its own), CSV routing, and the
-//! flag-gated τ_w jitter. Trials fan out through
+//! the one [`Runner`](crate::runner::Runner) threaded down from the CLI
+//! (so `--threads` applies uniformly — no harness consults the
+//! environment on its own), CSV routing, and the flag-gated τ_w jitter.
+//! Trials fan out through
 //! [`Runner::run_scenarios`](crate::runner::Runner::run_scenarios), so
 //! each trial closure receives a pooled [`Session`](smack::Session):
 //! machine construction is amortized across trials and a probe threshold
 //! is calibrated at most once per
 //! `(profile, probe class, cold placement, noise)` for the whole process
-//! (and, with the persistent calibration cache attached, for the whole
-//! sharded campaign).
+//! (and, with the persistent calibration cache attached, across every
+//! process of a service run).
 //!
-//! Sharding happens at *unit* granularity — a probe class for [`fig5`],
-//! an SRP group for [`table2`], a (processor, probe) cell for [`table4`],
-//! the whole experiment otherwise. Units derive every seed from their own
-//! index, so the rows a shard produces are bit-identical to the same rows
-//! of an unsharded run.
+//! The experiment service schedules at *unit* granularity — a probe
+//! class for [`fig5`], an SRP group for [`table2`], a (processor, probe)
+//! cell for [`table4`], a victim for [`analyze`], the whole experiment
+//! otherwise. Units derive every seed from their own index, so a leased
+//! unit's rows are bit-identical to the same rows of an in-process run.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,20 +45,16 @@ use crate::report::{banner, f, s, Table};
 use crate::runner::Runner;
 use crate::Mode;
 
-/// The probe classes Figure 5 sweeps — one shardable unit each.
+/// The probe classes Figure 5 sweeps — one unit each.
 pub const FIG5_KINDS: [ProbeKind; 4] =
     [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb];
 
-/// Table 4's (processor, probe) grid size — one shardable unit per cell.
+/// Table 4's (processor, probe) grid size — one unit per cell.
 pub const TABLE4_CELLS: usize = 2 * 6;
 
 /// Figure 1: probe latency per cache state on Cascade Lake, plus the
-/// Mastik comparison row. Returns the store L1i/LLC margin (NaN when this
-/// shard does not own the experiment).
+/// Mastik comparison row. Returns the store L1i/LLC margin.
 pub fn fig1(ctx: &Ctx) -> f64 {
-    if !ctx.owns(0) {
-        return f64::NAN;
-    }
     banner("Figure 1 — probe timing per microarchitectural state (Cascade Lake)");
     let samples = ctx.mode().pick(100, 10_000);
     let mut results =
@@ -114,9 +110,6 @@ pub fn fig1(ctx: &Ctx) -> f64 {
 
 /// Figure 2: counter deltas per conflicting probe, Intel + AMD.
 pub fn fig2(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Figure 2 — SMC reverse engineering via performance counters");
     let reps = ctx.mode().pick(200, 10_000);
     let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
@@ -171,9 +164,6 @@ pub struct ChannelRow {
 /// Table 1: the twelve covert channels on Cascade Lake (plus the paper's
 /// AMD Prime+iLock note). Returns the rows.
 pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
-    if !ctx.owns(0) {
-        return Vec::new();
-    }
     banner("Table 1 — SMC covert channels (Cascade Lake)");
     let bits = ctx.mode().pick(300, 4_000);
     let payload = random_payload(bits, 0x7ab1e1);
@@ -245,9 +235,6 @@ pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
 
 /// Figure 3: receiver trace with assigned bits (Tiger Lake, Prime+iStore).
 pub fn fig3(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Figure 3 — covert-channel receiver trace (Tiger Lake, Prime+iStore)");
     let bits = ctx.mode().pick(24, 48);
     // A recognizable pattern, as in the paper's plot.
@@ -281,9 +268,6 @@ pub fn fig3(ctx: &Ctx) {
 /// Figure 4: per-sample minimum probe timing while an RSA victim runs —
 /// low dips are multiplication activity.
 pub fn fig4(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Figure 4 — multiplication activity via Prime+iStore (Tiger Lake)");
     let bits = ctx.mode().pick(96, 256);
     let mut rng = SmallRng::seed_from_u64(0xf19);
@@ -327,12 +311,9 @@ pub struct Fig5Row {
 }
 
 /// Figure 5: traces needed for 70% key recovery per probe class. One unit
-/// per probe class; returns the rows for this shard's units.
+/// per probe class; returns the rows for the context's units.
 pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
     let owned = ctx.units(FIG5_KINDS.len());
-    if owned.is_empty() {
-        return Vec::new();
-    }
     banner("Figure 5 — traces needed for 70% RSA key recovery (Tiger Lake)");
     let bits = ctx.mode().pick(160, 512);
     let max_traces = ctx.mode().pick(12, 25);
@@ -421,7 +402,7 @@ pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
 /// The Table 2 grid restricted to the group-size units in `groups` (by
 /// index into `SrpGroup::PAPER_SIZES`): every (group, key) cell is one
 /// independent trial whose seeds derive from the key index alone, so a
-/// group's row is identical no matter which shard computes it.
+/// group's row is identical no matter which process computes it.
 fn table2_rows_for(
     mode: Mode,
     runner: &Runner,
@@ -465,12 +446,9 @@ fn table2_rows_for(
 }
 
 /// Table 2: SRP single-trace leakage, Prime+iStore vs Mastik. One unit
-/// per group size; returns the rows for this shard's units.
+/// per group size; returns the rows for the context's units.
 pub fn table2(ctx: &Ctx) -> Vec<Table2Row> {
     let owned = ctx.units(smack_crypto::SrpGroup::PAPER_SIZES.len());
-    if owned.is_empty() {
-        return Vec::new();
-    }
     banner("Table 2 — SRP single-trace leakage per group size (Tiger Lake)");
     let rows = table2_rows_for(ctx.mode(), ctx.runner(), &owned, ctx.tau_jitter());
     let mut t = Table::new(&["group size", "Prime+iStore", "Mastik (PnP)"]);
@@ -546,9 +524,6 @@ fn mastik_srp_leakage_on(machine: &mut Machine, group_bits: usize, b: &Bignum) -
 
 /// Figure 6: the SRP single-trace pattern timeline at group size 6144.
 pub fn fig6(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Figure 6 — SRP single-trace window patterns (6144-bit group)");
     let exp_bits = ctx.mode().pick(128, 6144);
     let mut rng = SmallRng::seed_from_u64(0xf6);
@@ -594,9 +569,6 @@ pub fn fig6(ctx: &Ctx) {
 
 /// Table 3: the ISpectre applicability matrix across all ten parts.
 pub fn table3(ctx: &Ctx) -> Vec<(MicroArch, Vec<Applicability>)> {
-    if !ctx.owns(0) {
-        return Vec::new();
-    }
     banner("Table 3 — ISpectre applicability: microarchitecture x probe class");
     let mut header: Vec<&str> = vec!["probe"];
     let names: Vec<String> = MicroArch::ALL.iter().map(|a| a.name().to_owned()).collect();
@@ -651,7 +623,7 @@ pub struct Table4Row {
 }
 
 /// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. One unit
-/// per (processor, probe) cell; returns this shard's applicable rows.
+/// per (processor, probe) cell; returns the applicable rows of the context's units.
 pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
     let kinds = [
         ProbeKind::Flush,
@@ -664,9 +636,6 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
     let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
     debug_assert_eq!(TABLE4_CELLS, arches.len() * kinds.len());
     let owned = ctx.units(TABLE4_CELLS);
-    if owned.is_empty() {
-        return Vec::new();
-    }
     banner("Table 4 — ISpectre leakage rates (B/s)");
     let secret_len = ctx.mode().pick(8, 64);
     let secret: Vec<u8> =
@@ -714,9 +683,6 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
 
 /// §6.1 detection: accuracy/F1/FPR per counter feature set.
 pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
-    if !ctx.owns(0) {
-        return Vec::new();
-    }
     banner("Section 6.1 — counter-based detection of SMC attacks (Cascade Lake)");
     let cfg = smack_detection::DetectionConfig {
         window_cycles: ctx.mode().pick(80_000, 200_000) as u64,
@@ -747,9 +713,6 @@ pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
 /// library version from L1i-set activity fingerprints, and locate the
 /// multiplication set.
 pub fn fingerprint(ctx: &Ctx) {
-    if !ctx.owns(0) {
-        return;
-    }
     banner("Case Study II step 1 — library version fingerprinting (Tiger Lake)");
     let full = corpus();
     let versions: Vec<_> = match ctx.mode() {
@@ -783,7 +746,7 @@ pub fn fingerprint(ctx: &Ctx) {
 /// [`corpus()`], one per family region).
 const ANALYZE_CORPUS_PICKS: [usize; 4] = [0, 10, 20, 30];
 
-/// Shardable unit count of the `analyze` experiment: the four attack
+/// Unit count of the `analyze` experiment: the four attack
 /// victims, every benign workload, and four corpus versions.
 pub const ANALYZE_UNITS: usize = 4 + BenignWorkload::ALL.len() + ANALYZE_CORPUS_PICKS.len();
 
@@ -993,9 +956,6 @@ fn analyze_differential_unit(
 /// obligation the proptests lock, re-verified on the real victims).
 pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
     let owned = ctx.units(ANALYZE_UNITS);
-    if owned.is_empty() {
-        return Vec::new();
-    }
     banner("Static leakage analysis — taint verdicts vs measured recovery");
     let mode = ctx.mode();
     let n_benign = BenignWorkload::ALL.len();

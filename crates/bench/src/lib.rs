@@ -5,12 +5,11 @@
 //! reports and writing CSVs under `target/repro/`.
 //!
 //! Every experiment is a descriptor in the declarative
-//! [`registry`](crate::registry): name, title, CSV schema, shardable
-//! *unit* count, and a run function over a [`registry::Ctx`]. One shared
-//! CLI ([`cli`]) looks experiments up by name; the fourteen binaries are
-//! thin shims differing only in their default selection:
+//! [`registry`](crate::registry): name, title, CSV schema, *unit* count,
+//! and a run function over a [`registry::Ctx`]. One binary, `all`, looks
+//! experiments up by name through the shared [`cli`]:
 //!
-//! | Binary | Paper artifact |
+//! | Name | Paper artifact |
 //! |---|---|
 //! | `fig1` | Figure 1 — probe timing per cache state (+ Mastik row) |
 //! | `fig2` | Figure 2 — SMC counter reverse engineering (Intel + AMD) |
@@ -24,16 +23,15 @@
 //! | `table4` | Table 4 — ISpectre leakage rates (B/s) |
 //! | `table5` | §6.1 — detection accuracy / F-score / FPR |
 //! | `fingerprint` | Case Study II — library fingerprinting |
-//! | `ablations` | every ablation study |
-//! | `all` | the eleven paper artifacts in sequence |
+//! | `analyze` | static leakage verdicts vs measured recovery |
+//! | `ablations` | every ablation study (the `ablation_*` experiments) |
 //!
-//! Every binary accepts `--full` (paper-scale sample counts), `--threads
-//! N` (trial-runner workers), `--shard K/N` (run this slice of the unit
-//! space, emitting mergeable unit-tagged CSVs), `--shards N` (distribute
-//! over a worker fleet via the fault-tolerant experiment [`service`],
-//! bit-identical to the unsharded run), `--out DIR`, `--tau-jitter N`
-//! and `--list`, plus the `coordinate`/`work` service subcommands — see
-//! [`cli`].
+//! `all` with no names runs the eleven paper artifacts in sequence. It
+//! accepts `--full` (paper-scale sample counts), `--threads N`
+//! (trial-runner workers), `--shards N` (run the units through the
+//! fault-tolerant experiment [`service`] with N executors, bit-identical
+//! to the in-process run), `--out DIR`, `--tau-jitter N` and `--list`,
+//! plus the `work` service subcommand — see [`cli`].
 
 pub mod ablations;
 pub mod cli;

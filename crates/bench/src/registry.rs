@@ -3,16 +3,16 @@
 //! Every paper artifact (figures 1–6, tables 1–5), the fingerprinting
 //! case study and each ablation is one [`Experiment`] descriptor: a name,
 //! a title, the CSV files it owns, its *unit* count, and a run function.
-//! A unit is the experiment's shardable atom — a probe class for fig5, an
-//! SRP group for table2, a (processor, probe) cell for table4, the whole
-//! experiment for the single-scene figures — and every CSV row is a pure
-//! function of its unit index, which is what makes process-level sharding
-//! reassemble bit-identical output (`report::merge_csvs`).
+//! A unit is the experiment's schedulable atom — a probe class for fig5,
+//! an SRP group for table2, a (processor, probe) cell for table4, a victim
+//! for analyze, the whole experiment for the single-scene figures — and
+//! every CSV row is a pure function of its unit index, which is what lets
+//! the experiment service run units in any process and merge
+//! bit-identical output (`report::merge_csvs`).
 //!
 //! Orchestrators enumerate [`registry`] instead of hard-coding harness
-//! functions; adding a workload is adding one descriptor, not a new
-//! binary. The single shared CLI (`crate::cli`) looks experiments up here
-//! by name.
+//! functions; adding a workload is adding one descriptor. The CLI
+//! (`crate::cli`) looks experiments up here by name.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -26,15 +26,15 @@ use crate::{ablations, experiments, Mode};
 pub enum Group {
     /// A paper evaluation artifact — what `all` runs by default.
     Paper,
-    /// An ablation study (`ablations` binary).
+    /// An ablation study (`all ablations`).
     Ablation,
-    /// A case-study extra (`fingerprint` binary).
+    /// A case-study extra, run by name (`all fingerprint`, `all analyze`).
     CaseStudy,
 }
 
 /// One registered experiment. See the [module documentation](self).
 pub struct Experiment {
-    /// CLI name (also the binary shim's name where one exists).
+    /// CLI name (`all <name>`).
     pub name: &'static str,
     /// Human-readable one-liner for `--list`.
     pub title: &'static str,
@@ -42,58 +42,37 @@ pub struct Experiment {
     pub group: Group,
     /// CSV files this experiment writes (without `.csv`).
     pub csvs: &'static [&'static str],
-    /// Shardable unit count for a mode.
+    /// Unit count for a mode.
     pub units: fn(Mode) -> usize,
     /// Run the units selected by the context.
     pub run: fn(&Ctx),
 }
 
-/// Execution context handed to every experiment: the run mode, the
-/// (shard-aware) trial runner, CSV routing, and the flag-gated τ_w jitter
-/// amplitude. Experiments ask [`Ctx::units`] which of their units this
-/// process owns and route every CSV through [`Ctx::write_csv`] so sharded
-/// runs emit mergeable unit-tagged partials.
+/// Execution context handed to every experiment: the run mode, the trial
+/// runner, CSV routing, and the flag-gated τ_w jitter amplitude. A
+/// context runs either every unit of its experiment or the one unit a
+/// service lease names; experiments ask [`Ctx::units`] which, and route
+/// every CSV through [`Ctx::write_csv`] so a leased unit emits a
+/// mergeable unit-tagged partial.
 pub struct Ctx {
     mode: Mode,
     runner: Runner,
-    /// Global unit number of this experiment's unit 0 (offsets the shard
-    /// filter so consecutive single-unit experiments round-robin across
-    /// shards).
-    unit_base: usize,
     out_dir: Option<PathBuf>,
     tau_jitter: u64,
-    /// Explicit local unit ownership, overriding the shard filter — how
-    /// the experiment service executes exactly one leased unit.
-    unit_filter: Option<Vec<usize>>,
-    /// Emit unit-tagged CSVs even on a solo shard (service workers write
-    /// mergeable partials from a solo-sharded runner).
-    force_tagged: bool,
+    /// The local unit a service lease names (`None` = every unit).
+    unit: Option<usize>,
 }
 
 impl Ctx {
-    /// A context that owns every unit and writes to the default output
-    /// directory — what the unsharded harness and the tests use.
+    /// A context that runs every unit and writes to the default output
+    /// directory — what the in-process harness and the tests use.
     pub fn solo(mode: Mode, runner: Runner) -> Ctx {
-        Ctx {
-            mode,
-            runner,
-            unit_base: 0,
-            out_dir: None,
-            tau_jitter: 0,
-            unit_filter: None,
-            force_tagged: false,
-        }
+        Ctx { mode, runner, out_dir: None, tau_jitter: 0, unit: None }
     }
 
     /// Replace the CSV output directory (`None` = `target/repro/`).
     pub fn with_out_dir(mut self, dir: Option<PathBuf>) -> Ctx {
         self.out_dir = dir;
-        self
-    }
-
-    /// Set this experiment's global unit offset.
-    pub fn with_unit_base(mut self, base: usize) -> Ctx {
-        self.unit_base = base;
         self
     }
 
@@ -103,19 +82,11 @@ impl Ctx {
         self
     }
 
-    /// Restrict this context to an explicit set of local unit indices,
-    /// overriding the runner's shard filter — the experiment service uses
-    /// a single-unit filter per lease. Out-of-range indices are ignored.
-    pub fn with_unit_filter(mut self, units: Vec<usize>) -> Ctx {
-        self.unit_filter = Some(units);
-        self
-    }
-
-    /// Emit unit-tagged (mergeable partial) CSVs regardless of shard
-    /// configuration — service workers run a solo-sharded runner but must
-    /// produce partials the coordinator can merge.
-    pub fn with_forced_tagging(mut self) -> Ctx {
-        self.force_tagged = true;
+    /// Restrict this context to the one local unit a service lease names;
+    /// its CSVs become unit-tagged partials for the coordinator's merge.
+    /// The caller checks `unit` against the experiment's unit count.
+    pub fn with_unit(mut self, unit: usize) -> Ctx {
+        self.unit = Some(unit);
         self
     }
 
@@ -125,8 +96,8 @@ impl Ctx {
     }
 
     /// The trial runner every experiment must fan out through (threads
-    /// and shard apply uniformly — experiments never consult the
-    /// environment themselves).
+    /// apply uniformly — experiments never consult the environment
+    /// themselves).
     pub fn runner(&self) -> &Runner {
         &self.runner
     }
@@ -137,31 +108,17 @@ impl Ctx {
         self.tau_jitter
     }
 
-    /// The unit indices in `0..total` this process owns, ascending.
+    /// The unit indices in `0..total` this context runs, ascending: the
+    /// leased unit, or every unit.
     pub fn units(&self, total: usize) -> Vec<usize> {
-        match &self.unit_filter {
-            Some(filter) => {
-                let mut units: Vec<usize> = filter.iter().copied().filter(|u| *u < total).collect();
-                units.sort_unstable();
-                units.dedup();
-                units
-            }
-            None => self.runner.owned_units(self.unit_base, total),
-        }
-    }
-
-    /// Whether this process owns unit `unit`.
-    pub fn owns(&self, unit: usize) -> bool {
-        match &self.unit_filter {
-            Some(filter) => filter.contains(&unit),
-            None => self.runner.shard().owns(self.unit_base + unit),
-        }
+        self.unit.map_or_else(|| (0..total).collect(), |unit| vec![unit])
     }
 
     /// Write a table as this experiment's CSV `name`, unit-tagged when
-    /// the run is sharded (reporting, but not aborting on, I/O errors).
+    /// the context holds a lease (reporting, but not aborting on, I/O
+    /// errors).
     pub fn write_csv(&self, table: &Table, name: &str) {
-        let tagged = self.force_tagged || !self.runner.shard().is_solo();
+        let tagged = self.unit.is_some();
         match table.try_write_csv_in(self.out_dir.as_deref(), name, tagged) {
             Ok(path) => println!("[csv] {}", path.display()),
             Err(e) => eprintln!("warning: could not write {name}.csv: {e}"),
@@ -390,12 +347,12 @@ pub fn group(group: Group) -> Vec<&'static Experiment> {
     registry().iter().filter(|e| e.group == group).collect()
 }
 
-/// Shared settings for running a selection of experiments.
+/// Shared settings for running a selection of experiments in-process.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
     /// Quick or paper-scale sample counts.
     pub mode: Mode,
-    /// The (thread- and shard-configured) trial runner.
+    /// The (thread-configured) trial runner.
     pub runner: Runner,
     /// CSV output directory (`None` = `target/repro/`).
     pub out_dir: Option<PathBuf>,
@@ -404,39 +361,25 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Defaults: quick mode, environment-configured runner, standard
-    /// output directory, no jitter.
-    pub fn new(mode: Mode, runner: Runner) -> RunSpec {
-        RunSpec { mode, runner, out_dir: None, tau_jitter: 0 }
-    }
-
-    /// The context for an experiment whose first unit has global number
-    /// `unit_base`.
-    pub fn ctx(&self, unit_base: usize) -> Ctx {
+    /// The context for one experiment: every unit, plain CSVs.
+    pub fn ctx(&self) -> Ctx {
         Ctx::solo(self.mode, self.runner)
             .with_out_dir(self.out_dir.clone())
-            .with_unit_base(unit_base)
             .with_tau_jitter(self.tau_jitter)
     }
 }
 
-/// Run a selection of experiments under one spec, slicing the global unit
-/// space by the runner's shard. Returns per-experiment wall times (zero
-/// units owned → the experiment is skipped and reports zero).
+/// Run a selection of experiments in order under one spec. Returns
+/// per-experiment wall times.
 pub fn run_selection(selection: &[&Experiment], spec: &RunSpec) -> Vec<(&'static str, Duration)> {
-    let mut unit_base = 0usize;
-    let mut times = Vec::with_capacity(selection.len());
-    for exp in selection {
-        let total = (exp.units)(spec.mode);
-        let owned = spec.runner.owned_units(unit_base, total);
-        let start = Instant::now();
-        if !owned.is_empty() {
-            (exp.run)(&spec.ctx(unit_base));
-        }
-        times.push((exp.name, start.elapsed()));
-        unit_base += total;
-    }
-    times
+    selection
+        .iter()
+        .map(|exp| {
+            let start = Instant::now();
+            (exp.run)(&spec.ctx());
+            (exp.name, start.elapsed())
+        })
+        .collect()
 }
 
 #[cfg(test)]

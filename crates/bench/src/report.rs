@@ -1,12 +1,13 @@
-//! Table rendering, CSV export and shard-CSV merging for the experiment
+//! Table rendering, CSV export and unit-CSV merging for the experiment
 //! harnesses.
 //!
-//! Sharded runs (`--shard K/N`) write *unit-tagged* CSVs: every row
-//! carries the index of the experiment unit that produced it in a leading
-//! `unit` column. Because each unit is owned by exactly one shard and its
-//! rows are a pure function of the unit index, [`merge_csvs`] can
-//! reassemble the shards' partial files into the exact byte sequence the
-//! unsharded run writes: sort rows by unit, strip the tag column.
+//! Units leased through the experiment service (`all --shards N`) write
+//! *unit-tagged* CSVs: every row carries the index of the experiment unit
+//! that produced it in a leading `unit` column. Because the coordinator
+//! accepts exactly one result per unit and a unit's rows are a pure
+//! function of its index, [`merge_csvs`] can reassemble the partial files
+//! into the exact byte sequence the in-process run writes: sort rows by
+//! unit, strip the tag column.
 
 use std::collections::BTreeSet;
 use std::fmt::Display;
@@ -19,7 +20,7 @@ use std::path::{Path, PathBuf};
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
-    /// Experiment unit that produced each row (for sharded CSV tagging).
+    /// Experiment unit that produced each row (for unit-tagged CSVs).
     units: Vec<usize>,
     cur_unit: usize,
 }
@@ -36,7 +37,7 @@ impl Table {
     }
 
     /// Set the experiment unit subsequent rows belong to (defaults to 0;
-    /// only observable in sharded CSV output).
+    /// only observable in unit-tagged CSV output).
     pub fn unit(&mut self, unit: usize) -> &mut Table {
         self.cur_unit = unit;
         self
@@ -97,7 +98,7 @@ impl Table {
     /// Write as CSV into `dir` (`None` = the default `target/repro/`),
     /// creating the directory as needed. With `tagged`, rows carry their
     /// experiment unit in a leading `unit` column — the partial-CSV format
-    /// sharded runs emit for [`merge_csvs`].
+    /// leased service units emit for [`merge_csvs`].
     ///
     /// # Errors
     ///
@@ -139,7 +140,7 @@ impl Table {
 
 /// Write `contents` to `path` atomically: write a sibling temp file,
 /// then rename over the destination. A process killed mid-write leaves
-/// at worst a stray temp file — readers (and shard merges) never observe
+/// at worst a stray temp file — readers (and unit merges) never observe
 /// a torn or half-written CSV at `path`.
 ///
 /// # Errors
@@ -216,13 +217,13 @@ pub fn repro_path(name: &str) -> io::Result<PathBuf> {
 }
 
 /// Merge unit-tagged shard CSVs (see [`Table::try_write_csv_in`]) into
-/// the plain CSV the unsharded run writes.
+/// the plain CSV the in-process run writes.
 ///
 /// Every part must share the same tagged header; rows are ordered by
 /// their unit tag (rows of one unit keep their within-part order) and the
 /// tag column is stripped. The result is independent of the order the
 /// parts are passed in, because each unit's rows live in exactly one part
-/// — two parts claiming the same unit is a sharding bug and an error.
+/// — two parts claiming the same unit is a dedup bug and an error.
 ///
 /// # Errors
 ///

@@ -18,84 +18,14 @@
 //! the parallel-equals-sequential guarantee carries over unchanged.
 //!
 //! The worker count comes from the `--threads N` CLI flag (threaded in by
-//! the registry CLI via [`Runner::with_threads`]) or the
-//! `SMACK_BENCH_THREADS` environment variable (set either to `1` to
-//! benchmark the sequential baseline), and defaults to the machine's
-//! available parallelism.
-//!
-//! Beyond threads, a runner carries a [`Shard`]: the `--shard K/N` slice
-//! of the experiment *unit* space this process owns. Because every trial
-//! seeds its RNG from its own index, the unit space is shard-stable —
-//! shard `K/N` computes exactly the rows the unsharded run computes for
-//! those units, and the per-shard CSVs reassemble bit-identically (see
-//! `report::merge_csvs`).
+//! the registry CLI via [`Runner::with_threads`]; `--threads 1` is the
+//! sequential baseline) and defaults to the machine's available
+//! parallelism ([`Runner::available`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use smack::session::{Scenario, Session, Sessions};
-
-/// A slice of the experiment unit space: the process owns units
-/// `u ≡ index (mod count)` of the global unit numbering.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// The whole space (one shard of one).
-    pub fn solo() -> Shard {
-        Shard { index: 0, count: 1 }
-    }
-
-    /// Shard `index` of `count` (zero-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < count`.
-    pub fn new(index: usize, count: usize) -> Shard {
-        assert!(index < count, "shard index {index} out of range for {count} shards");
-        Shard { index, count }
-    }
-
-    /// Parse the CLI spelling `K/N` (one-based `K`).
-    pub fn parse(s: &str) -> Option<Shard> {
-        let (k, n) = s.split_once('/')?;
-        let k = k.parse::<usize>().ok()?;
-        let n = n.parse::<usize>().ok()?;
-        if k == 0 || n == 0 || k > n {
-            return None;
-        }
-        Some(Shard::new(k - 1, n))
-    }
-
-    /// Zero-based shard index.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total shard count.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether this is the whole space.
-    pub fn is_solo(&self) -> bool {
-        self.count == 1
-    }
-
-    /// Whether this shard owns global unit `unit`.
-    pub fn owns(&self, unit: usize) -> bool {
-        unit % self.count == self.index
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index + 1, self.count)
-    }
-}
 
 /// Maps each trial index to the [`Scenario`] its session is checked out
 /// for. Implemented by [`Scenario`] itself (every trial identical — the
@@ -125,13 +55,12 @@ where
 #[derive(Copy, Clone, Debug)]
 pub struct Runner {
     threads: usize,
-    shard: Shard,
 }
 
 impl Runner {
     /// A runner with an explicit worker count (at least one).
     pub fn with_threads(threads: usize) -> Runner {
-        Runner { threads: threads.max(1), shard: Shard::solo() }
+        Runner { threads: threads.max(1) }
     }
 
     /// A sequential runner (one worker, running inline).
@@ -139,36 +68,9 @@ impl Runner {
         Runner::with_threads(1)
     }
 
-    /// The standard runner: `SMACK_BENCH_THREADS` if set and valid,
-    /// otherwise the machine's available parallelism. (The `--threads N`
-    /// CLI flag builds its runner explicitly and wins over the
-    /// environment.)
-    pub fn from_env() -> Runner {
-        let threads = std::env::var("SMACK_BENCH_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        Runner::with_threads(threads)
-    }
-
-    /// This runner restricted to one shard of the unit space.
-    pub fn with_shard(mut self, shard: Shard) -> Runner {
-        self.shard = shard;
-        self
-    }
-
-    /// The unit-space shard this runner executes.
-    pub fn shard(&self) -> Shard {
-        self.shard
-    }
-
-    /// The unit indices in `0..total` this runner owns, given the global
-    /// numbering offset `base` of the experiment's first unit (offsetting
-    /// by experiment keeps single-unit experiments distributed round-robin
-    /// across shards instead of all landing on shard one).
-    pub fn owned_units(&self, base: usize, total: usize) -> Vec<usize> {
-        (0..total).filter(|u| self.shard.owns(base + u)).collect()
+    /// The default runner: one worker per available core.
+    pub fn available() -> Runner {
+        Runner::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Worker count.
@@ -287,45 +189,13 @@ mod tests {
 
     #[test]
     fn zero_trials_is_empty() {
-        assert!(Runner::from_env().run(0, |i| i).is_empty());
+        assert!(Runner::available().run(0, |i| i).is_empty());
     }
 
     #[test]
     fn thread_count_floors_at_one() {
         assert_eq!(Runner::with_threads(0).threads(), 1);
-    }
-
-    #[test]
-    fn shard_parsing_is_one_based_and_strict() {
-        assert_eq!(Shard::parse("1/1"), Some(Shard::solo()));
-        assert_eq!(Shard::parse("2/4"), Some(Shard::new(1, 4)));
-        assert_eq!(Shard::parse("4/4"), Some(Shard::new(3, 4)));
-        for bad in ["0/4", "5/4", "0/0", "x/4", "2", "2/", "/4"] {
-            assert_eq!(Shard::parse(bad), None, "{bad}");
-        }
-        assert_eq!(Shard::new(1, 4).to_string(), "2/4");
-    }
-
-    #[test]
-    fn shards_partition_the_unit_space() {
-        let n = 3;
-        for unit in 0..50 {
-            let owners: Vec<usize> = (0..n).filter(|k| Shard::new(*k, n).owns(unit)).collect();
-            assert_eq!(owners.len(), 1, "unit {unit} owned exactly once");
-        }
-        // The union of owned_units over all shards is 0..total, disjoint.
-        let total = 7;
-        let base = 11;
-        let mut seen = Vec::new();
-        for k in 0..n {
-            let owned = Runner::sequential().with_shard(Shard::new(k, n)).owned_units(base, total);
-            assert!(owned.windows(2).all(|w| w[0] < w[1]), "ascending");
-            seen.extend(owned);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..total).collect::<Vec<_>>());
-        // Solo owns everything.
-        assert_eq!(Runner::sequential().owned_units(5, 4), vec![0, 1, 2, 3]);
+        assert!(Runner::available().threads() >= 1);
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! Every directive counts *leases of one worker process*, so a given
 //! `SMACK_CHAOS` value replays the exact same fault schedule on every
 //! run — which is what lets CI assert byte-identical output under faults.
+//!
+//! The coordinator's own worker never reads `SMACK_CHAOS`; its plan is
+//! `ServiceConfig::chaos`, which refuses `kill-after-unit` (the kill
+//! would exit the coordinator itself).
 
 /// One parsed directive.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -116,6 +120,11 @@ impl ChaosPlan {
         self.faults.is_empty()
     }
 
+    /// Whether the plan kills its process after some lease.
+    pub fn kills(&self) -> bool {
+        self.faults.iter().any(|f| matches!(f, Fault::KillAfterUnit(_)))
+    }
+
     /// Kill the process after executing lease `lease_no` (1-based)?
     pub fn kill_after(&self, lease_no: u64) -> bool {
         self.faults.contains(&Fault::KillAfterUnit(lease_no))
@@ -156,14 +165,14 @@ mod tests {
     fn parses_scoped_and_unscoped_directives() {
         let spec = "kill-after-unit=1@1, torn-write=2@2 ,drop-result=3,stall-heartbeat=4@1";
         let w1 = ChaosPlan::parse(spec, 1).unwrap();
-        assert!(w1.kill_after(1) && !w1.kill_after(2));
+        assert!(w1.kills() && w1.kill_after(1) && !w1.kill_after(2));
         assert!(w1.drop_result(3), "unscoped applies everywhere");
         assert!(w1.stall(4));
         assert!(!w1.tear(2), "scoped to worker 2");
 
         let w2 = ChaosPlan::parse(spec, 2).unwrap();
         assert!(w2.tear(2) && w2.drop_result(3));
-        assert!(!w2.kill_after(1) && !w2.stall(4));
+        assert!(!w2.kills() && !w2.stall(4));
 
         assert!(ChaosPlan::parse("", 1).unwrap().is_none());
     }

@@ -1,10 +1,11 @@
 //! The coordinator half of the experiment service.
 //!
 //! [`Service::bind`] turns a selection of registry experiments into a
-//! [`LeaseQueue`] of (experiment, unit) leases and opens a loopback TCP
-//! listener; [`Service::run`] then serves the protocol until every unit
-//! has exactly one accepted result, optionally spawning a worker fleet
-//! (`all --shards N` is exactly this with N spawned workers).
+//! [`LeaseQueue`] of (experiment, unit) leases and opens a TCP listener;
+//! [`Service::run`] then serves the protocol until every unit has exactly
+//! one accepted result. The coordinator is itself a worker: a thread runs
+//! the same [`run_worker`] loop against the listener, beside any spawned
+//! worker processes (`all --shards N` spawns N−1) and external ones.
 //!
 //! Robustness properties, in the order they matter:
 //!
@@ -19,17 +20,19 @@
 //! * **No double counting.** The first accepted result per unit wins;
 //!   anything later is discarded as a duplicate, so re-leases can never
 //!   duplicate rows in the merged CSVs.
-//! * **No required fleet.** If no worker ever connects within the grace
-//!   period — or the whole fleet goes silent — the coordinator executes
-//!   the remaining units in-process through the same single-unit path.
+//! * **No required fleet.** The coordinator's own worker leases units
+//!   like any other, so a run with no other worker still completes — and
+//!   every unit, wherever it runs, takes the one lease → validate →
+//!   persist path.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use smack::session::Sessions;
@@ -38,30 +41,28 @@ use crate::registry::Experiment;
 use crate::report::{self, validate_partial_csv, write_atomic};
 use crate::Mode;
 
+use super::chaos::ChaosPlan;
 use super::lease::{Accept, LeaseQueue, LeaseStats};
 use super::proto::{read_request, write_response, Request, Response, IO_TIMEOUT};
-use super::worker::execute_unit;
+use super::worker::{run_worker, WorkerConfig, WorkerSummary};
 use super::UnitTask;
 
 /// Default lease period: a worker must heartbeat (every quarter of this)
 /// or its units re-queue.
 pub const DEFAULT_LEASE_MS: u64 = 5_000;
 
-/// Default grace before the coordinator degrades to in-process execution.
-pub const DEFAULT_GRACE_MS: u64 = 2_000;
-
 /// Default whole-run wall-clock timeout.
 pub const DEFAULT_TIMEOUT_MS: u64 = 600_000;
 
-/// Coordinator configuration — the `coordinate` CLI subcommand (and the
-/// `--shards N` client) parse into this and hand it to a bound
-/// [`Service`] (config-into-run, periscope style).
+/// Coordinator configuration — `all --shards N` parses into this and
+/// hands it to a bound [`Service`] (config-into-run, periscope style).
 pub struct ServiceConfig {
     /// Experiments whose units form the work queue, in registry order.
     pub selection: Vec<&'static Experiment>,
     /// Quick or paper-scale sample counts.
     pub mode: Mode,
-    /// Trial-runner threads forwarded to spawned workers and used inline.
+    /// Trial-runner threads of the coordinator's own worker, forwarded to
+    /// spawned workers.
     pub threads: Option<usize>,
     /// τ_w jitter amplitude forwarded with every lease.
     pub tau_jitter: u64,
@@ -69,12 +70,13 @@ pub struct ServiceConfig {
     pub out_root: PathBuf,
     /// Listen address (`127.0.0.1:0` = loopback, ephemeral port).
     pub bind: String,
-    /// Worker processes to spawn (0 = external workers / inline only).
+    /// Worker processes to spawn besides the coordinator's own worker.
     pub workers: usize,
     /// Lease period in milliseconds.
     pub lease_ms: u64,
-    /// Grace before in-process degradation kicks in.
-    pub grace_ms: u64,
+    /// Injected faults for the coordinator's own worker (the CLI passes
+    /// none). `kill-after-unit` is refused: it would exit the coordinator.
+    pub chaos: ChaosPlan,
     /// Whole-run wall-clock timeout.
     pub timeout_ms: u64,
     /// Persistent calibration cache directory shared with the fleet.
@@ -88,8 +90,6 @@ pub struct ServiceSummary {
     pub units: usize,
     /// Lease-queue counters (leases, expiries, duplicates, failures).
     pub stats: LeaseStats,
-    /// Units the coordinator executed in-process (degraded mode).
-    pub inline_units: u64,
     /// Workers spawned by this run.
     pub workers_spawned: usize,
     /// Human-readable notes about workers that exited abnormally.
@@ -155,23 +155,16 @@ struct Shared {
     /// Every worker id that has polled, for the wind-down `DONE` handshake.
     workers: Mutex<BTreeMap<String, WorkerSeen>>,
     start: Instant,
-    /// `now_ms + 1` of the last worker contact (0 = never).
-    last_contact: AtomicU64,
     /// Tells the accept loop to wind down.
     shutdown: AtomicBool,
     mode: Mode,
     tau_jitter: u64,
     lease_ms: u64,
-    inline_units: AtomicU64,
 }
 
 impl Shared {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
-    }
-
-    fn touch(&self) {
-        self.last_contact.store(self.now_ms() + 1, Ordering::Relaxed);
     }
 
     /// Record live contact from `worker` (`done`: it was just answered
@@ -198,7 +191,6 @@ impl Shared {
     fn respond(&self, req: Request) -> Response {
         match req {
             Request::Poll { worker } => {
-                self.touch();
                 let mut q = self.queue.lock().expect("lease queue poisoned");
                 let settled = q.settled();
                 self.seen(&worker, settled);
@@ -216,7 +208,6 @@ impl Shared {
                 }
             }
             Request::Beat { worker, unit } => {
-                self.touch();
                 let mut q = self.queue.lock().expect("lease queue poisoned");
                 if q.heartbeat(unit, &worker, self.now_ms()) {
                     self.seen(&worker, false);
@@ -226,12 +217,10 @@ impl Shared {
                 }
             }
             Request::Result { worker, unit, files } => {
-                self.touch();
                 self.seen(&worker, false);
                 self.offer(unit, &files)
             }
             Request::Fail { worker, unit, error } => {
-                self.touch();
                 self.seen(&worker, false);
                 let mut q = self.queue.lock().expect("lease queue poisoned");
                 eprintln!("[service] worker {worker} failed unit {unit}: {error}");
@@ -270,8 +259,8 @@ pub struct Service {
     shared: Arc<Shared>,
 }
 
-/// Build the global unit queue for a selection: the same numbering
-/// `registry::run_selection` uses for shard round-robin.
+/// Build the global unit queue for a selection: every experiment's units
+/// in selection order, numbered from 0.
 pub fn unit_tasks(selection: &[&Experiment], mode: Mode) -> Vec<UnitTask> {
     let mut tasks = Vec::new();
     for exp in selection {
@@ -287,12 +276,16 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns a description when the bind address is unusable or the
-    /// selection has no units.
+    /// Returns a description when the bind address is unusable, the
+    /// selection has no units, or the chaos plan would kill the
+    /// coordinator.
     pub fn bind(cfg: ServiceConfig) -> Result<Service, String> {
         let tasks = unit_tasks(&cfg.selection, cfg.mode);
         if tasks.is_empty() {
             return Err("nothing to do: the selection has no units".to_owned());
+        }
+        if cfg.chaos.kills() {
+            return Err("a kill-after-unit fault would exit the coordinator itself".to_owned());
         }
         let listener = TcpListener::bind(&cfg.bind)
             .map_err(|e| format!("binding coordinator socket {}: {e}", cfg.bind))?;
@@ -306,12 +299,10 @@ impl Service {
             store: Mutex::new(PartStore::new(cfg.out_root.join("service").join("parts"))),
             workers: Mutex::new(BTreeMap::new()),
             start: Instant::now(),
-            last_contact: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             mode: cfg.mode,
             tau_jitter: cfg.tau_jitter,
             lease_ms: cfg.lease_ms,
-            inline_units: AtomicU64::new(0),
         });
         Ok(Service { cfg, listener, addr, shared })
     }
@@ -331,16 +322,15 @@ impl Service {
     /// budget, and on merge failures. Worker crashes that the lease layer
     /// absorbed are *not* errors; they surface in the summary's notes.
     pub fn run(self) -> Result<ServiceSummary, String> {
-        // The coordinator shares the fleet's calibration cache: its
-        // inline degradation path then reuses (and contributes) warm
-        // calibrations exactly like any worker.
+        // The coordinator's own worker shares the fleet's calibration
+        // cache, reusing (and contributing) warm calibrations.
         Sessions::global().attach_disk_cache(&self.cfg.calib_dir);
 
         let accept_thread = spawn_accept_loop(&self.listener, &self.shared);
         let mut children = self.spawn_workers()?;
+        let own_worker = self.spawn_own_worker();
         let mut worker_notes = Vec::new();
 
-        let grace_deadline = self.cfg.grace_ms;
         let result = loop {
             let now = self.shared.now_ms();
             {
@@ -354,23 +344,21 @@ impl Service {
                 break Err(self.timeout_report(&mut children));
             }
             reap_exited_workers(&mut children, &mut worker_notes);
-            if self.should_run_inline(now, grace_deadline, &children) {
-                self.run_one_inline();
-                continue;
-            }
             std::thread::sleep(Duration::from_millis(20));
         };
 
-        // Wind down: answer remaining polls with DONE until every worker
-        // that has polled received it (or went overdue) and every spawned
-        // worker (even a chaos-stalled one) had time to exit cleanly, then
-        // stop accepting and kill stragglers. The run timeout bounds it.
+        // Wind down: answer remaining polls with DONE until the
+        // coordinator's own worker has exited, every worker that has
+        // polled received DONE (or went overdue) and every spawned worker
+        // (even a chaos-stalled one) had time to exit cleanly, then stop
+        // accepting and kill stragglers. The run timeout bounds it.
         let reap_deadline = Instant::now() + Duration::from_millis(2 * self.cfg.lease_ms + 1000);
         loop {
             reap_exited_workers(&mut children, &mut worker_notes);
             let now = self.shared.now_ms();
             let children_left = !children.is_empty() && Instant::now() < reap_deadline;
-            if !(children_left || self.shared.owes_done(now)) || now >= self.cfg.timeout_ms {
+            let serving = children_left || !own_worker.is_finished() || self.shared.owes_done(now);
+            if !serving || now >= self.cfg.timeout_ms {
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -382,6 +370,15 @@ impl Service {
         }
         self.shared.shutdown.store(true, Ordering::Relaxed);
         let _ = accept_thread.join();
+        // A thread cannot be killed: past the timeout, an own worker still
+        // mid-unit is left to finish against the closed listener.
+        if own_worker.is_finished() {
+            match own_worker.join() {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => worker_notes.push(format!("the coordinator's worker failed: {e}")),
+                Err(_) => worker_notes.push("the coordinator's worker panicked".to_owned()),
+            }
+        }
         result?;
 
         let queue = self.shared.queue.lock().expect("lease queue poisoned");
@@ -400,7 +397,6 @@ impl Service {
         Ok(ServiceSummary {
             units: queue.len(),
             stats: queue.stats(),
-            inline_units: self.shared.inline_units.load(Ordering::Relaxed),
             workers_spawned: self.cfg.workers,
             worker_notes,
             merged,
@@ -440,54 +436,18 @@ impl Service {
         Ok(children)
     }
 
-    /// Degrade to in-process execution when no worker has ever connected
-    /// within the grace period, or the whole fleet has gone silent for a
-    /// lease period past the grace.
-    fn should_run_inline(&self, now: u64, grace: u64, children: &[(usize, Child)]) -> bool {
-        let last = self.shared.last_contact.load(Ordering::Relaxed);
-        if last == 0 {
-            // Never contacted: wait out the grace period (but not at all
-            // if there is no fleet to wait for).
-            let fleet_expected = self.cfg.workers > 0 || !children.is_empty();
-            now >= grace || !fleet_expected && now >= grace.min(200)
-        } else {
-            now.saturating_sub(last - 1) >= self.cfg.lease_ms + grace
-        }
-    }
-
-    /// Lease one unit to the coordinator itself and execute it inline —
-    /// the same execute/validate/accept path a worker result takes.
-    fn run_one_inline(&self) {
-        let task = {
-            let mut q = self.shared.queue.lock().expect("lease queue poisoned");
-            q.next("coordinator-inline", self.shared.now_ms())
+    /// Start the coordinator's own worker: a thread running the same
+    /// [`run_worker`] loop as every spawned or external worker against
+    /// this service's listener, so the units it executes take the same
+    /// lease, validate and persist path.
+    fn spawn_own_worker(&self) -> JoinHandle<Result<WorkerSummary, String>> {
+        let cfg = WorkerConfig {
+            connect: self.addr.clone(),
+            threads: self.cfg.threads,
+            id: "coordinator".to_owned(),
+            chaos: self.cfg.chaos.clone(),
         };
-        let Some(task) = task else {
-            // Nothing pending (work in flight elsewhere): brief pause so
-            // the main loop does not spin.
-            std::thread::sleep(Duration::from_millis(20));
-            return;
-        };
-        match execute_unit(
-            &task.exp,
-            task.local,
-            self.cfg.mode,
-            self.cfg.tau_jitter,
-            self.cfg.threads,
-        ) {
-            Ok(files) => {
-                self.shared.inline_units.fetch_add(1, Ordering::Relaxed);
-                let resp = self.shared.offer(task.global, &files);
-                if let Response::Bad { reason } = resp {
-                    eprintln!("[service] inline unit {} rejected: {reason}", task.global);
-                }
-            }
-            Err(e) => {
-                let mut q = self.shared.queue.lock().expect("lease queue poisoned");
-                eprintln!("[service] inline unit {} failed: {e}", task.global);
-                q.fail(task.global, &e);
-            }
-        }
+        std::thread::spawn(move || run_worker(&cfg))
     }
 
     /// Build the timeout error: every outstanding unit and every worker's

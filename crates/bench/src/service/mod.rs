@@ -1,11 +1,9 @@
 //! The fault-tolerant distributed experiment service.
 //!
-//! `all --shards N` historically spawned N shard children and died with
-//! the first hang or crash, losing every completed unit. This module
-//! replaces that with a lease-based coordinator/worker split built for
-//! large measurement campaigns that must survive worker death, torn
-//! partial CSVs and hung shards **without** giving up the bit-identical
-//! merge guarantee the sharding layer established:
+//! `all --shards N` runs its units through this module: a lease-based
+//! coordinator/worker split built for large measurement campaigns that
+//! must survive worker death, torn partial CSVs and hung workers
+//! **without** giving up bit-identical output:
 //!
 //! * the [`coordinator`] owns a [`lease::LeaseQueue`] of (experiment,
 //!   unit) leases with heartbeat-extended deadlines, accepts workers over
@@ -18,9 +16,10 @@
 //!   retry transient connection failures with capped exponential backoff;
 //! * a lease whose deadline passes without a heartbeat is re-queued, so a
 //!   killed or hung worker only costs its in-flight units' wall time;
-//! * if no worker ever connects (or the whole fleet dies), the
-//!   coordinator degrades gracefully and executes the remaining units
-//!   in-process — a service run always terminates with either complete
+//! * the coordinator is itself a worker — a thread running the same
+//!   worker loop against its own listener — so a run completes with no
+//!   other worker, and every unit takes the one lease → validate →
+//!   persist path; a service run always terminates with either complete
 //!   output or a named error, never a silently partial tree;
 //! * the [`chaos`] harness (`SMACK_CHAOS`) injects worker kills, stalled
 //!   heartbeats, dropped results and torn CSV writes deterministically,
@@ -40,8 +39,7 @@ pub mod worker;
 use crate::Mode;
 
 /// One schedulable atom of work: experiment `exp`, local unit `local`,
-/// globally numbered `global` across the run's whole selection (the same
-/// numbering `registry::run_selection` uses for shard round-robin).
+/// globally numbered `global` across the run's whole selection.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitTask {
     /// Global unit id — the dedup key.

@@ -1,8 +1,8 @@
 //! The worker half of the experiment service.
 //!
 //! A worker is a loop over the coordinator protocol: poll for a lease,
-//! execute the leased (experiment, unit) through the registry `Ctx` with
-//! a single-unit filter, stream the unit-tagged partial CSVs back, and
+//! execute the leased (experiment, unit) through a registry `Ctx`
+//! restricted to that unit, stream the unit-tagged partial CSVs back, and
 //! heartbeat from a side thread while the unit runs so the lease deadline
 //! keeps moving. Workers are deliberately stateless: all run parameters
 //! (mode, τ jitter, lease period) arrive with each lease, so one warm
@@ -44,11 +44,12 @@ const BACKOFF_CAP_MS: u64 = 2000;
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
     pub connect: String,
-    /// Trial-runner worker threads (`None` = environment default).
+    /// Trial-runner worker threads (`None` = one per available core).
     pub threads: Option<usize>,
     /// Identity reported in every message (shows up in lease ownership).
     pub id: String,
-    /// Injected fault schedule (parsed from `SMACK_CHAOS`).
+    /// Injected fault schedule (`SMACK_CHAOS` for a `work` process,
+    /// `ServiceConfig::chaos` for the coordinator's own worker).
     pub chaos: ChaosPlan,
 }
 
@@ -63,16 +64,16 @@ pub struct WorkerSummary {
     pub failures: u64,
 }
 
-/// Execute one unit of `exp_name` in-process: run the experiment with a
-/// single-unit filter into a scratch directory, then collect the
-/// unit-tagged partial CSVs it wrote. Used by workers for leased units
-/// and by the coordinator for its in-process degradation path — the two
-/// execution paths are one code path.
+/// Execute one leased unit of `exp_name` in-process: run the experiment
+/// on that unit alone into a scratch directory, then collect the
+/// unit-tagged partial CSVs it wrote. Every service unit — leased to a
+/// spawned worker, an external one, or the coordinator's own — runs
+/// through here, so this is where a lease's unit is validated.
 ///
 /// # Errors
 ///
-/// Returns a description when the experiment is unknown, panics, or
-/// produces no CSVs.
+/// Returns a description when the experiment is unknown, the unit is out
+/// of its range, the run panics, or it produces no CSVs.
 pub fn execute_unit(
     exp_name: &str,
     local: usize,
@@ -82,17 +83,20 @@ pub fn execute_unit(
 ) -> Result<Vec<(String, String)>, String> {
     static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
     let exp = registry::find(exp_name).ok_or_else(|| format!("unknown experiment {exp_name:?}"))?;
+    let units = (exp.units)(mode);
+    if local >= units {
+        return Err(format!("experiment {exp_name:?} has no unit {local} (it has {units})"));
+    }
     let scratch = std::env::temp_dir().join(format!(
         "smack-lease-{}-{}",
         std::process::id(),
         SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let runner = threads.map_or_else(Runner::from_env, Runner::with_threads);
+    let runner = threads.map_or_else(Runner::available, Runner::with_threads);
     let ctx = Ctx::solo(mode, runner)
         .with_out_dir(Some(scratch.clone()))
         .with_tau_jitter(tau_jitter)
-        .with_unit_filter(vec![local])
-        .with_forced_tagging();
+        .with_unit(local);
     let run = catch_unwind(AssertUnwindSafe(|| (exp.run)(&ctx)));
     let collected = match run {
         Ok(()) => collect_csvs(&scratch, exp.csvs),
@@ -308,5 +312,12 @@ mod tests {
     fn execute_unit_rejects_unknown_experiments() {
         let err = execute_unit("nope", 0, Mode::Quick, 0, Some(1)).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
+    }
+
+    #[test]
+    fn execute_unit_rejects_out_of_range_units() {
+        let units = crate::experiments::FIG5_KINDS.len();
+        let err = execute_unit("fig5", units, Mode::Quick, 0, Some(1)).unwrap_err();
+        assert!(err.contains(&format!("no unit {units}")), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the fault-tolerant experiment service: the merged
-//! CSVs of a distributed run must be byte-identical to a solo run even
-//! when workers are killed mid-experiment, deliver torn CSVs, or hang
-//! past their lease deadline.
+//! CSVs of a service run must be byte-identical to an in-process run even
+//! when workers are killed mid-experiment, deliver torn CSVs, drop
+//! results, or hang past their lease deadline.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -9,7 +9,6 @@ use std::process::Command;
 use smack_bench::registry;
 use smack_bench::service::chaos::ChaosPlan;
 use smack_bench::service::coordinator::{Service, ServiceConfig};
-use smack_bench::service::worker::{run_worker, WorkerConfig};
 use smack_bench::Mode;
 
 /// A scratch directory for one test, cleaned on entry.
@@ -24,7 +23,7 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// Run the `all` binary solo and return its CSV text per name.
+/// Run the `all` binary in-process and return its CSV text per name.
 fn solo_run(out: &Path, names: &[&str]) -> Vec<(String, String)> {
     let status = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(names)
@@ -36,6 +35,36 @@ fn solo_run(out: &Path, names: &[&str]) -> Vec<(String, String)> {
         .expect("spawning solo run");
     assert!(status.success(), "solo run failed: {status}");
     names.iter().map(|n| (format!("{n}.csv"), read(&out.join(format!("{n}.csv"))))).collect()
+}
+
+fn assert_matches_solo(solo: &[(String, String)], out: &Path, context: &str) {
+    for (file, want) in solo {
+        let got = read(&out.join(file));
+        assert_eq!(&got, want, "{file} differs from the solo run {context}");
+    }
+}
+
+/// A service over `names` that spawns no workers: the coordinator's own
+/// worker executes every unit, under `chaos`.
+fn coordinator_alone(
+    root: &Path,
+    names: &[&str],
+    lease_ms: u64,
+    chaos: ChaosPlan,
+) -> ServiceConfig {
+    ServiceConfig {
+        selection: names.iter().map(|n| registry::find(n).expect("registered")).collect(),
+        mode: Mode::Quick,
+        threads: Some(2),
+        tau_jitter: 0,
+        out_root: root.join("svc"),
+        bind: "127.0.0.1:0".to_owned(),
+        workers: 0,
+        lease_ms,
+        chaos,
+        timeout_ms: 120_000,
+        calib_dir: root.join("solo").join("calib"),
+    }
 }
 
 /// The headline guarantee: kill one worker after its first unit, hand a
@@ -52,99 +81,64 @@ fn chaos_run_merges_byte_identical_to_solo() {
     let status = Command::new(env!("CARGO_BIN_EXE_all"))
         .args(names)
         .arg("--threads=2")
-        .arg("--shards=2")
+        .arg("--shards=3")
         .arg("--lease-ms=800")
         .arg("--timeout-ms=120000")
         .arg(format!("--out={}", svc_out.display()))
-        // Worker 1 dies after its first unit (work lost after execution,
-        // before reporting); worker 2 delivers its first result torn and
-        // stalls its second lease past the deadline.
+        // The coordinator plus workers @1 and @2: worker 1 dies after its
+        // first unit (work lost after execution, before reporting);
+        // worker 2 delivers its first result torn and stalls its second
+        // lease past the deadline.
         .env("SMACK_CHAOS", "kill-after-unit=1@1,torn-write=1@2,stall-heartbeat=2@2")
         .env("SMACK_CALIB_DIR", root.join("solo").join("calib"))
         .status()
         .expect("spawning service run");
     assert!(status.success(), "service run failed: {status}");
-
-    for (file, want) in &solo {
-        let got = read(&svc_out.join(file));
-        assert_eq!(&got, want, "{file} differs from the solo run under chaos");
-    }
+    assert_matches_solo(&solo, &svc_out, "under chaos");
 }
 
-/// A worker that connects, drops one result (the lease must expire and
-/// re-queue), then keeps serving: the run completes and the dropped unit
-/// appears exactly once. Exercises Service::bind/addr with an in-process
-/// worker thread instead of spawned processes.
+/// The coordinator's own worker drops its second result: that lease
+/// must expire and re-queue, and the re-run unit appears exactly once.
+/// With one executor and no racing thread the schedule is fixed, so
+/// exactly one lease expires.
 #[test]
 fn dropped_results_expire_and_requeue() {
     let root = scratch("drop");
-    let names = ["fig5"];
-    let solo = solo_run(&root.join("solo"), &names);
+    let solo = solo_run(&root.join("solo"), &["fig5"]);
 
-    let svc_out = root.join("svc");
-    let selection = vec![registry::find("fig5").expect("fig5 registered")];
-    let service = Service::bind(ServiceConfig {
-        selection,
-        mode: Mode::Quick,
-        threads: Some(2),
-        tau_jitter: 0,
-        out_root: svc_out.clone(),
-        bind: "127.0.0.1:0".to_owned(),
-        workers: 0,
-        lease_ms: 400,
-        grace_ms: 60_000, // never degrade inline; the worker must do it all
-        timeout_ms: 120_000,
-        calib_dir: root.join("solo").join("calib"),
-    })
-    .expect("bind");
-    let addr = service.addr().to_owned();
-    let worker = std::thread::spawn(move || {
-        run_worker(&WorkerConfig {
-            connect: addr,
-            threads: Some(2),
-            id: "test-worker".to_owned(),
-            chaos: ChaosPlan::parse("drop-result=2", 1).expect("chaos spec parses"),
-        })
-    });
-    let summary = service.run().expect("service completes");
-    let worker_summary = worker.join().expect("worker thread").expect("worker completes");
-
+    let chaos = ChaosPlan::parse("drop-result=2", 0).expect("chaos spec parses");
+    let summary = Service::bind(coordinator_alone(&root, &["fig5"], 400, chaos))
+        .expect("bind")
+        .run()
+        .expect("service completes");
     assert_eq!(summary.stats.expired, 1, "the dropped result's lease expired");
-    assert!(worker_summary.completed >= 4, "worker re-ran the dropped unit");
-    for (file, want) in &solo {
-        let got = read(&svc_out.join(file));
-        assert_eq!(&got, want, "{file} differs from the solo run after a dropped result");
-    }
+    assert_matches_solo(&solo, &root.join("svc"), "after a dropped result");
 }
 
-/// With no workers at all, the coordinator degrades to in-process
-/// execution after the grace period and still produces the solo bytes.
+/// With no other worker, the coordinator runs every unit itself through
+/// the lease path and still produces the solo bytes.
 #[test]
-fn coordinator_degrades_inline_without_workers() {
-    let root = scratch("inline");
-    let names = ["table4"];
-    let solo = solo_run(&root.join("solo"), &names);
+fn coordinator_alone_runs_every_unit() {
+    let root = scratch("alone");
+    let solo = solo_run(&root.join("solo"), &["table4"]);
 
-    let svc_out = root.join("svc");
-    let selection = vec![registry::find("table4").expect("table4 registered")];
-    let service = Service::bind(ServiceConfig {
-        selection,
-        mode: Mode::Quick,
-        threads: Some(2),
-        tau_jitter: 0,
-        out_root: svc_out.clone(),
-        bind: "127.0.0.1:0".to_owned(),
-        workers: 0,
-        lease_ms: 5_000,
-        grace_ms: 50,
-        timeout_ms: 120_000,
-        calib_dir: root.join("solo").join("calib"),
-    })
-    .expect("bind");
-    let summary = service.run().expect("inline degradation completes");
-    assert_eq!(summary.inline_units as usize, summary.units, "every unit ran inline");
-    for (file, want) in &solo {
-        let got = read(&svc_out.join(file));
-        assert_eq!(&got, want, "{file} differs from the solo run in degraded mode");
-    }
+    let summary = Service::bind(coordinator_alone(&root, &["table4"], 5_000, ChaosPlan::none()))
+        .expect("bind")
+        .run()
+        .expect("the coordinator alone completes");
+    assert_eq!(summary.stats.leased as usize, summary.units, "one lease per unit");
+    assert!(summary.worker_notes.is_empty(), "{:?}", summary.worker_notes);
+    assert_matches_solo(&solo, &root.join("svc"), "with the coordinator alone");
+}
+
+/// A kill aimed at the coordinator's own worker would exit the
+/// coordinator process: the service refuses it up front.
+#[test]
+fn coordinator_refuses_kill_faults() {
+    let root = scratch("kill");
+    let chaos = ChaosPlan::parse("kill-after-unit=1", 0).expect("chaos spec parses");
+    let Err(err) = Service::bind(coordinator_alone(&root, &["fig3"], 5_000, chaos)) else {
+        panic!("a kill fault on the coordinator must be refused");
+    };
+    assert!(err.contains("kill-after-unit"), "{err}");
 }
