@@ -99,9 +99,8 @@ fn time_trial(sessions: &Sessions, bits: usize, reps: usize, fused: bool) -> f64
 
 /// Best-of-`reps` ns per probe for each probe class, fused vs per-step:
 /// the phase the fused probe tier targets, isolated from prime/send/wait
-/// cost. The probed line holds a real routine (like the channels' oracle
-/// pages), so the `Execute` class — which can never fuse — has something
-/// to call and serves as the built-in control.
+/// cost. The probed line holds a real `nop*; ret` routine (like the
+/// channels' oracle pages), so the `Execute` class has something to call.
 fn time_probes(reps: usize) -> Vec<(ProbeKind, f64, f64)> {
     const SCRATCH: Addr = Addr(0x3_0000);
     let n = 4_000u32;

@@ -118,20 +118,18 @@ pub struct ProbeTiming {
 pub struct Prober {
     tid: ThreadId,
     /// Each probe class's sequence precompiled for the engine's fused
-    /// probe tier; `None` for classes the tier cannot fuse (`Execute`,
-    /// whose timed `call` enters the victim program). Built once per
-    /// prober — `measure` runs millions of times per experiment and must
-    /// not re-recognize the template per probe.
-    compiled: [Option<CompiledProbe>; ProbeKind::ALL.len()],
+    /// probe tier. Built once per prober — `measure` runs millions of
+    /// times per experiment and must not re-recognize the template per
+    /// probe.
+    compiled: [CompiledProbe; ProbeKind::ALL.len()],
 }
 
 impl Prober {
     /// A prober running on `tid` (the thread must be idle / attacker-owned).
     pub fn new(tid: ThreadId) -> Prober {
-        let mut compiled = [None; ProbeKind::ALL.len()];
-        for kind in ProbeKind::ALL {
-            compiled[kind.index()] = CompiledProbe::compile(probe_sequence(kind));
-        }
+        let compiled = ProbeKind::ALL.map(|kind| {
+            CompiledProbe::compile(probe_sequence(kind)).expect("every probe template compiles")
+        });
         Prober { tid, compiled }
     }
 
@@ -154,10 +152,7 @@ impl Prober {
         addr: Addr,
     ) -> Result<ProbeTiming, StepError> {
         machine.set_reg(self.tid, ADDR_REG, addr.0);
-        match &self.compiled[kind.index()] {
-            Some(probe) => machine.run_probe(self.tid, probe)?,
-            None => machine.run_sequence(self.tid, probe_sequence(kind))?,
-        };
+        machine.run_probe(self.tid, &self.compiled[kind.index()])?;
         let start = machine.reg(self.tid, T_START);
         let end = machine.reg(self.tid, T_END);
         Ok(ProbeTiming { cycles: end.saturating_sub(start), line: addr.line(), kind })

@@ -175,13 +175,14 @@ pub fn collect_trace_on(
     victim.start(m, VICTIM, exp);
     let victim_start = m.clock(VICTIM);
     let mut samples = Vec::new();
+    let mut timings = Vec::new();
     let max_samples = exp.bit_len() * 40 + 4_000;
     while m.state(VICTIM) == smack_uarch::ThreadState::Running && samples.len() < max_samples {
         let at = m.clock(ATTACKER);
         ev.prime(m, &mut prober).map_err(|e| e.to_string())?;
         prober.wait(m, wait_cycles).map_err(|e| e.to_string())?;
-        let timings =
-            ev.probe_first(m, &mut prober, cfg.kind, cfg.probe_ways).map_err(|e| e.to_string())?;
+        ev.probe_first_into(m, &mut prober, cfg.kind, cfg.probe_ways, &mut timings)
+            .map_err(|e| e.to_string())?;
         let active = timings.iter().any(|t| !cal.is_hit(*t));
         let min_timing = *timings.iter().min().expect("nonempty ways");
         samples.push(ActivitySample { at, min_timing, active });

@@ -147,10 +147,12 @@ fn smc_sampler_inner(
     let wait = crate::probe::jittered_wait(cfg.wait_cycles, cfg.wait_jitter, seed);
     let ways = cfg.probe_ways;
     let mut prober = Prober::new(ATTACKER);
+    // One timing buffer reused across every sample of the trace.
+    let mut timings = Vec::new();
     Ok(move |m: &mut Machine| -> Result<bool, String> {
         ev.prime(m, &mut prober).map_err(|e| e.to_string())?;
         prober.wait(m, wait).map_err(|e| e.to_string())?;
-        let timings = ev.probe_first(m, &mut prober, kind, ways).map_err(|e| e.to_string())?;
+        ev.probe_first_into(m, &mut prober, kind, ways, &mut timings).map_err(|e| e.to_string())?;
         Ok(timings.iter().any(|t| !cal.is_hit(*t)))
     })
 }

@@ -68,10 +68,10 @@ fn prober_measurements_match_per_step_for_all_kinds() {
     let b = measure_all_kinds(&mut stepped);
     assert_eq!(a, b, "probe timings or clocks diverged under fusion");
     assert_eq!(hw_counters(&fused), hw_counters(&stepped));
-    // Every class but Execute (whose timed call cannot fuse) took the
-    // fast path; the per-step machine never did.
+    // Every class took the fast path — Execute too, its callee being the
+    // oracle's `nop*; ret` line; the per-step machine never did.
     let fast = fused.counters(T0).read(PerfEvent::SimProbeFastPath);
-    assert_eq!(fast, (ProbeKind::ALL.len() as u64 - 1) * 3);
+    assert_eq!(fast, ProbeKind::ALL.len() as u64 * 3);
     assert_eq!(stepped.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
 }
 

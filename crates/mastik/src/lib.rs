@@ -29,6 +29,8 @@ pub struct MastikMonitor {
     prober: Prober,
     threshold: u64,
     wait_cycles: u64,
+    /// Per-way probe timings of the latest round, reused across rounds.
+    timings: Vec<u64>,
     // Running statistics of the per-round miss-count score.
     count: f64,
     mean: f64,
@@ -66,7 +68,16 @@ impl MastikMonitor {
         machine.place_line(evset.ways()[0], smack_uarch::Placement::L2);
         let cold = prober.measure(machine, ProbeKind::Execute, evset.ways()[0])?.cycles;
         let threshold = ((hot_mean + cold as f64) / 2.0).round() as u64;
-        Ok(MastikMonitor { evset, prober, threshold, wait_cycles, count: 0.0, mean: 0.0, m2: 0.0 })
+        Ok(MastikMonitor {
+            evset,
+            prober,
+            threshold,
+            wait_cycles,
+            timings: Vec::new(),
+            count: 0.0,
+            mean: 0.0,
+            m2: 0.0,
+        })
     }
 
     /// The calibrated per-way threshold (diagnostics).
@@ -87,8 +98,15 @@ impl MastikMonitor {
     pub fn sample_score(&mut self, machine: &mut Machine) -> Result<u32, StepError> {
         self.evset.prime(machine, &mut self.prober)?;
         self.prober.wait(machine, self.wait_cycles)?;
-        let timings = self.evset.probe(machine, &mut self.prober, ProbeKind::Execute)?;
-        Ok(timings.iter().filter(|t| **t > self.threshold).count() as u32)
+        let ways = self.evset.ways().len();
+        self.evset.probe_first_into(
+            machine,
+            &mut self.prober,
+            ProbeKind::Execute,
+            ways,
+            &mut self.timings,
+        )?;
+        Ok(self.timings.iter().filter(|t| **t > self.threshold).count() as u32)
     }
 
     /// One monitoring round with adaptive activity detection: the round is

@@ -22,6 +22,9 @@ impl CacheGeometry {
 /// `u64::MAX`).
 const EMPTY: u64 = u64::MAX;
 
+/// Entries in a cache's most-recently-used hint table (a power of two).
+const MRU_HINTS: usize = 64;
+
 /// A line evicted to make room for a fill.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Evicted {
@@ -50,6 +53,11 @@ pub struct Evicted {
 /// lightly-filled sets — the common case right after a per-trace reset —
 /// scan only the lines actually present, exactly like the old `Vec` sets.
 /// LRU stamps live in a parallel array touched only on a hit.
+///
+/// A fixed-size hint table short-circuits repeat accesses: touching a line
+/// that is already the most recent in its set leaves the LRU order
+/// unchanged, so [`Cache::touch_line`] skips the scan and the re-stamp, and
+/// [`Cache::contains_line`] answers without scanning.
 #[derive(Clone, Debug)]
 pub struct Cache {
     geom: CacheGeometry,
@@ -63,6 +71,12 @@ pub struct Cache {
     /// Number of occupied way slots per set.
     occ: Vec<u8>,
     clock: u64,
+    /// Direct-mapped by [`Cache::hint_of`] of the set index: the line most
+    /// recently stamped in any set mapping to the entry, or [`EMPTY`].
+    /// Every stamp writes its set's entry and every removal of the hinted
+    /// line clears it, so a hinted line is present and the most recent in
+    /// its own set.
+    mru: [u64; MRU_HINTS],
 }
 
 impl Cache {
@@ -83,6 +97,7 @@ impl Cache {
             dirty: vec![false; slots],
             occ: vec![0; geom.sets],
             clock: 0,
+            mru: [EMPTY; MRU_HINTS],
         }
     }
 
@@ -95,10 +110,23 @@ impl Cache {
         addr.set_index(self.geom.sets)
     }
 
+    /// Hint-table entry of a set: the identity for caches of at most
+    /// [`MRU_HINTS`] sets, a fold of the higher set bits beyond that (so
+    /// the same offset in consecutive pages lands on distinct entries).
+    #[inline]
+    fn hint_of(set: usize) -> usize {
+        (set ^ (set >> 6) ^ (set >> 12)) & (MRU_HINTS - 1)
+    }
+
     /// Range of *occupied* way-slot indices of the set containing `addr`.
     #[inline]
     fn slots_of(&self, addr: Addr) -> std::ops::Range<usize> {
-        let set = self.set_of(addr);
+        self.slots_in(self.set_of(addr))
+    }
+
+    /// Range of *occupied* way-slot indices of set `set`.
+    #[inline]
+    fn slots_in(&self, set: usize) -> std::ops::Range<usize> {
         let base = set * self.geom.ways;
         base..base + usize::from(self.occ[set])
     }
@@ -119,10 +147,11 @@ impl Cache {
     /// `*_line` variants let the hierarchy resolve an access's line mask
     /// once and share it across all four levels instead of re-masking in
     /// every call — the tag-scan loops themselves are unchanged.
-    #[inline]
+    #[inline(always)]
     pub fn contains_line(&self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
-        self.lines[self.slots_of(line)].contains(&line.0)
+        let set = self.set_of(line);
+        self.mru[Self::hint_of(set)] == line.0 || self.lines[self.slots_in(set)].contains(&line.0)
     }
 
     /// Whether the line containing `addr` is present and dirty.
@@ -138,13 +167,19 @@ impl Cache {
     }
 
     /// [`Cache::touch`] for an already line-aligned address.
-    #[inline]
+    #[inline(always)]
     pub fn touch_line(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
+        let set = self.set_of(line);
+        let hint = Self::hint_of(set);
+        if self.mru[hint] == line.0 {
+            return true;
+        }
         self.clock += 1;
-        match self.find(self.slots_of(line), line.0) {
+        match self.find(self.slots_in(set), line.0) {
             Some(i) => {
                 self.stamps[i] = self.clock;
+                self.mru[hint] = line.0;
                 true
             }
             None => false,
@@ -164,7 +199,9 @@ impl Cache {
         let line = line.0;
         self.clock += 1;
         let stamp = self.clock;
-        let slots = self.slots_of(Addr(line));
+        let set = self.set_of(Addr(line));
+        let slots = self.slots_in(set);
+        self.mru[Self::hint_of(set)] = line;
         if let Some(i) = self.find(slots.clone(), line) {
             self.stamps[i] = stamp;
             self.dirty[i] |= dirty;
@@ -172,7 +209,6 @@ impl Cache {
         }
         // Append into the free suffix if any, else replace the
         // (unique-stamped) LRU victim.
-        let set = self.set_of(Addr(line));
         let (slot, evicted) = if usize::from(self.occ[set]) < self.geom.ways {
             self.occ[set] += 1;
             (slots.end, None)
@@ -250,6 +286,10 @@ impl Cache {
                 self.lines[last] = EMPTY;
                 let set = self.set_of(Addr(line));
                 self.occ[set] -= 1;
+                let hint = &mut self.mru[Self::hint_of(set)];
+                if *hint == line {
+                    *hint = EMPTY;
+                }
                 Some(ev)
             }
             None => None,
@@ -260,6 +300,7 @@ impl Cache {
     pub fn flush_all(&mut self) {
         self.lines.fill(EMPTY);
         self.occ.fill(0);
+        self.mru = [EMPTY; MRU_HINTS];
     }
 
     /// Lines currently resident in set `set`, in no particular order.
@@ -460,6 +501,103 @@ mod tests {
         assert!(c.contains(Addr(64)));
         assert_eq!(c.lines_in_set(1).collect::<Vec<_>>(), vec![Addr(64)]);
         assert_eq!(c.occupancy(), 3);
+    }
+
+    /// The true-LRU cache without the most-recent hints: each set keeps
+    /// its lines in recency order (least recent first) and every touch
+    /// moves its line to the back.
+    struct StampEveryTouch {
+        sets: Vec<Vec<(u64, bool)>>,
+        ways: usize,
+    }
+
+    impl StampEveryTouch {
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, bool)> {
+            let n = self.sets.len();
+            &mut self.sets[Addr(line).set_index(n)]
+        }
+
+        fn touch(&mut self, line: u64) -> bool {
+            let set = self.set(line);
+            match set.iter().position(|e| e.0 == line) {
+                Some(i) => {
+                    let e = set.remove(i);
+                    set.push(e);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
+            let ways = self.ways;
+            let set = self.set(line);
+            if let Some(i) = set.iter().position(|e| e.0 == line) {
+                let (l, d) = set.remove(i);
+                set.push((l, d | dirty));
+                return None;
+            }
+            let ev = (set.len() == ways).then(|| {
+                let (l, d) = set.remove(0);
+                Evicted { line: Addr(l), dirty: d }
+            });
+            set.push((line, dirty));
+            ev
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<Evicted> {
+            let set = self.set(line);
+            let i = set.iter().position(|e| e.0 == line)?;
+            let (l, d) = set.remove(i);
+            Some(Evicted { line: Addr(l), dirty: d })
+        }
+    }
+
+    /// Short-circuiting touches and lookups of each set's most recent line
+    /// through the fixed hint table (which aliases sets once a cache has
+    /// more than `MRU_HINTS` of them) leaves every hit, eviction victim and
+    /// LRU order exactly as re-stamping on every touch has them.
+    #[test]
+    fn mru_hints_match_stamp_every_touch() {
+        for geom in [CacheGeometry { sets: 64, ways: 2 }, CacheGeometry { sets: 256, ways: 4 }] {
+            let mut c = Cache::new(geom);
+            let mut reference =
+                StampEveryTouch { sets: vec![Vec::new(); geom.sets], ways: geom.ways };
+            let stride = (geom.sets * 64) as u64;
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut last = 0u64;
+            for i in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A few sets (two of them aliasing in the hint table) and
+                // more tags than ways; the previous line half the time.
+                let set = [0u64, 1, 64, 65, 3][(x % 5) as usize];
+                let line =
+                    if (x >> 3) & 1 == 0 { last } else { set * 64 + ((x >> 4) % 6) * stride };
+                last = line;
+                if i % 1000 == 999 {
+                    c.flush_all();
+                    reference.sets.iter_mut().for_each(Vec::clear);
+                }
+                match (x >> 8) % 8 {
+                    0..=2 => assert_eq!(c.touch(Addr(line)), reference.touch(line), "touch {i}"),
+                    3 | 4 => {
+                        let dirty = (x >> 12) & 1 == 0;
+                        assert_eq!(c.insert(Addr(line), dirty), reference.insert(line, dirty));
+                    }
+                    5 => assert_eq!(c.invalidate(Addr(line)), reference.invalidate(line)),
+                    _ => {
+                        let present = reference.set(line).iter().any(|e| e.0 == line);
+                        assert_eq!(c.contains(Addr(line)), present, "contains {i}");
+                    }
+                }
+                for s in [0usize, 1, 3, 64, 65].map(|s| s % geom.sets) {
+                    let lru = reference.sets[s].first().map(|e| Addr(e.0));
+                    assert_eq!(c.lru_line(s), lru, "set {s} LRU after op {i}");
+                }
+            }
+        }
     }
 
     #[test]

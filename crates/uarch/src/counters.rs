@@ -66,17 +66,19 @@ pub enum PerfEvent {
     /// [`patch_code`]: crate::engine::Engine::patch_code
     /// [`patch`]: crate::decoded::DecodedProgram::patch
     SimPatchRecompiles,
-    /// Probe sequences retired through the fused probe tier
-    /// ([`run_fused_probe`]). Not a hardware event: together with
-    /// [`SimProbeFallback`] it makes the fused-vs-per-step probe rate
-    /// observable in tests and the engine bench.
+    /// Probe sequences and calls that entered the fused tier
+    /// ([`run_fused_probe`], [`run_fused_calls`]). Not a hardware event:
+    /// together with [`SimProbeFallback`] it makes the fused-vs-per-step
+    /// rate observable in tests and the engine bench.
     ///
     /// [`run_fused_probe`]: crate::engine::Engine::run_fused_probe
+    /// [`run_fused_calls`]: crate::engine::Engine::run_fused_calls
     /// [`SimProbeFallback`]: PerfEvent::SimProbeFallback
     SimProbeFastPath,
-    /// Probe sequences that the fused tier refused (guards tripped:
-    /// sibling runnable, tracing/fetch-log enabled, speculation live, or
-    /// fusion disabled) and that fell back to per-step execution.
+    /// Probe sequences and calls that the fused tier refused (guards
+    /// tripped: tracing/fetch-log enabled, speculation live, a callee not
+    /// shaped `nop*; ret`, or fusion disabled) and that fell back to
+    /// per-step execution.
     SimProbeFallback,
 }
 

@@ -37,7 +37,7 @@ use crate::asm::Program;
 use crate::bpu::BranchPredictor;
 use crate::counters::{CounterBank, PerfEvent};
 use crate::decoded::{DecodedProgram, NO_IDX};
-use crate::hierarchy::{AccessInfo, CacheHierarchy, Level, Residency};
+use crate::hierarchy::{CacheHierarchy, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::mem::Memory;
 use crate::noise::{NoiseConfig, NoiseSource};
@@ -236,10 +236,6 @@ impl Thread {
 /// Lines tracked in the in-flight fetch window used for SMC detection.
 const FETCH_WINDOW: usize = 2;
 
-/// Placeholder `AccessInfo` for batched-fetch out-parameters; every slot
-/// handed to [`CacheHierarchy::fetch_lines`] is overwritten before use.
-const COLD_ACCESS: AccessInfo = AccessInfo { level: Level::Dram, latency: 0, was_in_l1i: false };
-
 enum Next {
     Seq,
     Jump(u64),
@@ -267,6 +263,17 @@ fn fused_probes_default() -> bool {
     *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
 }
 
+/// Per-run instruction budget for runs the engine drives itself and for
+/// [`crate::machine::Machine`]'s drive loops: generous, but bounded so that
+/// buggy victims fail loudly with [`StepError::StepLimit`] instead of
+/// hanging the harness. Sibling steps taken inside a call count against
+/// the call's budget.
+pub const STEP_BUDGET: u64 = 500_000_000;
+
+/// Cycles per injected `Delay` chunk of a busy-wait: the granularity at
+/// which a waiting thread lets its sibling catch up.
+pub const DELAY_CHUNK: u64 = 200;
+
 /// A probe sequence precompiled for the fused probe tier: the classic
 /// `mfence; rdtsc; <op>; mfence; rdtsc` five-instruction template from
 /// `probe_sequence`, recognized once at construction so
@@ -274,8 +281,9 @@ fn fused_probes_default() -> bool {
 /// specialized pass instead of five injected-instruction round trips.
 ///
 /// `compile` returns `None` for sequences whose timed operation the fused
-/// tier does not model (notably `Execute` probes, whose `call` enters the
-/// victim program); those keep running per-step.
+/// tier does not model; those keep running per-step. The `Execute` probe's
+/// `call *r` compiles, and fuses whenever its callee has the one-line
+/// `nop*; ret` shape of an attacker eviction line.
 #[derive(Copy, Clone, Debug)]
 pub struct CompiledProbe {
     /// The original five-instruction sequence — the per-step fallback
@@ -292,7 +300,8 @@ pub struct CompiledProbe {
 impl CompiledProbe {
     /// Recognize the probe template, or `None` when the sequence must run
     /// per-step. The middle-op whitelist is exactly the set of operations
-    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `exec`.
+    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `exec` and
+    /// the injected-call path.
     pub fn compile(instrs: &[Instr; 5]) -> Option<CompiledProbe> {
         let (t_start, t_end) = match (instrs[0], instrs[1], instrs[3], instrs[4]) {
             (Instr::Mfence, Instr::Rdtsc { dst: a }, Instr::Mfence, Instr::Rdtsc { dst: b }) => {
@@ -309,7 +318,8 @@ impl CompiledProbe {
             | Instr::Clflushopt { .. }
             | Instr::Clwb { .. }
             | Instr::PrefetchT0 { .. }
-            | Instr::PrefetchNta { .. } => {}
+            | Instr::PrefetchNta { .. }
+            | Instr::CallReg { .. } => {}
             _ => return None,
         }
         Some(CompiledProbe { instrs: *instrs, t_start, t_end, op })
@@ -324,8 +334,17 @@ impl CompiledProbe {
 /// Slots in the direct-mapped [`Engine::call_shape`] memo table.
 const CALL_SHAPE_SLOTS: usize = 64;
 
+/// The shape of a fusable callee: `nops` one-byte `nop`s, then the `ret`
+/// at `ret_pc` (decoded index `ret_idx`), all on the entry line.
+#[derive(Copy, Clone, Debug, Default)]
+struct CallShape {
+    nops: u64,
+    ret_pc: u64,
+    ret_idx: u32,
+}
+
 /// Empty call-shape slot (`u64::MAX` is never a decodable call target).
-const EMPTY_SHAPE: (u64, u64, u64, u32) = (u64::MAX, 0, 0, 0);
+const EMPTY_SHAPE: (u64, CallShape) = (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0 });
 
 /// Largest batch [`Engine::run_fused_calls`] fuses in one pass — an
 /// eviction set's way count with headroom.
@@ -347,24 +366,18 @@ pub struct Engine {
     /// Whether injected probe sequences may retire through the fused probe
     /// tier (default; see [`Engine::set_fused_probes`]).
     use_fused_probes: bool,
-    /// Memoized [`Engine::call_shape`] walks — `(target, nops, ret_pc,
-    /// ret_idx)`, direct-mapped by a multiply-hash of the target address,
+    /// Memoized [`Engine::call_shape`] walks — `(target, shape)`,
+    /// direct-mapped by a multiply-hash of the target address,
     /// valid while `call_shapes_gen` matches `decode_gen`. Sized for
     /// attacker working sets (an 8-way eviction set plus a few oracle
     /// lines): priming calls the same handful of targets millions of
     /// times per campaign, and one hash probe beats re-hashing
     /// `pc → index` in the decoded table's map every call.
-    call_shapes: [(u64, u64, u64, u32); CALL_SHAPE_SLOTS],
+    call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
     call_shapes_gen: u64,
     /// Bumped whenever the decoded table changes (load / patch / reset),
     /// invalidating `call_shapes`.
     decode_gen: u64,
-    /// Upper bound on the cycle cost of any fused probe's pre-timer body
-    /// (opening `mfence` sans drain, `rdtsc`, and the worst-case middle
-    /// op). Precomputed from the immutable profile; `run_fused_probe`
-    /// compares it against the noise schedule to decide whether the five
-    /// per-instruction eviction draws can be coalesced into one.
-    probe_op_bound: u64,
     mem: Memory,
     hier: CacheHierarchy,
     itlb: [Tlb; 2],
@@ -386,20 +399,6 @@ impl Engine {
         let hier = CacheHierarchy::new(profile.hierarchy);
         let itlb = [Tlb::new(profile.itlb_entries), Tlb::new(profile.itlb_entries)];
         let dtlb = [Tlb::new(profile.dtlb_entries), Tlb::new(profile.dtlb_entries)];
-        let worst_op = ProbeKind::ALL
-            .iter()
-            .map(|k| {
-                let c = profile.probe_costs.get(*k);
-                let extra = c.l1d.max(c.l2).max(c.llc).max(c.dram).max(c.smc_extra);
-                (c.base + extra) as u64
-            })
-            .max()
-            .unwrap_or(0);
-        let probe_op_bound = profile.mfence_cost as u64
-            + profile.rdtsc_cost as u64
-            + 1
-            + profile.tlb_walk as u64
-            + worst_op;
         Engine {
             threads: [Thread::new(), Thread::new()],
             code: Program::default(),
@@ -409,7 +408,6 @@ impl Engine {
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
             decode_gen: 0,
-            probe_op_bound,
             mem: Memory::new(),
             hier,
             itlb,
@@ -531,13 +529,14 @@ impl Engine {
     /// Enable or disable the fused probe tier. When on,
     /// [`Engine::run_fused_probe`] retires a whole compiled
     /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
-    /// specialized pass — with guards that make the result bit-identical
-    /// to injecting the five instructions per-step: fusion refuses to run
-    /// (and the caller falls back) whenever either hardware thread is
-    /// runnable, speculation is live, or tracing / fetch logging could
-    /// observe intermediate state. Default: on, unless the
-    /// `SMACK_FUSED_PROBES` environment variable is `0`. Reset restores
-    /// the default.
+    /// specialized pass, [`Engine::run_fused_calls`] a batch of calls to
+    /// `nop*; ret` lines and [`Engine::run_fused_advance`] a busy-wait — each
+    /// bit-identical to per-step injection, catching a running sibling up
+    /// at the same points. Fusion refuses to run (and the caller falls
+    /// back) when the injecting thread is running or speculating, or
+    /// tracing / fetch logging could observe intermediate state. Default:
+    /// on, unless the `SMACK_FUSED_PROBES` environment variable is `0`.
+    /// Reset restores the default.
     pub fn set_fused_probes(&mut self, on: bool) {
         self.use_fused_probes = on;
     }
@@ -804,27 +803,47 @@ impl Engine {
         Ok(steps)
     }
 
-    /// Step the sibling's program until it catches up with `tid`'s clock,
-    /// it stops running, or `max_steps` run out. The clock comparison is
-    /// re-evaluated every step because stepping the sibling can advance
+    /// Step the sibling's program while it is running and behind `tid`'s
+    /// clock: the causal catch-up that precedes every injected
+    /// instruction and ends every injected sequence. The clock comparison
+    /// is re-evaluated every step because stepping the sibling can advance
     /// `tid`'s clock too (a machine clear stalls the other thread).
-    ///
-    /// Returns the number of sibling steps executed.
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from the sibling's program.
-    pub fn catch_up(&mut self, tid: ThreadId, max_steps: u64) -> Result<u64, StepError> {
-        let sib = tid.sibling();
-        let mut steps = 0u64;
-        while steps < max_steps
-            && self.t(sib).state == ThreadState::Running
-            && self.t(sib).clock < self.t(tid).clock
-        {
-            self.step(sib)?;
-            steps += 1;
+    /// Propagates [`StepError`] from the sibling's program, and
+    /// [`StepError::StepLimit`] after [`STEP_BUDGET`] sibling steps.
+    #[inline(always)]
+    pub fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
+        if self.sibling_behind(tid) {
+            return self.step_sibling_behind(tid, &mut 0);
         }
-        Ok(steps)
+        Ok(())
+    }
+
+    /// The fused tier's sibling-sync test: whether the sibling is running
+    /// and behind `tid`'s clock, i.e. whether a catch-up has work. Two
+    /// loads when the sibling is not running, so the lone-thread paths pay
+    /// nothing for the hook; the stepping itself stays out of line.
+    #[inline(always)]
+    fn sibling_behind(&self, tid: ThreadId) -> bool {
+        let sib = self.t(tid.sibling());
+        sib.state == ThreadState::Running && sib.clock < self.t(tid).clock
+    }
+
+    /// Step the sibling while [`Engine::sibling_behind`] holds, charging
+    /// each step to `steps`, the caller's budget counter.
+    #[inline(never)]
+    fn step_sibling_behind(&mut self, tid: ThreadId, steps: &mut u64) -> Result<(), StepError> {
+        let sib = tid.sibling();
+        while self.sibling_behind(tid) {
+            if *steps >= STEP_BUDGET {
+                return Err(StepError::StepLimit);
+            }
+            self.step(sib)?;
+            *steps += 1;
+        }
+        Ok(())
     }
 
     /// Execute one injected instruction (attacker-style straight-line code;
@@ -861,307 +880,332 @@ impl Engine {
         }
     }
 
-    /// Retire a whole compiled probe sequence in one specialized pass: the
+    /// Whether `tid` may enter the fused tier: fusion on, the thread idle
+    /// and not speculating, and nothing (tracing, fetch logging) observing
+    /// intermediate state. A running sibling is no guard — the fused paths
+    /// catch it up at the per-step points.
+    fn fusable(&self, tid: ThreadId) -> bool {
+        self.use_fused_probes
+            && self.t(tid).state != ThreadState::Running
+            && self.t(tid).spec.is_none()
+            && !self.tracer.is_enabled()
+            && self.fetch_log.is_none()
+    }
+
+    /// Retire a whole compiled probe sequence in one engine pass: the
     /// fused probe tier. Returns `None` (after bumping `SimProbeFallback`)
     /// when a guard requires per-step execution — the caller then injects
-    /// `probe.instrs()` one instruction at a time — and `Some(outcome)`
-    /// with the same `SeqOutcome` five `exec_injected` calls would have
-    /// produced.
+    /// `probe.instrs()` one instruction at a time — and otherwise what
+    /// that per-step injection would have returned.
     ///
-    /// Bit-identical to per-step injection by construction: each of the
-    /// five instructions is replicated from the corresponding `exec` arm
-    /// (same cost formulas, counter bumps, hierarchy calls and noise-draw
-    /// order; the equivalence proptests lock this). What fusion saves is
-    /// the per-instruction machine/engine round trip — injected-state
-    /// checks, sibling catch-up attempts and the outer dispatch — and,
-    /// when the noise schedule provably fires no eviction before the
-    /// closing `rdtsc`, the five per-instruction `evictions_for` draws,
-    /// coalesced into one exact batched draw (see the body).
+    /// Bit-identical to per-step injection by construction: each
+    /// instruction replicates its `exec` arm (same cost formulas, counter
+    /// bumps, hierarchy calls, and one `evictions_for` draw per
+    /// instruction after its `rdtsc` jitter draw), and a running sibling
+    /// is caught up at exactly the points `Machine::run_sequence` catches
+    /// it up: before each instruction, before each step of the `Execute`
+    /// probe's callee, and once after the sequence. Every fused step
+    /// re-reads both clocks and the fetch state, which a sibling machine
+    /// clear may have changed. What fusion saves is the machine/engine
+    /// round trip and the generic dispatch per instruction.
     ///
-    /// Guards (any one forces fallback): fusion disabled, this thread or
-    /// the sibling runnable (an interleaved sibling could observe
-    /// intermediate hierarchy/clock state), live speculation, tracing, or
-    /// fetch logging. There is no pending-SMC state to guard separately:
-    /// a probe whose store/flush conflicts with the front-end takes the
-    /// machine clear *inside* `probe_effects`, identically on both paths.
+    /// Guards (any one forces fallback): those of fusion itself (disabled,
+    /// this thread running or speculating, tracing, fetch logging) and, for
+    /// the `Execute` probe, the reference interpreter or a callee that is
+    /// not a one-line `nop*; ret` routine.
     ///
     /// # Errors
     ///
     /// `Some(Err(_))` propagates the middle operation's error (e.g. an
-    /// [`StepError::Unsupported`] probe class) with the same partial state
-    /// per-step execution leaves behind.
+    /// [`StepError::Unsupported`] probe class) or the sibling's (including
+    /// [`StepError::StepLimit`]), with the same partial state per-step
+    /// execution leaves behind.
     pub fn run_fused_probe(
         &mut self,
         tid: ThreadId,
         probe: &CompiledProbe,
     ) -> Option<Result<SeqOutcome, StepError>> {
-        let sib = tid.sibling();
-        if !self.use_fused_probes
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
-        {
+        let callee = match probe.op {
+            Instr::CallReg { target } if self.use_decoded => {
+                let target = self.reg(tid, target);
+                self.call_shape(target).map(|shape| (target, shape))
+            }
+            _ => None,
+        };
+        let needs_callee = matches!(probe.op, Instr::CallReg { .. });
+        if !self.fusable(tid) || needs_callee && callee.is_none() {
             self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
             return None;
         }
-        let start = self.t(tid).clock;
-        // Injected code executes from elsewhere; see `exec_injected`.
-        self.t_mut(tid).last_fetch_line = u64::MAX;
-        // Per-step, the RNG draw order is E(c1) J1 E(c2) E(c3) E(c4) J2
-        // E(c5): an `evictions_for` draw per instruction interleaved with
-        // the two `rdtsc` jitter draws. When E(c1)..E(c4) provably yield
-        // zero evictions, the whole prefix collapses into the final draw —
-        // `evictions_for` is exactly partition-invariant, the zero draws
-        // touch no RNG state, and any eviction from E(c5) lands after J2
-        // on both paths. `c1..c3` are bounded up front (`wait1` is exact,
-        // the rest by `probe_op_bound`); `c4`'s drain of a Load's pending
-        // DRAM fill is re-checked exactly once the op's cost is known.
-        let wait1 = self.t(tid).pending_mem.saturating_sub(start);
-        if wait1 + self.probe_op_bound < self.noise.cycles_to_next_eviction() {
-            let mut acc = 0u64;
-            self.fused_mfence(tid, Some(&mut acc));
-            self.fused_rdtsc(tid, probe.t_start, Some(&mut acc));
-            if let Err(e) = self.fused_probe_op(tid, &probe.op, Some(&mut acc)) {
-                // Per-step execution skips the failing op's noise epilogue
-                // but has drawn E(c1) and E(c2) — both provably zero here;
-                // one batched call advances the schedule identically.
-                let _ = self.noise.evictions_for(acc);
-                return Some(Err(e));
-            }
-            let pre = acc;
-            self.fused_mfence(tid, Some(&mut acc));
-            if acc < self.noise.cycles_to_next_eviction() {
-                self.fused_rdtsc(tid, probe.t_end, Some(&mut acc));
-                let evictions = self.noise.evictions_for(acc);
-                self.apply_evictions(evictions);
-            } else {
-                // Rare: draining the op's pending memory at the closing
-                // `mfence` crossed the eviction boundary. Settle the
-                // deferred draws in per-step order: E(c1+c2+c3) is zero by
-                // the up-front bound, E(c4) fires, then J2 and E(c5).
-                let _ = self.noise.evictions_for(pre);
-                let evictions = self.noise.evictions_for(acc - pre);
-                self.apply_evictions(evictions);
-                self.fused_rdtsc(tid, probe.t_end, None);
-            }
-        } else {
-            // An eviction is due within the probe: keep the per-
-            // instruction draw interleaving.
-            self.fused_mfence(tid, None);
-            self.fused_rdtsc(tid, probe.t_start, None);
-            if let Err(e) = self.fused_probe_op(tid, &probe.op, None) {
-                return Some(Err(e));
-            }
-            self.fused_mfence(tid, None);
-            self.fused_rdtsc(tid, probe.t_end, None);
-        }
         self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-        let end_clock = self.t(tid).clock;
-        Some(Ok(SeqOutcome { cycles: end_clock - start, end_clock }))
+        let start = self.t(tid).clock;
+        Some(self.fused_probe_body(tid, probe, callee).map(|()| self.outcome_since(tid, start)))
     }
 
-    /// Skip `cycles` idle cycles in one batched update — the fused
-    /// replacement for injecting `Delay` chunks when nothing else can run.
-    /// Returns `false` (caller falls back to per-step chunking) when
-    /// either thread is runnable or fusion is disabled.
+    fn fused_probe_body(
+        &mut self,
+        tid: ThreadId,
+        probe: &CompiledProbe,
+        callee: Option<(u64, CallShape)>,
+    ) -> Result<(), StepError> {
+        self.catch_up_sibling(tid)?;
+        // Injected code executes from elsewhere; see `exec_injected`.
+        self.t_mut(tid).last_fetch_line = u64::MAX;
+        self.fused_mfence(tid);
+        self.catch_up_sibling(tid)?;
+        self.fused_rdtsc(tid, probe.t_start);
+        self.catch_up_sibling(tid)?;
+        match callee {
+            Some((target, shape)) => self.fused_call_body(tid, target, shape)?,
+            None => self.fused_probe_op(tid, &probe.op)?,
+        }
+        self.catch_up_sibling(tid)?;
+        // The closing `mfence` is injected again, away from any callee line.
+        self.t_mut(tid).last_fetch_line = u64::MAX;
+        self.fused_mfence(tid);
+        self.catch_up_sibling(tid)?;
+        self.fused_rdtsc(tid, probe.t_end);
+        self.catch_up_sibling(tid)
+    }
+
+    fn outcome_since(&self, tid: ThreadId, start: u64) -> SeqOutcome {
+        let end_clock = self.t(tid).clock;
+        SeqOutcome { cycles: end_clock - start, end_clock }
+    }
+
+    /// Let `cycles` pass on an idle `tid` in one fused pass — the
+    /// replacement for injecting `Delay` chunks of [`DELAY_CHUNK`] cycles,
+    /// each preceded by a sibling catch-up, plus one catch-up after.
+    /// Returns `None` (caller falls back to the chunked loop) when fusion
+    /// is disabled or `tid` is running.
     ///
-    /// Equivalent to the per-step path by construction: `Delay` draws no
-    /// `rdtsc` jitter, `evictions_for` is exactly partition-invariant, and
-    /// the chunked path retires `ceil(cycles / chunk)` delay instructions
-    /// of 200 cycles each with nothing observing state between chunks.
-    pub fn advance_idle(&mut self, tid: ThreadId, cycles: u64) -> bool {
-        if !self.use_fused_probes
-            || self.t(tid).state == ThreadState::Running
-            || self.t(tid.sibling()).state == ThreadState::Running
-        {
-            return false;
+    /// Exact by construction: `Delay` draws no `rdtsc` jitter and touches
+    /// no hierarchy state, so chunks with no sibling step between them
+    /// retire as one batched update (`evictions_for` is exactly
+    /// partition-invariant). A catch-up has work only once `tid`'s clock
+    /// has passed the sibling's, so after each catch-up every chunk that
+    /// starts at or before the sibling's clock joins one batch — all the
+    /// remaining chunks when the sibling is not running.
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` propagates the sibling's [`StepError`] with the same
+    /// partial state as the chunked loop.
+    pub fn run_fused_advance(
+        &mut self,
+        tid: ThreadId,
+        cycles: u64,
+    ) -> Option<Result<(), StepError>> {
+        if !self.use_fused_probes || self.t(tid).state == ThreadState::Running {
+            return None;
         }
-        if cycles == 0 {
-            return true;
+        let sib = tid.sibling();
+        let mut left = cycles;
+        loop {
+            if let Err(e) = self.catch_up_sibling(tid) {
+                return Some(Err(e));
+            }
+            if left == 0 {
+                return Some(Ok(()));
+            }
+            let span = match self.t(sib).state {
+                ThreadState::Running => {
+                    let chunks = (self.t(sib).clock - self.t(tid).clock) / DELAY_CHUNK + 1;
+                    left.min(chunks.saturating_mul(DELAY_CHUNK))
+                }
+                _ => left,
+            };
+            let t = self.t_mut(tid);
+            t.last_fetch_line = u64::MAX;
+            t.counters.add(PerfEvent::InstRetired, span.div_ceil(DELAY_CHUNK));
+            self.fused_retire(tid, span);
+            left -= span;
         }
-        let t = self.t_mut(tid);
-        t.last_fetch_line = u64::MAX;
-        t.counters.add(PerfEvent::InstRetired, cycles.div_ceil(200));
-        self.fused_retire(tid, cycles);
-        true
     }
 
     /// Retire an injected `call` of an attacker-owned one-line `nop*; ret`
-    /// routine in one fused pass — the shape of every eviction-set way and
-    /// oracle line, whose priming calls dominate a covert-channel trial's
-    /// injected-instruction count. Returns `None` (after bumping
-    /// `SimProbeFallback`) when a guard or the callee's shape requires
-    /// per-step execution; the caller then injects the `call` normally.
+    /// routine in one fused pass — [`Engine::run_fused_calls`] for a single
+    /// target. Returns `None` (after bumping `SimProbeFallback`) when a
+    /// guard or the callee's shape requires per-step execution; the caller
+    /// then injects the `call` normally.
     ///
-    /// Bit-identical to per-step injection by construction:
+    /// # Errors
     ///
-    /// * The injected `Call` itself retires nothing and charges nothing
-    ///   (`exec_injected` returns `EnterCall` before reaching `exec`), and
-    ///   the return sentinel push/pop nets out; the thread ends idle with
-    ///   `pc`/`pc_idx` parked at the `ret` — the exact per-step end state.
-    /// * The callee line is fetched once through the same
-    ///   `fetch_lines`/`fetch_effects` pair the per-step path uses (the
-    ///   injected-call reset of `last_fetch_line` forces that fetch on
-    ///   both paths), so iTLB, fetch-window, hit-level counter and stall
-    ///   effects match exactly.
-    /// * `nop` (cost 1) and `ret` (cost 2, sentinel pop) draw no `rdtsc`
-    ///   jitter, so batching their noise epilogues into one
-    ///   `evictions_for` call is exact (partition invariance), and every
-    ///   eviction draw lands after the block's lone hierarchy access (the
-    ///   fetch) on both paths — no mid-block truncation guard needed.
-    pub fn run_fused_call(&mut self, tid: ThreadId, target: u64) -> Option<SeqOutcome> {
-        let sib = tid.sibling();
-        if !self.use_fused_probes
-            || !self.use_decoded
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
-        {
+    /// `Some(Err(_))` propagates the sibling's [`StepError`] (including
+    /// [`StepError::StepLimit`]) with the per-step partial state.
+    pub fn run_fused_call(
+        &mut self,
+        tid: ThreadId,
+        target: u64,
+    ) -> Option<Result<SeqOutcome, StepError>> {
+        let out = self.run_fused_calls(tid, &[target]);
+        if out.is_none() {
             self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-            return None;
         }
-        let Some((nops, ret_pc, ret_idx)) = self.call_shape(target) else {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-            return None;
-        };
-        let line = Addr(target).line().0;
-        let start = self.t(tid).clock;
-        // The one front-end fetch of the callee line (the per-step path's
-        // first step after `begin_injected_call`).
-        let mut info = [COLD_ACCESS];
-        self.hier.fetch_lines(std::slice::from_ref(&line), &mut info);
-        let fetch_cost = self.fetch_effects(tid, line, info[0]);
-        let t = self.t_mut(tid);
-        t.clock += fetch_cost;
-        t.counters.add(PerfEvent::InstRetired, nops + 1);
-        t.pc = ret_pc;
-        t.pc_idx = ret_idx;
-        // `nops` cost-1 retirements plus the cost-2 `ret`, noise batched.
-        self.fused_retire(tid, nops + 2);
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-        let end_clock = self.t(tid).clock;
-        Some(SeqOutcome { cycles: end_clock - start, end_clock })
+        out
     }
 
     /// Retire a batch of injected calls to attacker-owned one-line
-    /// `nop*; ret` routines in one fused pass — `EvictionSet::prime`'s
-    /// eight way-calls land here as a single engine entry instead of
-    /// eight. Returns `None` (with *no* counter side effects) when any
-    /// guard, any callee's shape, or the noise schedule requires finer
-    /// granularity; the caller then runs the calls one at a time, each of
-    /// which may still fuse individually and counts its own fast-path or
+    /// `nop*; ret` routines in one fused pass — the shape of every
+    /// eviction-set way and oracle line, so `EvictionSet::prime`'s eight
+    /// way-calls land here as a single engine entry. Returns `None` (with
+    /// *no* side effects) when a guard or any callee's shape requires
+    /// per-step execution; the caller then runs the calls one at a time,
+    /// each of which may still fuse and counts its own fast-path or
     /// fallback event.
     ///
-    /// Exact beyond the single-call argument (see
-    /// [`Engine::run_fused_call`]): consecutive injected calls execute
-    /// back-to-back with nothing observing thread state between them; the
-    /// per-call hierarchy fetches keep their order inside one batched
-    /// `fetch_lines` (retirements between them touch no hierarchy state —
-    /// the schedule check guarantees zero evictions up to the last call);
-    /// and the per-call `evictions_for` draws, jitter-free and provably
-    /// zero, collapse into one batched draw by partition invariance.
-    pub fn run_fused_calls(&mut self, tid: ThreadId, targets: &[u64]) -> Option<SeqOutcome> {
-        let sib = tid.sibling();
+    /// Bit-identical to per-call injection by construction: a running
+    /// sibling is caught up before each call and once after the batch
+    /// (between two calls the per-call path's post-call and pre-call
+    /// catch-ups coincide), and each callee steps as
+    /// [`Engine::fused_call_body`] describes. The injected `call` itself
+    /// retires nothing and charges nothing (`exec_injected` returns
+    /// `EnterCall` before reaching `exec`), and the return sentinel
+    /// push/pop nets out: the thread ends idle with `pc`/`pc_idx` parked
+    /// at the last `ret` — the exact per-step end state.
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` propagates the sibling's [`StepError`] (including
+    /// [`StepError::StepLimit`]) with the per-step partial state.
+    pub fn run_fused_calls(
+        &mut self,
+        tid: ThreadId,
+        targets: &[u64],
+    ) -> Option<Result<SeqOutcome, StepError>> {
         if targets.is_empty()
             || targets.len() > CALL_BATCH_MAX
-            || !self.use_fused_probes
             || !self.use_decoded
-            || self.t(tid).state == ThreadState::Running
-            || self.t(sib).state == ThreadState::Running
-            || self.t(tid).spec.is_some()
-            || self.tracer.is_enabled()
-            || self.fetch_log.is_some()
+            || !self.fusable(tid)
         {
             return None;
         }
-        let n = targets.len();
-        let mut shapes = [(0u64, 0u64, 0u32); CALL_BATCH_MAX];
-        let mut lines = [0u64; CALL_BATCH_MAX];
-        let mut sum_instr = 0u64;
-        for (i, &target) in targets.iter().enumerate() {
-            let shape = self.call_shape(target)?;
-            shapes[i] = shape;
-            lines[i] = Addr(target).line().0;
-            sum_instr += shape.0 + 2;
-        }
-        if sum_instr >= self.noise.cycles_to_next_eviction() {
+        if !targets.iter().all(|&target| self.call_shape(target).is_some()) {
             return None;
         }
+        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, targets.len() as u64);
         let start = self.t(tid).clock;
-        let mut infos = [COLD_ACCESS; CALL_BATCH_MAX];
-        self.hier.fetch_lines(&lines[..n], &mut infos[..n]);
-        for i in 0..n {
-            let fetch_cost = self.fetch_effects(tid, lines[i], infos[i]);
-            let nops = shapes[i].0;
-            let t = self.t_mut(tid);
-            t.clock += fetch_cost + nops + 2;
-            t.counters.add(PerfEvent::InstRetired, nops + 1);
+        Some(self.fused_calls_body(tid, targets).map(|()| self.outcome_since(tid, start)))
+    }
+
+    fn fused_calls_body(&mut self, tid: ThreadId, targets: &[u64]) -> Result<(), StepError> {
+        for &target in targets {
+            // Shapes were checked up front and nothing in the batch
+            // re-decodes code; this is a memo hit.
+            let shape = self.call_shape(target).expect("callee shape checked");
+            self.catch_up_sibling(tid)?;
+            self.fused_call_body(tid, target, shape)?;
         }
-        let (_, ret_pc, ret_idx) = shapes[n - 1];
+        self.catch_up_sibling(tid)
+    }
+
+    /// One injected `call` of a `nop*; ret` routine, stepped in-engine the
+    /// way `begin_injected_call` plus `Machine`'s drive loop step it: the
+    /// sibling is caught up before every callee step, the return-sentinel
+    /// `ret` included, and its steps count against the same
+    /// [`STEP_BUDGET`]; the callee line is fetched whenever the front-end
+    /// is not streaming it — on entry (the injected call reset
+    /// `last_fetch_line`) and again after a sibling machine clear. `nop`
+    /// costs 1 and `ret` 2. On error the
+    /// thread is left mid-call exactly as the per-step path leaves it:
+    /// running at the next callee instruction, sentinel pushed.
+    fn fused_call_body(
+        &mut self,
+        tid: ThreadId,
+        target: u64,
+        shape: CallShape,
+    ) -> Result<(), StepError> {
+        let line = Addr(target).line().0;
+        self.t_mut(tid).last_fetch_line = u64::MAX;
+        let mut steps = 0u64;
+        for k in 0..=shape.nops {
+            if self.sibling_behind(tid) {
+                if let Err(e) = self.step_sibling_behind(tid, &mut steps) {
+                    return Err(self.leave_mid_call(tid, target + k, k, e));
+                }
+            }
+            if steps >= STEP_BUDGET {
+                return Err(self.leave_mid_call(tid, target + k, k, StepError::StepLimit));
+            }
+            steps += 1;
+            if self.t(tid).last_fetch_line != line {
+                self.fetch(tid, line);
+            }
+            self.fused_retire(tid, if k < shape.nops { 1 } else { 2 });
+        }
         let t = self.t_mut(tid);
-        t.pc = ret_pc;
-        t.pc_idx = ret_idx;
-        t.counters.add(PerfEvent::SimProbeFastPath, n as u64);
-        // Provably zero evictions; the one call advances the schedule
-        // exactly as the per-call draws would.
-        let _ = self.noise.evictions_for(sum_instr);
-        let end_clock = self.t(tid).clock;
-        Some(SeqOutcome { cycles: end_clock - start, end_clock })
+        t.counters.add(PerfEvent::InstRetired, shape.nops + 1);
+        t.pc = shape.ret_pc;
+        t.pc_idx = shape.ret_idx;
+        Ok(())
+    }
+
+    /// The state a failed drive leaves an injected call in: running at
+    /// `pc` after `retired` callee instructions, return sentinel pushed.
+    /// `pc_idx` stays unresolved; the next step looks it up.
+    #[cold]
+    fn leave_mid_call(&mut self, tid: ThreadId, pc: u64, retired: u64, e: StepError) -> StepError {
+        let t = self.t_mut(tid);
+        t.counters.add(PerfEvent::InstRetired, retired);
+        t.state = ThreadState::Running;
+        t.stack.push(RETURN_SENTINEL);
+        t.pc = pc;
+        t.pc_idx = NO_IDX;
+        e
     }
 
     /// Resolve (and memoize) the fused-call shape of the routine at
-    /// `target`: `Some((nops, ret_pc, ret_idx))` when the callee is
-    /// `nop*; ret` entirely on its entry line, `None` for anything else —
-    /// other opcodes, a line crossing, a decode hole left by a corrupting
-    /// probe. Negative results are not memoized (they fall back to
-    /// per-step execution, where one redundant walk is noise).
-    fn call_shape(&mut self, target: u64) -> Option<(u64, u64, u32)> {
+    /// `target`: `Some` when the callee is `nop*; ret` entirely on its
+    /// entry line, `None` for anything else — other opcodes, a line
+    /// crossing, a decode hole left by a corrupting probe. Negative results
+    /// are not memoized (they fall back to per-step execution, where one
+    /// redundant walk is noise).
+    #[inline(always)]
+    fn call_shape(&mut self, target: u64) -> Option<CallShape> {
+        let slot = (target.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize;
+        match self.call_shapes[slot] {
+            (t, shape) if t == target && self.call_shapes_gen == self.decode_gen => Some(shape),
+            _ => self.walk_call_shape(target, slot),
+        }
+    }
+
+    /// [`Engine::call_shape`] on a memo miss: walk the callee and memoize
+    /// a positive result in `slot`.
+    #[inline(never)]
+    fn walk_call_shape(&mut self, target: u64, slot: usize) -> Option<CallShape> {
         if self.call_shapes_gen != self.decode_gen {
             self.call_shapes = [EMPTY_SHAPE; CALL_SHAPE_SLOTS];
             self.call_shapes_gen = self.decode_gen;
         }
-        let slot = (target.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize;
-        let (t, nops, ret_pc, ret_idx) = self.call_shapes[slot];
-        if t == target {
-            return Some((nops, ret_pc, ret_idx));
-        }
         let line = Addr(target).line().0;
-        let shape = 'walk: {
-            let mut idx = self.decoded.index_of(target);
-            let mut nops = 0u64;
-            let mut ret_pc = target;
-            loop {
-                if idx == NO_IDX {
-                    break 'walk None;
-                }
-                let d = self.decoded.get(idx);
-                if d.line != line {
-                    break 'walk None;
-                }
-                match d.instr {
-                    Instr::Nop => {
-                        nops += 1;
-                        ret_pc += d.len;
-                        idx = d.fall;
-                    }
-                    Instr::Ret => break 'walk Some((nops, ret_pc, idx)),
-                    _ => break 'walk None,
-                }
+        let mut idx = self.decoded.index_of(target);
+        let mut shape = CallShape { nops: 0, ret_pc: target, ret_idx: NO_IDX };
+        loop {
+            if idx == NO_IDX {
+                return None;
             }
-        };
-        let (nops, ret_pc, ret_idx) = shape?;
-        self.call_shapes[slot] = (target, nops, ret_pc, ret_idx);
-        Some((nops, ret_pc, ret_idx))
+            let d = self.decoded.get(idx);
+            if d.line != line {
+                return None;
+            }
+            match d.instr {
+                Instr::Nop => {
+                    shape.nops += 1;
+                    shape.ret_pc += d.len;
+                    idx = d.fall;
+                }
+                Instr::Ret => break,
+                _ => return None,
+            }
+        }
+        shape.ret_idx = idx;
+        self.call_shapes[slot] = (target, shape);
+        Some(shape)
     }
 
     /// Fused-tier `mfence`: the `exec` arm plus injected-retirement
-    /// bookkeeping, with the clock/noise epilogue applied via
-    /// [`Engine::fused_charge`].
-    fn fused_mfence(&mut self, tid: ThreadId, deferred: Option<&mut u64>) {
+    /// bookkeeping.
+    fn fused_mfence(&mut self, tid: ThreadId) {
         let mfence_cost = self.profile.mfence_cost as u64;
         let t = self.t_mut(tid);
         t.counters.add(PerfEvent::InstRetired, 1);
@@ -1169,22 +1213,32 @@ impl Engine {
         if wait > 0 {
             t.counters.add(PerfEvent::CycleActivityStallsTotal, wait);
         }
-        self.fused_charge(tid, wait + mfence_cost, deferred);
+        self.fused_retire(tid, wait + mfence_cost);
     }
 
     /// Fused-tier `rdtsc`. The jitter draw happens before the retire's
     /// eviction draw, matching per-step RNG order.
-    fn fused_rdtsc(&mut self, tid: ThreadId, dst: Reg, deferred: Option<&mut u64>) {
+    fn fused_rdtsc(&mut self, tid: ThreadId, dst: Reg) {
         let cost = self.profile.rdtsc_cost as u64;
-        let res = self.profile.tsc_resolution as u64;
         let jitter = self.noise.jitter();
+        let clock0 = self.t(tid).clock;
+        let val = self.tsc_reading((clock0 + cost).saturating_add_signed(jitter));
         let t = self.t_mut(tid);
         t.counters.add(PerfEvent::InstRetired, 1);
-        let clock0 = t.clock;
-        let raw = (clock0 + cost).saturating_add_signed(jitter);
-        t.regs[dst.index()] = (raw / res) * res;
+        t.regs[dst.index()] = val;
         t.ready[dst.index()] = clock0 + cost;
-        self.fused_charge(tid, cost, deferred);
+        self.fused_retire(tid, cost);
+    }
+
+    /// Quantize a raw time-stamp to the profile's `rdtsc` resolution
+    /// (AMD parts count in coarse quanta; Intel's resolution of one makes
+    /// this the identity, and skips the division).
+    #[inline(always)]
+    fn tsc_reading(&self, raw: u64) -> u64 {
+        match self.profile.tsc_resolution as u64 {
+            1 => raw,
+            res => (raw / res) * res,
+        }
     }
 
     /// Fused-tier timed middle operation: each arm replicates the
@@ -1192,12 +1246,7 @@ impl Engine {
     /// guards guarantee `spec.is_none()`). On error the partial state
     /// (retire counter, dTLB fills) matches per-step execution — the
     /// clock/noise epilogue is skipped exactly like `exec`'s early return.
-    fn fused_probe_op(
-        &mut self,
-        tid: ThreadId,
-        op: &Instr,
-        deferred: Option<&mut u64>,
-    ) -> Result<(), StepError> {
+    fn fused_probe_op(&mut self, tid: ThreadId, op: &Instr) -> Result<(), StepError> {
         self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
         let clock0 = self.t(tid).clock;
         let mut cost: u64 = 1;
@@ -1274,42 +1323,32 @@ impl Engine {
                 }
                 cost += c;
             }
-            // `CompiledProbe::compile` whitelists the arms above.
+            // `CompiledProbe::compile` whitelists the arms above (and the
+            // `Execute` probe's `call *r`, which `run_fused_probe` steps).
             _ => unreachable!("non-probe op in CompiledProbe"),
         }
-        self.fused_charge(tid, cost, deferred);
+        self.fused_retire(tid, cost);
         Ok(())
     }
 
-    /// Charge `cost` cycles; with `deferred` the noise epilogue is left to
-    /// the caller's one batched draw (sound only under
-    /// [`Engine::run_fused_probe`]'s no-eviction guard), without it the
-    /// per-instruction epilogue applies via [`Engine::fused_retire`].
-    fn fused_charge(&mut self, tid: ThreadId, cost: u64, deferred: Option<&mut u64>) {
-        match deferred {
-            Some(acc) => {
-                self.t_mut(tid).clock += cost;
-                *acc += cost;
-            }
-            None => self.fused_retire(tid, cost),
-        }
-    }
-
     /// Charge `cost` cycles and apply the per-instruction noise epilogue
-    /// (`exec`'s last four lines). Callers either invoke this once per
-    /// instruction (interleaving eviction draws with `rdtsc` jitter draws
-    /// in per-step order) or batch several instructions' costs into one
-    /// call where that is provably exact: `evictions_for` is partition-
-    /// invariant, so batching is sound whenever no deferred segment's
-    /// draws would interleave with a jitter draw or hierarchy access.
+    /// (`exec`'s last four lines). Callers invoke this once per
+    /// instruction, in per-step order relative to `rdtsc` jitter draws,
+    /// hierarchy accesses and sibling steps; only
+    /// [`Engine::run_fused_advance`] batches several `Delay` chunks into
+    /// one call, where nothing can observe the boundaries between them.
+    #[inline(always)]
     fn fused_retire(&mut self, tid: ThreadId, cost: u64) {
         self.t_mut(tid).clock += cost;
         let evictions = self.noise.evictions_for(cost);
-        self.apply_evictions(evictions);
+        if evictions > 0 {
+            self.apply_evictions(evictions);
+        }
     }
 
     /// Inject `n` spurious background L1i evictions (the noise epilogue's
     /// application half — one `random_set` draw per eviction).
+    #[cold]
     fn apply_evictions(&mut self, n: u32) {
         for _ in 0..n {
             let set = self.noise.random_set(self.profile.hierarchy.l1i.sets);
@@ -1319,26 +1358,13 @@ impl Engine {
 
     /// Model the front-end fetch of the (pre-computed) line holding the
     /// current instruction. Callers have already checked `last_fetch_line`,
-    /// so this only runs on an actual line switch. Routed through the
-    /// hierarchy's batched multi-line API (as a one-line batch) so every
-    /// fetch path — per-step, injected calls, probes — shares the exact
-    /// front-end sequence the fused call path batches over whole groups.
+    /// so this only runs on an actual line switch. Every fetch path —
+    /// per-step, fused calls, the `Execute` probe — goes through here:
+    /// the hierarchy access, then the fetch-log append, iTLB access,
+    /// hit-level counters, the stall counter, fetch-window tracking and
+    /// the cycle charge.
     fn fetch(&mut self, tid: ThreadId, line: u64) {
-        let mut info = [COLD_ACCESS];
-        self.hier.fetch_lines(std::slice::from_ref(&line), &mut info);
-        let cost = self.fetch_effects(tid, line, info[0]);
-        self.t_mut(tid).clock += cost;
-    }
-
-    /// Per-line bookkeeping for an already-performed hierarchy fetch,
-    /// shared by the per-step path and the fused call paths: fetch-log
-    /// append, iTLB access, hit-level counters, the stall counter, and
-    /// fetch-window tracking. Returns the fetch's cycle cost, which the
-    /// caller charges to the thread clock at the point per-step execution
-    /// would (immediately for [`Engine::fetch`], per call for
-    /// [`Engine::run_fused_calls`]) — nothing here reads the thread
-    /// clock, which is what makes deferring the charge exact.
-    fn fetch_effects(&mut self, tid: ThreadId, line: u64, info: AccessInfo) -> u64 {
+        let info = self.hier.front_end_fetch(line);
         if let Some(log) = &mut self.fetch_log {
             log.push(line);
         }
@@ -1377,7 +1403,7 @@ impl Engine {
         t.last_fetch_line = line;
         t.fetch_window[t.fetch_window_next] = line;
         t.fetch_window_next = (t.fetch_window_next + 1) % FETCH_WINDOW;
-        cost
+        t.clock += cost;
     }
 
     fn mem_addr(&self, tid: ThreadId, m: MemRef) -> Addr {
@@ -1793,9 +1819,7 @@ impl Engine {
             Instr::Rdtsc { dst } => {
                 cost = self.profile.rdtsc_cost as u64;
                 let jitter = self.noise.jitter();
-                let raw = (clock0 + cost).saturating_add_signed(jitter);
-                let res = self.profile.tsc_resolution as u64;
-                let val = (raw / res) * res;
+                let val = self.tsc_reading((clock0 + cost).saturating_add_signed(jitter));
                 let t = self.t_mut(tid);
                 t.regs[dst.index()] = val;
                 t.ready[dst.index()] = clock0 + cost;
@@ -1864,9 +1888,8 @@ impl Engine {
         self.t_mut(tid).clock += cost;
         let delta = self.t(tid).clock - clock0;
         let evictions = self.noise.evictions_for(delta);
-        for _ in 0..evictions {
-            let set = self.noise.random_set(self.profile.hierarchy.l1i.sets);
-            self.hier.evict_lru_l1i(set);
+        if evictions > 0 {
+            self.apply_evictions(evictions);
         }
         Ok(next)
     }
@@ -1928,5 +1951,31 @@ impl fmt::Debug for Engine {
             .field("t0_clock", &self.threads[0].clock)
             .field("t1_clock", &self.threads[1].clock)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::profile::MicroArch;
+
+    /// The resolution-1 short-circuit of `rdtsc` quantization agrees with
+    /// the quantizing division on every profile (Intel counts single
+    /// cycles, AMD 21-cycle quanta).
+    #[test]
+    fn tsc_reading_matches_quantizing_division() {
+        for arch in MicroArch::ALL {
+            let e = Engine::new(arch.profile(), NoiseConfig::quiet(), 1);
+            let res = e.profile.tsc_resolution as u64;
+            let mut raw = 0x9e37_79b9_7f4a_7c15u64;
+            for small in 0..500u64 {
+                raw ^= raw << 13;
+                raw ^= raw >> 7;
+                raw ^= raw << 17;
+                for r in [small, raw, raw >> 20, u64::MAX - small] {
+                    assert_eq!(e.tsc_reading(r), (r / res) * res, "{arch:?} raw {r}");
+                }
+            }
+        }
     }
 }

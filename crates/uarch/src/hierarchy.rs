@@ -280,45 +280,17 @@ impl CacheHierarchy {
         AccessInfo { level, latency: self.ifetch_extra(level), was_in_l1i: in_l1i }
     }
 
-    /// Batched instruction-side fetch of a small slice of line-aligned
-    /// line ids: the whole front-end sequence — [`CacheHierarchy::fetch`]
-    /// plus, when the next-line prefetcher is configured, the silent
-    /// [`CacheHierarchy::prefetch_ifetch`] of each line's successor — in
-    /// exact per-line order, writing each line's pre-fill hit level into
-    /// `infos`. One resolution pass: the line mask is taken once per line
-    /// here and shared across every level's tag scan, instead of N
-    /// independent `fetch` + `prefetch_ifetch` calls re-masking per level.
-    /// Interleaving the prefetch with the fetches (not "all fetches, then
-    /// all prefetches") is what keeps the batch bit-identical to per-line
-    /// execution: line `k`'s fetch must observe line `k-1`'s prefetch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `infos` is shorter than `lines`.
-    pub fn fetch_lines(&mut self, lines: &[u64], infos: &mut [AccessInfo]) {
-        assert!(infos.len() >= lines.len(), "one AccessInfo slot per fetched line");
-        let prefetch = self.cfg.next_line_prefetch;
-        for (&line, info) in lines.iter().zip(infos.iter_mut()) {
-            *info = self.fetch(Addr(line));
-            if prefetch {
-                self.prefetch_ifetch(Addr(line + crate::LINE_SIZE));
-            }
+    /// The front-end's instruction fetch of a line-aligned `line`:
+    /// [`CacheHierarchy::fetch`], then, when the next-line prefetcher is
+    /// configured, the silent [`CacheHierarchy::prefetch_ifetch`] of the
+    /// line after it. Returns the fetch's pre-fill hit level.
+    #[inline]
+    pub fn front_end_fetch(&mut self, line: u64) -> AccessInfo {
+        let info = self.fetch(Addr(line));
+        if self.cfg.next_line_prefetch {
+            self.prefetch_ifetch(Addr(line + crate::LINE_SIZE));
         }
-    }
-
-    /// Batched data-side read of a small slice of line-aligned line ids
-    /// (the probe tier's data path): [`CacheHierarchy::read`] per line in
-    /// order, writing each line's pre-fill hit level into `infos`, with
-    /// the line mask resolved once per line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `infos` is shorter than `lines`.
-    pub fn touch_lines(&mut self, lines: &[u64], infos: &mut [AccessInfo]) {
-        assert!(infos.len() >= lines.len(), "one AccessInfo slot per touched line");
-        for (&line, info) in lines.iter().zip(infos.iter_mut()) {
-            *info = self.read(Addr(line));
-        }
+        info
     }
 
     /// Data read of the line containing `addr`; fills L1d/L2/LLC.

@@ -12,7 +12,8 @@ use crate::addr::Addr;
 use crate::asm::Program;
 use crate::counters::CounterBank;
 use crate::engine::{
-    CompiledProbe, Engine, InjectedNext, SeqOutcome, StepError, ThreadId, ThreadState,
+    CompiledProbe, Engine, InjectedNext, SeqOutcome, StepError, ThreadId, ThreadState, DELAY_CHUNK,
+    STEP_BUDGET,
 };
 use crate::hierarchy::Residency;
 use crate::isa::{Instr, Reg};
@@ -71,10 +72,6 @@ pub struct Machine {
     /// against step-budget check frequency.
     burst: u64,
 }
-
-/// Default per-run instruction budget: generous, but bounded so that buggy
-/// victims fail loudly instead of hanging the harness.
-const DEFAULT_STEP_BUDGET: u64 = 500_000_000;
 
 /// Default engine burst size: `SMACK_BURST` when set to a positive integer
 /// (the CI determinism gate runs the repro at 1 vs the default and diffs
@@ -397,7 +394,7 @@ impl Machine {
     ) -> Result<SeqOutcome, StepError> {
         let start = self.engine.clock(tid);
         for instr in instrs {
-            self.catch_up_sibling(tid)?;
+            self.engine.catch_up_sibling(tid)?;
             match self.engine.exec_injected(tid, instr)? {
                 InjectedNext::Done => {}
                 InjectedNext::EnterCall { target } => {
@@ -406,7 +403,7 @@ impl Machine {
                 }
             }
         }
-        self.catch_up_sibling(tid)?;
+        self.engine.catch_up_sibling(tid)?;
         let end_clock = self.engine.clock(tid);
         Ok(SeqOutcome { cycles: end_clock - start, end_clock })
     }
@@ -436,34 +433,31 @@ impl Machine {
     /// ([`Engine::run_fused_call`] — the callee must be an attacker-style
     /// one-line `nop*; ret` routine), falling back to injecting the `call`
     /// per-step via [`Machine::run_sequence`] otherwise. Same outcome
-    /// either way, by construction.
+    /// either way, by construction, with or without a running sibling.
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from either thread on the fallback path
-    /// (the fused pass itself cannot fail).
+    /// Propagates [`StepError`] from either thread.
     pub fn run_call(&mut self, tid: ThreadId, target: u64) -> Result<SeqOutcome, StepError> {
         match self.engine.run_fused_call(tid, target) {
-            Some(outcome) => Ok(outcome),
+            Some(outcome) => outcome,
             None => self.run_sequence(tid, &[Instr::Call { target }]),
         }
     }
 
     /// Call every line in `targets` back to back on an idle thread: one
-    /// fused engine pass for the whole batch when the guards, every
-    /// callee's shape and the noise schedule allow it
-    /// ([`Engine::run_fused_calls`]), falling back to per-call
-    /// [`Machine::run_call`] otherwise — an eviction set primes its eight
-    /// ways in a single engine entry instead of eight. Same outcome either
-    /// way, by construction.
+    /// fused engine pass for the whole batch when the guards and every
+    /// callee's shape allow it ([`Engine::run_fused_calls`]), falling back
+    /// to per-call [`Machine::run_call`] otherwise — an eviction set primes
+    /// its eight ways in a single engine entry instead of eight. Same
+    /// outcome either way, by construction.
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from either thread on the fallback path
-    /// (the fused pass itself cannot fail).
+    /// Propagates [`StepError`] from either thread.
     pub fn run_calls(&mut self, tid: ThreadId, targets: &[u64]) -> Result<SeqOutcome, StepError> {
         if let Some(outcome) = self.engine.run_fused_calls(tid, targets) {
-            return Ok(outcome);
+            return outcome;
         }
         let mut cycles = 0;
         let mut end_clock = self.engine.clock(tid);
@@ -482,20 +476,20 @@ impl Machine {
     ///
     /// Propagates [`StepError`] from the sibling's program.
     pub fn advance(&mut self, tid: ThreadId, cycles: u64) -> Result<(), StepError> {
-        // Fused fast path: when no other thread can run there is nothing
-        // to interleave, so the whole wait collapses to one batched
-        // engine update (bit-identical to the chunked loop below).
-        if self.engine.advance_idle(tid, cycles) {
-            return Ok(());
+        // Fused fast path: chunks the sibling need not interleave with
+        // collapse into batched engine updates ([`Engine::run_fused_advance`],
+        // bit-identical to the chunked loop below).
+        if let Some(done) = self.engine.run_fused_advance(tid, cycles) {
+            return done;
         }
         let mut left = cycles;
         while left > 0 {
-            let chunk = left.min(200) as u32;
-            self.catch_up_sibling(tid)?;
+            let chunk = left.min(DELAY_CHUNK) as u32;
+            self.engine.catch_up_sibling(tid)?;
             self.engine.exec_injected(tid, &Instr::Delay { cycles: chunk })?;
             left -= chunk as u64;
         }
-        self.catch_up_sibling(tid)
+        self.engine.catch_up_sibling(tid)
     }
 
     /// Drive a running thread to idle/halt in engine bursts, enforcing the
@@ -503,31 +497,13 @@ impl Machine {
     fn drive_to_idle(&mut self, tid: ThreadId) -> Result<(), StepError> {
         let mut steps = 0u64;
         while self.engine.state(tid) == ThreadState::Running {
-            if steps >= DEFAULT_STEP_BUDGET {
+            if steps >= STEP_BUDGET {
                 return Err(StepError::StepLimit);
             }
-            let burst = self.burst.min(DEFAULT_STEP_BUDGET - steps);
+            let burst = self.burst.min(STEP_BUDGET - steps);
             steps += self.engine.run_burst(tid, burst)?;
         }
         Ok(())
-    }
-
-    /// Advance the sibling's program until it catches up with `tid`'s clock.
-    fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
-        let sib = tid.sibling();
-        let mut guard = 0u64;
-        loop {
-            let burst = self.burst.min(DEFAULT_STEP_BUDGET - guard);
-            guard += self.engine.catch_up(tid, burst)?;
-            let behind = self.engine.state(sib) == ThreadState::Running
-                && self.engine.clock(sib) < self.engine.clock(tid);
-            if !behind {
-                return Ok(());
-            }
-            if guard >= DEFAULT_STEP_BUDGET {
-                return Err(StepError::StepLimit);
-            }
-        }
     }
 }
 

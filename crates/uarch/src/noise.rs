@@ -108,13 +108,16 @@ fn rate_ratio(evictions_per_kcycle: f64) -> Option<(u128, u128)> {
 
 /// Stateful noise source: seeded RNG plus the configuration.
 ///
-/// The eviction schedule is kept as a *fully reduced remainder*: `acc`
-/// always equals `C·num − E·den` where `C` is the cumulative cycles fed in
-/// and `E = ⌊C·num/den⌋` the evictions emitted, with `0 ≤ acc < den`.
-/// The steady-state [`NoiseSource::evictions_for`] call is then one `u128`
-/// multiply, one compare and one subtraction — no division — because the
-/// cached `until_next` distance tells it up front that no eviction can
-/// fire; divisions happen only when an eviction actually does (or at
+/// The eviction schedule is kept as a *fully reduced remainder* plus the
+/// cycles not yet folded into it: `acc + pending·num` always equals
+/// `C·num − E·den` where `C` is the cumulative cycles fed in and
+/// `E = ⌊C·num/den⌋` the evictions emitted, with `0 ≤ acc < den` and
+/// `acc + pending·num < den`. The steady-state
+/// [`NoiseSource::evictions_for`] call is then one compare, one
+/// subtraction and one `u64` addition — no `u128` arithmetic, no
+/// division — because the cached `until_next` distance tells it up front
+/// that no eviction can fire; the pending cycles fold into the remainder
+/// (and divisions happen) only when an eviction actually does fire (or at
 /// (re)configuration), which at realistic rates is once per tens of
 /// thousands of simulated cycles.
 #[derive(Clone, Debug)]
@@ -123,8 +126,12 @@ pub struct NoiseSource {
     rng: SmallRng,
     /// Eviction rate as an exact rational (`None` when the rate is zero).
     rate: Option<(u128, u128)>,
-    /// Reduced schedule remainder; invariant `0 ≤ acc < den`.
+    /// Reduced schedule remainder as of the last crossing; invariant
+    /// `0 ≤ acc < den`.
     acc: u128,
+    /// Cycles fed in since the last crossing, not yet folded into `acc`
+    /// (always fewer than the distance to the next crossing from `acc`).
+    pending: u64,
     /// Cycles that may still elapse before the next eviction fires (a
     /// lower bound clamped to `u64::MAX`; exact whenever it fits).
     until_next: u64,
@@ -145,6 +152,7 @@ impl NoiseSource {
             rng: SmallRng::seed_from_u64(seed),
             rate,
             acc: 0,
+            pending: 0,
             until_next: rate.map_or(u64::MAX, |(num, den)| distance_to_next(num, den, 0)),
         }
     }
@@ -163,6 +171,7 @@ impl NoiseSource {
         if cfg.evictions_per_kcycle.to_bits() != self.cfg.evictions_per_kcycle.to_bits() {
             self.rate = rate_ratio(cfg.evictions_per_kcycle);
             self.acc = 0;
+            self.pending = 0;
             self.until_next =
                 self.rate.map_or(u64::MAX, |(num, den)| distance_to_next(num, den, 0));
         }
@@ -184,21 +193,35 @@ impl NoiseSource {
     ///
     /// Exactly burst-size-invariant: for any split `cycles = a + b`,
     /// `evictions_for(a) + evictions_for(b) == evictions_for(a + b)`, with
-    /// identical internal state afterwards — see the struct docs.
-    #[inline]
+    /// the same schedule afterwards (every later draw and
+    /// [`NoiseSource::cycles_to_next_eviction`] agree) — see the struct
+    /// docs.
+    #[inline(always)]
     pub fn evictions_for(&mut self, cycles: u64) -> u32 {
-        let Some((num, den)) = self.rate else {
-            return 0;
-        };
         if cycles < self.until_next {
-            // No crossing: `acc + cycles·num < den` by definition of
-            // `until_next`, so the remainder stays reduced without any
-            // division. This is the per-retire hot path.
+            // No crossing: `acc + (pending + cycles)·num < den` by
+            // definition of `until_next`, so the cycles only join the
+            // pending count. This is the per-retire hot path.
             self.until_next -= cycles;
-            self.acc += u128::from(cycles) * num;
+            self.pending += cycles;
             return 0;
         }
-        self.acc += u128::from(cycles) * num;
+        self.cross(cycles)
+    }
+
+    /// [`NoiseSource::evictions_for`] at a (possible) schedule crossing:
+    /// fold the pending cycles into the remainder and reduce it.
+    #[cold]
+    #[inline(never)]
+    fn cross(&mut self, cycles: u64) -> u32 {
+        let Some((num, den)) = self.rate else {
+            // No schedule: `until_next` only bounds the pending count.
+            self.pending = 0;
+            self.until_next = u64::MAX;
+            return 0;
+        };
+        self.acc += (u128::from(self.pending) + u128::from(cycles)) * num;
+        self.pending = 0;
         // At least one eviction (unless `until_next` was clamped): reduce
         // the remainder. Small quotients — the overwhelmingly common case —
         // reduce by repeated subtraction; only pathological jumps divide.
@@ -348,6 +371,62 @@ mod tests {
         assert_eq!(NoiseConfig::quiet().fingerprint(), 0x5467b0da1d106495);
         assert_eq!(NoiseConfig::realistic().fingerprint(), 0x625bba873b2e56a3);
         assert_eq!(NoiseConfig::noisy().fingerprint(), 0xfaa74459434e151f);
+    }
+
+    /// The eager formulation the pending-cycles fast path replaced: every
+    /// call folds its cycles into the reduced remainder at once.
+    struct EagerSchedule {
+        num: u128,
+        den: u128,
+        acc: u128,
+    }
+
+    impl EagerSchedule {
+        fn evictions_for(&mut self, cycles: u64) -> u32 {
+            self.acc += u128::from(cycles) * self.num;
+            let q = self.acc / self.den;
+            self.acc -= q * self.den;
+            q.min(u128::from(u32::MAX)) as u32
+        }
+
+        fn cycles_to_next_eviction(&self) -> u64 {
+            distance_to_next(self.num, self.den, self.acc)
+        }
+    }
+
+    /// Deferring the fold of non-crossing cycles until a crossing emits
+    /// exactly the eager schedule's evictions, call by call, and reports
+    /// the same distance to the next one — across chunks that stop one
+    /// short of, land on, and jump past crossings, and rates whose
+    /// distance clamps to `u64::MAX`.
+    #[test]
+    fn pending_cycles_match_eager_remainder() {
+        for rate in [1e-15, 0.002, 0.02, 0.37, 1.0, 5.0, 123.456] {
+            let cfg = NoiseConfig { timing_jitter: 0, evictions_per_kcycle: rate };
+            let (num, den) = rate_ratio(rate).expect("positive rate");
+            let mut eager = EagerSchedule { num, den, acc: 0 };
+            let mut lazy = NoiseSource::new(cfg, 5);
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for i in 0..4000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let next = lazy.cycles_to_next_eviction();
+                let cycles = match i % 5 {
+                    0 => next.saturating_sub(1),
+                    1 => next.min(1 << 40),
+                    2 => x % 7,
+                    3 => x % 5000,
+                    _ => x % (1 << 30),
+                };
+                assert_eq!(
+                    lazy.evictions_for(cycles),
+                    eager.evictions_for(cycles),
+                    "rate {rate}: step {i} ({cycles} cycles)"
+                );
+                assert_eq!(lazy.cycles_to_next_eviction(), eager.cycles_to_next_eviction());
+            }
+        }
     }
 
     /// Config changes restart the schedule only when the rate changes.

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ThreadId};
+use smack_uarch::{Machine, MicroArch, NoiseConfig, ThreadId, ThreadState};
 
 const T0: ThreadId = ThreadId::T0;
 const T1: ThreadId = ThreadId::T1;
@@ -296,18 +296,24 @@ proptest! {
 /// Fused probe execution is held to the same bar as the decoded tier:
 /// running a probe template through [`Machine::run_probe`] with fusion
 /// enabled must be bit-identical — registers, both clocks,
-/// memory, timings, and hardware counters — to the per-step injected
-/// sequence, across probe classes, cold placements, injected noise, waits,
-/// and mid-run SMC patches of the probed line.
+/// memory, timings, residency and hardware counters — to the per-step
+/// injected sequence, across probe classes, cold placements, injected
+/// noise, waits, mid-run SMC patches of the probed line, and a victim
+/// co-running on the sibling thread (which may fault mid-probe).
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
-    use smack_uarch::{Addr, CompiledProbe, PerfEvent, Placement, StepError};
+    use smack_uarch::{Addr, CompiledProbe, PerfEvent, Placement, Residency, StepError};
 
     /// The probed line holds a real routine, so write-class probes hit a
     /// resident instruction line (the SMC machine-clear path) and
     /// `Execute` actions can call it.
     const TARGET: u64 = 0x30_0000;
+
+    /// The co-running victim's code: its loop line shares L1i set 0 with
+    /// `TARGET`, so victim fetches and attacker calls evict each other.
+    const VICTIM_BASE: u64 = 0x50_0000;
+    const VICTIM_DATA: u64 = 0x60_0000;
 
     const MEM: MemRef = MemRef { base: Reg::R13, disp: 0 };
 
@@ -325,10 +331,11 @@ mod fused_probes {
         a.assemble().expect("oracle assembles")
     }
 
-    /// The eight fusable probe operations (paper Listing 2 minus the
-    /// `Execute` probe, whose timed `call` cannot fuse).
+    /// The nine timed probe operations of paper Listing 2: eight memory
+    /// operations on the target line, and the `Execute` probe's
+    /// `call *%r13`, which fuses only when the oracle is `nop*; ret`.
     fn probe_op(op: u8) -> Instr {
-        match op % 8 {
+        match op % 9 {
             0 => Instr::Load { dst: Reg::R12, mem: MEM, size: MemSize::Quad },
             1 => Instr::StoreImm { mem: MEM, imm: 0x90 },
             2 => Instr::LockInc { mem: MEM },
@@ -336,9 +343,12 @@ mod fused_probes {
             4 => Instr::Clflushopt { mem: MEM },
             5 => Instr::Clwb { mem: MEM },
             6 => Instr::PrefetchT0 { mem: MEM },
-            _ => Instr::PrefetchNta { mem: MEM },
+            7 => Instr::PrefetchNta { mem: MEM },
+            _ => Instr::CallReg { target: Reg::R13 },
         }
     }
+
+    const EXECUTE_OP: u8 = 8;
 
     fn template(op: u8) -> [Instr; 5] {
         [
@@ -353,6 +363,44 @@ mod fused_probes {
     fn placement(p: u8) -> Placement {
         [Placement::L1i, Placement::L1d, Placement::L2, Placement::Llc, Placement::DramOnly]
             [p as usize % 5]
+    }
+
+    /// A modexp-shaped victim for T1: `iters` iterations of a loop that
+    /// calls a multiply routine (load, multiply, store to its data) and,
+    /// every eighth iteration, stores into the attacker's target line — an
+    /// SMC machine clear whenever that line is L1i-resident, which stalls
+    /// T0 and resets its fetch mid-call. The `and`-masked branch resolves
+    /// late, so the victim also speculates. After the loop it halts or,
+    /// with `fault`, calls into unmapped memory.
+    fn victim(iters: u64, fault: bool) -> Program {
+        let mut a = Assembler::new(VICTIM_BASE);
+        a.mov_imm(Reg::R8, VICTIM_DATA)
+            .mov_imm(Reg::R9, TARGET)
+            .mov_imm(Reg::R0, 0)
+            .mov_imm(Reg::R3, 7)
+            .label("loop")
+            .call("mul")
+            .add_imm(Reg::R0, 1)
+            .mov(Reg::R2, Reg::R0)
+            .and(Reg::R2, Reg::R3)
+            .cmp_imm(Reg::R2, 0)
+            .jne("skip")
+            .store(Reg::R0, MemRef::disp(Reg::R9, 40))
+            .label("skip")
+            .cmp_imm(Reg::R0, iters)
+            .jne("loop");
+        if fault {
+            a.mov_imm(Reg::R4, 0xdead_0000).call_reg(Reg::R4);
+        } else {
+            a.halt();
+        }
+        a.org(VICTIM_BASE + 0xc0)
+            .label("mul")
+            .load(Reg::R1, MemRef::base(Reg::R8))
+            .mul(Reg::R1, Reg::R0)
+            .store(Reg::R1, MemRef::disp(Reg::R8, 8))
+            .ret();
+        a.assemble().expect("victim assembles")
     }
 
     #[derive(Copy, Clone, Debug)]
@@ -378,7 +426,7 @@ mod fused_probes {
         // Probes twice, so roughly half the drawn actions are probes.
         // `place >= 5` means "leave the line where the last action put it".
         let probe = || {
-            (0u8..8, 0u8..8)
+            (0u8..9, 0u8..8)
                 .prop_map(|(op, place)| Action::Probe { op, place: (place < 5).then_some(place) })
         };
         prop_oneof![
@@ -391,18 +439,44 @@ mod fused_probes {
         ]
     }
 
+    /// How a run is set up: injected noise `(config, seed)`, and an
+    /// optional co-running victim `(iterations, faults)` started on T1.
+    #[derive(Copy, Clone, Debug, Default)]
+    struct Setup {
+        noise: Option<(NoiseConfig, u64)>,
+        victim: Option<(u64, bool)>,
+    }
+
+    /// An eviction every ~250 cycles: frequent enough that the order of
+    /// the two threads' noise draws shows in almost every run.
+    const HEAVY_NOISE: NoiseConfig = NoiseConfig { timing_jitter: 8, evictions_per_kcycle: 4.0 };
+
     /// Everything the fused tier must preserve, plus the fast-path /
     /// fallback counts (compared separately — they are the only counters
     /// allowed to differ between the two configurations).
     #[derive(PartialEq, Debug)]
     struct ProbeOutcome {
         regs: Vec<u64>,
+        states: (ThreadState, ThreadState),
         clock_t0: u64,
         clock_t1: u64,
         timings: Vec<(u64, u64)>,
         mem: Vec<u8>,
+        residency: Vec<Residency>,
         hw_counters: Vec<(&'static str, u64)>,
         err: Option<String>,
+    }
+
+    /// Fused-tier bookkeeping of one run.
+    #[derive(Copy, Clone, Debug, Default)]
+    struct Counts {
+        fast: u64,
+        fallback: u64,
+        /// Fuse-eligible attempts (probes plus calls): each bumps exactly
+        /// one of `fast` / `fallback`.
+        attempts: u64,
+        /// Memory-op probes (every class but `Execute`) that ran.
+        memory_probes: u64,
     }
 
     fn is_sim_probe_counter(e: PerfEvent) -> bool {
@@ -410,30 +484,32 @@ mod fused_probes {
     }
 
     /// Run `actions` on a fresh machine and capture the observable state.
-    /// Errors (e.g. a probe-corrupted routine failing to execute) stop the
-    /// run; both configurations must stop at the same action with the same
-    /// error. Returns the outcome, the `(fast_path, fallback)` counts, and
-    /// the number of fuse-eligible attempts made (probes plus calls — each
-    /// attempt bumps exactly one of the two counters, except a probe that
-    /// errors mid-body on the fused path, which bumps neither).
+    /// Errors (a victim fault, or the victim exhausting a call's step
+    /// budget) stop the run; both configurations must stop at the same
+    /// action with the same error and the same partial state.
     fn run_actions(
         actions: &[Action],
         oracle_kind: u8,
         fused: bool,
-        noise_seed: Option<u64>,
-    ) -> (ProbeOutcome, u64, u64, u64) {
+        setup: Setup,
+    ) -> (ProbeOutcome, Counts) {
         let profile = MicroArch::CascadeLake.profile();
-        let mut m = match noise_seed {
-            Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
+        let mut m = match setup.noise {
+            Some((noise, seed)) => Machine::with_noise(profile, noise, seed),
             None => Machine::new(profile),
         };
         m.set_fused_probes(fused);
         m.load_program(&oracle(oracle_kind));
+        if let Some((iters, fault)) = setup.victim {
+            let v = victim(iters, fault);
+            m.load_program(&v);
+            m.start_program(T1, v.entry(), &[]);
+        }
         m.warm_tlb(T0, Addr(TARGET));
         m.set_reg(T0, Reg::R13, TARGET);
         let mut timings = Vec::new();
         let mut err = None;
-        let mut attempts = 0u64;
+        let mut counts = Counts::default();
         for action in actions {
             let r: Result<(), StepError> = match *action {
                 Action::Probe { op, place } => {
@@ -442,16 +518,20 @@ mod fused_probes {
                     }
                     let probe =
                         CompiledProbe::compile(&template(op)).expect("probe template compiles");
-                    attempts += 1;
-                    m.run_probe(T0, &probe).map(|out| timings.push((out.cycles, out.end_clock)))
+                    counts.attempts += 1;
+                    let r = m.run_probe(T0, &probe);
+                    if r.is_ok() && op % 9 != EXECUTE_OP {
+                        counts.memory_probes += 1;
+                    }
+                    r.map(|out| timings.push((out.cycles, out.end_clock)))
                 }
                 Action::Wait(cycles) => m.advance(T0, cycles as u64),
                 Action::Execute => {
-                    attempts += 1;
+                    counts.attempts += 1;
                     m.run_call(T0, TARGET).map(|_| ())
                 }
                 Action::ExecuteBatch(n) => {
-                    attempts += n as u64;
+                    counts.attempts += n as u64;
                     let targets = [TARGET; 3];
                     m.run_calls(T0, &targets[..n as usize]).map(|_| ())
                 }
@@ -473,22 +553,34 @@ mod fused_probes {
                 }
             }
         }
-        let fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
-        let fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
+        counts.fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
+        counts.fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
+        let lines = [TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
+        let mut mem = m.read_bytes(Addr(TARGET), 64);
+        mem.extend(m.read_bytes(Addr(VICTIM_DATA), 16));
         let outcome = ProbeOutcome {
-            regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
+            regs: [T0, T1]
+                .iter()
+                .flat_map(|&tid| (0..Reg::COUNT).map(move |i| (tid, Reg::from_index(i))))
+                .map(|(tid, r)| m.reg(tid, r))
+                .collect(),
+            states: (m.state(T0), m.state(T1)),
             clock_t0: m.clock(T0),
             clock_t1: m.clock(T1),
             timings,
-            mem: m.read_bytes(Addr(TARGET), 64),
+            mem,
+            residency: lines.iter().map(|&l| m.residency(Addr(l))).collect(),
             hw_counters,
             err,
         };
-        (outcome, fast, fallback, attempts)
+        (outcome, counts)
     }
 
-    fn probes_run(o: &ProbeOutcome) -> u64 {
-        o.timings.len() as u64
+    /// `nop.nop.ret` is exactly the fusable call shape; the other oracle
+    /// kinds (and patches to them) make calls and `Execute` probes fall
+    /// back.
+    fn always_fusable(actions: &[Action], oracle_kind: u8) -> bool {
+        oracle_kind == 0 && actions.iter().all(|a| !matches!(a, Action::Patch(k) if k % 3 != 0))
     }
 
     proptest! {
@@ -501,37 +593,21 @@ mod fused_probes {
             actions in proptest::collection::vec(action_strategy(), 1..40),
             oracle_kind in 0u8..3,
         ) {
-            let (reference, ref_fast, ref_fb, attempts) =
-                run_actions(&actions, oracle_kind, false, None);
-            let (fused, fused_fast, fused_fb, _) =
-                run_actions(&actions, oracle_kind, true, None);
+            let setup = Setup::default();
+            let (reference, r) = run_actions(&actions, oracle_kind, false, setup);
+            let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
             prop_assert_eq!(&fused, &reference, "fused probes diverged");
             // With fusion off nothing fuses, and every attempt (probe or
-            // call) is refused up front, so it counts as a fallback even if
-            // the per-step execution then errors.
-            prop_assert_eq!(ref_fast, 0);
-            prop_assert_eq!(ref_fb, attempts, "every attempt refused per-step");
-            // With fusion on (both threads idle, no tracing) probes always
-            // fuse; only calls may fall back — and only when the routine's
-            // shape is not `nop*; ret` on one line. Every attempt bumps
-            // exactly one counter, except a probe erroring mid-body on the
-            // fused path (it stops the run, so at most one is missing).
-            prop_assert!(
-                fused_fast >= probes_run(&fused),
-                "fast {} < {} probes", fused_fast, probes_run(&fused)
-            );
-            let done = attempts - u64::from(fused.err.is_some());
-            prop_assert!(
-                fused_fast + fused_fb >= done && fused_fast + fused_fb <= attempts,
-                "fast {} + fallback {} vs {} attempts", fused_fast, fused_fb, attempts
-            );
-            let always_fusable = oracle_kind == 0
-                && actions.iter().all(|a| !matches!(a, Action::Patch(k) if k % 3 != 0));
-            if always_fusable && fused.err.is_none() {
-                // `nop.nop.ret` is exactly the fusable call shape, so with
-                // fusion on *everything* takes the fast path.
-                prop_assert_eq!(fused_fb, 0, "fusable oracle never falls back");
-                prop_assert_eq!(fused_fast, attempts);
+            // call) is refused up front.
+            prop_assert_eq!(r.fast, 0);
+            prop_assert_eq!(r.fallback, r.attempts, "every attempt refused per-step");
+            // With fusion on (no tracing) memory probes always fuse; calls
+            // and `Execute` probes fall back exactly when the routine's
+            // shape is not `nop*; ret` on one line.
+            prop_assert!(f.fast >= f.memory_probes, "fast {} < {} probes", f.fast, f.memory_probes);
+            prop_assert_eq!(f.fast + f.fallback, f.attempts);
+            if always_fusable(&actions, oracle_kind) {
+                prop_assert_eq!(f.fallback, 0, "fusable oracle never falls back");
             }
         }
 
@@ -543,41 +619,111 @@ mod fused_probes {
             oracle_kind in 0u8..3,
             seed in any::<u64>(),
         ) {
-            let (reference, _, _, attempts) = run_actions(&actions, oracle_kind, false, Some(seed));
-            let (fused, fused_fast, fused_fb, _) =
-                run_actions(&actions, oracle_kind, true, Some(seed));
+            let setup = Setup { noise: Some((NoiseConfig::realistic(), seed)), victim: None };
+            let (reference, _) = run_actions(&actions, oracle_kind, false, setup);
+            let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
             prop_assert_eq!(&fused, &reference, "fused probes diverged under noise");
-            let done = attempts - u64::from(fused.err.is_some());
-            prop_assert!(
-                fused_fast + fused_fb >= done && fused_fast + fused_fb <= attempts,
-                "fast {} + fallback {} vs {} attempts", fused_fast, fused_fb, attempts
-            );
+            prop_assert_eq!(f.fast + f.fallback, f.attempts);
+        }
+
+        /// The co-running axis: a modexp-style victim on T1 (storing to its
+        /// data, speculating, and machine-clearing the attacker's line)
+        /// while T0 mixes batched calls, probes of every class including
+        /// `Execute`, and waits, under heavy eviction noise (so the order of
+        /// the two threads' noise draws matters). The victim may halt partway
+        /// through; the fused tier must catch it up at exactly the
+        /// per-step points either way.
+        #[test]
+        fn prop_fused_match_with_corunning_sibling(
+            actions in proptest::collection::vec(action_strategy(), 1..30),
+            oracle_kind in 0u8..3,
+            seed in any::<u64>(),
+            iters in 1u64..3000,
+        ) {
+            let setup = Setup { noise: Some((HEAVY_NOISE, seed)), victim: Some((iters, false)) };
+            let (reference, _) = run_actions(&actions, oracle_kind, false, setup);
+            let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
+            prop_assert_eq!(&fused, &reference, "fused tier diverged with a co-running sibling");
+            prop_assert_eq!(f.fast + f.fallback, f.attempts);
+            if always_fusable(&actions, oracle_kind) {
+                prop_assert_eq!(f.fallback, 0, "a running sibling forced a fallback");
+            }
         }
     }
 
-    /// The compiler recognizes exactly the probe template shape: all eight
-    /// fusable operations compile, the `Execute` probe (timed `call`) and
+    /// A victim that faults partway through an attack: whichever catch-up
+    /// point reaches the fault — before a probe instruction, before a step
+    /// of a called line, inside a wait, after a sequence — the fused tier
+    /// must return the per-step path's error with its partial state,
+    /// including an attacker thread left mid-call.
+    #[test]
+    fn sibling_fault_mid_probe_matches_per_step() {
+        let actions: Vec<Action> = (0..9u8)
+            .flat_map(|op| {
+                [
+                    Action::ExecuteBatch(3),
+                    Action::Probe { op, place: None },
+                    Action::Wait(150),
+                    Action::Probe { op: EXECUTE_OP, place: Some(2) },
+                    Action::Execute,
+                ]
+            })
+            .collect();
+        let mut left_mid_call = 0;
+        for (iters, noise) in (1..48).flat_map(|i| [(i, None), (i, Some((HEAVY_NOISE, i)))]) {
+            let setup = Setup { noise, victim: Some((iters, true)) };
+            let (reference, _) = run_actions(&actions, 0, false, setup);
+            let (fused, f) = run_actions(&actions, 0, true, setup);
+            assert_eq!(fused, reference, "victim faulting after {iters} iterations, {noise:?}");
+            assert_eq!(f.fallback, 0, "the faulting victim forced a fallback");
+            let err = fused.err.as_deref().expect("the victim faults");
+            assert!(err.contains("no instruction at 0xdead0000"), "{err}");
+            if fused.states.0 == ThreadState::Running {
+                left_mid_call += 1;
+            }
+        }
+        assert!(left_mid_call > 0, "some fault must land inside a call");
+    }
+
+    /// A runnable sibling no longer forces the per-step path: the
+    /// sibling's program interleaves by clock order *inside* each fused
+    /// probe, and every probe class — `Execute` included — matches
+    /// fusion-off exactly in registers, clocks, hardware counters and
+    /// residency.
+    #[test]
+    fn running_sibling_interleaves_inside_fused_probe() {
+        let actions: Vec<Action> =
+            (0..9u8).flat_map(|op| [Action::Execute, Action::Probe { op, place: None }]).collect();
+        let setup = Setup { noise: None, victim: Some((1_000_000, false)) };
+        let (reference, _) = run_actions(&actions, 0, false, setup);
+        let (fused, f) = run_actions(&actions, 0, true, setup);
+        assert_eq!(fused, reference);
+        assert_eq!((f.fast, f.fallback), (f.attempts, 0), "every probe and call fused");
+        assert_eq!(fused.states, (ThreadState::Idle, ThreadState::Running));
+        assert!(fused.clock_t1 >= fused.clock_t0, "sibling caught up with the attacker");
+        // The store probe on the L1i-resident line machine-clears T1.
+        let clears = fused.hw_counters.iter().find(|(n, _)| *n == "MACHINE_CLEARS.SMC");
+        assert!(clears.is_some_and(|(_, c)| *c > 0), "{clears:?}");
+    }
+
+    /// The compiler recognizes exactly the probe template shape: all nine
+    /// timed operations compile (the `Execute` probe's `call *r` too),
     /// malformed shapes do not.
     #[test]
     fn compile_accepts_probe_templates_only() {
-        for op in 0..8u8 {
-            let probe = CompiledProbe::compile(&template(op)).expect("fusable op compiles");
+        for op in 0..9u8 {
+            let probe = CompiledProbe::compile(&template(op)).expect("probe op compiles");
             assert_eq!(probe.instrs(), &template(op), "fallback sequence preserved");
         }
-        let execute = [
-            Instr::Mfence,
-            Instr::Rdtsc { dst: Reg::R14 },
-            Instr::CallReg { target: Reg::R13 },
-            Instr::Mfence,
-            Instr::Rdtsc { dst: Reg::R15 },
-        ];
-        assert!(CompiledProbe::compile(&execute).is_none(), "timed call cannot fuse");
         let mut no_fence = template(0);
         no_fence[0] = Instr::Nop;
         assert!(CompiledProbe::compile(&no_fence).is_none());
         let mut no_rdtsc = template(0);
         no_rdtsc[4] = Instr::Nop;
         assert!(CompiledProbe::compile(&no_rdtsc).is_none());
+        let mut direct_call = template(0);
+        direct_call[2] = Instr::Call { target: TARGET };
+        assert!(CompiledProbe::compile(&direct_call).is_none());
     }
 
     /// Observability guards force the per-step path: with tracing enabled
@@ -598,30 +744,6 @@ mod fused_probes {
         assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
         assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFallback), 1);
         assert!(!m.take_trace().is_empty(), "per-step path left a trace");
-    }
-
-    /// A runnable sibling also forces the per-step path: the sibling's
-    /// program must interleave by clock order through the probe.
-    #[test]
-    fn running_sibling_forces_fallback() {
-        let mut m = Machine::new(MicroArch::CascadeLake.profile());
-        m.load_program(&oracle(0));
-        let mut a = Assembler::new(0x50_0000);
-        a.mov_imm(Reg::R0, 0)
-            .label("loop")
-            .add_imm(Reg::R0, 1)
-            .cmp_imm(Reg::R0, 50_000)
-            .jne("loop")
-            .halt();
-        let sibling = a.assemble().unwrap();
-        m.load_program(&sibling);
-        m.start_program(T1, sibling.entry(), &[]);
-        m.set_reg(T0, Reg::R13, TARGET);
-        let probe = CompiledProbe::compile(&template(1)).unwrap();
-        m.run_probe(T0, &probe).unwrap();
-        assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
-        assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFallback), 1);
-        assert!(m.clock(T1) > 0, "sibling interleaved during the probe");
     }
 }
 
