@@ -1,6 +1,6 @@
 //! Engine throughput: what does the decoded fast path actually buy?
 //!
-//! Every SMaCk experiment is millions of `Engine::step` calls, so the
+//! Every SMaCk experiment is millions of simulated steps, so the
 //! steady-state cost of one simulated instruction bounds every campaign.
 //! This benchmark times victim-shaped loop programs (straight-line ALU
 //! bodies closed by a backward branch, like `mul_n`) under the two

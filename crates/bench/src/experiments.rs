@@ -430,9 +430,11 @@ fn table2_rows_for(
             wait_jitter: tau_jitter,
             ..SrpAttackConfig::new(group)
         };
-        let out = srp::single_trace_attack_in(session, &b, &cfg).expect("smc attack runs");
+        let smack = srp::single_trace_attack_in(session, &b, &cfg).expect("smc attack runs");
         session.renew(key as u64);
-        (out.leakage, mastik_srp_leakage_on(session.machine(), group, &b))
+        let mastik =
+            mastik_srp_attack_on(session.machine(), group, &b).expect("mastik attack runs");
+        (smack.leakage, mastik.leakage)
     });
     groups
         .iter()
@@ -498,28 +500,23 @@ fn collect_detection_dataset(
     (benign, attacks)
 }
 
-/// Run the Mastik baseline against the SRP victim on a machine in its
-/// cold start state; returns the leakage.
-fn mastik_srp_leakage_on(machine: &mut Machine, group_bits: usize, b: &Bignum) -> f64 {
-    let victim = srp::build_victim(group_bits, b.bit_len());
-    machine.load_program(&victim.program);
-    let mut monitor =
-        match MastikMonitor::new(machine, ThreadId::T0, 0x0a50_0000, victim.mul_set, 600) {
-            Ok(m) => m,
-            Err(_) => return 0.0,
-        };
-    let sampler = move |m: &mut Machine| -> Result<bool, String> {
-        monitor.sample(m).map_err(|e| e.to_string())
-    };
-    let max_samples = group_bits * 60 + 10_000;
-    let samples = match srp::collect_events(machine, &victim, b, sampler, max_samples) {
-        Ok(s) => s,
-        Err(_) => return 0.0,
-    };
-    let measured = srp::measured_square_runs(&samples);
-    let schedule = smack_crypto::modexp::sliding_window_schedule(b);
-    let truth = srp::truth_spans(&schedule);
-    srp::leakage_rate(&measured, &truth)
+/// table2's Mastik column: run the Mastik baseline against the SRP
+/// victim on a machine in its cold start state, through the same
+/// pipeline as the SMaCk attack.
+///
+/// # Errors
+///
+/// Returns a message on simulator errors.
+pub fn mastik_srp_attack_on(
+    machine: &mut Machine,
+    group_bits: usize,
+    b: &Bignum,
+) -> Result<srp::SrpAttackOutcome, String> {
+    srp::single_trace_attack_with(machine, b, group_bits, |m, victim| {
+        let mut monitor = MastikMonitor::new(m, ThreadId::T0, 0x0a50_0000, victim.mul_set, 600)
+            .map_err(|e| e.to_string())?;
+        Ok(move |m: &mut Machine| monitor.sample(m).map_err(|e| e.to_string()))
+    })
 }
 
 /// Figure 6: the SRP single-trace pattern timeline at group size 6144.

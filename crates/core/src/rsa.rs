@@ -140,8 +140,9 @@ pub fn collect_trace_in(
 /// Collect one trace on a caller-provided machine, optionally with a
 /// pre-computed calibration (`None` calibrates inline, like
 /// [`collect_trace`]). The low-level entry for drivers that manage their
-/// own machines — e.g. the burst-determinism regression tests, which pin
-/// [`Machine::set_burst_steps`] per machine.
+/// own machines — e.g. the interpreter-equivalence tests, which pin
+/// [`Machine::set_decoded_fast_path`] and [`Machine::set_fused_probes`]
+/// per machine.
 ///
 /// # Errors
 ///

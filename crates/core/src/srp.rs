@@ -11,9 +11,10 @@
 //! cleaner trace — which is why the paper's leakage *rises* with group
 //! size (65% → 90%).
 //!
-//! The sampler is pluggable (a closure) so the same harness runs the
-//! SMC-based Prime+iStore attack and the Mastik-style classic Prime+Probe
-//! baseline for the Table 2 comparison.
+//! The sampler is pluggable (a closure) so one pipeline,
+//! [`single_trace_attack_with`], runs both the SMC-based Prime+iStore
+//! attack and the Mastik-style classic Prime+Probe baseline for the
+//! Table 2 comparison.
 
 use smack_crypto::modexp::SlidingWindowSchedule;
 use smack_crypto::{Bignum, WindowSizing};
@@ -109,22 +110,10 @@ where
     Ok(out)
 }
 
-/// The standard SMC sampler: installs an eviction set over the victim's
-/// multiply set and returns a closure running one prime → τ_w → probe
-/// round.
-///
-/// # Errors
-///
-/// Returns a message when setup fails (e.g. unsupported probe class).
-pub fn smc_sampler(
-    machine: &mut Machine,
-    victim: &ModexpVictim,
-    cfg: &SrpAttackConfig,
-) -> Result<impl FnMut(&mut Machine) -> Result<bool, String>, String> {
-    smc_sampler_inner(machine, victim, cfg, None, 0)
-}
-
-fn smc_sampler_inner(
+/// The SMC sampler: installs an eviction set over the victim's multiply
+/// set (on a machine with the victim loaded) and returns a closure
+/// running one prime → τ_w → probe round. `None` calibrates inline.
+fn smc_sampler(
     machine: &mut Machine,
     victim: &ModexpVictim,
     cfg: &SrpAttackConfig,
@@ -132,7 +121,6 @@ fn smc_sampler_inner(
     seed: u64,
 ) -> Result<impl FnMut(&mut Machine) -> Result<bool, String>, String> {
     machine.set_noise(cfg.noise);
-    machine.load_program(&victim.program);
     let ev = EvictionSet::for_machine(machine, EVSET_BASE, victim.mul_set);
     ev.install(machine);
     for w in ev.ways() {
@@ -299,7 +287,9 @@ pub fn single_trace_attack(
     seed: u64,
 ) -> Result<SrpAttackOutcome, String> {
     let mut machine = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    single_trace_attack_on(&mut machine, b, cfg, None, seed)
+    single_trace_attack_with(&mut machine, b, cfg.group_bits, |m, victim| {
+        smc_sampler(m, victim, cfg, None, seed)
+    })
 }
 
 /// Run the full single-trace attack inside a [`Session`]: the machine
@@ -319,19 +309,37 @@ pub fn single_trace_attack_in(
     let cal =
         session.calibrated(cfg.kind, smack_uarch::Placement::L2).map_err(|e| e.to_string())?;
     let seed = session.scenario().seed();
-    single_trace_attack_on(session.machine(), b, cfg, Some(cal), seed)
+    single_trace_attack_with(session.machine(), b, cfg.group_bits, |m, victim| {
+        smc_sampler(m, victim, cfg, Some(cal), seed)
+    })
 }
 
-fn single_trace_attack_on(
+/// The single-trace pipeline every monitor runs through: build the
+/// `group_bits` victim for exponent `b` and load it into `machine` (in
+/// its cold start state), let `setup` install the attacker and return
+/// its sampler (one prime → wait → probe round per call), collect one
+/// trace of at most `group_bits * 60 + 10_000` samples, and score it
+/// against the sliding-window ground truth. The SMaCk attack
+/// ([`single_trace_attack_in`]) and table2's Mastik baseline both go
+/// through here.
+///
+/// # Errors
+///
+/// Returns a message on setup or simulator errors.
+pub fn single_trace_attack_with<S, F>(
     machine: &mut Machine,
     b: &Bignum,
-    cfg: &SrpAttackConfig,
-    cal_override: Option<CalibratedProbe>,
-    seed: u64,
-) -> Result<SrpAttackOutcome, String> {
-    let victim = build_victim(cfg.group_bits, b.bit_len());
-    let sampler = smc_sampler_inner(machine, &victim, cfg, cal_override, seed)?;
-    let max_samples = cfg.group_bits * 60 + 10_000;
+    group_bits: usize,
+    setup: S,
+) -> Result<SrpAttackOutcome, String>
+where
+    S: FnOnce(&mut Machine, &ModexpVictim) -> Result<F, String>,
+    F: FnMut(&mut Machine) -> Result<bool, String>,
+{
+    let victim = build_victim(group_bits, b.bit_len());
+    machine.load_program(&victim.program);
+    let sampler = setup(machine, &victim)?;
+    let max_samples = group_bits * 60 + 10_000;
     let samples = collect_events(machine, &victim, b, sampler, max_samples)?;
     let events = event_times(&samples);
     let measured = measured_square_runs(&samples);

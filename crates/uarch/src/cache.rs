@@ -336,7 +336,7 @@ const FILTER_MAX_PAGES: usize = ((1u64 << 32) / (FILTER_PAGE_LINES * crate::LINE
 ///
 /// The SMC detection unit must check, on **every** store / flush /
 /// prefetch, whether the touched line might be code-resident
-/// (`Engine::smc_conflict`). That exact check walks an L1i set plus both
+/// (`Machine::smc_conflict`). That exact check walks an L1i set plus both
 /// threads' fetch windows — cheap in isolation, but it sits on the hot
 /// path of data-heavy victims where essentially every store targets the
 /// data segment and the answer is always "no". `LineFilter` makes that

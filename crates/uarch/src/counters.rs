@@ -58,21 +58,21 @@ pub enum PerfEvent {
     AmdL2FillBusy,
 
     // ---- simulator-internal ----------------------------------------------
-    /// Full `DecodedProgram` recompiles taken by [`patch_code`] when the
+    /// Full `DecodedProgram` recompiles taken by [`patch_program`] when the
     /// in-place [`patch`] fast path refuses a write (unmapped pc or changed
     /// instruction length). Not a hardware event: it makes the engine's
     /// silent slow path visible in the counter bank and the engine bench.
     ///
-    /// [`patch_code`]: crate::engine::Engine::patch_code
+    /// [`patch_program`]: crate::machine::Machine::patch_program
     /// [`patch`]: crate::decoded::DecodedProgram::patch
     SimPatchRecompiles,
     /// Probe sequences and calls that entered the fused tier
-    /// ([`run_fused_probe`], [`run_fused_calls`]). Not a hardware event:
+    /// ([`run_probe`], [`run_calls`]). Not a hardware event:
     /// together with [`SimProbeFallback`] it makes the fused-vs-per-step
     /// rate observable in tests and the engine bench.
     ///
-    /// [`run_fused_probe`]: crate::engine::Engine::run_fused_probe
-    /// [`run_fused_calls`]: crate::engine::Engine::run_fused_calls
+    /// [`run_probe`]: crate::machine::Machine::run_probe
+    /// [`run_calls`]: crate::machine::Machine::run_calls
     /// [`SimProbeFallback`]: PerfEvent::SimProbeFallback
     SimProbeFastPath,
     /// Probe sequences and calls that the fused tier refused (guards

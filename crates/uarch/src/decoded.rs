@@ -3,7 +3,7 @@
 //! A [`crate::asm::Program`] stores instructions in a `BTreeMap<u64, Instr>`
 //! keyed by address — ideal for assembly and merging, terrible for the hot
 //! loop: every simulated instruction would pay an ordered-map lookup. At
-//! [`crate::engine::Engine::load`] time the map is compiled into a
+//! [`crate::machine::Machine::load_program`] time the map is compiled into a
 //! [`DecodedProgram`]: a dense `Vec<DecodedInstr>` in address order whose
 //! entries carry everything the steady-state step loop needs — the
 //! instruction itself (`Instr` is `Copy`), its byte length, the id of the
@@ -51,8 +51,8 @@ pub struct DecodedProgram {
 
 impl DecodedProgram {
     /// Compile a program's address-ordered instruction map into the dense
-    /// table. Called from `Engine::load`; cost is linear in program size
-    /// and paid once per load, never per step.
+    /// table. Called from `Machine::load_program`; cost is linear in
+    /// program size and paid once per load, never per step.
     pub fn compile(prog: &Program) -> DecodedProgram {
         let mut instrs: Vec<DecodedInstr> = Vec::with_capacity(prog.len());
         let mut by_pc: HashMap<u64, u32> = HashMap::with_capacity(prog.len());

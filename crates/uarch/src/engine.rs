@@ -1,11 +1,12 @@
-//! The SMT execution engine.
+//! The SMT execution core of [`Machine`]: stepping, instruction semantics,
+//! fetch modeling and the fused probe tier, plus the thread, error and
+//! probe types the public API speaks in.
 //!
 //! Two hardware threads share one physical core: the L1i/L1d/L2/LLC
 //! hierarchy, the branch predictor, and — crucially — the pipeline that an
-//! SMC machine clear flushes. Each thread owns a local cycle clock;
-//! higher-level code (the [`crate::machine::Machine`] scheduler) always
-//! advances the thread that is behind, so cross-thread interactions happen
-//! in approximately causal order.
+//! SMC machine clear flushes. Each thread owns a local cycle clock; the
+//! machine always advances the thread that is behind, so cross-thread
+//! interactions happen in approximately causal order.
 //!
 //! ## Timing model
 //!
@@ -33,17 +34,13 @@ use std::error::Error;
 use std::fmt;
 
 use crate::addr::Addr;
-use crate::asm::Program;
-use crate::bpu::BranchPredictor;
 use crate::counters::{CounterBank, PerfEvent};
-use crate::decoded::{DecodedProgram, NO_IDX};
-use crate::hierarchy::{CacheHierarchy, Level, Residency};
+use crate::decoded::NO_IDX;
+use crate::hierarchy::{Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
-use crate::mem::Memory;
-use crate::noise::{NoiseConfig, NoiseSource};
-use crate::profile::{ProbeKind, SmcBehavior, UarchProfile, Vendor};
-use crate::tlb::Tlb;
-use crate::trace::{Event, Tracer};
+use crate::machine::Machine;
+use crate::profile::{ProbeKind, SmcBehavior, Vendor};
+use crate::trace::Event;
 
 /// Return-address sentinel marking the boundary of an injected call: when a
 /// `ret` pops this value the thread parks itself back in [`ThreadState::Idle`].
@@ -94,7 +91,7 @@ pub enum ThreadState {
     Halted,
 }
 
-/// Errors surfaced while stepping the engine.
+/// Errors surfaced while stepping the machine.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StepError {
     /// No instruction is mapped at the program counter.
@@ -148,7 +145,7 @@ pub struct SeqOutcome {
 }
 
 #[derive(Clone, Debug)]
-struct SpecState {
+pub(crate) struct SpecState {
     ckpt_regs: [u64; Reg::COUNT],
     ckpt_ready: [u64; Reg::COUNT],
     ckpt_flags: Flags,
@@ -162,21 +159,22 @@ struct SpecState {
     buffered_stores: Vec<(Addr, u64, MemSize)>,
 }
 
+/// One hardware thread's architectural and timing state.
 #[derive(Clone, Debug)]
-struct Thread {
-    state: ThreadState,
-    regs: [u64; Reg::COUNT],
-    ready: [u64; Reg::COUNT],
+pub(crate) struct Thread {
+    pub(crate) state: ThreadState,
+    pub(crate) regs: [u64; Reg::COUNT],
+    pub(crate) ready: [u64; Reg::COUNT],
     flags: Flags,
     flags_ready: u64,
-    pc: u64,
-    /// Index of the instruction at `pc` in the engine's decoded table, or
+    pub(crate) pc: u64,
+    /// Index of the instruction at `pc` in the machine's decoded table, or
     /// [`NO_IDX`] when unknown (resolved lazily with one hash probe). Kept
     /// in lockstep with `pc`: sequential flow and static branches copy the
     /// pre-resolved successor index; every other `pc` writer invalidates it.
-    pc_idx: u32,
-    clock: u64,
-    stack: Vec<u64>,
+    pub(crate) pc_idx: u32,
+    pub(crate) clock: u64,
+    pub(crate) stack: Vec<u64>,
     last_fetch_line: u64,
     /// Lines in the in-flight fetch window, `u64::MAX` = empty slot
     /// (a fixed ring; see [`FETCH_WINDOW`]).
@@ -187,12 +185,12 @@ struct Thread {
     /// keeping the large checkpoint out of line both shrinks the thread
     /// (better locality for the hot fields) and turns the per-step
     /// `is_some` check into a null test.
-    spec: Option<Box<SpecState>>,
-    counters: CounterBank,
+    pub(crate) spec: Option<Box<SpecState>>,
+    pub(crate) counters: CounterBank,
 }
 
 impl Thread {
-    fn new() -> Thread {
+    pub(crate) fn new() -> Thread {
         Thread {
             state: ThreadState::Idle,
             regs: [0; Reg::COUNT],
@@ -214,7 +212,7 @@ impl Thread {
 
     /// Restore the power-on state in place, keeping the stack and
     /// fetch-window allocations.
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = ThreadState::Idle;
         self.regs = [0; Reg::COUNT];
         self.ready = [0; Reg::COUNT];
@@ -244,7 +242,7 @@ enum Next {
 
 /// Signal returned by injected-instruction execution.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum InjectedNext {
+pub(crate) enum InjectedNext {
     /// The instruction completed; continue with the next one.
     Done,
     /// The instruction was a call; the caller must run the thread's program
@@ -255,19 +253,10 @@ pub enum InjectedNext {
     },
 }
 
-/// Default fused-probe setting: on, unless the `SMACK_FUSED_PROBES`
-/// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs, exactly like `SMACK_BURST`).
-fn fused_probes_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
-}
-
-/// Per-run instruction budget for runs the engine drives itself and for
-/// [`crate::machine::Machine`]'s drive loops: generous, but bounded so that
-/// buggy victims fail loudly with [`StepError::StepLimit`] instead of
-/// hanging the harness. Sibling steps taken inside a call count against
-/// the call's budget.
+/// Per-run instruction budget for injected calls and sibling catch-ups:
+/// generous, but bounded so that buggy victims fail loudly with
+/// [`StepError::StepLimit`] instead of hanging the harness. Sibling steps
+/// taken inside a call count against the call's budget.
 pub const STEP_BUDGET: u64 = 500_000_000;
 
 /// Cycles per injected `Delay` chunk of a busy-wait: the granularity at
@@ -277,7 +266,7 @@ pub const DELAY_CHUNK: u64 = 200;
 /// A probe sequence precompiled for the fused probe tier: the classic
 /// `mfence; rdtsc; <op>; mfence; rdtsc` five-instruction template from
 /// `probe_sequence`, recognized once at construction so
-/// [`Engine::run_fused_probe`] can retire the whole sequence in one
+/// [`Machine::run_probe`] can retire the whole sequence in one
 /// specialized pass instead of five injected-instruction round trips.
 ///
 /// `compile` returns `None` for sequences whose timed operation the fused
@@ -300,7 +289,7 @@ pub struct CompiledProbe {
 impl CompiledProbe {
     /// Recognize the probe template, or `None` when the sequence must run
     /// per-step. The middle-op whitelist is exactly the set of operations
-    /// [`Engine::run_fused_probe`] replicates bit-for-bit from `exec` and
+    /// the fused probe tier replicates bit-for-bit from `exec` and
     /// the injected-call path.
     pub fn compile(instrs: &[Instr; 5]) -> Option<CompiledProbe> {
         let (t_start, t_end) = match (instrs[0], instrs[1], instrs[3], instrs[4]) {
@@ -331,325 +320,40 @@ impl CompiledProbe {
     }
 }
 
-/// Slots in the direct-mapped [`Engine::call_shape`] memo table.
-const CALL_SHAPE_SLOTS: usize = 64;
+/// Slots in the direct-mapped [`Machine::call_shape`] memo table.
+pub(crate) const CALL_SHAPE_SLOTS: usize = 64;
 
 /// The shape of a fusable callee: `nops` one-byte `nop`s, then the `ret`
 /// at `ret_pc` (decoded index `ret_idx`), all on the entry line.
 #[derive(Copy, Clone, Debug, Default)]
-struct CallShape {
+pub(crate) struct CallShape {
     nops: u64,
     ret_pc: u64,
     ret_idx: u32,
 }
 
 /// Empty call-shape slot (`u64::MAX` is never a decodable call target).
-const EMPTY_SHAPE: (u64, CallShape) = (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0 });
+pub(crate) const EMPTY_SHAPE: (u64, CallShape) =
+    (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0 });
 
-/// Largest batch [`Engine::run_fused_calls`] fuses in one pass — an
+/// Largest batch [`Machine::try_fused_calls`] fuses in one pass — an
 /// eviction set's way count with headroom.
 const CALL_BATCH_MAX: usize = 16;
 
-/// The two-thread core simulator. Usually driven through
-/// [`crate::machine::Machine`].
-pub struct Engine {
-    profile: UarchProfile,
-    threads: [Thread; 2],
-    code: Program,
-    /// Dense side table compiled from `code` at load time: the steady-state
-    /// step loop chases successor indices through it instead of walking the
-    /// program's `BTreeMap` per instruction.
-    decoded: DecodedProgram,
-    /// Whether `step` uses the decoded table (default) or the original
-    /// map-lookup reference interpreter (A/B equivalence testing).
-    use_decoded: bool,
-    /// Whether injected probe sequences may retire through the fused probe
-    /// tier (default; see [`Engine::set_fused_probes`]).
-    use_fused_probes: bool,
-    /// Memoized [`Engine::call_shape`] walks — `(target, shape)`,
-    /// direct-mapped by a multiply-hash of the target address,
-    /// valid while `call_shapes_gen` matches `decode_gen`. Sized for
-    /// attacker working sets (an 8-way eviction set plus a few oracle
-    /// lines): priming calls the same handful of targets millions of
-    /// times per campaign, and one hash probe beats re-hashing
-    /// `pc → index` in the decoded table's map every call.
-    call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
-    call_shapes_gen: u64,
-    /// Bumped whenever the decoded table changes (load / patch / reset),
-    /// invalidating `call_shapes`.
-    decode_gen: u64,
-    mem: Memory,
-    hier: CacheHierarchy,
-    itlb: [Tlb; 2],
-    dtlb: [Tlb; 2],
-    bpu: BranchPredictor,
-    noise: NoiseSource,
-    tracer: Tracer,
-    /// When enabled, every line-granular instruction fetch (architectural
-    /// *and* speculative wrong-path) appends its line address here. Used by
-    /// the static analyzer's soundness tests to compare the observed fetch
-    /// footprint against the statically predicted one. `None` (the default)
-    /// keeps the hot fetch path branch-predictable and allocation-free.
-    fetch_log: Option<Vec<u64>>,
-}
-
-impl Engine {
-    /// Create an engine for `profile`, with noise seeded by `seed`.
-    pub fn new(profile: UarchProfile, noise: NoiseConfig, seed: u64) -> Engine {
-        let hier = CacheHierarchy::new(profile.hierarchy);
-        let itlb = [Tlb::new(profile.itlb_entries), Tlb::new(profile.itlb_entries)];
-        let dtlb = [Tlb::new(profile.dtlb_entries), Tlb::new(profile.dtlb_entries)];
-        Engine {
-            threads: [Thread::new(), Thread::new()],
-            code: Program::default(),
-            decoded: DecodedProgram::default(),
-            use_decoded: true,
-            use_fused_probes: fused_probes_default(),
-            call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
-            call_shapes_gen: 0,
-            decode_gen: 0,
-            mem: Memory::new(),
-            hier,
-            itlb,
-            dtlb,
-            bpu: BranchPredictor::new(4096),
-            noise: NoiseSource::new(noise, seed),
-            tracer: Tracer::new(),
-            fetch_log: None,
-            profile,
-        }
-    }
-
-    /// The microarchitecture profile in use.
-    pub fn profile(&self) -> &UarchProfile {
-        &self.profile
-    }
-
-    /// Restore the power-on state in place — cold caches and TLBs, reset
-    /// branch predictor, counters and clocks, no loaded code, zeroed
-    /// memory — and reseed the noise source, **without** reallocating the
-    /// cache hierarchy, the memory pages or the predictor tables. After
-    /// `reset(noise, seed)` the engine behaves bit-identically to
-    /// `Engine::new(profile, noise, seed)` for any workload.
-    pub fn reset(&mut self, noise: NoiseConfig, seed: u64) {
-        for t in &mut self.threads {
-            t.reset();
-        }
-        self.code.clear();
-        self.decoded.clear();
-        self.decode_gen += 1;
-        self.use_decoded = true;
-        self.use_fused_probes = fused_probes_default();
-        self.mem.clear();
-        self.hier.clear();
-        for tlb in self.itlb.iter_mut().chain(self.dtlb.iter_mut()) {
-            tlb.flush();
-        }
-        self.bpu.reset();
-        self.noise = NoiseSource::new(noise, seed);
-        self.tracer.disable();
-        self.fetch_log = None;
-    }
-
-    /// Start (or stop) recording every instruction-fetch line address.
-    /// Enabling clears any previously recorded log.
-    pub fn set_fetch_log(&mut self, on: bool) {
-        self.fetch_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Take the recorded fetch-line log, leaving recording enabled with an
-    /// empty log (no-op empty result when recording is off).
-    pub fn take_fetch_log(&mut self) -> Vec<u64> {
-        match &mut self.fetch_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Merge a program's code into the core's address space and recompile
-    /// the decoded side table (linear in total program size — paid per
-    /// load, never per step).
-    pub fn load(&mut self, prog: &Program) {
-        self.code.merge(prog);
-        self.decoded = DecodedProgram::compile(&self.code);
-        self.decode_gen += 1;
-        for t in &mut self.threads {
-            t.pc_idx = NO_IDX;
-        }
-    }
-
-    /// Apply a self-modifying write-back: overwrite instructions in the
-    /// core's address space with `prog`'s (replacing on conflict, unlike
-    /// [`Engine::load`]'s merge-only semantics) and re-decode the affected
-    /// entries of the decoded side table **in place** whenever instruction
-    /// boundaries survive the rewrite — the patched pcs keep their
-    /// indices, so every successor link and cached `pc_idx` stays valid
-    /// and the steady-state step loop keeps chasing indices instead of
-    /// degrading to per-step map lookups. A write-back that moves
-    /// boundaries (instructions at new pcs, or changed encoded lengths)
-    /// falls back to one full recompile.
-    ///
-    /// Architectural state only, like [`Engine::load`]: the *timing* side
-    /// of a real SMC write-back (machine clear, L1i invalidation, sibling
-    /// stall) is modeled by the store/flush instructions the workload
-    /// executes against the line.
-    pub fn patch_code(&mut self, prog: &Program) {
-        self.code.overwrite(prog);
-        self.decode_gen += 1;
-        let in_place = prog.iter().all(|(pc, instr)| self.decoded.patch(pc, *instr));
-        if !in_place {
-            // Charge the recompile to T0's bank: the event is core-wide, so
-            // attributing it to one thread keeps `counters_total` exact.
-            self.threads[0].counters.add(PerfEvent::SimPatchRecompiles, 1);
-            self.decoded = DecodedProgram::compile(&self.code);
-            for t in &mut self.threads {
-                t.pc_idx = NO_IDX;
-            }
-        }
-    }
-
-    /// Switch between the decoded fast path (the default) and the original
-    /// `BTreeMap` reference interpreter. Both execute the identical `exec`
-    /// body and produce bit-identical architectural state, clocks and
-    /// counters; the reference path exists so equivalence tests and the
-    /// engine throughput benchmark can compare against the pre-decoded
-    /// interpreter. Reset restores the default.
-    pub fn set_decoded_fast_path(&mut self, on: bool) {
-        self.use_decoded = on;
-        for t in &mut self.threads {
-            t.pc_idx = NO_IDX;
-        }
-    }
-
-    /// Whether the decoded fast path is active.
-    pub fn decoded_fast_path(&self) -> bool {
-        self.use_decoded
-    }
-
-    /// Enable or disable the fused probe tier. When on,
-    /// [`Engine::run_fused_probe`] retires a whole compiled
-    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
-    /// specialized pass, [`Engine::run_fused_calls`] a batch of calls to
-    /// `nop*; ret` lines and [`Engine::run_fused_advance`] a busy-wait — each
-    /// bit-identical to per-step injection, catching a running sibling up
-    /// at the same points. Fusion refuses to run (and the caller falls
-    /// back) when the injecting thread is running or speculating, or
-    /// tracing / fetch logging could observe intermediate state. Default:
-    /// on, unless the `SMACK_FUSED_PROBES` environment variable is `0`.
-    /// Reset restores the default.
-    pub fn set_fused_probes(&mut self, on: bool) {
-        self.use_fused_probes = on;
-    }
-
-    /// Whether the fused probe tier is active.
-    pub fn fused_probes(&self) -> bool {
-        self.use_fused_probes
-    }
-
-    /// Simulated memory.
-    pub fn mem(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Simulated memory, mutable.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// The cache hierarchy (for inspection and experiment setup).
-    pub fn hierarchy(&self) -> &CacheHierarchy {
-        &self.hier
-    }
-
-    /// The cache hierarchy, mutable.
-    pub fn hierarchy_mut(&mut self) -> &mut CacheHierarchy {
-        &mut self.hier
-    }
-
-    /// The event tracer.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
-    /// The noise source.
-    pub fn noise_mut(&mut self) -> &mut NoiseSource {
-        &mut self.noise
-    }
-
-    // ---- thread accessors -------------------------------------------------
-
+impl Machine {
     #[inline(always)]
-    fn t(&self, tid: ThreadId) -> &Thread {
+    pub(crate) fn t(&self, tid: ThreadId) -> &Thread {
         &self.threads[tid.index()]
     }
 
     #[inline(always)]
-    fn t_mut(&mut self, tid: ThreadId) -> &mut Thread {
+    pub(crate) fn t_mut(&mut self, tid: ThreadId) -> &mut Thread {
         &mut self.threads[tid.index()]
-    }
-
-    /// Current state of a thread.
-    pub fn state(&self, tid: ThreadId) -> ThreadState {
-        self.t(tid).state
-    }
-
-    /// A thread's local cycle clock.
-    pub fn clock(&self, tid: ThreadId) -> u64 {
-        self.t(tid).clock
-    }
-
-    /// Read a register.
-    pub fn reg(&self, tid: ThreadId, r: Reg) -> u64 {
-        self.t(tid).regs[r.index()]
-    }
-
-    /// Write a register (value becomes ready immediately).
-    pub fn set_reg(&mut self, tid: ThreadId, r: Reg, v: u64) {
-        let clock = self.t(tid).clock;
-        let t = self.t_mut(tid);
-        t.regs[r.index()] = v;
-        t.ready[r.index()] = clock;
-    }
-
-    /// Per-thread performance counters.
-    pub fn counters(&self, tid: ThreadId) -> &CounterBank {
-        &self.t(tid).counters
-    }
-
-    /// Core-wide counter totals (both threads summed).
-    pub fn counters_total(&self) -> CounterBank {
-        let mut total = self.threads[0].counters.clone();
-        total.accumulate(&self.threads[1].counters);
-        total
-    }
-
-    /// Reset both threads' counters.
-    pub fn reset_counters(&mut self) {
-        for t in &mut self.threads {
-            t.counters.reset();
-        }
-    }
-
-    /// Prepare a thread to run a program: set `pc`, clear the call stack,
-    /// mark it running. Arguments go to `R1..`.
-    pub fn start_program(&mut self, tid: ThreadId, entry: u64, args: &[u64]) {
-        assert!(args.len() <= 5, "at most five register arguments");
-        let clock = self.t(tid).clock;
-        let t = self.t_mut(tid);
-        t.pc = entry;
-        t.pc_idx = NO_IDX;
-        t.stack.clear();
-        t.state = ThreadState::Running;
-        t.spec = None;
-        for (i, a) in args.iter().enumerate() {
-            t.regs[Reg::from_index(1 + i).index()] = *a;
-            t.ready[Reg::from_index(1 + i).index()] = clock;
-        }
     }
 
     /// Set up an injected call: pushes the return sentinel and starts the
     /// thread at `target`. When the callee returns, the thread goes idle.
-    pub fn begin_injected_call(&mut self, tid: ThreadId, target: u64) {
+    pub(crate) fn begin_injected_call(&mut self, tid: ThreadId, target: u64) {
         let t = self.t_mut(tid);
         t.stack.push(RETURN_SENTINEL);
         t.pc = target;
@@ -657,26 +361,11 @@ impl Engine {
         t.state = ThreadState::Running;
     }
 
-    /// Install TLB translations for the page containing `addr` on `tid`
-    /// without charging any cycles (experiment setup, Listing 1 style).
-    pub fn warm_tlb(&mut self, tid: ThreadId, addr: Addr) {
-        self.itlb[tid.index()].access(addr);
-        self.dtlb[tid.index()].access(addr);
-    }
-
-    /// Forcibly park a thread in the idle state (e.g. to stop a victim).
-    pub fn park(&mut self, tid: ThreadId) {
-        let t = self.t_mut(tid);
-        t.state = ThreadState::Idle;
-        t.spec = None;
-        t.stack.clear();
-    }
-
     // ---- execution ---------------------------------------------------------
 
     /// Execute one program instruction on a running thread.
     #[inline]
-    pub fn step(&mut self, tid: ThreadId) -> Result<(), StepError> {
+    pub(crate) fn step(&mut self, tid: ThreadId) -> Result<(), StepError> {
         if self.t(tid).state != ThreadState::Running {
             return Err(StepError::NotRunning { tid });
         }
@@ -763,46 +452,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Run up to `max_steps` causally-ordered program steps without leaving
-    /// the engine. Each counted step executes one instruction on whichever
-    /// runnable thread the causal-order rule picks — the sibling when it is
-    /// running and behind `tid`'s clock, `tid` otherwise — which is exactly
-    /// the per-instruction decision [`crate::machine::Machine`] historically
-    /// made across the crate boundary. Burst execution is therefore
-    /// bit-identical for every burst size, including 1.
-    ///
-    /// Returns the number of steps executed; stops early (without error)
-    /// when `tid` leaves the running state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StepError`] from either thread.
-    pub fn run_burst(&mut self, tid: ThreadId, max_steps: u64) -> Result<u64, StepError> {
-        let sib = tid.sibling();
-        let mut steps = 0u64;
-        if self.t(sib).state != ThreadState::Running {
-            // Lone-thread fast loop: nothing inside the burst can wake the
-            // sibling (that takes an external start_program/call), so the
-            // causal-order check is hoisted out entirely.
-            while steps < max_steps && self.t(tid).state == ThreadState::Running {
-                self.step(tid)?;
-                steps += 1;
-            }
-            return Ok(steps);
-        }
-        while steps < max_steps && self.t(tid).state == ThreadState::Running {
-            // Causal order: the sibling runs while it is strictly behind
-            // `tid`'s clock, `tid` otherwise.
-            if self.t(sib).state == ThreadState::Running && self.t(sib).clock < self.t(tid).clock {
-                self.step(sib)?;
-            } else {
-                self.step(tid)?;
-            }
-            steps += 1;
-        }
-        Ok(steps)
-    }
-
     /// Step the sibling's program while it is running and behind `tid`'s
     /// clock: the causal catch-up that precedes every injected
     /// instruction and ends every injected sequence. The clock comparison
@@ -814,7 +463,7 @@ impl Engine {
     /// Propagates [`StepError`] from the sibling's program, and
     /// [`StepError::StepLimit`] after [`STEP_BUDGET`] sibling steps.
     #[inline(always)]
-    pub fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
+    pub(crate) fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
         if self.sibling_behind(tid) {
             return self.step_sibling_behind(tid, &mut 0);
         }
@@ -831,7 +480,7 @@ impl Engine {
         sib.state == ThreadState::Running && sib.clock < self.t(tid).clock
     }
 
-    /// Step the sibling while [`Engine::sibling_behind`] holds, charging
+    /// Step the sibling while [`Machine::sibling_behind`] holds, charging
     /// each step to `steps`, the caller's budget counter.
     #[inline(never)]
     fn step_sibling_behind(&mut self, tid: ThreadId, steps: &mut u64) -> Result<(), StepError> {
@@ -853,7 +502,7 @@ impl Engine {
     ///
     /// Fails for branch instructions, unsupported probe classes and
     /// non-idle threads.
-    pub fn exec_injected(
+    pub(crate) fn exec_injected(
         &mut self,
         tid: ThreadId,
         instr: &Instr,
@@ -892,22 +541,22 @@ impl Engine {
             && self.fetch_log.is_none()
     }
 
-    /// Retire a whole compiled probe sequence in one engine pass: the
-    /// fused probe tier. Returns `None` (after bumping `SimProbeFallback`)
-    /// when a guard requires per-step execution — the caller then injects
-    /// `probe.instrs()` one instruction at a time — and otherwise what
-    /// that per-step injection would have returned.
+    /// Retire a whole compiled probe sequence in one pass: the fused probe
+    /// tier behind [`Machine::run_probe`]. Returns `None` (with no side
+    /// effects) when a guard requires per-step execution — the caller then
+    /// injects `probe.instrs()` one instruction at a time — and otherwise
+    /// what that per-step injection would have returned.
     ///
     /// Bit-identical to per-step injection by construction: each
     /// instruction replicates its `exec` arm (same cost formulas, counter
     /// bumps, hierarchy calls, and one `evictions_for` draw per
     /// instruction after its `rdtsc` jitter draw), and a running sibling
-    /// is caught up at exactly the points `Machine::run_sequence` catches
-    /// it up: before each instruction, before each step of the `Execute`
-    /// probe's callee, and once after the sequence. Every fused step
-    /// re-reads both clocks and the fetch state, which a sibling machine
-    /// clear may have changed. What fusion saves is the machine/engine
-    /// round trip and the generic dispatch per instruction.
+    /// is caught up at exactly the points [`Machine::run_sequence`]
+    /// catches it up: before each instruction, before each step of the
+    /// `Execute` probe's callee, and once after the sequence. Every fused
+    /// step re-reads both clocks and the fetch state, which a sibling
+    /// machine clear may have changed. What fusion saves is the
+    /// per-instruction injection round trip and generic dispatch.
     ///
     /// Guards (any one forces fallback): those of fusion itself (disabled,
     /// this thread running or speculating, tracing, fetch logging) and, for
@@ -920,7 +569,7 @@ impl Engine {
     /// [`StepError::Unsupported`] probe class) or the sibling's (including
     /// [`StepError::StepLimit`]), with the same partial state per-step
     /// execution leaves behind.
-    pub fn run_fused_probe(
+    pub(crate) fn try_fused_probe(
         &mut self,
         tid: ThreadId,
         probe: &CompiledProbe,
@@ -934,7 +583,6 @@ impl Engine {
         };
         let needs_callee = matches!(probe.op, Instr::CallReg { .. });
         if !self.fusable(tid) || needs_callee && callee.is_none() {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
             return None;
         }
         self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
@@ -968,7 +616,7 @@ impl Engine {
         self.catch_up_sibling(tid)
     }
 
-    fn outcome_since(&self, tid: ThreadId, start: u64) -> SeqOutcome {
+    pub(crate) fn outcome_since(&self, tid: ThreadId, start: u64) -> SeqOutcome {
         let end_clock = self.t(tid).clock;
         SeqOutcome { cycles: end_clock - start, end_clock }
     }
@@ -976,8 +624,8 @@ impl Engine {
     /// Let `cycles` pass on an idle `tid` in one fused pass — the
     /// replacement for injecting `Delay` chunks of [`DELAY_CHUNK`] cycles,
     /// each preceded by a sibling catch-up, plus one catch-up after.
-    /// Returns `None` (caller falls back to the chunked loop) when fusion
-    /// is disabled or `tid` is running.
+    /// [`Machine::advance`] calls it when fusion is on and `tid` is not
+    /// running.
     ///
     /// Exact by construction: `Delay` draws no `rdtsc` jitter and touches
     /// no hierarchy state, so chunks with no sibling step between them
@@ -989,24 +637,15 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// `Some(Err(_))` propagates the sibling's [`StepError`] with the same
-    /// partial state as the chunked loop.
-    pub fn run_fused_advance(
-        &mut self,
-        tid: ThreadId,
-        cycles: u64,
-    ) -> Option<Result<(), StepError>> {
-        if !self.use_fused_probes || self.t(tid).state == ThreadState::Running {
-            return None;
-        }
+    /// Propagates the sibling's [`StepError`] with the same partial state
+    /// as the chunked loop.
+    pub(crate) fn fused_advance(&mut self, tid: ThreadId, cycles: u64) -> Result<(), StepError> {
         let sib = tid.sibling();
         let mut left = cycles;
         loop {
-            if let Err(e) = self.catch_up_sibling(tid) {
-                return Some(Err(e));
-            }
+            self.catch_up_sibling(tid)?;
             if left == 0 {
-                return Some(Ok(()));
+                return Ok(());
             }
             let span = match self.t(sib).state {
                 ThreadState::Running => {
@@ -1023,42 +662,21 @@ impl Engine {
         }
     }
 
-    /// Retire an injected `call` of an attacker-owned one-line `nop*; ret`
-    /// routine in one fused pass — [`Engine::run_fused_calls`] for a single
-    /// target. Returns `None` (after bumping `SimProbeFallback`) when a
-    /// guard or the callee's shape requires per-step execution; the caller
-    /// then injects the `call` normally.
-    ///
-    /// # Errors
-    ///
-    /// `Some(Err(_))` propagates the sibling's [`StepError`] (including
-    /// [`StepError::StepLimit`]) with the per-step partial state.
-    pub fn run_fused_call(
-        &mut self,
-        tid: ThreadId,
-        target: u64,
-    ) -> Option<Result<SeqOutcome, StepError>> {
-        let out = self.run_fused_calls(tid, &[target]);
-        if out.is_none() {
-            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-        }
-        out
-    }
-
     /// Retire a batch of injected calls to attacker-owned one-line
     /// `nop*; ret` routines in one fused pass — the shape of every
     /// eviction-set way and oracle line, so `EvictionSet::prime`'s eight
-    /// way-calls land here as a single engine entry. Returns `None` (with
-    /// *no* side effects) when a guard or any callee's shape requires
-    /// per-step execution; the caller then runs the calls one at a time,
-    /// each of which may still fuse and counts its own fast-path or
-    /// fallback event.
+    /// way-calls land here as a single entry ([`Machine::run_calls`];
+    /// [`Machine::run_call`] passes one target). Returns `None` (with *no*
+    /// side effects) when a guard or any callee's shape requires per-step
+    /// execution; the caller then runs the calls one at a time, each of
+    /// which may still fuse and counts its own fast-path or fallback
+    /// event.
     ///
     /// Bit-identical to per-call injection by construction: a running
     /// sibling is caught up before each call and once after the batch
     /// (between two calls the per-call path's post-call and pre-call
     /// catch-ups coincide), and each callee steps as
-    /// [`Engine::fused_call_body`] describes. The injected `call` itself
+    /// [`Machine::fused_call_body`] describes. The injected `call` itself
     /// retires nothing and charges nothing (`exec_injected` returns
     /// `EnterCall` before reaching `exec`), and the return sentinel
     /// push/pop nets out: the thread ends idle with `pc`/`pc_idx` parked
@@ -1068,7 +686,7 @@ impl Engine {
     ///
     /// `Some(Err(_))` propagates the sibling's [`StepError`] (including
     /// [`StepError::StepLimit`]) with the per-step partial state.
-    pub fn run_fused_calls(
+    pub(crate) fn try_fused_calls(
         &mut self,
         tid: ThreadId,
         targets: &[u64],
@@ -1099,8 +717,8 @@ impl Engine {
         self.catch_up_sibling(tid)
     }
 
-    /// One injected `call` of a `nop*; ret` routine, stepped in-engine the
-    /// way `begin_injected_call` plus `Machine`'s drive loop step it: the
+    /// One injected `call` of a `nop*; ret` routine, stepped in one pass
+    /// the way `begin_injected_call` plus the per-step drive loop step it: the
     /// sibling is caught up before every callee step, the return-sentinel
     /// `ret` included, and its steps count against the same
     /// [`STEP_BUDGET`]; the callee line is fetched whenever the front-end
@@ -1169,7 +787,7 @@ impl Engine {
         }
     }
 
-    /// [`Engine::call_shape`] on a memo miss: walk the callee and memoize
+    /// [`Machine::call_shape`] on a memo miss: walk the callee and memoize
     /// a positive result in `slot`.
     #[inline(never)]
     fn walk_call_shape(&mut self, target: u64, slot: usize) -> Option<CallShape> {
@@ -1335,7 +953,7 @@ impl Engine {
     /// (`exec`'s last four lines). Callers invoke this once per
     /// instruction, in per-step order relative to `rdtsc` jitter draws,
     /// hierarchy accesses and sibling steps; only
-    /// [`Engine::run_fused_advance`] batches several `Delay` chunks into
+    /// [`Machine::fused_advance`] batches several `Delay` chunks into
     /// one call, where nothing can observe the boundaries between them.
     #[inline(always)]
     fn fused_retire(&mut self, tid: ThreadId, cost: u64) {
@@ -1442,7 +1060,7 @@ impl Engine {
     ///
     /// Prefiltered through [`CacheHierarchy::maybe_in_l1i`]: the filter is
     /// a superset of every line ever *fetched* (fetch-window entries all
-    /// went through `Engine::fetch`, so they are marked too), which means a
+    /// went through `Machine::fetch`, so they are marked too), which means a
     /// clear filter bit disproves both conditions at the cost of one
     /// shift-and-mask. Data-heavy victims issue nearly all their stores at
     /// provably-data lines, so the exact L1i set walk becomes cold.
@@ -1944,16 +1562,6 @@ impl Engine {
     }
 }
 
-impl fmt::Debug for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Engine")
-            .field("arch", &self.profile.arch)
-            .field("t0_clock", &self.threads[0].clock)
-            .field("t1_clock", &self.threads[1].clock)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1965,7 +1573,7 @@ mod tests {
     #[test]
     fn tsc_reading_matches_quantizing_division() {
         for arch in MicroArch::ALL {
-            let e = Engine::new(arch.profile(), NoiseConfig::quiet(), 1);
+            let e = Machine::new(arch.profile());
             let res = e.profile.tsc_resolution as u64;
             let mut raw = 0x9e37_79b9_7f4a_7c15u64;
             for small in 0..500u64 {

@@ -1,4 +1,4 @@
-//! [`Machine`]: the public facade over the engine.
+//! [`Machine`]: the simulated SMT core and its public API.
 //!
 //! A `Machine` is one simulated physical core with two SMT threads plus
 //! memory. Victims run as loaded programs; attackers are usually Rust code
@@ -7,19 +7,29 @@
 //! two threads' clocks aligned by stepping whichever runnable thread is
 //! behind, so machine clears, cache evictions and stalls land on the sibling
 //! at (approximately) the right time.
+//!
+//! This module holds the state and the public API; the execution core —
+//! stepping, instruction semantics, fetch modeling and the fused probe
+//! tier — lives in [`crate::engine`].
+
+use std::fmt;
 
 use crate::addr::Addr;
 use crate::asm::Program;
-use crate::counters::CounterBank;
+use crate::bpu::BranchPredictor;
+use crate::counters::{CounterBank, PerfEvent};
+use crate::decoded::{DecodedProgram, NO_IDX};
 use crate::engine::{
-    CompiledProbe, Engine, InjectedNext, SeqOutcome, StepError, ThreadId, ThreadState, DELAY_CHUNK,
-    STEP_BUDGET,
+    CallShape, CompiledProbe, InjectedNext, SeqOutcome, StepError, Thread, ThreadId, ThreadState,
+    CALL_SHAPE_SLOTS, DELAY_CHUNK, EMPTY_SHAPE, STEP_BUDGET,
 };
-use crate::hierarchy::Residency;
+use crate::hierarchy::{CacheHierarchy, Residency};
 use crate::isa::{Instr, Reg};
-use crate::noise::NoiseConfig;
+use crate::mem::Memory;
+use crate::noise::{NoiseConfig, NoiseSource};
 use crate::profile::UarchProfile;
-use crate::trace::Event;
+use crate::tlb::Tlb;
+use crate::trace::{Event, Tracer};
 
 /// Where to place a line for experiment setup (paper §4.1 prepares the
 /// oracle line in each of five microarchitectural states).
@@ -54,37 +64,61 @@ impl Placement {
     }
 }
 
-impl std::fmt::Display for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Placement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
 }
 
 /// One simulated SMT physical core plus memory. See the
 /// [module documentation](self).
-#[derive(Debug)]
 pub struct Machine {
-    engine: Engine,
-    /// Steps handed to the engine per [`Engine::run_burst`] call. Purely a
-    /// scheduling granularity: output is bit-identical for every value
-    /// (the burst loop makes the same per-instruction causal decision the
-    /// machine used to make), so this only trades boundary crossings
-    /// against step-budget check frequency.
-    burst: u64,
+    pub(crate) profile: UarchProfile,
+    pub(crate) threads: [Thread; 2],
+    pub(crate) code: Program,
+    /// Dense side table compiled from `code` at load time: the steady-state
+    /// step loop chases successor indices through it instead of walking the
+    /// program's `BTreeMap` per instruction.
+    pub(crate) decoded: DecodedProgram,
+    /// Whether `step` uses the decoded table (default) or the original
+    /// map-lookup reference interpreter (A/B equivalence testing).
+    pub(crate) use_decoded: bool,
+    /// Whether injected probe sequences may retire through the fused probe
+    /// tier (default; see [`Machine::set_fused_probes`]).
+    pub(crate) use_fused_probes: bool,
+    /// Memoized callee-shape walks for the fused call path — `(target,
+    /// shape)`, direct-mapped by a multiply-hash of the target address,
+    /// valid while `call_shapes_gen` matches `decode_gen`. Sized for
+    /// attacker working sets (an 8-way eviction set plus a few oracle
+    /// lines): priming calls the same handful of targets millions of
+    /// times per campaign, and one hash probe beats re-hashing
+    /// `pc → index` in the decoded table's map every call.
+    pub(crate) call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
+    pub(crate) call_shapes_gen: u64,
+    /// Bumped whenever the decoded table changes (load / patch / reset),
+    /// invalidating `call_shapes`.
+    pub(crate) decode_gen: u64,
+    pub(crate) mem: Memory,
+    pub(crate) hier: CacheHierarchy,
+    pub(crate) itlb: [Tlb; 2],
+    pub(crate) dtlb: [Tlb; 2],
+    pub(crate) bpu: BranchPredictor,
+    pub(crate) noise: NoiseSource,
+    pub(crate) tracer: Tracer,
+    /// When enabled, every line-granular instruction fetch (architectural
+    /// *and* speculative wrong-path) appends its line address here. Used by
+    /// the static analyzer's soundness tests to compare the observed fetch
+    /// footprint against the statically predicted one. `None` (the default)
+    /// keeps the hot fetch path branch-predictable and allocation-free.
+    pub(crate) fetch_log: Option<Vec<u64>>,
 }
 
-/// Default engine burst size: `SMACK_BURST` when set to a positive integer
-/// (the CI determinism gate runs the repro at 1 vs the default and diffs
-/// CSVs), 4096 otherwise.
-fn default_burst() -> u64 {
-    static BURST: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *BURST.get_or_init(|| {
-        std::env::var("SMACK_BURST")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(4096)
-    })
+/// Default fused-probe setting: on, unless the `SMACK_FUSED_PROBES`
+/// environment variable is set to `0` (the CI determinism gate runs the
+/// repro both ways and diffs CSVs).
+fn fused_probes_default() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
 }
 
 impl Machine {
@@ -95,127 +129,190 @@ impl Machine {
 
     /// Create a machine with an explicit noise model and seed.
     pub fn with_noise(profile: UarchProfile, noise: NoiseConfig, seed: u64) -> Machine {
-        Machine { engine: Engine::new(profile, noise, seed), burst: default_burst() }
+        let hier = CacheHierarchy::new(profile.hierarchy);
+        let itlb = [Tlb::new(profile.itlb_entries), Tlb::new(profile.itlb_entries)];
+        let dtlb = [Tlb::new(profile.dtlb_entries), Tlb::new(profile.dtlb_entries)];
+        Machine {
+            threads: [Thread::new(), Thread::new()],
+            code: Program::default(),
+            decoded: DecodedProgram::default(),
+            use_decoded: true,
+            use_fused_probes: fused_probes_default(),
+            call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
+            call_shapes_gen: 0,
+            decode_gen: 0,
+            mem: Memory::new(),
+            hier,
+            itlb,
+            dtlb,
+            bpu: BranchPredictor::new(4096),
+            noise: NoiseSource::new(noise, seed),
+            tracer: Tracer::new(),
+            fetch_log: None,
+            profile,
+        }
     }
 
-    /// Override the engine burst size for this machine (default: the
-    /// `SMACK_BURST` environment variable, else 4096). Any positive value
-    /// produces bit-identical output; see the `burst` field notes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    pub fn set_burst_steps(&mut self, steps: u64) {
-        assert!(steps > 0, "burst size must be positive");
-        self.burst = steps;
-    }
-
-    /// The current engine burst size.
-    pub fn burst_steps(&self) -> u64 {
-        self.burst
-    }
-
-    /// Switch between the decoded fast path (default) and the original
-    /// map-lookup reference interpreter — see
-    /// [`Engine::set_decoded_fast_path`]. Reset restores the default.
+    /// Switch between the decoded fast path (the default) and the original
+    /// `BTreeMap` reference interpreter. Both execute the identical `exec`
+    /// body and produce bit-identical architectural state, clocks and
+    /// counters; the reference path exists so equivalence tests and the
+    /// engine throughput benchmark can compare against the pre-decoded
+    /// interpreter. Reset restores the default.
     pub fn set_decoded_fast_path(&mut self, on: bool) {
-        self.engine.set_decoded_fast_path(on);
+        self.use_decoded = on;
+        for t in &mut self.threads {
+            t.pc_idx = NO_IDX;
+        }
     }
 
     /// Whether the decoded fast path is active.
     pub fn decoded_fast_path(&self) -> bool {
-        self.engine.decoded_fast_path()
+        self.use_decoded
     }
 
-    /// Enable or disable the fused probe tier (one-pass retirement of
-    /// compiled `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences and
-    /// batched idle advances) — see [`Engine::set_fused_probes`]. The
+    /// Enable or disable the fused probe tier. When on,
+    /// [`Machine::run_probe`] retires a whole compiled
+    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
+    /// specialized pass, [`Machine::run_calls`] a batch of calls to
+    /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
+    /// bit-identical to per-step injection, catching a running sibling up
+    /// at the same points. Fusion refuses to run (and the per-step path
+    /// takes over) when the injecting thread is running or speculating, or
+    /// tracing / fetch logging could observe intermediate state. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable
-    /// (`0` = off, anything else = on, unset = on), mirroring
-    /// `SMACK_BURST`; output is bit-identical either way, so the
-    /// toggle exists for the CI determinism gate and for benchmarking the
-    /// per-step probe path. Reset restores the default.
+    /// (`0` = off, anything else = on, unset = on); output is bit-identical
+    /// either way, so the toggle exists for the CI determinism gate and for
+    /// benchmarking the per-step probe path. Reset restores the default.
     pub fn set_fused_probes(&mut self, on: bool) {
-        self.engine.set_fused_probes(on);
+        self.use_fused_probes = on;
     }
 
     /// Whether the fused probe tier is active.
     pub fn fused_probes(&self) -> bool {
-        self.engine.fused_probes()
+        self.use_fused_probes
     }
 
     /// The microarchitecture profile.
     pub fn profile(&self) -> &UarchProfile {
-        self.engine.profile()
+        &self.profile
     }
 
     /// Restore this machine to the cold power-on state — cold caches, TLBs
     /// and branch predictor, reset counters and clocks, no loaded code,
     /// zeroed memory — and reseed the noise source, reusing the existing
-    /// allocations instead of rebuilding the hierarchy. A reset machine is
-    /// behaviorally indistinguishable from
-    /// `Machine::with_noise(profile, noise, seed)`: for the same seed and
-    /// workload it produces bit-identical timings, traces and reports.
+    /// allocations (cache hierarchy, memory pages, predictor tables)
+    /// instead of rebuilding them. A reset machine is behaviorally
+    /// indistinguishable from `Machine::with_noise(profile, noise, seed)`:
+    /// for the same seed and workload it produces bit-identical timings,
+    /// traces and reports.
     pub fn reset(&mut self, noise: NoiseConfig, seed: u64) {
-        self.engine.reset(noise, seed);
+        for t in &mut self.threads {
+            t.reset();
+        }
+        self.code.clear();
+        self.decoded.clear();
+        self.decode_gen += 1;
+        self.use_decoded = true;
+        self.use_fused_probes = fused_probes_default();
+        self.mem.clear();
+        self.hier.clear();
+        for tlb in self.itlb.iter_mut().chain(self.dtlb.iter_mut()) {
+            tlb.flush();
+        }
+        self.bpu.reset();
+        self.noise = NoiseSource::new(noise, seed);
+        self.tracer.disable();
+        self.fetch_log = None;
     }
 
     /// Replace the noise configuration (keeps the RNG stream).
     pub fn set_noise(&mut self, cfg: NoiseConfig) {
-        self.engine.noise_mut().set_config(cfg);
+        self.noise.set_config(cfg);
     }
 
     // ---- code & memory -----------------------------------------------------
 
-    /// Load (merge) a program into the core's address space.
+    /// Load (merge) a program into the core's address space and recompile
+    /// the decoded side table (linear in total program size — paid per
+    /// load, never per step).
     pub fn load_program(&mut self, prog: &Program) {
-        self.engine.load(prog);
+        self.code.merge(prog);
+        self.decoded = DecodedProgram::compile(&self.code);
+        self.decode_gen += 1;
+        for t in &mut self.threads {
+            t.pc_idx = NO_IDX;
+        }
     }
 
     /// Apply a self-modifying write-back: overwrite already-loaded
-    /// instructions with `prog`'s, re-decoding the rewritten entries into
-    /// the decoded side table in place (see [`Engine::patch_code`]). Use
-    /// this instead of [`Machine::load_program`] when the new code
-    /// *replaces* instructions at addresses that are already mapped.
+    /// instructions with `prog`'s (replacing on conflict, unlike
+    /// [`Machine::load_program`]'s merge-only semantics). Use this instead
+    /// of `load_program` when the new code *replaces* instructions at
+    /// addresses that are already mapped.
+    ///
+    /// The affected entries of the decoded side table re-decode **in
+    /// place** whenever instruction boundaries survive the rewrite — the
+    /// patched pcs keep their indices, so every successor link and cached
+    /// `pc_idx` stays valid and the steady-state step loop keeps chasing
+    /// indices instead of degrading to per-step map lookups. A write-back
+    /// that moves boundaries (instructions at new pcs, or changed encoded
+    /// lengths) falls back to one full recompile.
+    ///
+    /// Architectural state only, like `load_program`: the *timing* side
+    /// of a real SMC write-back (machine clear, L1i invalidation, sibling
+    /// stall) is modeled by the store/flush instructions the workload
+    /// executes against the line.
     pub fn patch_program(&mut self, prog: &Program) {
-        self.engine.patch_code(prog);
+        self.code.overwrite(prog);
+        self.decode_gen += 1;
+        let in_place = prog.iter().all(|(pc, instr)| self.decoded.patch(pc, *instr));
+        if !in_place {
+            // Charge the recompile to T0's bank: the event is core-wide, so
+            // attributing it to one thread keeps `counters_total` exact.
+            self.threads[0].counters.add(PerfEvent::SimPatchRecompiles, 1);
+            self.decoded = DecodedProgram::compile(&self.code);
+            for t in &mut self.threads {
+                t.pc_idx = NO_IDX;
+            }
+        }
     }
 
     /// Write bytes to simulated memory (no timing effects).
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8]) {
-        self.engine.mem_mut().write_bytes(addr, bytes);
+        self.mem.write_bytes(addr, bytes);
     }
 
     /// Read bytes from simulated memory (no timing effects).
     pub fn read_bytes(&self, addr: Addr, len: usize) -> Vec<u8> {
-        self.engine.mem().read_bytes(addr, len)
+        self.mem.read_bytes(addr, len)
     }
 
     /// Write a u64 to simulated memory (no timing effects).
     pub fn write_u64(&mut self, addr: Addr, v: u64) {
-        self.engine.mem_mut().write_u64(addr, v);
+        self.mem.write_u64(addr, v);
     }
 
     /// Read a u64 from simulated memory (no timing effects).
     pub fn read_u64(&self, addr: Addr) -> u64 {
-        self.engine.mem().read_u64(addr)
+        self.mem.read_u64(addr)
     }
 
     /// Write a byte to simulated memory (no timing effects).
     pub fn write_u8(&mut self, addr: Addr, v: u8) {
-        self.engine.mem_mut().write_u8(addr, v);
+        self.mem.write_u8(addr, v);
     }
 
     /// Read a byte from simulated memory (no timing effects).
     pub fn read_u8(&self, addr: Addr) -> u8 {
-        self.engine.mem().read_u8(addr)
+        self.mem.read_u8(addr)
     }
 
     // ---- cache state -------------------------------------------------------
 
     /// Which caches hold the line containing `addr` right now.
     pub fn residency(&self, addr: Addr) -> Residency {
-        self.engine.hierarchy().residency(addr)
+        self.hier.residency(addr)
     }
 
     /// Place the line containing `addr` in an exact microarchitectural
@@ -228,107 +325,130 @@ impl Machine {
             Placement::Llc => Residency { l1i: false, l1d: false, l2: false, llc: true },
             Placement::DramOnly => Residency::default(),
         };
-        self.engine.hierarchy_mut().place(addr, r);
+        self.hier.place(addr, r);
     }
 
     /// Evict the line containing `addr` from every cache level
     /// (no timing effects — use a `clflush` sequence for the timed version).
     pub fn flush_line(&mut self, addr: Addr) {
-        self.engine.hierarchy_mut().evict_everywhere(addr);
+        self.hier.evict_everywhere(addr);
     }
 
     /// Warm the instruction and data TLBs for the page containing `addr`
     /// (no timing effects), as the oracle preparation in Listing 1 does.
     pub fn warm_tlb(&mut self, tid: ThreadId, addr: Addr) {
-        self.engine.warm_tlb(tid, addr);
+        self.itlb[tid.index()].access(addr);
+        self.dtlb[tid.index()].access(addr);
     }
 
     /// L1i set index of `addr` for this machine's geometry.
     pub fn l1i_set(&self, addr: Addr) -> usize {
-        addr.set_index(self.engine.profile().hierarchy.l1i.sets)
+        addr.set_index(self.profile.hierarchy.l1i.sets)
     }
 
     /// Number of L1i sets.
     pub fn l1i_sets(&self) -> usize {
-        self.engine.profile().hierarchy.l1i.sets
+        self.profile.hierarchy.l1i.sets
     }
 
     /// Number of L1i ways.
     pub fn l1i_ways(&self) -> usize {
-        self.engine.profile().hierarchy.l1i.ways
+        self.profile.hierarchy.l1i.ways
     }
 
     // ---- threads -------------------------------------------------------------
 
     /// Thread state.
     pub fn state(&self, tid: ThreadId) -> ThreadState {
-        self.engine.state(tid)
+        self.t(tid).state
     }
 
     /// Thread-local cycle clock.
     pub fn clock(&self, tid: ThreadId) -> u64 {
-        self.engine.clock(tid)
+        self.t(tid).clock
     }
 
     /// Read a register.
     pub fn reg(&self, tid: ThreadId, r: Reg) -> u64 {
-        self.engine.reg(tid, r)
+        self.t(tid).regs[r.index()]
     }
 
-    /// Write a register.
+    /// Write a register (value becomes ready immediately).
     pub fn set_reg(&mut self, tid: ThreadId, r: Reg, v: u64) {
-        self.engine.set_reg(tid, r, v);
+        let t = self.t_mut(tid);
+        t.regs[r.index()] = v;
+        t.ready[r.index()] = t.clock;
     }
 
     /// Per-thread performance counters.
     pub fn counters(&self, tid: ThreadId) -> &CounterBank {
-        self.engine.counters(tid)
+        &self.t(tid).counters
     }
 
     /// Core-wide counters (both threads summed) — what a system-wide
     /// detection agent samples.
     pub fn counters_total(&self) -> CounterBank {
-        self.engine.counters_total()
+        let mut total = self.threads[0].counters.clone();
+        total.accumulate(&self.threads[1].counters);
+        total
     }
 
     /// Reset all performance counters.
     pub fn reset_counters(&mut self) {
-        self.engine.reset_counters();
+        for t in &mut self.threads {
+            t.counters.reset();
+        }
     }
 
     /// Enable event tracing with a capacity bound.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.engine.tracer_mut().enable(capacity);
+        self.tracer.enable(capacity);
     }
 
     /// Take recorded trace events.
     pub fn take_trace(&mut self) -> Vec<Event> {
-        self.engine.tracer_mut().take()
+        self.tracer.take()
     }
 
     /// Start (or stop) recording the line address of every instruction
     /// fetch — architectural and speculative wrong-path alike. Enabling
     /// clears any previously recorded log.
     pub fn set_fetch_log(&mut self, on: bool) {
-        self.engine.set_fetch_log(on);
+        self.fetch_log = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Take the recorded fetch-line log (empty when recording is off).
+    /// Take the recorded fetch-line log, leaving recording enabled with an
+    /// empty log (empty when recording is off).
     pub fn take_fetch_log(&mut self) -> Vec<u64> {
-        self.engine.take_fetch_log()
+        self.fetch_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Park a thread back to idle (stop a victim).
     pub fn park(&mut self, tid: ThreadId) {
-        self.engine.park(tid);
+        let t = self.t_mut(tid);
+        t.state = ThreadState::Idle;
+        t.spec = None;
+        t.stack.clear();
     }
 
     // ---- running code --------------------------------------------------------
 
     /// Start a program on `tid` without driving it; it advances whenever the
     /// sibling thread performs timed work, like a real co-resident victim.
+    /// Arguments go to `R1..`.
     pub fn start_program(&mut self, tid: ThreadId, entry: u64, args: &[u64]) {
-        self.engine.start_program(tid, entry, args);
+        assert!(args.len() <= 5, "at most five register arguments");
+        let t = self.t_mut(tid);
+        t.pc = entry;
+        t.pc_idx = NO_IDX;
+        t.stack.clear();
+        t.state = ThreadState::Running;
+        t.spec = None;
+        for (i, a) in args.iter().enumerate() {
+            let r = Reg::from_index(1 + i).index();
+            t.regs[r] = *a;
+            t.ready[r] = t.clock;
+        }
     }
 
     /// Run `tid`'s program to completion (`halt` or final `ret`),
@@ -339,28 +459,48 @@ impl Machine {
     /// Propagates [`StepError`] from either thread, including
     /// [`StepError::StepLimit`] after `max_steps` instructions.
     pub fn run_until_halt(&mut self, tid: ThreadId, max_steps: u64) -> Result<u64, StepError> {
-        let start = self.engine.clock(tid);
-        let mut steps = 0u64;
-        while self.engine.state(tid) == ThreadState::Running {
-            if steps >= max_steps {
-                return Err(StepError::StepLimit);
-            }
-            let burst = self.burst.min(max_steps - steps);
-            steps += self.engine.run_burst(tid, burst)?;
+        let start = self.t(tid).clock;
+        self.run_burst(tid, max_steps)?;
+        if self.t(tid).state == ThreadState::Running {
+            return Err(StepError::StepLimit);
         }
-        Ok(self.engine.clock(tid) - start)
+        Ok(self.t(tid).clock - start)
     }
 
-    /// Run up to `max_steps` causally-ordered program steps of `tid` (and
-    /// its sibling, when the sibling is behind) as one engine burst — the
-    /// low-level entry for drivers that meter progress themselves. Returns
-    /// the number of steps executed; see [`Engine::run_burst`].
+    /// Run up to `max_steps` causally-ordered program steps — the
+    /// low-level entry for drivers that meter progress themselves. Each
+    /// counted step executes one instruction on whichever runnable thread
+    /// the causal-order rule picks: the sibling when it is running and
+    /// behind `tid`'s clock, `tid` otherwise. Returns the number of steps
+    /// executed; stops early (without error) when `tid` leaves the
+    /// running state.
     ///
     /// # Errors
     ///
     /// Propagates [`StepError`] from either thread.
     pub fn run_burst(&mut self, tid: ThreadId, max_steps: u64) -> Result<u64, StepError> {
-        self.engine.run_burst(tid, max_steps)
+        let sib = tid.sibling();
+        let mut steps = 0u64;
+        while steps < max_steps
+            && self.t(tid).state == ThreadState::Running
+            && self.t(sib).state == ThreadState::Running
+        {
+            if self.t(sib).clock < self.t(tid).clock {
+                self.step(sib)?;
+            } else {
+                self.step(tid)?;
+            }
+            steps += 1;
+        }
+        // Lone-thread loop: the causal-order test is hoisted out, because
+        // only an external `start_program` or injected call can wake the
+        // sibling, and neither can happen inside this loop.
+        while steps < max_steps && self.t(tid).state == ThreadState::Running {
+            self.step(tid)?;
+            steps += 1;
+            debug_assert_ne!(self.t(sib).state, ThreadState::Running, "sibling woke mid-run");
+        }
+        Ok(steps)
     }
 
     /// Call a simulated function on an idle thread: arguments in `R1..`,
@@ -372,12 +512,12 @@ impl Machine {
     pub fn call(&mut self, tid: ThreadId, target: u64, args: &[u64]) -> Result<u64, StepError> {
         assert!(args.len() <= 5, "at most five register arguments");
         for (i, a) in args.iter().enumerate() {
-            self.engine.set_reg(tid, Reg::from_index(1 + i), *a);
+            self.set_reg(tid, Reg::from_index(1 + i), *a);
         }
-        let start = self.engine.clock(tid);
-        self.engine.begin_injected_call(tid, target);
+        let start = self.t(tid).clock;
+        self.begin_injected_call(tid, target);
         self.drive_to_idle(tid)?;
-        Ok(self.engine.clock(tid) - start)
+        Ok(self.t(tid).clock - start)
     }
 
     /// Execute an injected straight-line sequence on an idle thread,
@@ -392,27 +532,26 @@ impl Machine {
         tid: ThreadId,
         instrs: &[Instr],
     ) -> Result<SeqOutcome, StepError> {
-        let start = self.engine.clock(tid);
+        let start = self.t(tid).clock;
         for instr in instrs {
-            self.engine.catch_up_sibling(tid)?;
-            match self.engine.exec_injected(tid, instr)? {
+            self.catch_up_sibling(tid)?;
+            match self.exec_injected(tid, instr)? {
                 InjectedNext::Done => {}
                 InjectedNext::EnterCall { target } => {
-                    self.engine.begin_injected_call(tid, target);
+                    self.begin_injected_call(tid, target);
                     self.drive_to_idle(tid)?;
                 }
             }
         }
-        self.engine.catch_up_sibling(tid)?;
-        let end_clock = self.engine.clock(tid);
-        Ok(SeqOutcome { cycles: end_clock - start, end_clock })
+        self.catch_up_sibling(tid)?;
+        Ok(self.outcome_since(tid, start))
     }
 
-    /// Execute a compiled probe sequence on an idle thread: one fused
-    /// engine pass when the guards allow it ([`Engine::run_fused_probe`]),
-    /// falling back to injecting the five instructions per-step via
-    /// [`Machine::run_sequence`] otherwise. Same outcome either way, by
-    /// construction.
+    /// Execute a compiled probe sequence on an idle thread: one fused pass
+    /// when the fusion guards allow it, injecting the five instructions
+    /// per-step via [`Machine::run_sequence`] otherwise. Same outcome
+    /// either way, by construction; the `SimProbeFastPath` and
+    /// `SimProbeFallback` counters record which path ran.
     ///
     /// # Errors
     ///
@@ -422,16 +561,16 @@ impl Machine {
         tid: ThreadId,
         probe: &CompiledProbe,
     ) -> Result<SeqOutcome, StepError> {
-        match self.engine.run_fused_probe(tid, probe) {
-            Some(outcome) => outcome,
-            None => self.run_sequence(tid, probe.instrs()),
+        if let Some(outcome) = self.try_fused_probe(tid, probe) {
+            return outcome;
         }
+        self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
+        self.run_sequence(tid, probe.instrs())
     }
 
-    /// Call the line at `target` on an idle thread: one fused engine pass
-    /// when the guards and the callee's shape allow it
-    /// ([`Engine::run_fused_call`] — the callee must be an attacker-style
-    /// one-line `nop*; ret` routine), falling back to injecting the `call`
+    /// Call the line at `target` on an idle thread: one fused pass when the
+    /// guards and the callee's shape allow it (the callee must be an
+    /// attacker-style one-line `nop*; ret` routine), injecting the `call`
     /// per-step via [`Machine::run_sequence`] otherwise. Same outcome
     /// either way, by construction, with or without a running sibling.
     ///
@@ -439,28 +578,28 @@ impl Machine {
     ///
     /// Propagates [`StepError`] from either thread.
     pub fn run_call(&mut self, tid: ThreadId, target: u64) -> Result<SeqOutcome, StepError> {
-        match self.engine.run_fused_call(tid, target) {
-            Some(outcome) => outcome,
-            None => self.run_sequence(tid, &[Instr::Call { target }]),
+        if let Some(outcome) = self.try_fused_calls(tid, &[target]) {
+            return outcome;
         }
+        self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
+        self.run_sequence(tid, &[Instr::Call { target }])
     }
 
     /// Call every line in `targets` back to back on an idle thread: one
-    /// fused engine pass for the whole batch when the guards and every
-    /// callee's shape allow it ([`Engine::run_fused_calls`]), falling back
-    /// to per-call [`Machine::run_call`] otherwise — an eviction set primes
-    /// its eight ways in a single engine entry instead of eight. Same
-    /// outcome either way, by construction.
+    /// fused pass for the whole batch when the guards and every callee's
+    /// shape allow it, falling back to per-call [`Machine::run_call`]
+    /// otherwise — an eviction set primes its eight ways in one pass
+    /// instead of eight. Same outcome either way, by construction.
     ///
     /// # Errors
     ///
     /// Propagates [`StepError`] from either thread.
     pub fn run_calls(&mut self, tid: ThreadId, targets: &[u64]) -> Result<SeqOutcome, StepError> {
-        if let Some(outcome) = self.engine.run_fused_calls(tid, targets) {
+        if let Some(outcome) = self.try_fused_calls(tid, targets) {
             return outcome;
         }
         let mut cycles = 0;
-        let mut end_clock = self.engine.clock(tid);
+        let mut end_clock = self.t(tid).clock;
         for &target in targets {
             let out = self.run_call(tid, target)?;
             cycles += out.cycles;
@@ -476,34 +615,37 @@ impl Machine {
     ///
     /// Propagates [`StepError`] from the sibling's program.
     pub fn advance(&mut self, tid: ThreadId, cycles: u64) -> Result<(), StepError> {
-        // Fused fast path: chunks the sibling need not interleave with
-        // collapse into batched engine updates ([`Engine::run_fused_advance`],
-        // bit-identical to the chunked loop below).
-        if let Some(done) = self.engine.run_fused_advance(tid, cycles) {
-            return done;
+        if self.use_fused_probes && self.t(tid).state != ThreadState::Running {
+            return self.fused_advance(tid, cycles);
         }
         let mut left = cycles;
         while left > 0 {
             let chunk = left.min(DELAY_CHUNK) as u32;
-            self.engine.catch_up_sibling(tid)?;
-            self.engine.exec_injected(tid, &Instr::Delay { cycles: chunk })?;
+            self.catch_up_sibling(tid)?;
+            self.exec_injected(tid, &Instr::Delay { cycles: chunk })?;
             left -= chunk as u64;
         }
-        self.engine.catch_up_sibling(tid)
+        self.catch_up_sibling(tid)
     }
 
-    /// Drive a running thread to idle/halt in engine bursts, enforcing the
-    /// default step budget.
+    /// Drive a running thread to idle/halt, enforcing the default step
+    /// budget.
     fn drive_to_idle(&mut self, tid: ThreadId) -> Result<(), StepError> {
-        let mut steps = 0u64;
-        while self.engine.state(tid) == ThreadState::Running {
-            if steps >= STEP_BUDGET {
-                return Err(StepError::StepLimit);
-            }
-            let burst = self.burst.min(STEP_BUDGET - steps);
-            steps += self.engine.run_burst(tid, burst)?;
+        self.run_burst(tid, STEP_BUDGET)?;
+        if self.t(tid).state == ThreadState::Running {
+            return Err(StepError::StepLimit);
         }
         Ok(())
+    }
+}
+
+impl fmt::Debug for Machine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Machine")
+            .field("arch", &self.profile.arch)
+            .field("t0_clock", &self.threads[0].clock)
+            .field("t1_clock", &self.threads[1].clock)
+            .finish()
     }
 }
 

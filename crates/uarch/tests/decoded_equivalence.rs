@@ -2,10 +2,9 @@
 //! for arbitrary programs, executing through the pre-decoded side table
 //! must produce exactly the architectural state, clocks, and performance
 //! counters of the original per-step `BTreeMap` reference interpreter.
-//! The same holds across engine burst sizes (including burst 1, the
-//! historical one-instruction-per-call scheduling), under injected
-//! eviction noise, and across mid-run code patches that re-decode lines
-//! in place or force a full recompile.
+//! The same holds under injected eviction noise, across mid-run code
+//! patches that re-decode lines in place or force a full recompile, and
+//! for two threads driven in one run or one step at a time.
 
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
@@ -159,23 +158,22 @@ struct Outcome {
     data: Vec<u8>,
 }
 
-/// Interpreter configuration for one equivalence run.
-#[derive(Copy, Clone, Debug)]
-struct Cfg {
-    decoded: bool,
-    burst: u64,
-}
+/// The interpreter configuration of one equivalence run: the decoded fast
+/// path (`true`) or the reference interpreter (`false`).
+type Cfg = bool;
 
-const REFERENCE: Cfg = Cfg { decoded: false, burst: 4096 };
+/// The oracle every run is compared against.
+const REFERENCE: Cfg = false;
+/// The configuration under test.
+const DECODED: Cfg = true;
 
-fn machine(cfg: Cfg, noise_seed: Option<u64>) -> Machine {
+fn machine(decoded: Cfg, noise_seed: Option<u64>) -> Machine {
     let profile = MicroArch::CascadeLake.profile();
     let mut m = match noise_seed {
         Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
         None => Machine::new(profile),
     };
-    m.set_decoded_fast_path(cfg.decoded);
-    m.set_burst_steps(cfg.burst);
+    m.set_decoded_fast_path(decoded);
     m
 }
 
@@ -232,36 +230,23 @@ fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Ou
     }
 }
 
-/// The non-reference configurations every proptest checks: the decoded
-/// path across burst sizes, and reference at burst 1.
-const CONFIGS: [Cfg; 4] = [
-    Cfg { decoded: true, burst: 4096 },
-    Cfg { decoded: true, burst: 1 },
-    Cfg { decoded: true, burst: 7 },
-    Cfg { decoded: false, burst: 1 },
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Decoded vs reference interpreter, and burst 1 vs large bursts: every configuration retires the same
+    /// Decoded vs reference interpreter: both retire the same
     /// architecture, time, and counter state for arbitrary programs
     /// (including backward inner-loop branches).
     #[test]
     fn prop_decoded_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         let prog = build_program(&ops);
         let reference = run(&prog, REFERENCE, None);
-        for cfg in CONFIGS {
-            let got = run(&prog, cfg, None);
-            prop_assert_eq!(&got, &reference, "{:?} diverged", cfg);
-        }
+        prop_assert_eq!(&run(&prog, DECODED, None), &reference, "decoded diverged");
     }
 
     /// Self-modified code lines re-decode into the side table: rewriting
     /// the helper routine mid-run (two same-length in-place patches and
     /// the boundary-moving variant that forces a recompile) must leave
-    /// the decoded path bit-identical to the map-lookup reference, for
-    /// every burst size.
+    /// the decoded path bit-identical to the map-lookup reference.
     #[test]
     fn prop_rewritten_code_lines_match_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -271,14 +256,12 @@ proptest! {
         let prog = build_program(&ops);
         let patch = helper_patch(kind);
         let reference = run_with_patch(&prog, &patch, at_step, REFERENCE);
-        for cfg in &CONFIGS[..3] {
-            let got = run_with_patch(&prog, &patch, at_step, *cfg);
-            prop_assert_eq!(&got, &reference, "{:?} diverged after rewrite {}", cfg, kind);
-        }
+        let got = run_with_patch(&prog, &patch, at_step, DECODED);
+        prop_assert_eq!(&got, &reference, "decoded diverged after rewrite {}", kind);
     }
 
-    /// Injected eviction noise is drawn from the engine clock: noisy runs
-    /// must agree across every interpreter tier and burst size too.
+    /// Injected eviction noise is drawn from the thread clocks: noisy runs
+    /// must agree across both interpreter tiers too.
     #[test]
     fn prop_noisy_runs_match_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -286,10 +269,7 @@ proptest! {
     ) {
         let prog = build_program(&ops);
         let reference = run(&prog, REFERENCE, Some(seed));
-        for cfg in CONFIGS {
-            let got = run(&prog, cfg, Some(seed));
-            prop_assert_eq!(&got, &reference, "{:?} diverged under noise", cfg);
-        }
+        prop_assert_eq!(&run(&prog, DECODED, Some(seed)), &reference, "decoded diverged under noise");
     }
 }
 
@@ -749,6 +729,11 @@ mod fused_probes {
 
 /// Dual-thread equivalence: a victim loop on T1 driven causally while T0
 /// runs its own program — the scheduling the covert channels rely on.
+/// The victim halts mid-run, so the drive passes from the co-running
+/// loop into the lone-thread loop. Besides decoded vs reference, each
+/// tier runs T0 two ways: one `run_until_halt`, and the per-instruction
+/// oracle that hands the scheduler one step at a time and so re-checks
+/// the sibling's state before every step.
 #[test]
 fn dual_thread_decoded_matches_reference() {
     let mut a = Assembler::new(0x20_0000);
@@ -757,7 +742,7 @@ fn dual_thread_decoded_matches_reference() {
         .label("loop")
         .add_imm(Reg::R0, 1)
         .store(Reg::R0, MemRef::base(Reg::R8))
-        .cmp_imm(Reg::R0, 400)
+        .cmp_imm(Reg::R0, 150)
         .jne("loop")
         .halt();
     let victim = a.assemble().unwrap();
@@ -775,43 +760,48 @@ fn dual_thread_decoded_matches_reference() {
     let driver = b.assemble().unwrap();
 
     let mut outcomes = Vec::new();
-    for (decoded, burst) in [(false, 4096), (true, 4096), (true, 1), (true, 64)] {
-        let mut m = Machine::new(MicroArch::CascadeLake.profile());
-        m.set_decoded_fast_path(decoded);
-        m.set_burst_steps(burst);
-        m.load_program(&victim);
-        m.load_program(&driver);
-        m.start_program(T1, victim.entry(), &[]);
-        m.start_program(T0, driver.entry(), &[]);
-        m.run_until_halt(T0, 1_000_000).unwrap();
-        m.run_until_halt(T1, 1_000_000).unwrap();
-        outcomes.push((
-            decoded,
-            burst,
-            m.reg(T0, Reg::R1),
-            m.reg(T0, Reg::R2),
-            m.reg(T1, Reg::R0),
-            m.clock(T0),
-            m.clock(T1),
-            m.counters(T0).snapshot(),
-            m.counters(T1).snapshot(),
-        ));
+    for decoded in [REFERENCE, DECODED] {
+        for one_step_at_a_time in [false, true] {
+            let mut m = machine(decoded, None);
+            m.load_program(&victim);
+            m.load_program(&driver);
+            m.start_program(T1, victim.entry(), &[]);
+            m.start_program(T0, driver.entry(), &[]);
+            if one_step_at_a_time {
+                while m.state(T0) == ThreadState::Running {
+                    m.run_burst(T0, 1).unwrap();
+                }
+            } else {
+                m.run_until_halt(T0, 1_000_000).unwrap();
+            }
+            assert_eq!(m.state(T1), ThreadState::Halted, "the victim halts mid-run");
+            outcomes.push((
+                (decoded, one_step_at_a_time),
+                m.reg(T0, Reg::R1),
+                m.reg(T0, Reg::R2),
+                m.reg(T1, Reg::R0),
+                m.clock(T0),
+                m.clock(T1),
+                m.counters(T0).snapshot(),
+                m.counters(T1).snapshot(),
+            ));
+        }
     }
+    let reference = &outcomes[0];
     for o in &outcomes[1..] {
         assert_eq!(
-            (&o.2, &o.3, &o.4, &o.5, &o.6, &o.7, &o.8),
+            (&o.1, &o.2, &o.3, &o.4, &o.5, &o.6, &o.7),
             (
-                &outcomes[0].2,
-                &outcomes[0].3,
-                &outcomes[0].4,
-                &outcomes[0].5,
-                &outcomes[0].6,
-                &outcomes[0].7,
-                &outcomes[0].8
+                &reference.1,
+                &reference.2,
+                &reference.3,
+                &reference.4,
+                &reference.5,
+                &reference.6,
+                &reference.7
             ),
-            "config decoded={}, burst={} diverged from reference",
-            o.0,
-            o.1
+            "(decoded, one step at a time) = {:?} diverged from the reference",
+            o.0
         );
     }
 }
