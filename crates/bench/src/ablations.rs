@@ -22,7 +22,7 @@ use crate::report::{banner, f, s, Table};
 /// channel's error rate: the SMC margin *is* the attack's robustness.
 pub fn smc_penalty_sweep(ctx: &Ctx) {
     banner("Ablation — SMC latency surcharge vs. channel error rate");
-    let bits = ctx.mode().pick(200, 1_000);
+    let bits = ctx.mode.pick(200, 1_000);
     let payload = random_payload(bits, 0xab1);
     let mut t = Table::new(&["smc_extra (cycles)", "margin over L2 (cycles)", "error rate (%)"]);
     let surcharges = [4u32, 8, 16, 40, 120, 275];
@@ -36,7 +36,7 @@ pub fn smc_penalty_sweep(ctx: &Ctx) {
         profile
     };
     let spec_for = |i: usize| Scenario::custom(profile_for(i)).with_noise(NoiseConfig::noisy());
-    let results = ctx.runner().run_scenarios(spec_for, surcharges.len(), |session, _| {
+    let results = ctx.runner.run_scenarios(spec_for, surcharges.len(), |session, _| {
         let costs = session.machine().profile().probe_costs.get(ProbeKind::Store);
         let margin = (costs.base + costs.smc_extra).saturating_sub(costs.base + costs.l2);
         let r =
@@ -61,7 +61,7 @@ pub fn smc_penalty_sweep(ctx: &Ctx) {
 /// front ends.
 pub fn frontend_ablation(ctx: &Ctx) {
     banner("Ablation — front-end L2-latency hiding vs. the Mastik margin");
-    let samples = ctx.mode().pick(50, 500);
+    let samples = ctx.mode.pick(50, 500);
     let mut t = Table::new(&["front-end", "execute L1i (cycles)", "execute L2 (cycles)", "margin"]);
     let variants = [("pipelined (real)", true), ("naive (exposed)", false)];
     let spec_for = |i: usize| -> Scenario {
@@ -71,7 +71,7 @@ pub fn frontend_ablation(ctx: &Ctx) {
         }
         Scenario::custom(profile)
     };
-    let results = ctx.runner().run_scenarios(spec_for, variants.len(), |session, _| {
+    let results = ctx.runner.run_scenarios(spec_for, variants.len(), |session, _| {
         let row = smack::characterize::figure1_mastik_row(
             session.machine(),
             smack_uarch::ThreadId::T0,
@@ -95,7 +95,7 @@ pub fn frontend_ablation(ctx: &Ctx) {
 /// timer resolution.
 pub fn timer_resolution_sweep(ctx: &Ctx) {
     banner("Ablation — rdtsc resolution vs. channel error rate");
-    let bits = ctx.mode().pick(200, 1_000);
+    let bits = ctx.mode.pick(200, 1_000);
     let payload = random_payload(bits, 0xab2);
     let mut t = Table::new(&["tsc resolution (cycles)", "error rate (%)"]);
     let resolutions = [1u32, 7, 21, 63, 127, 255];
@@ -104,7 +104,7 @@ pub fn timer_resolution_sweep(ctx: &Ctx) {
         profile.tsc_resolution = resolutions[i];
         Scenario::custom(profile).with_noise(NoiseConfig::noisy())
     };
-    let errors = ctx.runner().run_scenarios(spec_for, resolutions.len(), |session, _| {
+    let errors = ctx.runner.run_scenarios(spec_for, resolutions.len(), |session, _| {
         let r =
             run_channel_in(session, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, false)
                 .expect("channel runs");
@@ -127,13 +127,13 @@ pub fn timer_resolution_sweep(ctx: &Ctx) {
 /// single-trace RSA recovery.
 pub fn tau_w_sweep(ctx: &Ctx) {
     banner("Ablation — τ_w (prime→probe wait) vs. RSA single-trace recovery");
-    let bits = ctx.mode().pick(128, 512);
+    let bits = ctx.mode.pick(128, 512);
     let mut rng = SmallRng::seed_from_u64(0xab3);
     let exp = Bignum::random_bits(&mut rng, bits);
     let mut t = Table::new(&["wait (cycles)", "single-trace recovery"]);
     let waits = [50u64, 100, 200, 400, 800, 1600];
     let scenario = Scenario::new(MicroArch::TigerLake).with_seed(7);
-    let rates = ctx.runner().run_scenarios(scenario, waits.len(), |session, i| {
+    let rates = ctx.runner.run_scenarios(scenario, waits.len(), |session, i| {
         let cfg = RsaAttackConfig {
             wait_cycles: waits[i],
             noise: NoiseConfig::quiet(),
@@ -164,8 +164,8 @@ pub fn tau_w_sweep(ctx: &Ctx) {
 /// errors to outvote.
 pub fn tau_jitter_sweep(ctx: &Ctx) {
     banner("Ablation — τ_w jitter: fixed vs. jittered exposure window (RSA voting)");
-    let bits = ctx.mode().pick(128, 512);
-    let max_traces = ctx.mode().pick(8, 15);
+    let bits = ctx.mode.pick(128, 512);
+    let max_traces = ctx.mode.pick(8, 15);
     let mut rng = SmallRng::seed_from_u64(0xab7);
     let exp = Bignum::random_bits(&mut rng, bits);
     let jitters = [0u64, 16, 48, 96];
@@ -179,7 +179,7 @@ pub fn tau_jitter_sweep(ctx: &Ctx) {
     // probe class in Figure 5, where the fixed window leaves plenty of
     // systematic decode error to decorrelate.
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::realistic());
-    let results = ctx.runner().run_scenarios(scenario, jitters.len(), |session, i| {
+    let results = ctx.runner.run_scenarios(scenario, jitters.len(), |session, i| {
         let cfg =
             RsaAttackConfig { wait_jitter: jitters[i], ..RsaAttackConfig::new(ProbeKind::Lock) };
         let victim = rsa::build_victim(&cfg);
@@ -216,7 +216,7 @@ pub fn tau_jitter_sweep(ctx: &Ctx) {
 /// square-and-multiply victim vs. the constant-time Montgomery ladder.
 pub fn countermeasure(ctx: &Ctx) {
     banner("Countermeasure — constant-time exponentiation defeats the attack (§6.2)");
-    let bits = ctx.mode().pick(128, 512);
+    let bits = ctx.mode.pick(128, 512);
     let mut rng = SmallRng::seed_from_u64(0xab4);
     let exp = Bignum::random_bits(&mut rng, bits);
     let cfg =
@@ -234,7 +234,7 @@ pub fn countermeasure(ctx: &Ctx) {
         ("Montgomery ladder (constant-time)", ModexpAlgorithm::MontgomeryLadder),
     ];
     let scenario = Scenario::new(MicroArch::TigerLake).with_seed(11);
-    let results = ctx.runner().run_scenarios(scenario, victims.len(), |session, i| {
+    let results = ctx.runner.run_scenarios(scenario, victims.len(), |session, i| {
         let mut b = ModexpVictimBuilder::new(victims[i].1);
         b.operand_bits(cfg.operand_bits);
         let victim = b.build();
@@ -271,7 +271,7 @@ pub fn sibling_slowdown(ctx: &Ctx) {
         Table::new(&["attacker behaviour", "victim instructions / 100k cycles", "slowdown"]);
     let behaviours = [("idle", false), ("Prime+iStore storm", true)];
     let scenario = Scenario::new(MicroArch::CascadeLake);
-    let retired_counts = ctx.runner().run_scenarios(scenario, behaviours.len(), |session, i| {
+    let retired_counts = ctx.runner.run_scenarios(scenario, behaviours.len(), |session, i| {
         let attack = behaviours[i].1;
         let m: &mut smack_uarch::Machine = session.machine();
         let mut a = Assembler::new(0x60_0000);

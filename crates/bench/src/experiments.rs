@@ -7,21 +7,13 @@
 //! Every experiment receives a [`Ctx`] from the registry: the run mode,
 //! the one [`Runner`](crate::runner::Runner) threaded down from the CLI
 //! (so `--threads` applies uniformly — no harness consults the
-//! environment on its own), CSV routing, and the flag-gated τ_w jitter.
-//! Trials fan out through
+//! environment on its own), and the CSV output directory. Trials fan out
+//! through
 //! [`Runner::run_scenarios`](crate::runner::Runner::run_scenarios), so
 //! each trial closure receives a pooled [`Session`](smack::Session):
 //! machine construction is amortized across trials and a probe threshold
 //! is calibrated at most once per
-//! `(profile, probe class, cold placement, noise)` for the whole process
-//! (and, with the persistent calibration cache attached, across every
-//! process of a service run).
-//!
-//! The experiment service schedules at *unit* granularity — a probe
-//! class for [`fig5`], an SRP group for [`table2`], a (processor, probe)
-//! cell for [`table4`], a victim for [`analyze`], the whole experiment
-//! otherwise. Units derive every seed from their own index, so a leased
-//! unit's rows are bit-identical to the same rows of an in-process run.
+//! `(profile, probe class, cold placement, noise)` for the whole process.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,20 +37,17 @@ use crate::report::{banner, f, s, Table};
 use crate::runner::Runner;
 use crate::Mode;
 
-/// The probe classes Figure 5 sweeps — one unit each.
+/// The probe classes Figure 5 sweeps — one trial each.
 pub const FIG5_KINDS: [ProbeKind; 4] =
     [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb];
-
-/// Table 4's (processor, probe) grid size — one unit per cell.
-pub const TABLE4_CELLS: usize = 2 * 6;
 
 /// Figure 1: probe latency per cache state on Cascade Lake, plus the
 /// Mastik comparison row. Returns the store L1i/LLC margin.
 pub fn fig1(ctx: &Ctx) -> f64 {
     banner("Figure 1 — probe timing per microarchitectural state (Cascade Lake)");
-    let samples = ctx.mode().pick(100, 10_000);
+    let samples = ctx.mode.pick(100, 10_000);
     let mut results =
-        ctx.runner().run_scenarios(Scenario::new(MicroArch::CascadeLake), 2, |session, i| {
+        ctx.runner.run_scenarios(Scenario::new(MicroArch::CascadeLake), 2, |session, i| {
             let m = session.machine();
             if i == 0 {
                 figure1(m, ThreadId::T0, samples).expect("characterization runs")
@@ -111,9 +100,9 @@ pub fn fig1(ctx: &Ctx) -> f64 {
 /// Figure 2: counter deltas per conflicting probe, Intel + AMD.
 pub fn fig2(ctx: &Ctx) {
     banner("Figure 2 — SMC reverse engineering via performance counters");
-    let reps = ctx.mode().pick(200, 10_000);
+    let reps = ctx.mode.pick(200, 10_000);
     let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
-    let per_arch = ctx.runner().run_scenarios(
+    let per_arch = ctx.runner.run_scenarios(
         |i: usize| Scenario::new(arches[i]),
         arches.len(),
         |session, _| {
@@ -165,7 +154,7 @@ pub struct ChannelRow {
 /// AMD Prime+iLock note). Returns the rows.
 pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
     banner("Table 1 — SMC covert channels (Cascade Lake)");
-    let bits = ctx.mode().pick(300, 4_000);
+    let bits = ctx.mode.pick(300, 4_000);
     let payload = random_payload(bits, 0x7ab1e1);
     let specs = ChannelSpec::table1();
     // One trial per channel spec, plus the paper's AMD note as a final
@@ -177,7 +166,7 @@ pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
         let arch = if i < specs.len() { MicroArch::CascadeLake } else { MicroArch::AmdRyzen5 };
         Scenario::new(arch).with_noise(NoiseConfig::noisy())
     };
-    let outcomes = ctx.runner().run_scenarios(spec_for, specs.len() + 1, |session, i| {
+    let outcomes = ctx.runner.run_scenarios(spec_for, specs.len() + 1, |session, i| {
         if i < specs.len() {
             run_channel_in(session, &specs[i], &payload, false)
         } else {
@@ -236,7 +225,7 @@ pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
 /// Figure 3: receiver trace with assigned bits (Tiger Lake, Prime+iStore).
 pub fn fig3(ctx: &Ctx) {
     banner("Figure 3 — covert-channel receiver trace (Tiger Lake, Prime+iStore)");
-    let bits = ctx.mode().pick(24, 48);
+    let bits = ctx.mode.pick(24, 48);
     // A recognizable pattern, as in the paper's plot.
     let payload: Vec<bool> = (0..bits).map(|i| matches!(i % 4, 0 | 2 | 3)).collect();
     let mut session = Sessions::global()
@@ -269,7 +258,7 @@ pub fn fig3(ctx: &Ctx) {
 /// low dips are multiplication activity.
 pub fn fig4(ctx: &Ctx) {
     banner("Figure 4 — multiplication activity via Prime+iStore (Tiger Lake)");
-    let bits = ctx.mode().pick(96, 256);
+    let bits = ctx.mode.pick(96, 256);
     let mut rng = SmallRng::seed_from_u64(0xf19);
     let exp = Bignum::random_bits(&mut rng, bits);
     let cfg = RsaAttackConfig::new(ProbeKind::Store);
@@ -310,25 +299,22 @@ pub struct Fig5Row {
     pub best: f64,
 }
 
-/// Figure 5: traces needed for 70% key recovery per probe class. One unit
-/// per probe class; returns the rows for the context's units.
+/// Figure 5: traces needed for 70% key recovery per probe class.
 pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
-    let owned = ctx.units(FIG5_KINDS.len());
     banner("Figure 5 — traces needed for 70% RSA key recovery (Tiger Lake)");
-    let bits = ctx.mode().pick(160, 512);
-    let max_traces = ctx.mode().pick(12, 25);
+    let bits = ctx.mode.pick(160, 512);
+    let max_traces = ctx.mode.pick(12, 25);
     let mut rng = SmallRng::seed_from_u64(0xf5);
     let exp = Bignum::random_bits(&mut rng, bits);
-    let tau_jitter = ctx.tau_jitter();
     // One trial per probe class; each trial's trace sequence keeps its
     // sequential early-exit semantics (stop at the first 70% vote). The
     // trial renews its one pooled session per trace instead of building a
     // machine per trace.
     // All four probe classes attack under the default realistic noise.
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::realistic());
-    let rows: Vec<Fig5Row> = ctx.runner().run_scenarios(scenario, owned.len(), |session, trial| {
-        let kind = FIG5_KINDS[owned[trial]];
-        let cfg = RsaAttackConfig { wait_jitter: tau_jitter, ..RsaAttackConfig::new(kind) };
+    let rows: Vec<Fig5Row> = ctx.runner.run_scenarios(scenario, FIG5_KINDS.len(), |session, i| {
+        let kind = FIG5_KINDS[i];
+        let cfg = RsaAttackConfig::new(kind);
         let victim = rsa::build_victim(&cfg);
         let mut decodes: Vec<Vec<bool>> = Vec::new();
         let mut aligned_rates = Vec::new();
@@ -361,8 +347,8 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
         "traces for 70% (aligned)",
         "best (aligned)",
     ]);
-    for (unit, row) in owned.iter().zip(&rows) {
-        t.unit(*unit).row(vec![
+    for row in &rows {
+        t.row(vec![
             s(row.kind),
             f(row.single_trace, 3),
             f(row.positional_single, 3),
@@ -392,23 +378,10 @@ pub struct Table2Row {
 }
 
 /// The full Table 2 measurement grid — every group, every key — fanned
-/// out over `runner` and averaged per group. Exposed so tests can check
-/// parallel/sequential result equality.
+/// out over `runner` and averaged per group. Every (group, key) cell is one
+/// independent trial whose seeds derive from the key index alone. Exposed
+/// so tests can check parallel/sequential result equality.
 pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
-    let all: Vec<usize> = (0..smack_crypto::SrpGroup::PAPER_SIZES.len()).collect();
-    table2_rows_for(mode, runner, &all, 0)
-}
-
-/// The Table 2 grid restricted to the group-size units in `groups` (by
-/// index into `SrpGroup::PAPER_SIZES`): every (group, key) cell is one
-/// independent trial whose seeds derive from the key index alone, so a
-/// group's row is identical no matter which process computes it.
-fn table2_rows_for(
-    mode: Mode,
-    runner: &Runner,
-    groups: &[usize],
-    tau_jitter: u64,
-) -> Vec<Table2Row> {
     let keys = mode.pick(3, 100);
     let exp_bits = mode.pick(160, 0); // 0 = full group size
     let sizes = smack_crypto::SrpGroup::PAPER_SIZES;
@@ -420,42 +393,36 @@ fn table2_rows_for(
             .with_noise(NoiseConfig::noisy())
             .with_seed((t % keys) as u64)
     };
-    let cells = runner.run_scenarios(spec_for, groups.len() * keys, |session, t| {
-        let (group, key) = (sizes[groups[t / keys]], t % keys);
+    let cells = runner.run_scenarios(spec_for, sizes.len() * keys, |session, t| {
+        let (group, key) = (sizes[t / keys], t % keys);
         let mut rng = SmallRng::seed_from_u64(0x7b + key as u64);
         let nbits = if exp_bits == 0 { group } else { exp_bits };
         let b = Bignum::random_bits(&mut rng, nbits);
-        let cfg = SrpAttackConfig {
-            noise: NoiseConfig::noisy(),
-            wait_jitter: tau_jitter,
-            ..SrpAttackConfig::new(group)
-        };
+        let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(group) };
         let smack = srp::single_trace_attack_in(session, &b, &cfg).expect("smc attack runs");
         session.renew(key as u64);
         let mastik =
             mastik_srp_attack_on(session.machine(), group, &b).expect("mastik attack runs");
         (smack.leakage, mastik.leakage)
     });
-    groups
+    sizes
         .iter()
         .zip(cells.chunks(keys))
         .map(|(group, chunk)| Table2Row {
-            group_bits: sizes[*group],
+            group_bits: *group,
             smack: chunk.iter().map(|c| c.0).sum::<f64>() / keys as f64,
             mastik: chunk.iter().map(|c| c.1).sum::<f64>() / keys as f64,
         })
         .collect()
 }
 
-/// Table 2: SRP single-trace leakage, Prime+iStore vs Mastik. One unit
-/// per group size; returns the rows for the context's units.
+/// Table 2: SRP single-trace leakage, Prime+iStore vs Mastik.
 pub fn table2(ctx: &Ctx) -> Vec<Table2Row> {
-    let owned = ctx.units(smack_crypto::SrpGroup::PAPER_SIZES.len());
     banner("Table 2 — SRP single-trace leakage per group size (Tiger Lake)");
-    let rows = table2_rows_for(ctx.mode(), ctx.runner(), &owned, ctx.tau_jitter());
+    let rows = table2_rows(ctx.mode, &ctx.runner);
     let mut t = Table::new(&["group size", "Prime+iStore", "Mastik (PnP)"]);
-    for (unit, row) in owned.iter().zip(&rows) {
-        t.unit(*unit).row(vec![
+    for row in &rows {
+        t.row(vec![
             s(row.group_bits),
             f(row.smack * 100.0, 0) + "%",
             f(row.mastik * 100.0, 0) + "%",
@@ -522,7 +489,7 @@ pub fn mastik_srp_attack_on(
 /// Figure 6: the SRP single-trace pattern timeline at group size 6144.
 pub fn fig6(ctx: &Ctx) {
     banner("Figure 6 — SRP single-trace window patterns (6144-bit group)");
-    let exp_bits = ctx.mode().pick(128, 6144);
+    let exp_bits = ctx.mode.pick(128, 6144);
     let mut rng = SmallRng::seed_from_u64(0xf6);
     let b = Bignum::random_bits(&mut rng, exp_bits);
     let cfg = SrpAttackConfig::new(6144);
@@ -576,7 +543,7 @@ pub fn table3(ctx: &Ctx) -> Vec<(MicroArch, Vec<Applicability>)> {
     let spec_for = |i: usize| -> Scenario {
         Scenario::new(MicroArch::ALL[i]).with_noise(NoiseConfig::realistic()).with_seed(0x7ab3)
     };
-    let columns = ctx.runner().run_scenarios(spec_for, MicroArch::ALL.len(), |session, _| {
+    let columns = ctx.runner.run_scenarios(spec_for, MicroArch::ALL.len(), |session, _| {
         ProbeKind::ALL
             .iter()
             .map(|kind| {
@@ -619,8 +586,8 @@ pub struct Table4Row {
     pub success: f64,
 }
 
-/// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. One unit
-/// per (processor, probe) cell; returns the applicable rows of the context's units.
+/// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. Returns
+/// the applicable rows.
 pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
     let kinds = [
         ProbeKind::Flush,
@@ -631,28 +598,24 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
         ProbeKind::Clwb,
     ];
     let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
-    debug_assert_eq!(TABLE4_CELLS, arches.len() * kinds.len());
-    let owned = ctx.units(TABLE4_CELLS);
     banner("Table 4 — ISpectre leakage rates (B/s)");
-    let secret_len = ctx.mode().pick(8, 64);
+    let secret_len = ctx.mode.pick(8, 64);
     let secret: Vec<u8> =
         (0..secret_len).map(|i| (i as u8).wrapping_mul(73).wrapping_add(19)).collect();
-    // One trial per owned (processor, probe) cell.
-    let spec_for = |t: usize| -> Scenario {
-        Scenario::new(arches[owned[t] / kinds.len()])
+    // One trial per (processor, probe) cell.
+    let spec_for = |cell: usize| -> Scenario {
+        Scenario::new(arches[cell / kinds.len()])
             .with_noise(NoiseConfig::realistic())
             .with_seed(0x7ab4)
     };
-    let cells = ctx.runner().run_scenarios(spec_for, owned.len(), |session, t| {
-        let cell = owned[t];
+    let cells = ctx.runner.run_scenarios(spec_for, arches.len() * kinds.len(), |session, cell| {
         let (arch, kind) = (arches[cell / kinds.len()], kinds[cell % kinds.len()]);
         let cfg = ISpectreConfig::new(kind);
         (arch, kind, leak_secret_in(session, &secret, &cfg))
     });
     let mut rows = Vec::new();
     let mut t = Table::new(&["processor", "probe", "B/s", "success (%)"]);
-    for (unit, (arch, kind, outcome)) in owned.iter().zip(cells) {
-        t.unit(*unit);
+    for (arch, kind, outcome) in cells {
         match outcome {
             Ok(r) if r.success_rate >= 0.5 => {
                 t.row(vec![s(arch), s(kind), f(r.bytes_per_s, 0), f(r.success_rate * 100.0, 1)]);
@@ -682,11 +645,11 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
 pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
     banner("Section 6.1 — counter-based detection of SMC attacks (Cascade Lake)");
     let cfg = smack_detection::DetectionConfig {
-        window_cycles: ctx.mode().pick(80_000, 200_000) as u64,
-        windows_per_run: ctx.mode().pick(6, 14),
+        window_cycles: ctx.mode.pick(80_000, 200_000) as u64,
+        windows_per_run: ctx.mode.pick(6, 14),
         noise: NoiseConfig::realistic(),
     };
-    let (benign, attacks) = collect_detection_dataset(ctx.runner(), MicroArch::CascadeLake, &cfg);
+    let (benign, attacks) = collect_detection_dataset(&ctx.runner, MicroArch::CascadeLake, &cfg);
     let mut t = Table::new(&["feature set", "accuracy", "F1", "FPR"]);
     let mut out = Vec::new();
     for fs in smack_detection::FeatureSet::ALL {
@@ -712,7 +675,7 @@ pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
 pub fn fingerprint(ctx: &Ctx) {
     banner("Case Study II step 1 — library version fingerprinting (Tiger Lake)");
     let full = corpus();
-    let versions: Vec<_> = match ctx.mode() {
+    let versions: Vec<_> = match ctx.mode {
         Mode::Quick => full.iter().cloned().step_by(4).collect(), // 9 versions
         Mode::Full => full.clone(),
     };
@@ -720,8 +683,8 @@ pub fn fingerprint(ctx: &Ctx) {
     let report = library_id_experiment(
         MicroArch::TigerLake,
         &versions,
-        ctx.mode().pick(5, 8),
-        ctx.mode().pick(1, 2),
+        ctx.mode.pick(5, 8),
+        ctx.mode.pick(1, 2),
         &cfg,
     )
     .expect("experiment runs");
@@ -731,7 +694,7 @@ pub fn fingerprint(ctx: &Ctx) {
     t.row(vec![s("online identification accuracy"), f(report.online_accuracy, 3), s("0.97")]);
 
     banner("Case Study II step 2 — multiplication-set detection");
-    let acc = mul_set_detection_accuracy(MicroArch::TigerLake, ctx.mode().pick(8, 24), &cfg)
+    let acc = mul_set_detection_accuracy(MicroArch::TigerLake, ctx.mode.pick(8, 24), &cfg)
         .expect("experiment runs");
     println!("binary kNN accuracy: {acc:.3}   (paper: 0.96)");
     t.row(vec![s("mul-set detection accuracy"), f(acc, 3), s("0.96")]);
@@ -743,9 +706,9 @@ pub fn fingerprint(ctx: &Ctx) {
 /// [`corpus()`], one per family region).
 const ANALYZE_CORPUS_PICKS: [usize; 4] = [0, 10, 20, 30];
 
-/// Unit count of the `analyze` experiment: the four attack
-/// victims, every benign workload, and four corpus versions.
-pub const ANALYZE_UNITS: usize = 4 + BenignWorkload::ALL.len() + ANALYZE_CORPUS_PICKS.len();
+/// Victim count of the `analyze` experiment: the four attack victims,
+/// every benign workload, and four corpus versions.
+pub const ANALYZE_VICTIMS: usize = 4 + BenignWorkload::ALL.len() + ANALYZE_CORPUS_PICKS.len();
 
 /// One `analyze` row: a victim's static verdict joined with its dynamic
 /// measurement.
@@ -798,7 +761,7 @@ fn observed_lines(m: &mut Machine, start: impl FnOnce(&mut Machine)) -> Vec<u64>
     lines
 }
 
-fn analyze_rsa_unit(
+fn analyze_rsa_victim(
     session: &mut Session<'_>,
     mode: Mode,
     algorithm: ModexpAlgorithm,
@@ -846,7 +809,7 @@ fn analyze_rsa_unit(
     }
 }
 
-fn analyze_srp_unit(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
+fn analyze_srp_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
     // Group 4096: the size where the single-trace attack is near-perfect
     // even with quick-mode exponents (table2's top row territory).
     let group_bits = 4096;
@@ -876,7 +839,7 @@ fn analyze_srp_unit(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
     }
 }
 
-fn analyze_spectre_unit(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
+fn analyze_spectre_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
     let victim = SpectreVictim::build();
     let report = smack_analysis::analyze(&victim.program, victim.entry, &victim.secret_spec());
 
@@ -913,7 +876,7 @@ fn analyze_spectre_unit(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
 /// Differential dynamic check for victims without secrets: run the program
 /// to halt at two different iteration counts and compare the fetched line
 /// sets — a constant-footprint program touches the same lines either way.
-fn analyze_differential_unit(
+fn analyze_differential_victim(
     session: &mut Session<'_>,
     name: String,
     report: &AnalysisReport,
@@ -949,47 +912,44 @@ fn analyze_differential_unit(
 /// attacks' recovery for the secret-processing victims, a differential
 /// fetch-footprint comparison for the no-secret ones — and the `join`
 /// column must read `ok` on every row. The observed fetch-line log is also
-/// checked against the static footprint on every unit (the soundness
+/// checked against the static footprint on every victim (the soundness
 /// obligation the proptests lock, re-verified on the real victims).
 pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
-    let owned = ctx.units(ANALYZE_UNITS);
     banner("Static leakage analysis — taint verdicts vs measured recovery");
-    let mode = ctx.mode();
+    let mode = ctx.mode;
     let n_benign = BenignWorkload::ALL.len();
-    let arch_for = |unit: usize| match unit {
+    let arch_for = |victim: usize| match victim {
         3 => MicroArch::CascadeLake,
         _ => MicroArch::TigerLake,
     };
-    let spec_for = |t: usize| -> Scenario {
-        let unit = owned[t];
-        let scenario = Scenario::new(arch_for(unit)).with_seed(0xa70 + unit as u64);
+    let spec_for = |victim: usize| -> Scenario {
+        let scenario = Scenario::new(arch_for(victim)).with_seed(0xa70 + victim as u64);
         // The pooled session's noise must match each attack's noise
         // model: the SRP attack runs under table2's noisy model, the
         // ISpectre attack under its default realistic one.
-        match unit {
+        match victim {
             2 => scenario.with_noise(NoiseConfig::noisy()),
             3 => scenario.with_noise(NoiseConfig::realistic()),
             _ => scenario,
         }
     };
-    let rows = ctx.runner().run_scenarios(spec_for, owned.len(), |session, t| {
-        let unit = owned[t];
-        match unit {
-            0 => analyze_rsa_unit(session, mode, ModexpAlgorithm::BinaryLtr, "rsa-binary-ltr"),
-            1 => analyze_rsa_unit(
+    let rows =
+        ctx.runner.run_scenarios(spec_for, ANALYZE_VICTIMS, |session, victim| match victim {
+            0 => analyze_rsa_victim(session, mode, ModexpAlgorithm::BinaryLtr, "rsa-binary-ltr"),
+            1 => analyze_rsa_victim(
                 session,
                 mode,
                 ModexpAlgorithm::MontgomeryLadder,
                 "rsa-montgomery-ladder",
             ),
-            2 => analyze_srp_unit(session, mode),
-            3 => analyze_spectre_unit(session, mode),
+            2 => analyze_srp_victim(session, mode),
+            3 => analyze_spectre_victim(session, mode),
             u if u < 4 + n_benign => {
                 let w = BenignWorkload::ALL[u - 4];
                 let (code, data) = (0x0500_0000, 0x0600_0000);
                 let prog = w.build(code, data);
                 let report = smack_analysis::analyze(&prog, code, &w.secret_spec());
-                analyze_differential_unit(
+                analyze_differential_victim(
                     session,
                     format!("benign-{w}"),
                     &report,
@@ -1005,7 +965,7 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
                 let victim = corpus::build_victim(version, 0x0700_0000, 1);
                 let report =
                     smack_analysis::analyze(&victim.program, victim.entry, &victim.secret_spec());
-                analyze_differential_unit(
+                analyze_differential_victim(
                     session,
                     format!("corpus-{}", version.label()),
                     &report,
@@ -1013,8 +973,7 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
                     victim.entry,
                 )
             }
-        }
-    });
+        });
 
     let mut t = Table::new(&[
         "victim",
@@ -1028,9 +987,9 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
         "chance",
         "join",
     ]);
-    for (unit, row) in owned.iter().zip(&rows) {
-        let probes = smack_analysis::observing_probes(&arch_for(*unit).profile()).len();
-        t.unit(*unit).row(vec![
+    for (victim, row) in rows.iter().enumerate() {
+        let probes = smack_analysis::observing_probes(&arch_for(victim).profile()).len();
+        t.row(vec![
             row.victim.clone(),
             s(row.verdict.label()),
             s(row.leaky_lines),

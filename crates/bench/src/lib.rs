@@ -5,8 +5,8 @@
 //! reports and writing CSVs under `target/repro/`.
 //!
 //! Every experiment is a descriptor in the declarative
-//! [`registry`](crate::registry): name, title, CSV schema, *unit* count,
-//! and a run function over a [`registry::Ctx`]. One binary, `all`, looks
+//! [`registry`](crate::registry): name, title, group, CSV files, and a
+//! run function over a [`registry::Ctx`]. One binary, `all`, looks
 //! experiments up by name through the shared [`cli`]:
 //!
 //! | Name | Paper artifact |
@@ -28,10 +28,7 @@
 //!
 //! `all` with no names runs the eleven paper artifacts in sequence. It
 //! accepts `--full` (paper-scale sample counts), `--threads N`
-//! (trial-runner workers), `--shards N` (run the units through the
-//! fault-tolerant experiment [`service`] with N executors, bit-identical
-//! to the in-process run), `--out DIR`, `--tau-jitter N` and `--list`,
-//! plus the `work` service subcommand — see [`cli`].
+//! (trial-runner workers), `--out DIR` and `--list` — see [`cli`].
 
 pub mod ablations;
 pub mod cli;
@@ -39,7 +36,6 @@ pub mod experiments;
 pub mod registry;
 pub mod report;
 pub mod runner;
-pub mod service;
 
 /// Run mode for the harnesses.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]

@@ -61,9 +61,9 @@ impl NoiseConfig {
     /// [`crate::UarchProfile::fingerprint`] to key machine pools and
     /// calibration caches (the struct holds an `f64`, so it cannot
     /// implement `Eq`/`Hash` directly). Computed with
-    /// [`StableHasher`] so the digest — and therefore every
-    /// `SMACK_CALIB_DIR` cache key derived from it — survives toolchain
-    /// upgrades; the `fingerprint_compat` test locks the exact values.
+    /// [`StableHasher`] so the digest — and every cache key derived from
+    /// it — survives toolchain upgrades; the `fingerprint_compat` test
+    /// locks the exact values.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = StableHasher::new();

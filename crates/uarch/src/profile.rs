@@ -360,10 +360,10 @@ impl UarchProfile {
     }
 
     /// A toolchain-stable digest of every behavior-relevant field, used to
-    /// key machine pools and calibration caches (including the persistent
-    /// `SMACK_CALIB_DIR` disk cache, so the encoding must never drift —
-    /// it is computed with [`crate::stablehash::StableHasher`] and locked
-    /// by the `fingerprint_compat` test). Two profiles with the same
+    /// key machine pools and calibration caches. It is computed with
+    /// [`crate::stablehash::StableHasher`] and locked by the
+    /// `fingerprint_compat` test, so the same profile has the same digest
+    /// in every process and every build. Two profiles with the same
     /// fingerprint simulate identically; ablation-perturbed profiles
     /// (e.g. a tweaked `probe_costs` cell) get distinct fingerprints and
     /// therefore never share pooled machines or cached calibrations with
@@ -552,10 +552,11 @@ fn build_profile(arch: MicroArch) -> UarchProfile {
 mod tests {
     use super::*;
 
-    /// Locks the stable fingerprint encoding. These digests key the
-    /// persistent `SMACK_CALIB_DIR` calibration cache; if this test fails,
-    /// the hashing scheme changed and every on-disk cache entry will be
-    /// orphaned — that is only acceptable in a PR that says so explicitly.
+    /// Locks the stable fingerprint encoding. These digests key the machine
+    /// pools and calibration caches; if this test fails, the hashing scheme
+    /// changed and a digest recorded by an earlier build no longer names
+    /// the same profile — that is only acceptable in a change that says so
+    /// explicitly.
     #[test]
     fn fingerprint_compat() {
         assert_eq!(MicroArch::WestmereEp.profile().fingerprint(), 0x290384fde5c76ec5);

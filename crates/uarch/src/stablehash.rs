@@ -2,10 +2,10 @@
 //!
 //! [`UarchProfile::fingerprint`](crate::UarchProfile::fingerprint) and
 //! [`NoiseConfig::fingerprint`](crate::NoiseConfig::fingerprint) key the
-//! machine pools and the *persistent* calibration cache (`SMACK_CALIB_DIR`).
+//! machine pools and the calibration cache.
 //! `std::collections::hash_map::DefaultHasher` is explicitly documented as
 //! unstable across Rust releases, so fingerprints built on it would silently
-//! churn every cache key on a toolchain upgrade. `StableHasher` implements
+//! change on a toolchain upgrade. `StableHasher` implements
 //! FNV-1a over a little-endian byte stream: the digest depends only on the
 //! values written, never on the platform, the process, or the standard
 //! library version. The `fingerprint_compat` tests lock the resulting
