@@ -24,13 +24,13 @@ fn noisy_machine(fused: bool, seed: u64) -> Machine {
     m
 }
 
-/// Counter values both configurations must agree on: everything except
-/// the fast-path / fallback bookkeeping pair.
+/// Counter values both configurations must agree on: every modeled
+/// hardware event, i.e. everything but the `SIM.*` engine bookkeeping.
 fn hw_counters(m: &Machine) -> Vec<(&'static str, u64)> {
     let mut out = Vec::new();
     for tid in [ThreadId::T0, ThreadId::T1] {
         for e in PerfEvent::ALL {
-            if !matches!(e, PerfEvent::SimProbeFastPath | PerfEvent::SimProbeFallback) {
+            if !e.is_sim() {
                 out.push((e.name(), m.counters(tid).read(e)));
             }
         }

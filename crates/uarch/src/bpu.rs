@@ -44,6 +44,14 @@ impl BranchPredictor {
         self.counters[self.index(pc)] >= 2
     }
 
+    /// Whether the branch at `pc` is strongly predicted not taken: its
+    /// counter sits at 0, so a not-taken outcome is predicted correctly
+    /// and leaves the counter where it is.
+    #[inline]
+    pub fn strongly_not_taken(&self, pc: u64) -> bool {
+        self.counters[self.index(pc)] == 0
+    }
+
     /// Train the predictor with the resolved direction of the branch at
     /// `pc`.
     pub fn update(&mut self, pc: u64, taken: bool) {

@@ -154,6 +154,13 @@ impl Cache {
         self.mru[Self::hint_of(set)] == line.0 || self.lines[self.slots_in(set)].contains(&line.0)
     }
 
+    /// Whether the line-aligned `line` is the hinted most recent line of
+    /// its set — the case in which [`Cache::touch_line`] changes nothing.
+    #[inline]
+    pub fn is_hinted_mru(&self, line: Addr) -> bool {
+        self.mru[Self::hint_of(self.set_of(line))] == line.0
+    }
+
     /// Whether the line containing `addr` is present and dirty.
     pub fn is_dirty(&self, addr: Addr) -> bool {
         let line = addr.line().0;

@@ -80,11 +80,18 @@ pub enum PerfEvent {
     /// shaped `nop*; ret`, or fusion disabled) and that fell back to
     /// per-step execution.
     SimProbeFallback,
+    /// Instructions a co-running sibling retired in closed form through
+    /// whole turns of a counted delay loop, without stepping them (they
+    /// are counted in [`InstRetired`] too). Not a hardware event: it makes
+    /// the loop tier's reach observable in tests and the benchmark.
+    ///
+    /// [`InstRetired`]: PerfEvent::InstRetired
+    SimLoopRetired,
 }
 
 impl PerfEvent {
     /// Every modeled event, in a stable order.
-    pub const ALL: [PerfEvent; 21] = [
+    pub const ALL: [PerfEvent; 22] = [
         PerfEvent::InstRetired,
         PerfEvent::BrInstRetired,
         PerfEvent::BrMispRetired,
@@ -106,6 +113,7 @@ impl PerfEvent {
         PerfEvent::SimPatchRecompiles,
         PerfEvent::SimProbeFastPath,
         PerfEvent::SimProbeFallback,
+        PerfEvent::SimLoopRetired,
     ];
 
     fn slot(self) -> usize {
@@ -141,7 +149,22 @@ impl PerfEvent {
             PerfEvent::SimPatchRecompiles => "SIM.PATCH_RECOMPILES",
             PerfEvent::SimProbeFastPath => "SIM.PROBE_FAST_PATH",
             PerfEvent::SimProbeFallback => "SIM.PROBE_FALLBACK",
+            PerfEvent::SimLoopRetired => "SIM.LOOP_RETIRED",
         }
+    }
+
+    /// Whether this is a simulator-internal `SIM.*` event: engine-tier
+    /// bookkeeping rather than modeled hardware, so it stays out of
+    /// detection features, result CSVs and output digests, and is the
+    /// only kind of counter allowed to differ between interpreter tiers.
+    pub fn is_sim(self) -> bool {
+        matches!(
+            self,
+            PerfEvent::SimPatchRecompiles
+                | PerfEvent::SimProbeFastPath
+                | PerfEvent::SimProbeFallback
+                | PerfEvent::SimLoopRetired
+        )
     }
 }
 
@@ -278,6 +301,13 @@ mod tests {
     fn all_slots_unique() {
         for (i, e) in PerfEvent::ALL.iter().enumerate() {
             assert_eq!(e.slot(), i);
+        }
+    }
+
+    #[test]
+    fn sim_events_are_the_sim_prefixed_ones() {
+        for e in PerfEvent::ALL {
+            assert_eq!(e.is_sim(), e.name().starts_with("SIM."), "{e:?}");
         }
     }
 

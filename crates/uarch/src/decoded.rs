@@ -12,12 +12,19 @@
 //! then chase indices with zero map lookups and zero per-step allocation;
 //! only dynamic transfers (`ret`, `call *%reg`, speculation rollback) fall
 //! back to one O(1) hash probe in the `pc → index` map.
+//!
+//! Compilation also marks every *counted delay loop* — the six-instruction
+//! turn `head: delay c; add r,-1; cmp r,0; je exit; jmp tail` with
+//! `tail: jmp head` on the next line, the shape of a busy victim routine —
+//! so the engine can retire whole turns of it in closed form
+//! ([`CountedLoop`]). Marks follow self-modifying writes: [`DecodedProgram::patch`]
+//! re-checks a loop whenever it rewrites one of its instructions.
 
 use std::collections::HashMap;
 
 use crate::addr::Addr;
 use crate::asm::Program;
-use crate::isa::Instr;
+use crate::isa::{Cond, Instr, Reg};
 
 /// Sentinel index meaning "no decoded successor" (the address is not mapped,
 /// or the successor must be resolved through [`DecodedProgram::index_of`]).
@@ -40,6 +47,61 @@ pub struct DecodedInstr {
     /// Index of the static control-flow target (`jmp`/`jcc`/`call`), or
     /// [`NO_IDX`] for non-branches and unmapped targets.
     pub target: u32,
+    /// Index of the [`CountedLoop`] this instruction belongs to, or
+    /// [`NO_IDX`]: the engine's whole per-step test for the loop tier.
+    pub counted: u32,
+    /// Position in that loop's turn (0 = head `delay` … 5 = tail `jmp`).
+    pub loop_pos: u8,
+}
+
+/// Instructions in one turn of a [`CountedLoop`].
+pub const LOOP_LEN: usize = 6;
+/// Position of a [`CountedLoop`]'s `add r,-1`.
+pub const LOOP_ADD: usize = 1;
+/// Position of its `cmp r,0`.
+pub const LOOP_CMP: usize = 2;
+/// Position of its `je exit`.
+pub const LOOP_JE: usize = 3;
+/// Position of its tail `jmp head`, the one instruction on the next line.
+pub const LOOP_TAIL: usize = LOOP_LEN - 1;
+
+/// A counted delay loop found at decode time: the turn
+///
+/// ```text
+/// head: delay c          ; position 0 ┐
+///       add   r, -1      ; 1          │ one cache line
+///       cmp   r, 0       ; 2          │
+///       je    exit       ; 3          │
+///       jmp   tail       ; 4          ┘
+/// tail: jmp   head       ; 5  on the next line
+/// ```
+///
+/// which costs `c + 5` cycles whenever both lines fetch without a state
+/// change. Positions index [`CountedLoop::idx`] and [`CountedLoop::pc`].
+#[derive(Copy, Clone, Debug)]
+pub struct CountedLoop {
+    /// Decoded index of each position.
+    pub idx: [u32; LOOP_LEN],
+    /// Address of each position.
+    pub pc: [u64; LOOP_LEN],
+    /// The counted register.
+    pub reg: Reg,
+    /// The head's `delay` operand, in cycles.
+    pub delay: u64,
+    /// The body's cache line; the tail is on the next one.
+    pub line: u64,
+}
+
+impl CountedLoop {
+    /// The line holding position `pos`.
+    #[inline]
+    pub fn line_of(&self, pos: usize) -> u64 {
+        if pos == LOOP_TAIL {
+            self.line + crate::LINE_SIZE
+        } else {
+            self.line
+        }
+    }
 }
 
 /// The compiled side table. See the [module documentation](self).
@@ -47,6 +109,9 @@ pub struct DecodedInstr {
 pub struct DecodedProgram {
     instrs: Vec<DecodedInstr>,
     by_pc: HashMap<u64, u32>,
+    /// Counted loops, indexed by [`DecodedInstr::counted`]. A slot whose
+    /// loop a patch broke stays allocated but unreferenced.
+    loops: Vec<CountedLoop>,
 }
 
 impl DecodedProgram {
@@ -66,6 +131,8 @@ impl DecodedProgram {
                 line: Addr(pc).line().0,
                 fall: NO_IDX,
                 target: NO_IDX,
+                counted: NO_IDX,
+                loop_pos: 0,
             });
             by_pc.insert(pc, idx);
         }
@@ -81,7 +148,73 @@ impl DecodedProgram {
                 d.target = by_pc.get(&t).copied().unwrap_or(NO_IDX);
             }
         }
-        DecodedProgram { instrs, by_pc }
+        let mut prog = DecodedProgram { instrs, by_pc, loops: Vec::new() };
+        for head in 0..prog.instrs.len() as u32 {
+            if let Some(found) = prog.counted_loop_at(head) {
+                let slot = prog.loops.len() as u32;
+                prog.loops.push(found);
+                prog.mark(slot);
+            }
+        }
+        prog
+    }
+
+    /// The counted loop whose head is at index `head`, if the shape in
+    /// the [`CountedLoop`] docs is there: the five body instructions
+    /// consecutive on one line, `add`/`cmp` on the same register, the
+    /// `je` on equality, `jmp tail` resolving to a `jmp head` on the next
+    /// line.
+    fn counted_loop_at(&self, head: u32) -> Option<CountedLoop> {
+        let at = |i: u32| self.instrs.get(i as usize);
+        let h = at(head)?;
+        let Instr::Delay { cycles } = h.instr else {
+            return None;
+        };
+        let mut idx = [NO_IDX; LOOP_LEN];
+        for (k, slot) in idx.iter_mut().take(LOOP_TAIL).enumerate() {
+            let i = head + k as u32;
+            let d = at(i)?;
+            // Every body instruction up to the `je` falls through to the next.
+            if d.line != h.line || (k <= LOOP_JE && d.fall != i + 1) {
+                return None;
+            }
+            *slot = i;
+        }
+        let [_, add, cmp, je, jmp] = [0, LOOP_ADD, LOOP_CMP, LOOP_JE, LOOP_TAIL - 1]
+            .map(|pos| self.instrs[idx[pos] as usize]);
+        let reg = match (add.instr, cmp.instr, je.instr, jmp.instr) {
+            (
+                Instr::AddImm { dst, imm: -1 },
+                Instr::CmpImm { a, imm: 0 },
+                Instr::Jcc { cond: Cond::Eq, .. },
+                Instr::Jmp { .. },
+            ) if a == dst => dst,
+            _ => return None,
+        };
+        let tail = at(jmp.target)?;
+        if tail.line != h.line + crate::LINE_SIZE
+            || !matches!(tail.instr, Instr::Jmp { .. })
+            || tail.target != head
+        {
+            return None;
+        }
+        idx[LOOP_TAIL] = jmp.target;
+        Some(CountedLoop {
+            idx,
+            pc: idx.map(|i| self.instrs[i as usize].pc),
+            reg,
+            delay: u64::from(cycles),
+            line: h.line,
+        })
+    }
+
+    /// Point every position of loop `slot` at it.
+    fn mark(&mut self, slot: u32) {
+        for (pos, i) in self.loops[slot as usize].idx.into_iter().enumerate() {
+            let d = &mut self.instrs[i as usize];
+            d.counted = slot;
+            d.loop_pos = pos as u8;
+        }
     }
 
     /// Re-decode one instruction in place after a self-modifying
@@ -110,6 +243,19 @@ impl DecodedProgram {
         }
         d.instr = instr;
         d.target = target;
+        let slot = d.counted;
+        if slot != NO_IDX {
+            // The write may have turned the loop into something else:
+            // unmark it, and mark it again only if the shape survived.
+            let head = self.loops[slot as usize].idx[0];
+            for i in self.loops[slot as usize].idx {
+                self.instrs[i as usize].counted = NO_IDX;
+            }
+            if let Some(found) = self.counted_loop_at(head) {
+                self.loops[slot as usize] = found;
+                self.mark(slot);
+            }
+        }
         true
     }
 
@@ -117,6 +263,7 @@ impl DecodedProgram {
     pub fn clear(&mut self) {
         self.instrs.clear();
         self.by_pc.clear();
+        self.loops.clear();
     }
 
     /// Index of the instruction at `pc`, or [`NO_IDX`] if none is mapped
@@ -134,6 +281,16 @@ impl DecodedProgram {
     /// Panics if `idx` is out of range (in particular [`NO_IDX`]).
     pub fn get(&self, idx: u32) -> &DecodedInstr {
         &self.instrs[idx as usize]
+    }
+
+    /// The counted loop at `slot` (a [`DecodedInstr::counted`] value).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range (in particular [`NO_IDX`]).
+    #[inline]
+    pub fn counted_loop(&self, slot: u32) -> &CountedLoop {
+        &self.loops[slot as usize]
     }
 
     /// Number of decoded instructions.
@@ -246,6 +403,89 @@ mod tests {
             .expect("program has an add_imm")
             .pc;
         assert!(!d.patch(add_pc, Instr::Nop));
+    }
+
+    const ROUTINE: u64 = 0x7_0000;
+
+    /// A busy routine in the shape `ModexpVictimBuilder::emit_routine`
+    /// emits — a logging prologue, then the counted body at `body_at`, the
+    /// tail at `tail_at` — with the `cmp` operands as given.
+    fn routine(body_at: u64, cmp: (Reg, u64), tail_at: u64) -> Program {
+        let mut a = Assembler::new(ROUTINE);
+        a.push(Instr::StoreImm { mem: crate::isa::MemRef::base(Reg::R10), imm: 1 })
+            .add_imm(Reg::R10, 1)
+            .mov_imm(Reg::R11, 9)
+            .org(ROUTINE + body_at)
+            .label("body")
+            .delay(64)
+            .add_imm(Reg::R11, -1)
+            .cmp_imm(cmp.0, cmp.1)
+            .je("done")
+            .jmp("tail");
+        a.org(ROUTINE + tail_at).label("tail").jmp("body").label("done").ret();
+        a.assemble().unwrap()
+    }
+
+    /// The prologue is 19 bytes; the body follows it on the first line.
+    fn emitted_shape() -> Program {
+        routine(19, (Reg::R11, 0), 64)
+    }
+
+    fn marked(d: &DecodedProgram) -> usize {
+        (0..d.len() as u32).filter(|&i| d.get(i).counted != NO_IDX).count()
+    }
+
+    #[test]
+    fn emitted_counted_loop_is_marked() {
+        let p = emitted_shape();
+        let d = DecodedProgram::compile(&p);
+        let head = d.get(d.index_of(p.label("body").unwrap()));
+        assert_ne!(head.counted, NO_IDX);
+        let lp = d.counted_loop(head.counted);
+        assert_eq!(lp.pc[0], p.label("body").unwrap());
+        assert_eq!(lp.pc[LOOP_TAIL], p.label("tail").unwrap());
+        assert_eq!((lp.reg, lp.delay, lp.line), (Reg::R11, 64, ROUTINE));
+        assert_eq!(lp.line_of(LOOP_TAIL), ROUTINE + crate::LINE_SIZE);
+        for pos in 0..LOOP_LEN {
+            let e = d.get(lp.idx[pos]);
+            assert_eq!((e.counted, usize::from(e.loop_pos), e.pc), (head.counted, pos, lp.pc[pos]));
+        }
+        assert_eq!(marked(&d), LOOP_LEN, "only the six loop positions");
+    }
+
+    #[test]
+    fn near_miss_loops_stay_unmarked() {
+        for (what, p) in [
+            ("cmp r,1", routine(19, (Reg::R11, 1), 64)),
+            ("mismatched registers", routine(19, (Reg::R12, 0), 64)),
+            // 25 body bytes from offset 50 cross into the next line.
+            ("body crossing a line", routine(50, (Reg::R11, 0), 80)),
+            ("tail on the body's line", routine(19, (Reg::R11, 0), 48)),
+            ("tail two lines on", routine(19, (Reg::R11, 0), 128)),
+        ] {
+            assert_eq!(marked(&DecodedProgram::compile(&p)), 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn patches_recheck_only_the_loops_they_touch() {
+        let p = emitted_shape();
+        let mut d = DecodedProgram::compile(&p);
+        let body = p.label("body").unwrap();
+        let slot = d.get(d.index_of(body)).counted;
+        let cmp_pc = d.counted_loop(slot).pc[LOOP_CMP];
+        // A patch outside the loop keeps it, in place.
+        assert!(
+            d.patch(ROUTINE, Instr::StoreImm { mem: crate::isa::MemRef::base(Reg::R10), imm: 2 })
+        );
+        assert_eq!(marked(&d), LOOP_LEN);
+        // Retuning the delay keeps the shape: re-marked with the new count.
+        assert!(d.patch(body, Instr::Delay { cycles: 90 }));
+        assert_eq!(marked(&d), LOOP_LEN);
+        assert_eq!(d.counted_loop(d.get(d.index_of(body)).counted).delay, 90);
+        // `cmp r,1` is no longer the counted shape: every position drops.
+        assert!(d.patch(cmp_pc, Instr::CmpImm { a: Reg::R11, imm: 1 }));
+        assert_eq!(marked(&d), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The SMT execution core of [`Machine`]: stepping, instruction semantics,
-//! fetch modeling and the fused probe tier, plus the thread, error and
-//! probe types the public API speaks in.
+//! fetch modeling, the fused probe tier and the closed-form loop tier for
+//! a co-running sibling, plus the thread, error and probe types the public
+//! API speaks in.
 //!
 //! Two hardware threads share one physical core: the L1i/L1d/L2/LLC
 //! hierarchy, the branch predictor, and — crucially — the pipeline that an
@@ -35,7 +36,7 @@ use std::fmt;
 
 use crate::addr::Addr;
 use crate::counters::{CounterBank, PerfEvent};
-use crate::decoded::NO_IDX;
+use crate::decoded::{LOOP_ADD, LOOP_CMP, LOOP_JE, LOOP_LEN, LOOP_TAIL, NO_IDX};
 use crate::hierarchy::{Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::machine::Machine;
@@ -320,6 +321,99 @@ impl CompiledProbe {
     }
 }
 
+/// Where a closed-form run of a counted delay loop stops
+/// ([`Machine::try_loop_turns`]). Instructions are numbered by absolute
+/// position `LOOP_LEN·turn + pos` from the head of the turn the thread is
+/// in, and the run retires `[start, end)`.
+#[derive(Copy, Clone, Debug)]
+struct LoopSpan {
+    delay: u64,
+    start: u64,
+    end: u64,
+    /// Turn and position of `end`, where the thread stops.
+    turns: u64,
+    pos: usize,
+    /// Cycles the run takes.
+    cycles: u64,
+}
+
+impl LoopSpan {
+    /// Cycles from the head of a turn to the start of position `pos`: the
+    /// `delay` costs `delay`, every other instruction 1.
+    #[inline(always)]
+    fn offset(delay: u64, pos: usize) -> u64 {
+        if pos == 0 {
+            0
+        } else {
+            delay + pos as u64 - 1
+        }
+    }
+
+    /// The run from position `pos` at clock `t0` to the first instruction
+    /// boundary at or after `bound` (`> t0`). A run to the attacker's
+    /// clock spans about a turn, so the turn count is found by repeated
+    /// subtraction; only a long wait divides.
+    #[inline(always)]
+    fn new(delay: u64, pos: usize, t0: u64, bound: u64) -> LoopSpan {
+        debug_assert!(bound > t0, "a catch-up has work");
+        let turn = delay + LOOP_LEN as u64 - 1;
+        let target = bound - t0 + Self::offset(delay, pos);
+        let (mut turns, mut rest) = (0, target);
+        if target < 8 * turn {
+            while rest >= turn {
+                rest -= turn;
+                turns += 1;
+            }
+        } else {
+            turns = target / turn;
+            rest = target - turns * turn;
+        }
+        let end_pos = match rest {
+            0 => 0,
+            r if r <= delay => 1,
+            r => (r - delay + 1) as usize,
+        };
+        LoopSpan {
+            delay,
+            start: pos as u64,
+            end: turns * LOOP_LEN as u64 + end_pos as u64,
+            turns,
+            pos: end_pos,
+            cycles: turns * turn + Self::offset(delay, end_pos) - Self::offset(delay, pos),
+        }
+    }
+
+    /// Instructions retired.
+    fn instrs(&self) -> u64 {
+        self.end - self.start
+    }
+
+    /// Instructions at position `pos` among absolute positions `[from, to)`.
+    #[inline(always)]
+    fn at_pos(from: u64, to: u64, pos: usize) -> u64 {
+        let shift = LOOP_LEN as u64 - 1 - pos as u64;
+        (to + shift) / LOOP_LEN as u64 - (from + shift) / LOOP_LEN as u64
+    }
+
+    /// Retired instructions at position `pos`.
+    fn count(&self, pos: usize) -> u64 {
+        Self::at_pos(self.start, self.end, pos)
+    }
+
+    /// Retired instructions at position `pos`, not counting the first.
+    fn count_after_first(&self, pos: usize) -> u64 {
+        Self::at_pos(self.start + 1, self.end, pos)
+    }
+
+    /// Cycles from the run's start to the start of its last instruction
+    /// at position `pos` (which [`LoopSpan::count`] says exists).
+    fn last_start(&self, pos: usize) -> u64 {
+        let turn = if self.pos > pos { self.turns } else { self.turns - 1 };
+        turn * (self.delay + LOOP_LEN as u64 - 1) + Self::offset(self.delay, pos)
+            - Self::offset(self.delay, self.start as usize)
+    }
+}
+
 /// Slots in the direct-mapped [`Machine::call_shape`] memo table.
 pub(crate) const CALL_SHAPE_SLOTS: usize = 64;
 
@@ -465,7 +559,7 @@ impl Machine {
     #[inline(always)]
     pub(crate) fn catch_up_sibling(&mut self, tid: ThreadId) -> Result<(), StepError> {
         if self.sibling_behind(tid) {
-            return self.step_sibling_behind(tid, &mut 0);
+            return self.step_sibling_behind(tid, &mut 0, 0);
         }
         Ok(())
     }
@@ -481,18 +575,172 @@ impl Machine {
     }
 
     /// Step the sibling while [`Machine::sibling_behind`] holds, charging
-    /// each step to `steps`, the caller's budget counter.
+    /// each step to `steps`, the caller's budget counter. While the
+    /// sibling sits in a counted delay loop, the loop tier retires the
+    /// steps up to `tid`'s clock at once ([`Machine::retire_loop_turns`]);
+    /// `wait` is the cycles `tid` will still pass idle after this
+    /// catch-up (a busy-wait's remainder, else 0), which lets the tier
+    /// carry the sibling to the end of the wait instead.
     #[inline(never)]
-    fn step_sibling_behind(&mut self, tid: ThreadId, steps: &mut u64) -> Result<(), StepError> {
+    fn step_sibling_behind(
+        &mut self,
+        tid: ThreadId,
+        steps: &mut u64,
+        wait: u64,
+    ) -> Result<(), StepError> {
         let sib = tid.sibling();
+        let loops = self.loop_tier_enabled();
         while self.sibling_behind(tid) {
             if *steps >= STEP_BUDGET {
                 return Err(StepError::StepLimit);
+            }
+            if loops {
+                let retired = self.retire_loop_turns(tid, STEP_BUDGET - *steps, wait);
+                if retired > 0 {
+                    *steps += retired;
+                    continue;
+                }
             }
             self.step(sib)?;
             *steps += 1;
         }
         Ok(())
+    }
+
+    /// Whether catch-ups may use the loop tier: the fused tier's global
+    /// guards (fusion on, the decoded table in use, no tracing or fetch
+    /// logging to observe the elided steps).
+    #[inline(always)]
+    fn loop_tier_enabled(&self) -> bool {
+        self.use_fused_probes
+            && self.use_decoded
+            && !self.tracer.is_enabled()
+            && self.fetch_log.is_none()
+    }
+
+    /// The loop tier's per-step test: when the sibling's next instruction
+    /// belongs to a counted delay loop (one load from the decoded entry
+    /// `step` would read anyway), try [`Machine::try_loop_turns`]. Returns
+    /// the instructions retired in closed form, 0 when the sibling must
+    /// step.
+    #[inline(always)]
+    fn retire_loop_turns(&mut self, tid: ThreadId, budget: u64, wait: u64) -> u64 {
+        let idx = self.t(tid.sibling()).pc_idx;
+        if idx == NO_IDX {
+            return 0;
+        }
+        let d = self.decoded.get(idx);
+        if d.counted == NO_IDX {
+            return 0;
+        }
+        self.try_loop_turns(tid, d.counted, usize::from(d.loop_pos), budget, wait)
+    }
+
+    /// Move the sibling, sitting at position `pos` of counted loop `slot`,
+    /// to the first instruction boundary at or after a clock bound in
+    /// O(1) — exactly where stepping it would stop. The bound is the end
+    /// of `tid`'s busy-wait when `wait > 0` and the closed form reaches
+    /// it, `tid`'s clock otherwise. Returns the instructions retired, or
+    /// 0 (no side effects) when a guard requires stepping.
+    ///
+    /// Exact because, under the guards, a turn changes no shared
+    /// structure: both loop lines are the hinted most recent lines of
+    /// their sets in the L1i, L2 and LLC with the next-line prefetch
+    /// target present, both iTLB accesses are quiet hits, the `je`'s
+    /// predictor counter sits at 0 (predicted and actually not taken),
+    /// nothing speculates, the counted register stays above 0 at every
+    /// `je`, and no background eviction fires before the threads
+    /// reconverge. Each turn then costs `c + 5` cycles and only the
+    /// sibling's own registers, flags, fetch window and counters move,
+    /// all of which follow from the number of instructions retired.
+    /// Idle `tid` cycles (a wait's `Delay` chunks) touch only `tid`'s
+    /// clock and the noise schedule, so they commute with such turns as
+    /// long as the eviction guard covers them too.
+    #[inline(never)]
+    fn try_loop_turns(
+        &mut self,
+        tid: ThreadId,
+        slot: u32,
+        pos: usize,
+        budget: u64,
+        wait: u64,
+    ) -> u64 {
+        let sib = tid.sibling();
+        let lp = *self.decoded.counted_loop(slot);
+        let t = self.t(sib);
+        let r = lp.reg.index();
+        let t0 = t.clock;
+        let tail_line = lp.line + crate::LINE_SIZE;
+        if t.spec.is_some()
+            || t.ready[r] > t0 + 1
+            || (pos == LOOP_JE && t.flags.eval(Cond::Eq))
+            || !self.bpu.strongly_not_taken(lp.pc[LOOP_JE])
+            || !self.itlb[sib.index()].hit_is_quiet(Addr(lp.line))
+            || !self.itlb[sib.index()].hit_is_quiet(Addr(tail_line))
+            || !self.hier.front_end_fetch_is_quiet(lp.line)
+            || !self.hier.front_end_fetch_is_quiet(tail_line)
+        {
+            return 0;
+        }
+        let room = self.noise.cycles_to_next_eviction();
+        let counter = t.regs[r];
+        // Every `add` must leave the counter above 0, so no `je` fires.
+        let fits = |span: &LoopSpan, idle: u64| {
+            span.count(LOOP_ADD) < counter
+                && span.instrs() <= budget
+                && span.cycles.saturating_add(idle) < room
+        };
+        let attacker = self.t(tid).clock;
+        let far = LoopSpan::new(lp.delay, pos, t0, attacker + wait);
+        let span = if wait > 0 && fits(&far, wait) {
+            far
+        } else {
+            let near = LoopSpan::new(lp.delay, pos, t0, attacker);
+            if !fits(&near, 0) {
+                return 0;
+            }
+            near
+        };
+        let fired = self.noise.evictions_for(span.cycles);
+        debug_assert_eq!(fired, 0, "the eviction guard failed");
+        let n = span.instrs();
+        let adds = span.count(LOOP_ADD);
+        let cmps = span.count(LOOP_CMP);
+        let t = self.t_mut(sib);
+        t.clock = t0 + span.cycles;
+        t.regs[r] = counter - adds;
+        if adds > 0 {
+            t.ready[r] = t0 + span.last_start(LOOP_ADD) + 1;
+        }
+        if cmps > 0 {
+            // When the window ends right after an `add`, that add came
+            // after the last `cmp`.
+            let compared = t.regs[r] + u64::from(span.pos == LOOP_CMP);
+            t.flags = Flags::compare(compared, 0);
+            t.flags_ready = t0 + span.last_start(LOOP_CMP) + 1;
+        }
+        // The front-end fetches on entering the first instruction's line
+        // (unless it is streaming it already) and at every later line
+        // switch — each `delay` and each tail `jmp` — alternating between
+        // the two lines.
+        let fetches = u64::from(t.last_fetch_line != lp.line_of(pos))
+            + span.count_after_first(0)
+            + span.count_after_first(LOOP_TAIL);
+        let last = lp.line_of((span.pos + LOOP_LEN - 1) % LOOP_LEN);
+        let next = (t.fetch_window_next + (fetches % FETCH_WINDOW as u64) as usize) % FETCH_WINDOW;
+        let mut line = last;
+        for back in 1..=fetches.min(FETCH_WINDOW as u64) as usize {
+            t.fetch_window[(next + FETCH_WINDOW - back) % FETCH_WINDOW] = line;
+            line = if line == lp.line { tail_line } else { lp.line };
+        }
+        t.fetch_window_next = next;
+        t.last_fetch_line = last;
+        t.pc = lp.pc[span.pos];
+        t.pc_idx = lp.idx[span.pos];
+        t.counters.add(PerfEvent::InstRetired, n);
+        t.counters.add(PerfEvent::BrInstRetired, span.count(LOOP_JE));
+        t.counters.add(PerfEvent::SimLoopRetired, n);
+        n
     }
 
     /// Execute one injected instruction (attacker-style straight-line code;
@@ -635,6 +883,13 @@ impl Machine {
     /// starts at or before the sibling's clock joins one batch — all the
     /// remaining chunks when the sibling is not running.
     ///
+    /// Each catch-up also tells the loop tier how many cycles of the wait
+    /// are left, so a sibling busy in a counted delay loop is carried to
+    /// the first boundary at or after the wait's end clock in one closed
+    /// form — where the last per-chunk catch-up would leave it, since the
+    /// chunks in between commute with its quiet turns — after which the
+    /// rest of the wait is one batch.
+    ///
     /// # Errors
     ///
     /// Propagates the sibling's [`StepError`] with the same partial state
@@ -643,7 +898,9 @@ impl Machine {
         let sib = tid.sibling();
         let mut left = cycles;
         loop {
-            self.catch_up_sibling(tid)?;
+            if self.sibling_behind(tid) {
+                self.step_sibling_behind(tid, &mut 0, left)?;
+            }
             if left == 0 {
                 return Ok(());
             }
@@ -738,7 +995,7 @@ impl Machine {
         let mut steps = 0u64;
         for k in 0..=shape.nops {
             if self.sibling_behind(tid) {
-                if let Err(e) = self.step_sibling_behind(tid, &mut steps) {
+                if let Err(e) = self.step_sibling_behind(tid, &mut steps, 0) {
                     return Err(self.leave_mid_call(tid, target + k, k, e));
                 }
             }
@@ -942,7 +1199,8 @@ impl Machine {
                 cost += c;
             }
             // `CompiledProbe::compile` whitelists the arms above (and the
-            // `Execute` probe's `call *r`, which `run_fused_probe` steps).
+            // `Execute` probe's `call *r`, which `fused_probe_body` steps
+            // through `fused_call_body` instead).
             _ => unreachable!("non-probe op in CompiledProbe"),
         }
         self.fused_retire(tid, cost);
@@ -1565,7 +1823,297 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asm::{Assembler, Program};
+    use crate::isa::MemRef;
+    use crate::machine::Placement;
+    use crate::noise::NoiseConfig;
     use crate::profile::MicroArch;
+
+    const T0: ThreadId = ThreadId::T0;
+    const T1: ThreadId = ThreadId::T1;
+    const DRIVER: u64 = 0x40_0000;
+    const ROUTINE: u64 = 0x48_0000;
+    const ORACLE: u64 = 0x30_0000;
+    const DELAY: u32 = 64;
+    const TURN: u64 = DELAY as u64 + 5;
+
+    /// A victim busy in an `emit_routine`-shaped routine: the driver calls
+    /// it `calls` times, each call running `iters` turns of `delay`.
+    fn busy_victim(calls: u64, iters: u64) -> Program {
+        let mut a = Assembler::new(DRIVER);
+        a.mov_imm(Reg::R4, calls)
+            .label("again")
+            .call("routine")
+            .add_imm(Reg::R4, -1)
+            .cmp_imm(Reg::R4, 0)
+            .jne("again")
+            .halt();
+        a.org(ROUTINE)
+            .label("routine")
+            .mov_imm(Reg::R11, iters)
+            .label("body")
+            .delay(DELAY)
+            .add_imm(Reg::R11, -1)
+            .cmp_imm(Reg::R11, 0)
+            .je("done")
+            .jmp("tail");
+        a.org(ROUTINE + crate::LINE_SIZE).label("tail").jmp("body").label("done").ret();
+        a.assemble().unwrap()
+    }
+
+    /// A machine with the busy victim started on T1 and a `nop; ret`
+    /// oracle for T0; `loop_tier` toggles the fused tiers, whose off
+    /// setting is the per-step oracle.
+    fn corun(loop_tier: bool, noise: Option<(NoiseConfig, u64)>, victim: &Program) -> Machine {
+        let profile = MicroArch::CascadeLake.profile();
+        let mut m = match noise {
+            Some((cfg, seed)) => Machine::with_noise(profile, cfg, seed),
+            None => Machine::new(profile),
+        };
+        m.set_fused_probes(loop_tier);
+        m.load_program(victim);
+        let mut o = Assembler::new(ORACLE);
+        o.nop().ret();
+        m.load_program(&o.assemble().unwrap());
+        m.warm_tlb(T0, Addr(ORACLE));
+        m.start_program(T1, DRIVER, &[]);
+        m
+    }
+
+    /// Everything a closed-form catch-up must leave exactly as stepping
+    /// does: both threads' architectural, timing and fetch state and
+    /// hardware counters, the noise schedule, the predictor, the TLBs and
+    /// — with `full` — every cache.
+    fn observable(m: &Machine, full: bool) -> String {
+        let threads: Vec<String> = m
+            .threads
+            .iter()
+            .map(|t| {
+                let hw: Vec<u64> = PerfEvent::ALL
+                    .iter()
+                    .filter(|e| !e.is_sim())
+                    .map(|&e| t.counters.read(e))
+                    .collect();
+                format!(
+                    "{:?} {:?} {:?} {:?} {} {:#x} {} {:?} {} {:?} {} {:#x} {} {} {:?}",
+                    t.state,
+                    t.regs,
+                    t.ready,
+                    t.flags,
+                    t.flags_ready,
+                    t.pc,
+                    t.pc_idx,
+                    t.stack,
+                    t.clock,
+                    t.fetch_window,
+                    t.fetch_window_next,
+                    t.last_fetch_line,
+                    t.pending_mem,
+                    t.spec.is_some(),
+                    hw
+                )
+            })
+            .collect();
+        let caches = if full { format!("{:?}", m.hier) } else { format!("{:?}", m.hier.l1i()) };
+        format!("{threads:?}\n{:?}\n{:?}\n{:?}\n{caches}", m.noise, m.itlb, m.bpu)
+    }
+
+    /// One attacker action, applied identically to both machines.
+    #[derive(Copy, Clone, Debug)]
+    enum Act {
+        /// Move T0's clock on by `n` cycles and catch T1 up to it.
+        Catch(u64),
+        /// Busy-wait `n` cycles ([`Machine::advance`]).
+        Wait(u64),
+        /// Store to `addr` (a machine clear when its line is in the L1i).
+        Store(u64),
+        /// Call the oracle line.
+        Call,
+    }
+
+    fn apply(m: &mut Machine, act: Act) -> Result<(), StepError> {
+        match act {
+            Act::Catch(n) => {
+                m.t_mut(T0).clock += n;
+                m.catch_up_sibling(T0)
+            }
+            Act::Wait(n) => m.advance(T0, n),
+            Act::Store(addr) => {
+                m.set_reg(T0, Reg::R1, addr);
+                let store = Instr::StoreImm { mem: MemRef::base(Reg::R1), imm: 0x90 };
+                m.run_sequence(T0, &[store]).map(|_| ())
+            }
+            Act::Call => m.run_call(T0, ORACLE).map(|_| ()),
+        }
+    }
+
+    /// Run `acts` on the loop tier and on the per-step oracle, comparing
+    /// after every action; returns the loop-tier machine.
+    fn check(victim: &Program, noise: Option<(NoiseConfig, u64)>, acts: &[Act]) -> Machine {
+        let mut fast = corun(true, noise, victim);
+        let mut slow = corun(false, noise, victim);
+        for (i, &act) in acts.iter().enumerate() {
+            let (a, b) = (apply(&mut fast, act), apply(&mut slow, act));
+            assert_eq!(a, b, "action {i} {act:?}");
+            assert_eq!(observable(&fast, false), observable(&slow, false), "action {i} {act:?}");
+        }
+        assert_eq!(observable(&fast, true), observable(&slow, true), "after all actions");
+        assert_eq!(slow.counters(T1).read(PerfEvent::SimLoopRetired), 0, "the oracle steps");
+        fast
+    }
+
+    fn loop_retired(m: &Machine) -> u64 {
+        m.counters(T1).read(PerfEvent::SimLoopRetired)
+    }
+
+    /// The victim's loop position, or `None` outside the loop.
+    fn loop_pos(m: &Machine) -> Option<usize> {
+        let idx = m.decoded.index_of(m.t(T1).pc);
+        let d = m.decoded.get(idx);
+        (d.counted != NO_IDX).then_some(usize::from(d.loop_pos))
+    }
+
+    /// Catch-ups from each of the six positions to each of the six, over
+    /// zero to two extra whole turns, land exactly where stepping lands.
+    #[test]
+    fn closed_form_stops_where_stepping_stops() {
+        let victim = busy_victim(1, 1_000_000);
+        let mut fast = corun(true, None, &victim);
+        let mut slow = corun(false, None, &victim);
+        // Enter the loop, fill its lines and train its `je`.
+        for m in [&mut fast, &mut slow] {
+            apply(m, Act::Catch(30 * TURN)).unwrap();
+        }
+        let offset = |pos: usize| LoopSpan::offset(DELAY.into(), pos);
+        let mut seen = [[false; LOOP_LEN]; LOOP_LEN];
+        let legs = (0..LOOP_LEN * LOOP_LEN * 3).flat_map(|i| {
+            let (from, to, turns) = (i / 18, i / 3 % LOOP_LEN, i % 3);
+            [(from, 0, i), (to, turns, i)]
+        });
+        for (to, turns, i) in legs {
+            let from = loop_pos(&fast).expect("in the loop");
+            // The clock at which position `to` starts, `turns` whole turns
+            // on (the next turn's if `to` is not ahead), less some slack
+            // inside the `delay` before position 1.
+            let wrap = if to <= from { TURN } else { 0 };
+            let at = fast.clock(T1) + wrap + turns as u64 * TURN + offset(to) - offset(from);
+            let slack = if to == 1 { (i as u64 * 7) % u64::from(DELAY) } else { 0 };
+            for m in [&mut fast, &mut slow] {
+                m.t_mut(T0).clock = at - slack;
+                m.catch_up_sibling(T0).unwrap();
+            }
+            assert_eq!(loop_pos(&fast), Some(to), "{from} -> {to} over {turns} turns");
+            assert_eq!(fast.clock(T1), at);
+            seen[from][to] = true;
+            assert_eq!(observable(&fast, false), observable(&slow, false), "{from} -> {to}");
+        }
+        assert_eq!(observable(&fast, true), observable(&slow, true));
+        assert_eq!(seen, [[true; LOOP_LEN]; LOOP_LEN], "every start and stop position");
+        let retired = loop_retired(&fast);
+        let total = fast.counters(T1).read(PerfEvent::InstRetired);
+        assert!(retired * 10 > total * 9, "closed form retired {retired} of {total}");
+    }
+
+    /// Near the loop exit (`r` reaching 1) the tier steps the last turn,
+    /// including across calls and the driver in between; a wait longer
+    /// than the turns left runs the victim to its halt.
+    #[test]
+    fn loop_exit_and_waits_past_it_match_stepping() {
+        let victim = busy_victim(6, 5);
+        let mut acts: Vec<Act> = (0..40).map(|i| Act::Catch(1 + (i * 53) % (4 * TURN))).collect();
+        acts.extend([Act::Wait(3 * TURN), Act::Wait(7 * TURN + 3), Act::Wait(50_000)]);
+        let fast = check(&victim, None, &acts);
+        assert!(loop_retired(&fast) > 0);
+        assert_eq!(fast.state(T1), ThreadState::Halted);
+        // A long wait carries the victim to the wait's end in one step.
+        let victim = busy_victim(1, 1_000_000);
+        let fast = check(&victim, None, &[Act::Catch(900), Act::Wait(100_000), Act::Wait(1)]);
+        assert!(loop_retired(&fast) > 100_000 / TURN * 5);
+    }
+
+    /// A catch-up spanning the next background eviction: the victim steps
+    /// until the eviction fires, then the rest of the span retires in
+    /// closed form again.
+    #[test]
+    fn eviction_crossing_inside_the_window_matches_stepping() {
+        let victim = busy_victim(1, 1_000_000);
+        let noise = Some((NoiseConfig { timing_jitter: 0, evictions_per_kcycle: 1.0 }, 7));
+        let mut fast = corun(true, noise, &victim);
+        let mut slow = corun(false, noise, &victim);
+        for m in [&mut fast, &mut slow] {
+            apply(m, Act::Catch(30 * TURN)).unwrap();
+        }
+        let mut after_crossing = 0;
+        for i in 0..20 {
+            let due = fast.noise.cycles_to_next_eviction();
+            assert!(due <= 1000);
+            let bound = fast.clock(T1) + due + 5 * TURN;
+            let before = loop_retired(&fast);
+            for m in [&mut fast, &mut slow] {
+                m.t_mut(T0).clock = bound;
+                m.catch_up_sibling(T0).unwrap();
+            }
+            assert_eq!(observable(&fast, false), observable(&slow, false), "crossing {i}");
+            assert!(fast.noise.cycles_to_next_eviction() > 1000 - 6 * TURN, "the eviction fired");
+            after_crossing += loop_retired(&fast) - before;
+        }
+        assert_eq!(observable(&fast, true), observable(&slow, true));
+        assert!(after_crossing > 0);
+    }
+
+    /// Background evictions every ~250 cycles land inside many would-be
+    /// windows (which the tier must then step through), and scattered
+    /// machine clears — on the attacker's line and on the victim's own
+    /// loop line — reset the victim's fetch state and stall it mid-loop.
+    #[test]
+    fn evictions_and_sibling_clears_mid_loop_match_stepping() {
+        let victim = busy_victim(3, 400);
+        let heavy = NoiseConfig { timing_jitter: 8, evictions_per_kcycle: 4.0 };
+        for seed in 0..6 {
+            let mut acts = Vec::new();
+            for i in 0..60u64 {
+                acts.push(match i % 6 {
+                    0 => Act::Call,
+                    1 => Act::Store(ORACLE),
+                    2 => Act::Wait(40 + (i * 97) % 2000),
+                    3 if i % 12 == 3 => Act::Store(ROUTINE),
+                    _ => Act::Catch(1 + (i * 29) % (2 * TURN)),
+                });
+            }
+            let fast = check(&victim, Some((heavy, seed)), &acts);
+            assert!(loop_retired(&fast) > 0, "seed {seed}");
+            assert!(fast.counters(T1).read(PerfEvent::CycleActivityStallsTotal) > 0);
+        }
+    }
+
+    /// Guards refuse without side effects: a cold tail line, a trained
+    /// `je`, tracing, and the reference interpreter all keep the victim
+    /// stepping.
+    #[test]
+    fn guards_fall_back_to_stepping() {
+        let victim = busy_victim(1, 1_000_000);
+        let warm = |m: &mut Machine| apply(m, Act::Catch(30 * TURN)).unwrap();
+        let mut traced = corun(true, None, &victim);
+        warm(&mut traced);
+        let before = loop_retired(&traced);
+        assert!(before > 0);
+        traced.enable_trace(16);
+        apply(&mut traced, Act::Catch(10 * TURN)).unwrap();
+        assert_eq!(loop_retired(&traced), before, "tracing refuses");
+
+        let mut reference = corun(true, None, &victim);
+        reference.set_decoded_fast_path(false);
+        warm(&mut reference);
+        assert_eq!(loop_retired(&reference), 0, "the reference interpreter refuses");
+
+        let mut cold = corun(true, None, &victim);
+        warm(&mut cold);
+        cold.place_line(Addr(ROUTINE + crate::LINE_SIZE), Placement::L2);
+        let before = loop_retired(&cold);
+        apply(&mut cold, Act::Catch(TURN / 2)).unwrap();
+        assert!(loop_pos(&cold).is_some_and(|p| p < LOOP_TAIL));
+        assert_eq!(loop_retired(&cold), before, "a cold tail refuses until refetched");
+    }
 
     /// The resolution-1 short-circuit of `rdtsc` quantization agrees with
     /// the quantizing division on every profile (Intel counts single

@@ -293,6 +293,23 @@ impl CacheHierarchy {
         info
     }
 
+    /// Whether [`CacheHierarchy::front_end_fetch`] of a line-aligned
+    /// `line` would change no state: the line is the hinted most recent
+    /// line of its set in the L1i, L2 and LLC (every touch
+    /// short-circuits), and the next-line prefetch target, when the
+    /// prefetcher is on, is already in L2 or the LLC. Such a fetch hits
+    /// the L1i at no extra cost, so any number of them may be elided.
+    #[inline]
+    pub fn front_end_fetch_is_quiet(&self, line: u64) -> bool {
+        let next = Addr(line + crate::LINE_SIZE);
+        self.l1i.is_hinted_mru(Addr(line))
+            && self.l2.is_hinted_mru(Addr(line))
+            && self.llc.is_hinted_mru(Addr(line))
+            && (!self.cfg.next_line_prefetch
+                || self.l2.contains_line(next)
+                || self.llc.contains_line(next))
+    }
+
     /// Data read of the line containing `addr`; fills L1d/L2/LLC.
     ///
     /// L1d-hit fast path: a read only re-stamps the L1d line, so the L2

@@ -177,7 +177,9 @@ impl Machine {
     /// specialized pass, [`Machine::run_calls`] a batch of calls to
     /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
     /// bit-identical to per-step injection, catching a running sibling up
-    /// at the same points. Fusion refuses to run (and the per-step path
+    /// at the same points — and every catch-up of a sibling busy in a
+    /// counted delay loop retires its turns in closed form instead of
+    /// stepping them. Fusion refuses to run (and the per-step path
     /// takes over) when the injecting thread is running or speculating, or
     /// tracing / fetch logging could observe intermediate state. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable

@@ -17,11 +17,13 @@
 //! progress is tracked as `(cycles, emitted)` — so [`NoiseSource::evictions_for`]
 //! is exactly invariant under partitioning: any way of slicing an interval
 //! into sub-intervals yields the same eviction count at every boundary.
-//! That invariance is what lets the engine's fused probe and call tiers
-//! retire several instructions' cycles in one call and still match
+//! That invariance is what lets the engine's fused probe, call and wait
+//! tiers retire several instructions' cycles in one call and still match
 //! per-instruction execution bit for bit, and it also makes
-//! [`NoiseSource::cycles_to_next_eviction`] exact, which the fused probe
-//! guard uses to prove no eviction lands inside a batched probe or call.
+//! [`NoiseSource::cycles_to_next_eviction`] exact, which the loop tier's
+//! guard uses to prove no eviction lands among the counted-loop turns it
+//! retires in closed form (plus any idle cycles of the waiting thread that
+//! the same catch-up spans).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -245,7 +247,7 @@ impl NoiseSource {
     /// [`NoiseSource::evictions_for`] emits no eviction; feeding this many
     /// (or more) emits at least one. Returns `u64::MAX` when the eviction
     /// rate is zero (or the true distance exceeds `u64`). One field read —
-    /// the fused probe and call tiers consult this before every batch.
+    /// the loop tier consults it before every closed-form run.
     #[inline]
     pub fn cycles_to_next_eviction(&self) -> u64 {
         if self.rate.is_none() {

@@ -93,6 +93,16 @@ impl Tlb {
         false
     }
 
+    /// Whether [`Tlb::access`] of `addr` would be a hit that changes
+    /// nothing: its page sits in the hinted slot, which is also the most
+    /// recently used entry.
+    #[inline]
+    pub fn hit_is_quiet(&self, addr: Addr) -> bool {
+        let page = addr.page().0;
+        let hinted = self.slots[(page / crate::PAGE_SIZE) as usize % SLOT_HINTS] as usize;
+        hinted == self.mru && self.entries.get(hinted).is_some_and(|e| e.0 == page)
+    }
+
     /// Whether the page containing `addr` is currently mapped (no side
     /// effects).
     pub fn contains(&self, addr: Addr) -> bool {

@@ -383,6 +383,69 @@ mod fused_probes {
         a.assemble().expect("victim assembles")
     }
 
+    /// The loop-heavy victim's busy routine: `emit_routine`'s shape — a
+    /// logging prologue, then counted turns of `delay` — with its body on
+    /// `VICTIM_BASE`'s line, in `TARGET`'s L1i set, and its tail on the
+    /// next line. The driver calls it from a line of its own.
+    const BUSY_DRIVER: u64 = VICTIM_BASE + 0x200;
+    const BUSY_TURNS: u64 = 40;
+    /// The body's first instruction follows the 19-byte prologue.
+    const BUSY_DELAY_PC: u64 = VICTIM_BASE + 19;
+    /// `delay` (4 bytes) and `add` (5) precede the body's `cmp`.
+    const BUSY_CMP_PC: u64 = BUSY_DELAY_PC + 9;
+
+    fn busy_victim(calls: u64) -> Program {
+        let mut a = Assembler::new(BUSY_DRIVER);
+        a.mov_imm(Reg::R10, VICTIM_DATA)
+            .mov_imm(Reg::R4, calls)
+            .label("again")
+            .call("routine")
+            .add_imm(Reg::R4, -1)
+            .cmp_imm(Reg::R4, 0)
+            .jne("again")
+            .halt();
+        a.org(VICTIM_BASE)
+            .label("routine")
+            .push(Instr::StoreImm { mem: MemRef::base(Reg::R10), imm: 1 })
+            .add_imm(Reg::R10, 1)
+            .mov_imm(Reg::R11, BUSY_TURNS)
+            .label("body")
+            .delay(64)
+            .add_imm(Reg::R11, -1)
+            .cmp_imm(Reg::R11, 0)
+            .je("done")
+            .jmp("tail");
+        a.org(VICTIM_BASE + 0x40).label("tail").jmp("body").label("done").ret();
+        let p = a.assemble().expect("busy victim assembles");
+        assert_eq!(p.label("body"), Some(BUSY_DELAY_PC));
+        p
+    }
+
+    /// A length-preserving rewrite of one of the busy loop's instructions:
+    /// the `delay` retuned (the loop keeps its shape) or restored, the
+    /// `cmp` turned into `cmp r,1` (no longer the counted shape) or
+    /// restored.
+    fn loop_patch(kind: u8) -> Program {
+        let (pc, instr) = match kind % 4 {
+            0 => (BUSY_DELAY_PC, Instr::Delay { cycles: 64 }),
+            1 => (BUSY_DELAY_PC, Instr::Delay { cycles: 37 }),
+            2 => (BUSY_CMP_PC, Instr::CmpImm { a: Reg::R11, imm: 1 }),
+            _ => (BUSY_CMP_PC, Instr::CmpImm { a: Reg::R11, imm: 0 }),
+        };
+        let mut a = Assembler::new(pc);
+        a.push(instr);
+        a.assemble().expect("loop patch assembles")
+    }
+
+    /// The co-running program on T1.
+    #[derive(Copy, Clone, Debug)]
+    enum Victim {
+        /// [`victim`]: `iters` iterations, then halt or (`fault`) crash.
+        Modexp { iters: u64, fault: bool },
+        /// [`busy_victim`], calling its routine `calls` times.
+        Busy { calls: u64 },
+    }
+
     #[derive(Copy, Clone, Debug)]
     enum Action {
         /// Optionally re-place the target line, then run one timed probe.
@@ -400,6 +463,9 @@ mod fused_probes {
         ExecuteBatch(u8),
         /// Rewrite the probed routine in place (SMC patch between probes).
         Patch(u8),
+        /// Rewrite a busy-victim loop instruction in place
+        /// ([`loop_patch`]).
+        PatchLoop(u8),
     }
 
     fn action_strategy() -> impl Strategy<Value = Action> {
@@ -419,12 +485,17 @@ mod fused_probes {
         ]
     }
 
+    /// [`action_strategy`] plus rewrites of the busy victim's loop.
+    fn busy_action_strategy() -> impl Strategy<Value = Action> {
+        prop_oneof![action_strategy(), action_strategy(), (0u8..4).prop_map(Action::PatchLoop)]
+    }
+
     /// How a run is set up: injected noise `(config, seed)`, and an
-    /// optional co-running victim `(iterations, faults)` started on T1.
+    /// optional co-running victim started on T1.
     #[derive(Copy, Clone, Debug, Default)]
     struct Setup {
         noise: Option<(NoiseConfig, u64)>,
-        victim: Option<(u64, bool)>,
+        victim: Option<Victim>,
     }
 
     /// An eviction every ~250 cycles: frequent enough that the order of
@@ -457,10 +528,8 @@ mod fused_probes {
         attempts: u64,
         /// Memory-op probes (every class but `Execute`) that ran.
         memory_probes: u64,
-    }
-
-    fn is_sim_probe_counter(e: PerfEvent) -> bool {
-        matches!(e, PerfEvent::SimProbeFastPath | PerfEvent::SimProbeFallback)
+        /// Victim instructions the loop tier retired in closed form.
+        loop_retired: u64,
     }
 
     /// Run `actions` on a fresh machine and capture the observable state.
@@ -480,8 +549,11 @@ mod fused_probes {
         };
         m.set_fused_probes(fused);
         m.load_program(&oracle(oracle_kind));
-        if let Some((iters, fault)) = setup.victim {
-            let v = victim(iters, fault);
+        if let Some(kind) = setup.victim {
+            let v = match kind {
+                Victim::Modexp { iters, fault } => victim(iters, fault),
+                Victim::Busy { calls } => busy_victim(calls),
+            };
             m.load_program(&v);
             m.start_program(T1, v.entry(), &[]);
         }
@@ -519,6 +591,10 @@ mod fused_probes {
                     m.patch_program(&oracle(kind));
                     Ok(())
                 }
+                Action::PatchLoop(kind) => {
+                    m.patch_program(&loop_patch(kind));
+                    Ok(())
+                }
             };
             if let Err(e) = r {
                 err = Some(e.to_string());
@@ -528,13 +604,14 @@ mod fused_probes {
         let mut hw_counters = Vec::new();
         for tid in [T0, T1] {
             for e in PerfEvent::ALL {
-                if !is_sim_probe_counter(e) {
+                if !e.is_sim() {
                     hw_counters.push((e.name(), m.counters(tid).read(e)));
                 }
             }
         }
         counts.fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
         counts.fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
+        counts.loop_retired = m.counters(T1).read(PerfEvent::SimLoopRetired);
         let lines = [TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
         let mut mem = m.read_bytes(Addr(TARGET), 64);
         mem.extend(m.read_bytes(Addr(VICTIM_DATA), 16));
@@ -620,7 +697,8 @@ mod fused_probes {
             seed in any::<u64>(),
             iters in 1u64..3000,
         ) {
-            let setup = Setup { noise: Some((HEAVY_NOISE, seed)), victim: Some((iters, false)) };
+            let victim = Some(Victim::Modexp { iters, fault: false });
+            let setup = Setup { noise: Some((HEAVY_NOISE, seed)), victim };
             let (reference, _) = run_actions(&actions, oracle_kind, false, setup);
             let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
             prop_assert_eq!(&fused, &reference, "fused tier diverged with a co-running sibling");
@@ -628,6 +706,50 @@ mod fused_probes {
             if always_fusable(&actions, oracle_kind) {
                 prop_assert_eq!(f.fallback, 0, "a running sibling forced a fallback");
             }
+        }
+
+        /// The loop tier's axis: a victim busy in counted delay loops
+        /// whose body line shares `TARGET`'s L1i set, so attacker calls
+        /// and probes keep evicting it, under heavy eviction noise, while
+        /// SMC patches retune or break the loop between actions. Catch-ups
+        /// that retire turns in closed form must land exactly where
+        /// stepping lands.
+        #[test]
+        fn prop_fused_match_with_busy_sibling(
+            actions in proptest::collection::vec(busy_action_strategy(), 1..30),
+            oracle_kind in 0u8..3,
+            seed in any::<u64>(),
+            calls in 1u64..40,
+        ) {
+            let setup = Setup {
+                noise: Some((HEAVY_NOISE, seed)),
+                victim: Some(Victim::Busy { calls }),
+            };
+            let (reference, r) = run_actions(&actions, oracle_kind, false, setup);
+            let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
+            prop_assert_eq!(&fused, &reference, "loop tier diverged from stepping");
+            prop_assert_eq!(r.loop_retired, 0, "the per-step oracle retires no loop turns");
+            prop_assert_eq!(f.fast + f.fallback, f.attempts);
+        }
+    }
+
+    /// The busy victim's turns do retire in closed form: over quiet and
+    /// realistic noise, waits and probes, most of its instructions skip
+    /// stepping, and the outcome still matches per-step execution.
+    #[test]
+    fn busy_sibling_retires_in_closed_form() {
+        let actions: Vec<Action> = (0..60u16)
+            .flat_map(|i| [Action::Wait(300 + i * 37), Action::Probe { op: 0, place: None }])
+            .collect();
+        for noise in [None, Some((NoiseConfig::realistic(), 3))] {
+            let setup = Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }) };
+            let (reference, _) = run_actions(&actions, 0, false, setup);
+            let (fused, f) = run_actions(&actions, 0, true, setup);
+            assert_eq!(fused, reference, "{noise:?}");
+            let victim_instrs =
+                fused.hw_counters.iter().rev().find(|(n, _)| *n == "INST_RETIRED.ANY");
+            let total = victim_instrs.expect("T1 retired instructions").1;
+            assert!(f.loop_retired * 2 > total, "{} of {total} in closed form", f.loop_retired);
         }
     }
 
@@ -651,7 +773,7 @@ mod fused_probes {
             .collect();
         let mut left_mid_call = 0;
         for (iters, noise) in (1..48).flat_map(|i| [(i, None), (i, Some((HEAVY_NOISE, i)))]) {
-            let setup = Setup { noise, victim: Some((iters, true)) };
+            let setup = Setup { noise, victim: Some(Victim::Modexp { iters, fault: true }) };
             let (reference, _) = run_actions(&actions, 0, false, setup);
             let (fused, f) = run_actions(&actions, 0, true, setup);
             assert_eq!(fused, reference, "victim faulting after {iters} iterations, {noise:?}");
@@ -674,7 +796,8 @@ mod fused_probes {
     fn running_sibling_interleaves_inside_fused_probe() {
         let actions: Vec<Action> =
             (0..9u8).flat_map(|op| [Action::Execute, Action::Probe { op, place: None }]).collect();
-        let setup = Setup { noise: None, victim: Some((1_000_000, false)) };
+        let victim = Some(Victim::Modexp { iters: 1_000_000, fault: false });
+        let setup = Setup { noise: None, victim };
         let (reference, _) = run_actions(&actions, 0, false, setup);
         let (fused, f) = run_actions(&actions, 0, true, setup);
         assert_eq!(fused, reference);

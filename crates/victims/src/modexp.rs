@@ -385,6 +385,7 @@ mod tests {
     use rand::SeedableRng;
     use smack_crypto::modexp::{binary_ltr_schedule, sliding_window_schedule, ModexpOp};
     use smack_crypto::WindowSizing;
+    use smack_uarch::isa::Instr;
     use smack_uarch::{Machine, MicroArch, ThreadId};
 
     fn run_victim(victim: &ModexpVictim, exp: &Bignum) -> Vec<u8> {
@@ -402,6 +403,23 @@ mod tests {
                 ModexpOp::Multiply => LOG_MULTIPLY,
             })
             .collect()
+    }
+
+    /// Both big-int routines decode as the counted delay loops whose
+    /// turns the engine retires in closed form while an attacker samples
+    /// the victim.
+    #[test]
+    fn routines_decode_as_counted_loops() {
+        let victim = ModexpVictimBuilder::new(ModexpAlgorithm::BinaryLtr).build();
+        let decoded = smack_uarch::DecodedProgram::compile(&victim.program);
+        for line in [victim.sqr_line, victim.mul_line] {
+            let head = (0..decoded.len() as u32)
+                .map(|i| decoded.get(i))
+                .find(|d| d.line == line.0 && matches!(d.instr, Instr::Delay { .. }))
+                .expect("the routine's loop starts with a delay");
+            assert_ne!(head.counted, smack_uarch::decoded::NO_IDX, "{line:?}");
+            assert_eq!(head.loop_pos, 0);
+        }
     }
 
     #[test]
