@@ -178,7 +178,8 @@ impl EvictionSet {
 
     /// [`EvictionSet::probe_first`] into a caller-owned buffer (cleared
     /// first), so a sampling loop can reuse one allocation across its
-    /// hundreds of probe rounds per trial.
+    /// hundreds of probe rounds per trial. The round is one batched
+    /// [`Prober::measure_lines`] call.
     ///
     /// # Errors
     ///
@@ -193,11 +194,8 @@ impl EvictionSet {
     ) -> Result<(), StepError> {
         let n = n.min(self.ways.len());
         out.clear();
-        out.reserve(n);
-        for w in &self.ways[..n] {
-            out.push(prober.measure(machine, kind, *w)?.cycles);
-        }
-        Ok(())
+        out.resize(n, 0);
+        prober.measure_lines(machine, kind, &self.ways[..n], out)
     }
 }
 

@@ -77,9 +77,9 @@ pub fn probe_sequence(kind: ProbeKind) -> &'static [Instr; 5] {
 /// same multiply events fall through the same cracks in every trace, and
 /// no amount of majority voting can recover them. Jittering τ_w per trace
 /// moves the sampling phase so those misses decorrelate across traces.
-/// The draw is a pure function of `seed` (splitmix64), so parallel and
-/// sharded runs see the same wait for the same trace, and `jitter == 0`
-/// is the exact identity.
+/// The draw is a pure function of `seed` (splitmix64), so every run and
+/// every runner thread sees the same wait for the same trace, and
+/// `jitter == 0` is the exact identity.
 pub fn jittered_wait(base: u64, jitter: u64, seed: u64) -> u64 {
     if jitter == 0 {
         return base;
@@ -156,6 +156,31 @@ impl Prober {
         let start = machine.reg(self.tid, T_START);
         let end = machine.reg(self.tid, T_END);
         Ok(ProbeTiming { cycles: end.saturating_sub(start), line: addr.line(), kind })
+    }
+
+    /// Run one timed probe of `kind` against each line in `addrs`, back
+    /// to back, writing each measured `rdtsc` delta to the matching slot
+    /// of `out` — the batched probe round ([`Machine::run_probes`]): one
+    /// engine entry when the engine allows it, per-probe otherwise; same
+    /// machine state and timings as a [`Prober::measure`] per line either
+    /// way.
+    ///
+    /// # Errors
+    ///
+    /// As [`Prober::measure`], at the first probe that fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `addrs` differ in length.
+    pub fn measure_lines(
+        &mut self,
+        machine: &mut Machine,
+        kind: ProbeKind,
+        addrs: &[Addr],
+        out: &mut [u64],
+    ) -> Result<(), StepError> {
+        machine.run_probes(self.tid, &self.compiled[kind.index()], addrs, out)?;
+        Ok(())
     }
 
     /// Execute (call) the line at `addr` without timing it — the priming

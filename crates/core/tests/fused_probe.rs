@@ -4,8 +4,9 @@
 //! sequences retire through the fused engine pass or per-step injection.
 
 use smack::{calibrate_with_cold, run_channel, ChannelSpec, Prober};
+use smack_uarch::isa::Reg;
 use smack_uarch::{
-    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
+    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, StepError, ThreadId,
 };
 
 const T0: ThreadId = ThreadId::T0;
@@ -131,4 +132,108 @@ fn covert_channel_reports_identical_under_fusion() {
             spec.name()
         );
     }
+}
+
+/// A sibling for the batched-probe rounds: `iters` turns of a counted
+/// delay loop (the loop tier's and the batch carry's shape, on L1i sets 0
+/// and 1, clear of the eviction set), then a call into unmapped memory.
+fn looping_victim(iters: u64) -> smack_uarch::asm::Program {
+    let mut a = smack_uarch::asm::Assembler::new(0x48_0000);
+    a.mov_imm(Reg::R11, iters)
+        .label("body")
+        .delay(64)
+        .add_imm(Reg::R11, -1)
+        .cmp_imm(Reg::R11, 0)
+        .je("done")
+        .jmp("tail");
+    a.org(0x48_0040).label("tail").jmp("body").label("done");
+    a.mov_imm(Reg::R4, 0xdead_0000).call_reg(Reg::R4);
+    a.assemble().expect("victim assembles")
+}
+
+/// Everything a probe round must leave alike: both threads' registers,
+/// clocks, states, fetch state and hardware counters.
+fn round_state(m: &Machine) -> Vec<String> {
+    let mut out = vec![format!("{:?}", hw_counters(m))];
+    for tid in [ThreadId::T0, ThreadId::T1] {
+        let regs: Vec<u64> = (0..Reg::COUNT).map(|i| m.reg(tid, Reg::from_index(i))).collect();
+        out.push(format!("{regs:?} {} {:?} {:?}", m.clock(tid), m.state(tid), m.fetch_state(tid)));
+    }
+    out
+}
+
+/// Eviction-set probe rounds of `kind` through one `run_probes` entry
+/// each (`batched`) or one `Prober::measure` per way, with a looping
+/// sibling that faults after `iters` turns: the timings of every completed
+/// round and the error, if any, with the state it left.
+fn probe_rounds(
+    arch: MicroArch,
+    kind: ProbeKind,
+    fused: bool,
+    batched: bool,
+    iters: u64,
+) -> (Vec<u64>, Option<StepError>, Vec<String>) {
+    let mut m = Machine::with_noise(arch.profile(), NoiseConfig::realistic(), 9);
+    m.set_fused_probes(fused);
+    let ev = smack::EvictionSet::build(0x20_0000, 40, 8);
+    ev.install(&mut m);
+    for w in ev.ways() {
+        m.warm_tlb(T0, *w);
+    }
+    let victim = looping_victim(iters);
+    m.load_program(&victim);
+    m.start_program(ThreadId::T1, victim.entry(), &[]);
+    let mut prober = Prober::new(T0);
+    let (mut timings, mut out) = (Vec::new(), vec![0; 8]);
+    for round in 0..40 {
+        let ways = &ev.ways()[..1 + round % 8];
+        let r = if batched {
+            // A failing round leaves the slots of the probes it did not
+            // finish at 0; every finished probe measured some cycles.
+            let out = &mut out[..ways.len()];
+            out.fill(0);
+            let r = prober.measure_lines(&mut m, kind, ways, out);
+            timings.extend(out.iter().copied().take_while(|&t| t > 0));
+            r
+        } else {
+            ways.iter()
+                .try_for_each(|&w| prober.measure(&mut m, kind, w).map(|t| timings.push(t.cycles)))
+        };
+        let r = r
+            .and_then(|()| ev.prime(&mut m, &mut prober))
+            .and_then(|()| prober.wait(&mut m, 150 + 53 * round as u64 % 400));
+        if let Err(e) = r {
+            return (timings, Some(e), round_state(&m));
+        }
+    }
+    (timings, None, round_state(&m))
+}
+
+/// `Machine::run_probes` (through `Prober::measure_lines`, as every
+/// eviction-set probe round runs) is one `Prober::measure` per way: the
+/// same timings, registers, clocks, fetch state and counters for every
+/// probe class, fused or per-step, with a looping sibling that the
+/// `Execute` rounds carry, that faults mid-round, or that outlives the
+/// run — and the same error and partial state where the class is
+/// unsupported (Ivy Bridge has neither `clflushopt` nor `clwb`).
+#[test]
+fn batched_probe_rounds_match_per_probe_measure() {
+    let mut errors = 0;
+    for arch in [MicroArch::CascadeLake, MicroArch::IvyBridge] {
+        for kind in ProbeKind::ALL {
+            for iters in [40, 1_000_000] {
+                let reference = probe_rounds(arch, kind, false, false, iters);
+                for (fused, batched) in [(false, true), (true, false), (true, true)] {
+                    let got = probe_rounds(arch, kind, fused, batched, iters);
+                    assert_eq!(
+                        got, reference,
+                        "{arch:?} {kind} iters {iters}: fused {fused}, batched {batched}"
+                    );
+                }
+                errors += usize::from(reference.1.is_some());
+            }
+        }
+    }
+    // Unsupported classes on Ivy Bridge, and the faulting sibling.
+    assert!(errors > 4, "{errors} runs stopped on an error");
 }

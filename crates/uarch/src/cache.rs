@@ -161,6 +161,15 @@ impl Cache {
         self.mru[Self::hint_of(self.set_of(line))] == line.0
     }
 
+    /// The hint-table entry of `line`'s set. The lines of one set share
+    /// its entry, so two lines whose entries differ share no set, and an
+    /// access to one cannot change whether the other is
+    /// [`Cache::is_hinted_mru`].
+    #[inline]
+    pub(crate) fn hint_entry(&self, line: Addr) -> usize {
+        Self::hint_of(self.set_of(line))
+    }
+
     /// Whether the line containing `addr` is present and dirty.
     pub fn is_dirty(&self, addr: Addr) -> bool {
         let line = addr.line().0;

@@ -87,11 +87,19 @@ pub enum PerfEvent {
     ///
     /// [`InstRetired`]: PerfEvent::InstRetired
     SimLoopRetired,
+    /// Fused call and probe batches ([`run_calls`], [`run_probes`]) that
+    /// ran with no inner sibling catch-up, the sibling's counted delay
+    /// loop carried to the batch's end in one closed form. Not a hardware
+    /// event: it makes the batch carry's reach observable in tests.
+    ///
+    /// [`run_calls`]: crate::machine::Machine::run_calls
+    /// [`run_probes`]: crate::machine::Machine::run_probes
+    SimBatchCarried,
 }
 
 impl PerfEvent {
     /// Every modeled event, in a stable order.
-    pub const ALL: [PerfEvent; 22] = [
+    pub const ALL: [PerfEvent; 23] = [
         PerfEvent::InstRetired,
         PerfEvent::BrInstRetired,
         PerfEvent::BrMispRetired,
@@ -114,6 +122,7 @@ impl PerfEvent {
         PerfEvent::SimProbeFastPath,
         PerfEvent::SimProbeFallback,
         PerfEvent::SimLoopRetired,
+        PerfEvent::SimBatchCarried,
     ];
 
     fn slot(self) -> usize {
@@ -150,6 +159,7 @@ impl PerfEvent {
             PerfEvent::SimProbeFastPath => "SIM.PROBE_FAST_PATH",
             PerfEvent::SimProbeFallback => "SIM.PROBE_FALLBACK",
             PerfEvent::SimLoopRetired => "SIM.LOOP_RETIRED",
+            PerfEvent::SimBatchCarried => "SIM.BATCH_CARRIED",
         }
     }
 
@@ -164,6 +174,7 @@ impl PerfEvent {
                 | PerfEvent::SimProbeFastPath
                 | PerfEvent::SimProbeFallback
                 | PerfEvent::SimLoopRetired
+                | PerfEvent::SimBatchCarried
         )
     }
 }

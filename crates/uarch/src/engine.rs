@@ -3,6 +3,18 @@
 //! a co-running sibling, plus the thread, error and probe types the public
 //! API speaks in.
 //!
+//! ## Closed-form catch-ups
+//!
+//! A sibling busy in a counted delay loop whose turns change no shared
+//! structure (`Machine::loop_is_quiet`) is never stepped: each catch-up
+//! moves it to the first instruction boundary at or after the attacker's
+//! clock in O(1), a busy-wait's catch-up to the wait's end, and a fused
+//! batch of calls or `Execute` probes whose fetches stay clear of the
+//! loop's cache sets carries it across the whole batch — the batch runs
+//! with no inner catch-up and one closed form settles the sibling at its
+//! end (`Machine::try_carry`). A carry lives inside one engine entry
+//! and is always settled before the entry returns.
+//!
 //! Two hardware threads share one physical core: the L1i/L1d/L2/LLC
 //! hierarchy, the branch predictor, and — crucially — the pipeline that an
 //! SMC machine clear flushes. Each thread owns a local cycle clock; the
@@ -37,7 +49,7 @@ use std::fmt;
 use crate::addr::Addr;
 use crate::counters::{CounterBank, PerfEvent};
 use crate::decoded::{LOOP_ADD, LOOP_CMP, LOOP_JE, LOOP_LEN, LOOP_TAIL, NO_IDX};
-use crate::hierarchy::{Level, Residency};
+use crate::hierarchy::{Footprint, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::machine::Machine;
 use crate::profile::{ProbeKind, SmcBehavior, Vendor};
@@ -260,6 +272,27 @@ pub(crate) enum InjectedNext {
 /// taken inside a call count against the call's budget.
 pub const STEP_BUDGET: u64 = 500_000_000;
 
+/// The budget the engine enforces: [`STEP_BUDGET`].
+#[cfg(not(test))]
+#[inline(always)]
+pub(crate) fn step_budget() -> u64 {
+    STEP_BUDGET
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The unit tests' budget, lowered where a test needs
+    /// [`StepError::StepLimit`] within a few steps.
+    static TEST_BUDGET: std::cell::Cell<u64> = const { std::cell::Cell::new(STEP_BUDGET) };
+}
+
+/// The budget the engine enforces: [`STEP_BUDGET`], unless the running
+/// unit test lowered it.
+#[cfg(test)]
+pub(crate) fn step_budget() -> u64 {
+    TEST_BUDGET.with(std::cell::Cell::get)
+}
+
 /// Cycles per injected `Delay` chunk of a busy-wait: the granularity at
 /// which a waiting thread lets its sibling catch up.
 pub const DELAY_CHUNK: u64 = 200;
@@ -285,6 +318,9 @@ pub struct CompiledProbe {
     t_end: Reg,
     /// The timed middle operation.
     op: Instr,
+    /// The register `op` addresses through: its memory operand's base,
+    /// or `call *r`'s register.
+    pub(crate) addr: Reg,
 }
 
 impl CompiledProbe {
@@ -300,19 +336,25 @@ impl CompiledProbe {
             _ => return None,
         };
         let op = instrs[2];
-        match op {
-            Instr::Load { .. }
-            | Instr::StoreImm { .. }
-            | Instr::LockInc { .. }
-            | Instr::Clflush { .. }
-            | Instr::Clflushopt { .. }
-            | Instr::Clwb { .. }
-            | Instr::PrefetchT0 { .. }
-            | Instr::PrefetchNta { .. }
-            | Instr::CallReg { .. } => {}
+        let addr = match op {
+            Instr::Load { mem, .. }
+            | Instr::StoreImm { mem, .. }
+            | Instr::LockInc { mem }
+            | Instr::Clflush { mem }
+            | Instr::Clflushopt { mem }
+            | Instr::Clwb { mem }
+            | Instr::PrefetchT0 { mem }
+            | Instr::PrefetchNta { mem } => mem.base,
+            Instr::CallReg { target } => target,
             _ => return None,
-        }
-        Some(CompiledProbe { instrs: *instrs, t_start, t_end, op })
+        };
+        Some(CompiledProbe { instrs: *instrs, t_start, t_end, op, addr })
+    }
+
+    /// The measured delta a finished probe left on `tid`: the closing
+    /// `rdtsc` reading minus the opening one, saturating at 0.
+    pub(crate) fn timing(&self, m: &Machine, tid: ThreadId) -> u64 {
+        m.reg(tid, self.t_end).saturating_sub(m.reg(tid, self.t_start))
     }
 
     /// The original five-instruction sequence (the per-step fallback).
@@ -350,14 +392,13 @@ impl LoopSpan {
     }
 
     /// The run from position `pos` at clock `t0` to the first instruction
-    /// boundary at or after `bound` (`> t0`). A run to the attacker's
-    /// clock spans about a turn, so the turn count is found by repeated
-    /// subtraction; only a long wait divides.
+    /// boundary at or after `bound` (empty when `bound <= t0`). A run to
+    /// the attacker's clock spans about a turn, so the turn count is found
+    /// by repeated subtraction; only a long wait divides.
     #[inline(always)]
     fn new(delay: u64, pos: usize, t0: u64, bound: u64) -> LoopSpan {
-        debug_assert!(bound > t0, "a catch-up has work");
         let turn = delay + LOOP_LEN as u64 - 1;
-        let target = bound - t0 + Self::offset(delay, pos);
+        let target = bound.saturating_sub(t0) + Self::offset(delay, pos);
         let (mut turns, mut rest) = (0, target);
         if target < 8 * turn {
             while rest >= turn {
@@ -388,21 +429,18 @@ impl LoopSpan {
         self.end - self.start
     }
 
-    /// Instructions at position `pos` among absolute positions `[from, to)`.
+    /// Retired instructions at position `pos`: one per whole turn, plus
+    /// the partial turn's if `pos` is before the stop, less the first
+    /// turn's if `pos` is before the start.
     #[inline(always)]
-    fn at_pos(from: u64, to: u64, pos: usize) -> u64 {
-        let shift = LOOP_LEN as u64 - 1 - pos as u64;
-        (to + shift) / LOOP_LEN as u64 - (from + shift) / LOOP_LEN as u64
-    }
-
-    /// Retired instructions at position `pos`.
     fn count(&self, pos: usize) -> u64 {
-        Self::at_pos(self.start, self.end, pos)
+        self.turns + u64::from(pos < self.pos) - u64::from((pos as u64) < self.start)
     }
 
     /// Retired instructions at position `pos`, not counting the first.
+    #[inline(always)]
     fn count_after_first(&self, pos: usize) -> u64 {
-        Self::at_pos(self.start + 1, self.end, pos)
+        self.turns + u64::from(pos < self.pos) - u64::from(pos as u64 <= self.start)
     }
 
     /// Cycles from the run's start to the start of its last instruction
@@ -414,25 +452,102 @@ impl LoopSpan {
     }
 }
 
+/// A sibling at position `pos` of a counted delay loop: where a
+/// closed-form run starts once [`Machine::loop_is_quiet`] passes.
+#[derive(Copy, Clone, Debug)]
+struct QuietLoop {
+    /// The loop's slot in the decoded table.
+    slot: u32,
+    /// Its counted register, `delay` and body line.
+    reg: Reg,
+    delay: u64,
+    line: u64,
+    pos: usize,
+    /// The sibling's clock.
+    t0: u64,
+    /// The counted register's value.
+    counter: u64,
+}
+
+impl QuietLoop {
+    /// The run to the first instruction boundary at or after `bound`.
+    #[inline(always)]
+    fn span_to(&self, bound: u64) -> LoopSpan {
+        LoopSpan::new(self.delay, self.pos, self.t0, bound)
+    }
+
+    /// The latest bound a closed-form run may reach when the other thread
+    /// runs from `clock` up to that bound first: the run to any bound up to
+    /// the horizon retires fewer `add`s than the counter holds, leaves a
+    /// call's worth of steps (64) in the step budget, and, with the other
+    /// thread's cycles since `clock`, ends strictly before the next
+    /// background eviction, `room` cycles away.
+    fn horizon(&self, clock: u64, room: u64) -> u64 {
+        let (delay, t0) = (self.delay, self.t0);
+        let turn = delay + LOOP_LEN as u64 - 1;
+        // The counter-th `add` from here must start at or after the bound.
+        let first = match self.pos {
+            0 | 1 => LoopSpan::offset(delay, 1) - LoopSpan::offset(delay, self.pos),
+            p => turn + LoopSpan::offset(delay, 1) - LoopSpan::offset(delay, p),
+        };
+        let counter = match self.counter {
+            0 => t0,
+            c => t0.saturating_add(first).saturating_add((c - 1).saturating_mul(turn)),
+        };
+        // A run to `b` lasts under `b - t0 + delay` cycles and retires at
+        // most six instructions per turn begun; a call at most 64.
+        let room = room.saturating_add(t0).saturating_add(clock).saturating_sub(delay) / 2;
+        let turns = (step_budget().saturating_sub(64) / LOOP_LEN as u64).saturating_sub(2);
+        let budget = t0.saturating_add(turns.saturating_mul(turn));
+        counter.min(room).min(budget)
+    }
+
+    /// Whether `span` may retire in closed form: every `add` leaves the
+    /// counter above 0 (so no `je` fires), it retires at most `budget`
+    /// instructions, and with `idle` cycles the other thread passes in the
+    /// meantime it ends strictly before the next background eviction,
+    /// `room` cycles away.
+    #[inline(always)]
+    fn fits(&self, span: &LoopSpan, budget: u64, idle: u64, room: u64) -> bool {
+        span.count(LOOP_ADD) < self.counter
+            && span.instrs() <= budget
+            && span.cycles.saturating_add(idle) < room
+    }
+}
+
+/// A batch carry in progress ([`Machine::try_carry`]): the sibling's
+/// quiet loop, its fetch footprint, the latest clock `tid` may reach
+/// before the carry settles, and the worst-case cycles of one fetch.
+#[derive(Copy, Clone, Debug)]
+struct Carry {
+    q: QuietLoop,
+    own: Footprint,
+    horizon: u64,
+    fetch: u64,
+}
+
 /// Slots in the direct-mapped [`Machine::call_shape`] memo table.
 pub(crate) const CALL_SHAPE_SLOTS: usize = 64;
 
 /// The shape of a fusable callee: `nops` one-byte `nop`s, then the `ret`
-/// at `ret_pc` (decoded index `ret_idx`), all on the entry line.
+/// at `ret_pc` (decoded index `ret_idx`), all on the entry line, whose
+/// fetch touches `footprint`.
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct CallShape {
     nops: u64,
     ret_pc: u64,
     ret_idx: u32,
+    footprint: Footprint,
 }
 
 /// Empty call-shape slot (`u64::MAX` is never a decodable call target).
 pub(crate) const EMPTY_SHAPE: (u64, CallShape) =
-    (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0 });
+    (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0, footprint: Footprint::NONE });
 
-/// Largest batch [`Machine::try_fused_calls`] fuses in one pass — an
-/// eviction set's way count with headroom.
-const CALL_BATCH_MAX: usize = 16;
+/// Largest batch [`Machine::try_fused_calls`] and
+/// [`Machine::try_fused_probes`] fuse in one pass — an eviction set's way
+/// count with headroom.
+const BATCH_MAX: usize = 16;
 
 impl Machine {
     #[inline(always)]
@@ -590,16 +705,24 @@ impl Machine {
     ) -> Result<(), StepError> {
         let sib = tid.sibling();
         let loops = self.loop_tier_enabled();
+        let budget = step_budget();
+        // After the loop tier refuses, it is tried again only once the
+        // sibling has fetched another line: what refuses it is nearly
+        // always a loop line that is not quiet, which only a fetch can
+        // change. Stepping in between is exact either way.
+        let mut refused_at = None;
         while self.sibling_behind(tid) {
-            if *steps >= STEP_BUDGET {
+            if *steps >= budget {
                 return Err(StepError::StepLimit);
             }
-            if loops {
-                let retired = self.retire_loop_turns(tid, STEP_BUDGET - *steps, wait);
+            let line = self.t(sib).last_fetch_line;
+            if loops && refused_at != Some(line) {
+                let retired = self.retire_loop_turns(tid, budget - *steps, wait);
                 if retired > 0 {
                     *steps += retired;
                     continue;
                 }
+                refused_at = Some(line);
             }
             self.step(sib)?;
             *steps += 1;
@@ -643,19 +766,11 @@ impl Machine {
     /// it, `tid`'s clock otherwise. Returns the instructions retired, or
     /// 0 (no side effects) when a guard requires stepping.
     ///
-    /// Exact because, under the guards, a turn changes no shared
-    /// structure: both loop lines are the hinted most recent lines of
-    /// their sets in the L1i, L2 and LLC with the next-line prefetch
-    /// target present, both iTLB accesses are quiet hits, the `je`'s
-    /// predictor counter sits at 0 (predicted and actually not taken),
-    /// nothing speculates, the counted register stays above 0 at every
-    /// `je`, and no background eviction fires before the threads
-    /// reconverge. Each turn then costs `c + 5` cycles and only the
-    /// sibling's own registers, flags, fetch window and counters move,
-    /// all of which follow from the number of instructions retired.
-    /// Idle `tid` cycles (a wait's `Delay` chunks) touch only `tid`'s
-    /// clock and the noise schedule, so they commute with such turns as
-    /// long as the eviction guard covers them too.
+    /// Exact under [`Machine::loop_is_quiet`]'s guards, with no background
+    /// eviction firing before the threads reconverge. Idle `tid` cycles (a
+    /// wait's `Delay` chunks) touch only `tid`'s clock and the noise
+    /// schedule, so they commute with quiet turns as long as the eviction
+    /// guard covers them too.
     #[inline(never)]
     fn try_loop_turns(
         &mut self,
@@ -666,49 +781,80 @@ impl Machine {
         wait: u64,
     ) -> u64 {
         let sib = tid.sibling();
-        let lp = *self.decoded.counted_loop(slot);
-        let t = self.t(sib);
-        let r = lp.reg.index();
-        let t0 = t.clock;
-        let tail_line = lp.line + crate::LINE_SIZE;
-        if t.spec.is_some()
-            || t.ready[r] > t0 + 1
-            || (pos == LOOP_JE && t.flags.eval(Cond::Eq))
-            || !self.bpu.strongly_not_taken(lp.pc[LOOP_JE])
-            || !self.itlb[sib.index()].hit_is_quiet(Addr(lp.line))
-            || !self.itlb[sib.index()].hit_is_quiet(Addr(tail_line))
-            || !self.hier.front_end_fetch_is_quiet(lp.line)
-            || !self.hier.front_end_fetch_is_quiet(tail_line)
-        {
+        let q = self.loop_state(sib, slot, pos);
+        if !self.loop_is_quiet(sib, &q) {
             return 0;
         }
         let room = self.noise.cycles_to_next_eviction();
-        let counter = t.regs[r];
-        // Every `add` must leave the counter above 0, so no `je` fires.
-        let fits = |span: &LoopSpan, idle: u64| {
-            span.count(LOOP_ADD) < counter
-                && span.instrs() <= budget
-                && span.cycles.saturating_add(idle) < room
-        };
         let attacker = self.t(tid).clock;
-        let far = LoopSpan::new(lp.delay, pos, t0, attacker + wait);
-        let span = if wait > 0 && fits(&far, wait) {
+        let far = q.span_to(attacker + wait);
+        let span = if wait > 0 && q.fits(&far, budget, wait, room) {
             far
         } else {
-            let near = LoopSpan::new(lp.delay, pos, t0, attacker);
-            if !fits(&near, 0) {
+            let near = q.span_to(attacker);
+            if !q.fits(&near, budget, 0, room) {
                 return 0;
             }
             near
         };
+        self.retire_span(sib, &q, &span)
+    }
+
+    /// The sibling's state at position `pos` of counted loop `slot`,
+    /// guards not yet checked.
+    #[inline(always)]
+    fn loop_state(&self, sib: ThreadId, slot: u32, pos: usize) -> QuietLoop {
+        let lp = self.decoded.counted_loop(slot);
+        let t = self.t(sib);
+        let (reg, delay, line) = (lp.reg, lp.delay, lp.line);
+        QuietLoop { slot, reg, delay, line, pos, t0: t.clock, counter: t.regs[reg.index()] }
+    }
+
+    /// Whether the turns of the sibling's loop `q` change no shared
+    /// structure: both loop lines are the hinted most recent lines of
+    /// their sets in the L1i, L2 and LLC with the next-line prefetch
+    /// target present, both iTLB accesses are quiet hits, the `je`'s
+    /// predictor counter sits at 0 (predicted and actually not taken),
+    /// nothing speculates and the counter is ready. Each turn then costs
+    /// `c + 5` cycles and moves only the sibling's own registers, flags,
+    /// fetch window and counters, all of which follow from the number of
+    /// instructions retired ([`Machine::retire_span`]). A run must still
+    /// pass [`QuietLoop::fits`].
+    #[inline(always)]
+    fn loop_is_quiet(&self, sib: ThreadId, q: &QuietLoop) -> bool {
+        let t = self.t(sib);
+        let tail_line = q.line + crate::LINE_SIZE;
+        let je = self.decoded.counted_loop(q.slot).pc[LOOP_JE];
+        !(t.spec.is_some()
+            || t.ready[q.reg.index()] > q.t0 + 1
+            || (q.pos == LOOP_JE && t.flags.eval(Cond::Eq))
+            || !self.bpu.strongly_not_taken(je)
+            || !self.itlb[sib.index()].hit_is_quiet(Addr(q.line))
+            || !self.itlb[sib.index()].hit_is_quiet(Addr(tail_line))
+            || !self.hier.front_end_fetch_is_quiet(q.line)
+            || !self.hier.front_end_fetch_is_quiet(tail_line))
+    }
+
+    /// Retire `span` of the sibling's quiet loop `q` in closed form: the
+    /// clock, the counter and its readiness, flags, `pc`, the fetch state
+    /// and the counters follow from the count, and one `evictions_for`
+    /// covers the cycles. Returns the instructions retired.
+    #[inline(always)]
+    fn retire_span(&mut self, sib: ThreadId, q: &QuietLoop, span: &LoopSpan) -> u64 {
+        let t0 = q.t0;
         let fired = self.noise.evictions_for(span.cycles);
         debug_assert_eq!(fired, 0, "the eviction guard failed");
+        let lp = self.decoded.counted_loop(q.slot);
+        let (pc, pc_idx) = (lp.pc[span.pos], lp.idx[span.pos]);
+        let line_of = |pos: usize| lp.line_of(pos);
+        let (first_line, last) = (line_of(q.pos), line_of((span.pos + LOOP_LEN - 1) % LOOP_LEN));
         let n = span.instrs();
         let adds = span.count(LOOP_ADD);
         let cmps = span.count(LOOP_CMP);
-        let t = self.t_mut(sib);
+        let r = q.reg.index();
+        let t = &mut self.threads[sib.index()];
         t.clock = t0 + span.cycles;
-        t.regs[r] = counter - adds;
+        t.regs[r] = q.counter - adds;
         if adds > 0 {
             t.ready[r] = t0 + span.last_start(LOOP_ADD) + 1;
         }
@@ -723,24 +869,92 @@ impl Machine {
         // (unless it is streaming it already) and at every later line
         // switch — each `delay` and each tail `jmp` — alternating between
         // the two lines.
-        let fetches = u64::from(t.last_fetch_line != lp.line_of(pos))
+        let tail_line = q.line + crate::LINE_SIZE;
+        let fetches = u64::from(t.last_fetch_line != first_line)
             + span.count_after_first(0)
             + span.count_after_first(LOOP_TAIL);
-        let last = lp.line_of((span.pos + LOOP_LEN - 1) % LOOP_LEN);
         let next = (t.fetch_window_next + (fetches % FETCH_WINDOW as u64) as usize) % FETCH_WINDOW;
         let mut line = last;
         for back in 1..=fetches.min(FETCH_WINDOW as u64) as usize {
             t.fetch_window[(next + FETCH_WINDOW - back) % FETCH_WINDOW] = line;
-            line = if line == lp.line { tail_line } else { lp.line };
+            line = if line == q.line { tail_line } else { q.line };
         }
         t.fetch_window_next = next;
         t.last_fetch_line = last;
-        t.pc = lp.pc[span.pos];
-        t.pc_idx = lp.idx[span.pos];
+        t.pc = pc;
+        t.pc_idx = pc_idx;
         t.counters.add(PerfEvent::InstRetired, n);
         t.counters.add(PerfEvent::BrInstRetired, span.count(LOOP_JE));
         t.counters.add(PerfEvent::SimLoopRetired, n);
         n
+    }
+
+    /// Start a batch carry at one of a fused batch's catch-up points:
+    /// `Some` when the sibling sits in a quiet counted loop
+    /// ([`Machine::loop_is_quiet`]), behind `tid` or not, `None` (no side
+    /// effects) otherwise. The batch keeps a carry only while
+    /// [`Machine::carries`] admits its next call or probe, which then runs
+    /// with no catch-up; [`Machine::finish_carry`] moves the sibling in
+    /// one closed form before the first call or probe not admitted, or at
+    /// the batch's end.
+    ///
+    /// Exact for the reason a busy-wait carry is: quiet turns change
+    /// nothing the batch reads, and fetches, `mfence`, `rdtsc` and `ret`
+    /// whose footprint is disjoint from the loop's ([`Footprint`]) change
+    /// nothing the turns read — with no data-side operation there is no
+    /// machine clear, and the only random draws left are `rdtsc` jitter.
+    /// Stepping the sibling at the skipped catch-up points would stop it
+    /// at the first boundary at or after each point's clock, so at the end
+    /// where the closed form stops it. The carry's horizon keeps that run
+    /// within the loop counter, the step budget and, with `tid`'s cycles,
+    /// below the next background eviction.
+    fn try_carry(&mut self, tid: ThreadId) -> Option<Carry> {
+        let sib = tid.sibling();
+        let t = self.t(sib);
+        if t.state != ThreadState::Running || t.pc_idx == NO_IDX || !self.loop_tier_enabled() {
+            return None;
+        }
+        let d = self.decoded.get(t.pc_idx);
+        if d.counted == NO_IDX {
+            return None;
+        }
+        let q = self.loop_state(sib, d.counted, usize::from(d.loop_pos));
+        let clock = self.t(tid).clock;
+        let horizon = q.horizon(clock, self.noise.cycles_to_next_eviction());
+        let fetch = u64::from(self.profile.tlb_walk) + self.hier.max_ifetch_extra();
+        // When not even a bare call fits before the horizon (the loop
+        // about to exit, an eviction due), the guards need not run.
+        if clock + fetch + 2 > horizon || !self.loop_is_quiet(sib, &q) {
+            return None;
+        }
+        let own = self.hier.fetch_footprint(q.line)
+            | self.hier.fetch_footprint(q.line + crate::LINE_SIZE);
+        Some(Carry { q, own, horizon, fetch })
+    }
+
+    /// Whether carry `c` covers the next call, to a `nop*; ret` routine
+    /// of shape `shape` wrapped in `wrap` further cycles: its fetch
+    /// footprint is disjoint from the loop's, and `tid`'s clock after it —
+    /// bounded up front by a DRAM miss, an iTLB walk and an `mfence`
+    /// waiting out `tid`'s pending loads — stays within the horizon.
+    #[inline(always)]
+    fn carries(&self, tid: ThreadId, c: &Carry, shape: &CallShape, wrap: u64) -> bool {
+        let t = self.t(tid);
+        let wait = t.pending_mem.saturating_sub(t.clock);
+        t.clock + wait + wrap + c.fetch + shape.nops + 2 <= c.horizon
+            && !shape.footprint.overlaps(c.own)
+    }
+
+    /// Settle carry `c`: move the sibling from where
+    /// [`Machine::try_carry`] found it to the first boundary at or after
+    /// `tid`'s clock — where the catch-up at this point would leave it.
+    fn finish_carry(&mut self, tid: ThreadId, c: &Carry) {
+        let clock = self.t(tid).clock;
+        if clock > c.q.t0 {
+            let span = c.q.span_to(clock);
+            self.retire_span(tid.sibling(), &c.q, &span);
+        }
+        self.t_mut(tid).counters.add(PerfEvent::SimBatchCarried, 1);
     }
 
     /// Execute one injected instruction (attacker-style straight-line code;
@@ -835,33 +1049,153 @@ impl Machine {
         }
         self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
         let start = self.t(tid).clock;
-        Some(self.fused_probe_body(tid, probe, callee).map(|()| self.outcome_since(tid, start)))
+        Some(
+            self.fused_probe_body::<true>(tid, probe, callee)
+                .map(|()| self.outcome_since(tid, start)),
+        )
     }
 
-    fn fused_probe_body(
+    /// Run `probe` once per target in one fused pass: the fused tier
+    /// behind [`Machine::run_probes`]. Before each probe the probe's
+    /// address register is set to its target (as `Prober::measure` does),
+    /// and after it the probe's timing lands in the target's `timings`
+    /// slot. Returns `None` (with no side effects) when
+    /// [`Machine::try_fused_probe`] would refuse any one of the probes.
+    ///
+    /// Bit-identical to per-probe injection: the probes step as
+    /// [`Machine::try_fused_probe`] steps them, with the same catch-ups.
+    /// An `Execute` batch may instead carry a looping sibling from its
+    /// first probe on ([`Machine::try_carry`]): the carried probes run
+    /// with no catch-up, and one closed form settles the sibling after the
+    /// last of them — where the catch-up at that point would leave it.
+    ///
+    /// # Errors
+    ///
+    /// `Some(Err(_))` as for [`Machine::try_fused_probe`], after the
+    /// probes before the failing one have written their timings.
+    pub(crate) fn try_fused_probes(
+        &mut self,
+        tid: ThreadId,
+        probe: &CompiledProbe,
+        targets: &[Addr],
+        timings: &mut [u64],
+    ) -> Option<Result<SeqOutcome, StepError>> {
+        let execute = matches!(probe.op, Instr::CallReg { .. });
+        if targets.is_empty()
+            || targets.len() > BATCH_MAX
+            || !self.fusable(tid)
+            || (execute
+                && !(self.use_decoded
+                    && targets.iter().all(|target| self.call_shape(target.0).is_some())))
+        {
+            return None;
+        }
+        let start = self.t(tid).clock;
+        Some(
+            self.fused_probes_body(tid, probe, targets, timings)
+                .map(|()| self.outcome_since(tid, start)),
+        )
+    }
+
+    fn fused_probes_body(
+        &mut self,
+        tid: ThreadId,
+        probe: &CompiledProbe,
+        targets: &[Addr],
+        timings: &mut [u64],
+    ) -> Result<(), StepError> {
+        let wrap = 2 * u64::from(self.profile.mfence_cost + self.profile.rdtsc_cost);
+        let mut carry = None;
+        for (i, (&Addr(target), slot)) in targets.iter().zip(timings.iter_mut()).enumerate() {
+            // Each probe's register write comes before its first catch-up,
+            // which a sibling machine clear may delay.
+            self.set_reg(tid, probe.addr, target);
+            self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
+            let callee = match probe.op {
+                // Shapes were checked up front and nothing in the batch
+                // re-decodes code; this is a memo hit.
+                Instr::CallReg { .. } => Some((target, self.call_shape(target).expect("shape"))),
+                _ => None,
+            };
+            if let Some((_, shape)) = &callee {
+                carry = match carry {
+                    Some(c) if self.carries(tid, &c, shape, wrap) => Some(c),
+                    Some(c) => {
+                        self.finish_carry(tid, &c);
+                        None
+                    }
+                    // Start a carry at the batch's first catch-up, when it
+                    // covers the first probe.
+                    None if i == 0 => {
+                        self.try_carry(tid).filter(|c| self.carries(tid, c, shape, wrap))
+                    }
+                    None => None,
+                };
+            }
+            match carry {
+                Some(_) => self.fused_probe_body::<false>(tid, probe, callee)?,
+                None => self.fused_probe_body::<true>(tid, probe, callee)?,
+            }
+            *slot = probe.timing(self, tid);
+        }
+        if let Some(c) = carry {
+            self.finish_carry(tid, &c);
+        }
+        Ok(())
+    }
+
+    /// One fused probe. With `SYNC` the sibling is caught up before each
+    /// instruction, before each step of the `Execute` probe's callee and
+    /// after the sequence, exactly where per-step injection catches it up;
+    /// without, a batch carry ([`Machine::try_carry`]) holds it and no
+    /// catch-up runs.
+    #[inline(always)]
+    fn fused_probe_body<const SYNC: bool>(
         &mut self,
         tid: ThreadId,
         probe: &CompiledProbe,
         callee: Option<(u64, CallShape)>,
     ) -> Result<(), StepError> {
-        self.catch_up_sibling(tid)?;
+        self.sync::<SYNC>(tid)?;
         // Injected code executes from elsewhere; see `exec_injected`.
         self.t_mut(tid).last_fetch_line = u64::MAX;
         self.fused_mfence(tid);
-        self.catch_up_sibling(tid)?;
+        self.sync::<SYNC>(tid)?;
         self.fused_rdtsc(tid, probe.t_start);
-        self.catch_up_sibling(tid)?;
+        self.sync::<SYNC>(tid)?;
         match callee {
-            Some((target, shape)) => self.fused_call_body(tid, target, shape)?,
+            Some((target, shape)) => self.fused_call_body::<SYNC>(tid, target, shape)?,
             None => self.fused_probe_op(tid, &probe.op)?,
         }
-        self.catch_up_sibling(tid)?;
+        self.sync::<SYNC>(tid)?;
         // The closing `mfence` is injected again, away from any callee line.
         self.t_mut(tid).last_fetch_line = u64::MAX;
         self.fused_mfence(tid);
-        self.catch_up_sibling(tid)?;
+        self.sync::<SYNC>(tid)?;
         self.fused_rdtsc(tid, probe.t_end);
-        self.catch_up_sibling(tid)
+        self.sync::<SYNC>(tid)
+    }
+
+    /// [`Machine::catch_up_sibling`] when `SYNC`, nothing otherwise.
+    #[inline(always)]
+    fn sync<const SYNC: bool>(&mut self, tid: ThreadId) -> Result<(), StepError> {
+        if SYNC {
+            self.catch_up_sibling(tid)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The front-end fetch state of `tid`, for diagnostics and
+    /// equivalence tests: the line the front-end is streaming (`u64::MAX`
+    /// for none), then the in-flight fetch window, oldest first
+    /// (`u64::MAX` for an empty slot). A store-class probe machine-clears
+    /// on a line in either thread's window.
+    pub fn fetch_state(&self, tid: ThreadId) -> (u64, [u64; FETCH_WINDOW]) {
+        let t = self.t(tid);
+        let window =
+            std::array::from_fn(|i| t.fetch_window[(t.fetch_window_next + i) % FETCH_WINDOW]);
+        (t.last_fetch_line, window)
     }
 
     pub(crate) fn outcome_since(&self, tid: ThreadId, start: u64) -> SeqOutcome {
@@ -933,7 +1267,12 @@ impl Machine {
     /// sibling is caught up before each call and once after the batch
     /// (between two calls the per-call path's post-call and pre-call
     /// catch-ups coincide), and each callee steps as
-    /// [`Machine::fused_call_body`] describes. The injected `call` itself
+    /// [`Machine::fused_call_body`] describes. From the first of those
+    /// catch-ups with work on, a looping sibling may instead be carried
+    /// ([`Machine::try_carry`]): the carried calls run with no catch-up
+    /// and one closed form settles the sibling after the last of them. A
+    /// prime's few calls rarely leave the sibling behind, so the carry is
+    /// tried only where a catch-up would step it. The injected `call` itself
     /// retires nothing and charges nothing (`exec_injected` returns
     /// `EnterCall` before reaching `exec`), and the return sentinel
     /// push/pop nets out: the thread ends idle with `pc`/`pc_idx` parked
@@ -949,13 +1288,11 @@ impl Machine {
         targets: &[u64],
     ) -> Option<Result<SeqOutcome, StepError>> {
         if targets.is_empty()
-            || targets.len() > CALL_BATCH_MAX
+            || targets.len() > BATCH_MAX
             || !self.use_decoded
             || !self.fusable(tid)
+            || !targets.iter().all(|&target| self.call_shape(target).is_some())
         {
-            return None;
-        }
-        if !targets.iter().all(|&target| self.call_shape(target).is_some()) {
             return None;
         }
         self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, targets.len() as u64);
@@ -964,14 +1301,40 @@ impl Machine {
     }
 
     fn fused_calls_body(&mut self, tid: ThreadId, targets: &[u64]) -> Result<(), StepError> {
+        let (mut carry, mut tried) = (None, false);
         for &target in targets {
             // Shapes were checked up front and nothing in the batch
             // re-decodes code; this is a memo hit.
             let shape = self.call_shape(target).expect("callee shape checked");
-            self.catch_up_sibling(tid)?;
-            self.fused_call_body(tid, target, shape)?;
+            carry = match carry {
+                Some(c) if self.carries(tid, &c, &shape, 0) => Some(c),
+                Some(c) => {
+                    self.finish_carry(tid, &c);
+                    None
+                }
+                // Start a carry at the first catch-up with work, when it
+                // covers this call.
+                None if !tried && self.sibling_behind(tid) => {
+                    tried = true;
+                    self.try_carry(tid).filter(|c| self.carries(tid, c, &shape, 0))
+                }
+                None => None,
+            };
+            match carry {
+                Some(_) => self.fused_call_body::<false>(tid, target, shape)?,
+                None => {
+                    self.catch_up_sibling(tid)?;
+                    self.fused_call_body::<true>(tid, target, shape)?;
+                }
+            }
         }
-        self.catch_up_sibling(tid)
+        match carry {
+            Some(c) => {
+                self.finish_carry(tid, &c);
+                Ok(())
+            }
+            None => self.catch_up_sibling(tid),
+        }
     }
 
     /// One injected `call` of a `nop*; ret` routine, stepped in one pass
@@ -981,10 +1344,12 @@ impl Machine {
     /// [`STEP_BUDGET`]; the callee line is fetched whenever the front-end
     /// is not streaming it — on entry (the injected call reset
     /// `last_fetch_line`) and again after a sibling machine clear. `nop`
-    /// costs 1 and `ret` 2. On error the
-    /// thread is left mid-call exactly as the per-step path leaves it:
-    /// running at the next callee instruction, sentinel pushed.
-    fn fused_call_body(
+    /// costs 1 and `ret` 2. With no catch-up to make — the sibling held
+    /// by a batch carry (`SYNC` off) or not running — the callee retires
+    /// in one update. On error the thread is left mid-call exactly as the
+    /// per-step path leaves it: running at the next callee instruction,
+    /// sentinel pushed.
+    fn fused_call_body<const SYNC: bool>(
         &mut self,
         tid: ThreadId,
         target: u64,
@@ -992,21 +1357,31 @@ impl Machine {
     ) -> Result<(), StepError> {
         let line = Addr(target).line().0;
         self.t_mut(tid).last_fetch_line = u64::MAX;
-        let mut steps = 0u64;
-        for k in 0..=shape.nops {
-            if self.sibling_behind(tid) {
-                if let Err(e) = self.step_sibling_behind(tid, &mut steps, 0) {
-                    return Err(self.leave_mid_call(tid, target + k, k, e));
+        let budget = step_budget();
+        if (!SYNC || self.t(tid.sibling()).state != ThreadState::Running) && shape.nops < budget {
+            // Nothing runs between the callee's steps: it fetches its line
+            // once, on entry, and its `nop`s and `ret` retire as one
+            // update (`evictions_for` is partition-invariant, and no other
+            // draw comes between theirs).
+            self.fetch(tid, line);
+            self.fused_retire(tid, shape.nops + 2);
+        } else {
+            let mut steps = 0u64;
+            for k in 0..=shape.nops {
+                if SYNC && self.sibling_behind(tid) {
+                    if let Err(e) = self.step_sibling_behind(tid, &mut steps, 0) {
+                        return Err(self.leave_mid_call(tid, target + k, k, e));
+                    }
                 }
+                if steps >= budget {
+                    return Err(self.leave_mid_call(tid, target + k, k, StepError::StepLimit));
+                }
+                steps += 1;
+                if self.t(tid).last_fetch_line != line {
+                    self.fetch(tid, line);
+                }
+                self.fused_retire(tid, if k < shape.nops { 1 } else { 2 });
             }
-            if steps >= STEP_BUDGET {
-                return Err(self.leave_mid_call(tid, target + k, k, StepError::StepLimit));
-            }
-            steps += 1;
-            if self.t(tid).last_fetch_line != line {
-                self.fetch(tid, line);
-            }
-            self.fused_retire(tid, if k < shape.nops { 1 } else { 2 });
         }
         let t = self.t_mut(tid);
         t.counters.add(PerfEvent::InstRetired, shape.nops + 1);
@@ -1054,7 +1429,8 @@ impl Machine {
         }
         let line = Addr(target).line().0;
         let mut idx = self.decoded.index_of(target);
-        let mut shape = CallShape { nops: 0, ret_pc: target, ret_idx: NO_IDX };
+        let footprint = self.hier.fetch_footprint(line);
+        let mut shape = CallShape { nops: 0, ret_pc: target, ret_idx: NO_IDX, footprint };
         loop {
             if idx == NO_IDX {
                 return None;
@@ -1121,6 +1497,7 @@ impl Machine {
     /// guards guarantee `spec.is_none()`). On error the partial state
     /// (retire counter, dTLB fills) matches per-step execution — the
     /// clock/noise epilogue is skipped exactly like `exec`'s early return.
+    #[inline(always)]
     fn fused_probe_op(&mut self, tid: ThreadId, op: &Instr) -> Result<(), StepError> {
         self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
         let clock0 = self.t(tid).clock;
@@ -2113,6 +2490,255 @@ mod tests {
         apply(&mut cold, Act::Catch(TURN / 2)).unwrap();
         assert!(loop_pos(&cold).is_some_and(|p| p < LOOP_TAIL));
         assert_eq!(loop_retired(&cold), before, "a cold tail refuses until refetched");
+    }
+
+    /// Attacker lines for the batch carry: eight ways of L1i set 32, clear
+    /// of the busy victim's loop (L1i sets 0 and 1, L2 and LLC entries
+    /// alike) together with their prefetch targets.
+    const WAYS: [u64; 8] = {
+        let mut w = [0; 8];
+        let mut i = 0;
+        while i < 8 {
+            w[i] = 0x50_0800 + i as u64 * 0x1000;
+            i += 1;
+        }
+        w
+    };
+    /// A line in the loop head's L1i set.
+    const SAME_SET: u64 = 0x52_0000;
+
+    /// `nop; nop; ret` at every line in `lines`, each page warmed in T0's
+    /// iTLB.
+    fn add_lines(m: &mut Machine, lines: &[u64]) {
+        for &line in lines {
+            let mut a = Assembler::new(line);
+            a.nop().nop().ret();
+            m.load_program(&a.assemble().unwrap());
+            m.warm_tlb(T0, Addr(line));
+        }
+    }
+
+    /// The hint entry of `line` in a cache of `sets` sets (the
+    /// `Cache::hint_of` fold).
+    fn hint(line: u64, sets: u64) -> u64 {
+        let set = (line >> 6) & (sets - 1);
+        (set ^ set >> 6 ^ set >> 12) & 63
+    }
+
+    /// One batch action of the carry tests, applied identically to both
+    /// machines.
+    #[derive(Copy, Clone, Debug)]
+    enum Batch {
+        /// [`Machine::run_calls`] over the lines.
+        Calls(&'static [u64]),
+        /// [`Machine::run_probes`] of the `Execute` probe over the lines.
+        Probes(&'static [u64]),
+        /// Move T0's clock on by `n` cycles with no catch-up, as a
+        /// sibling machine clear stalls it: the next batch starts with
+        /// the sibling behind.
+        Jump(u64),
+        /// Busy-wait `n` cycles.
+        Wait(u64),
+        /// Set the engine's step budget for the rest of the test.
+        Budget(u64),
+        /// Drop a line from every cache (setup, no instruction).
+        Evict(u64),
+    }
+
+    fn run_batch(m: &mut Machine, b: Batch, timings: &mut Vec<u64>) -> Result<(), StepError> {
+        match b {
+            Batch::Calls(lines) => m.run_calls(T0, lines).map(|_| ()),
+            Batch::Probes(lines) => {
+                let execute = [
+                    Instr::Mfence,
+                    Instr::Rdtsc { dst: Reg::R14 },
+                    Instr::CallReg { target: Reg::R13 },
+                    Instr::Mfence,
+                    Instr::Rdtsc { dst: Reg::R15 },
+                ];
+                let probe = CompiledProbe::compile(&execute).unwrap();
+                let targets: Vec<Addr> = lines.iter().map(|&l| Addr(l)).collect();
+                let mut out = vec![0; lines.len()];
+                let r = m.run_probes(T0, &probe, &targets, &mut out).map(|_| ());
+                timings.extend(out);
+                r
+            }
+            Batch::Jump(n) => {
+                m.t_mut(T0).clock += n;
+                Ok(())
+            }
+            Batch::Wait(n) => m.advance(T0, n),
+            Batch::Budget(n) => {
+                TEST_BUDGET.with(|b| b.set(n));
+                Ok(())
+            }
+            Batch::Evict(line) => {
+                m.flush_line(Addr(line));
+                Ok(())
+            }
+        }
+    }
+
+    /// Run `batches` with the carry on and on the per-step oracle,
+    /// comparing after every batch (both fail alike or not at all);
+    /// returns the carrying machine and the error that stopped the run.
+    fn check_batches(
+        victim: &Program,
+        noise: Option<(NoiseConfig, u64)>,
+        lines: &[u64],
+        batches: &[Batch],
+    ) -> (Machine, Option<StepError>) {
+        let mut fast = corun(true, noise, victim);
+        let mut slow = corun(false, noise, victim);
+        let (mut tf, mut ts) = (Vec::new(), Vec::new());
+        for m in [&mut fast, &mut slow] {
+            add_lines(m, lines);
+            apply(m, Act::Catch(30 * TURN)).unwrap();
+        }
+        let mut err = None;
+        for (i, &b) in batches.iter().enumerate() {
+            let (a, c) = (run_batch(&mut fast, b, &mut tf), run_batch(&mut slow, b, &mut ts));
+            assert_eq!(a, c, "batch {i} {b:?}");
+            assert_eq!(tf, ts, "batch {i} {b:?} timings");
+            assert_eq!(observable(&fast, false), observable(&slow, false), "batch {i} {b:?}");
+            if let Err(e) = a {
+                err = Some(e);
+                break;
+            }
+        }
+        assert_eq!(observable(&fast, true), observable(&slow, true), "after all batches");
+        assert_eq!(slow.counters(T0).read(PerfEvent::SimBatchCarried), 0, "the oracle steps");
+        (fast, err)
+    }
+
+    fn carried(m: &Machine) -> u64 {
+        m.counters(T0).read(PerfEvent::SimBatchCarried)
+    }
+
+    /// The batches of a Mastik sample — prime, wait, probe round —
+    /// repeated, with the sibling sometimes left behind between them.
+    fn rounds(lines: &'static [u64], n: u64) -> Vec<Batch> {
+        (0..n)
+            .flat_map(|i| {
+                [
+                    Batch::Calls(lines),
+                    Batch::Wait(600),
+                    Batch::Jump(i * 37 % 300),
+                    Batch::Probes(lines),
+                ]
+            })
+            .collect()
+    }
+
+    /// Ways clear of the loop's sets and hint entries carry: every probe
+    /// round and most primes retire the sibling in one closed form, with
+    /// the sibling behind or ahead at the batch's start, and land where
+    /// stepping lands.
+    #[test]
+    fn disjoint_batches_carry_and_match_stepping() {
+        let victim = busy_victim(1, 1_000_000);
+        let probe = corun(true, None, &victim);
+        let own = probe.hier.fetch_footprint(ROUTINE) | probe.hier.fetch_footprint(ROUTINE + 64);
+        for &w in &WAYS {
+            assert!(!probe.hier.fetch_footprint(w).overlaps(own), "way {w:#x} is clear");
+        }
+        let (fast, _) = check_batches(&victim, None, &WAYS, &rounds(&WAYS, 40));
+        assert!(carried(&fast) >= 40, "carried {} batches", carried(&fast));
+        let realistic = Some((NoiseConfig::realistic(), 5));
+        let (fast, _) = check_batches(&victim, realistic, &WAYS, &rounds(&WAYS, 40));
+        assert!(carried(&fast) >= 40, "carried {} batches", carried(&fast));
+    }
+
+    /// A batch line in the loop head's L1i set refuses the carry.
+    #[test]
+    fn shared_l1i_set_refuses_the_carry() {
+        static LINES: [u64; 3] = [WAYS[0], SAME_SET, WAYS[1]];
+        let victim = busy_victim(1, 1_000_000);
+        static SAME: [u64; 8] = [SAME_SET; 8];
+        let batches = [Batch::Jump(200), Batch::Calls(&SAME), Batch::Probes(&SAME)];
+        let (fast, _) = check_batches(&victim, None, &LINES, &batches.repeat(20));
+        assert_eq!(carried(&fast), 0);
+        // A clear line first carries up to the shared one, which settles
+        // the carry.
+        let batches = [Batch::Jump(200), Batch::Probes(&LINES)];
+        let (fast, _) = check_batches(&victim, None, &LINES, &batches.repeat(20));
+        assert!(carried(&fast) > 0);
+    }
+
+    /// A line that shares only an L2 or LLC hint entry with a loop line
+    /// (its L1i set is clear), and one whose next-line prefetch target
+    /// shares the tail's, both refuse the carry.
+    #[test]
+    fn shared_hint_entries_refuse_the_carry() {
+        let tail = ROUTINE + 64;
+        // Whether `l` takes the hint entry of a loop line in L2 or the LLC.
+        let meets = |l: u64, loop_lines: &[u64]| {
+            let level = |sets| loop_lines.iter().any(|&v| hint(l, sets) == hint(v, sets));
+            level(1024) || level(8192)
+        };
+        let clear = |l: u64| {
+            ![0, 1, 2].contains(&((l >> 6) & 63)) && !meets(l, &[ROUTINE, tail, tail + 64])
+        };
+        let candidates = (0..4096u64).map(|i| 0x60_0000 + i * 64 + 0x3000);
+        let shared = candidates.clone().find(|&l| clear(l + 64) && meets(l, &[ROUTINE, tail]));
+        let prefetch = candidates.filter(|&l| clear(l)).find(|&l| meets(l + 64, &[tail]));
+        let (shared, prefetch) = (shared.unwrap(), prefetch.unwrap());
+        let victim = busy_victim(1, 1_000_000);
+        for line in [shared, prefetch] {
+            let m = corun(true, None, &victim);
+            let own = m.hier.fetch_footprint(ROUTINE) | m.hier.fetch_footprint(tail);
+            assert!(m.hier.fetch_footprint(line).overlaps(own), "{line:#x} meets the loop");
+            // Eight probes of the line span several turns, so stepping
+            // refetches a loop line after the batch has touched its entry;
+            // evicting the next line makes every batch prefetch it again.
+            let lines: &'static [u64] = Box::leak(Box::new([line; 8]));
+            let evict = Batch::Evict(line + 64);
+            let batches =
+                [Batch::Jump(150), evict, Batch::Calls(lines), evict, Batch::Probes(lines)];
+            let (fast, _) = check_batches(&victim, None, &lines[..1], &batches.repeat(30));
+            assert_eq!(carried(&fast), 0, "{line:#x}");
+        }
+    }
+
+    /// The loop's exit inside a batch ends the carry before it: with
+    /// turns of a few iterations, most batches settle early or never
+    /// carry, and the victim still leaves and re-enters its loop exactly
+    /// as stepping does.
+    #[test]
+    fn loop_exit_inside_a_batch_matches_stepping() {
+        for iters in [2, 5, 9] {
+            let victim = busy_victim(200, iters);
+            check_batches(&victim, None, &WAYS, &rounds(&WAYS, 30));
+        }
+    }
+
+    /// Background evictions every ~250 cycles fall inside most would-be
+    /// carries: the horizon stops each carry short of them (or refuses
+    /// it), and the eviction fires at its per-step point.
+    #[test]
+    fn evictions_inside_a_batch_match_stepping() {
+        let victim = busy_victim(2, 3_000);
+        for (rate, seed) in [(4.0, 1), (1.0, 2), (0.2, 3)] {
+            let noise = Some((NoiseConfig { timing_jitter: 8, evictions_per_kcycle: rate }, seed));
+            check_batches(&victim, noise, &WAYS, &rounds(&WAYS, 25));
+        }
+    }
+
+    /// A sibling exhausting the step budget mid-batch leaves the same
+    /// partial state with the carry on as stepping does: the carry's
+    /// horizon keeps clear of the budget, so the catch-up that runs out
+    /// of it is a stepped one.
+    #[test]
+    fn sibling_step_limit_mid_batch_matches_stepping() {
+        let victim = busy_victim(1, 1_000_000);
+        for budget in [30, 90, 400] {
+            for start in [Batch::Calls(&WAYS), Batch::Probes(&WAYS)] {
+                let batches = [Batch::Budget(budget), Batch::Jump(budget * 40), start];
+                let (_, err) = check_batches(&victim, None, &WAYS, &batches);
+                TEST_BUDGET.with(|b| b.set(STEP_BUDGET));
+                assert_eq!(err, Some(StepError::StepLimit), "budget {budget}, {start:?}");
+            }
+        }
     }
 
     /// The resolution-1 short-circuit of `rdtsc` quantization agrees with

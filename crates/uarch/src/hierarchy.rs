@@ -128,6 +128,32 @@ impl HierarchyConfig {
     }
 }
 
+/// A set of cache hint entries ([`CacheHierarchy::fetch_footprint`]): one
+/// bit per most-recently-used hint entry of the L1i, L2 and LLC. Accesses
+/// confined to one footprint cannot stamp, fill or evict in a set of a
+/// disjoint one, nor change which line its hint entries name.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Footprint([u64; 3]);
+
+impl Footprint {
+    /// The empty footprint.
+    pub(crate) const NONE: Footprint = Footprint([0; 3]);
+
+    /// Whether the two footprints share an entry at any level.
+    #[inline]
+    pub(crate) fn overlaps(self, other: Footprint) -> bool {
+        self.0.iter().zip(other.0).any(|(a, b)| a & b != 0)
+    }
+}
+
+impl std::ops::BitOr for Footprint {
+    type Output = Footprint;
+
+    fn bitor(self, other: Footprint) -> Footprint {
+        Footprint([self.0[0] | other.0[0], self.0[1] | other.0[1], self.0[2] | other.0[2]])
+    }
+}
+
 /// Outcome of a data read/write or prefetch.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct AccessInfo {
@@ -299,7 +325,7 @@ impl CacheHierarchy {
     /// short-circuits), and the next-line prefetch target, when the
     /// prefetcher is on, is already in L2 or the LLC. Such a fetch hits
     /// the L1i at no extra cost, so any number of them may be elided.
-    #[inline]
+    #[inline(always)]
     pub fn front_end_fetch_is_quiet(&self, line: u64) -> bool {
         let next = Addr(line + crate::LINE_SIZE);
         self.l1i.is_hinted_mru(Addr(line))
@@ -308,6 +334,34 @@ impl CacheHierarchy {
             && (!self.cfg.next_line_prefetch
                 || self.l2.contains_line(next)
                 || self.llc.contains_line(next))
+    }
+
+    /// The hint entries ([`Footprint`]) that a front-end fetch of the
+    /// line-aligned `line` may stamp, fill or evict in: `line`'s own at
+    /// every instruction-side level, and its next-line prefetch target's
+    /// in L2 and the LLC. An inclusive-LLC eviction back-invalidates a line
+    /// of the same LLC set, hence of the same L2 and L1i sets whenever the
+    /// LLC's set bits include theirs; otherwise the footprint is every
+    /// entry.
+    pub(crate) fn fetch_footprint(&self, line: u64) -> Footprint {
+        let (l1i, l2, llc) = (self.cfg.l1i.sets, self.cfg.l2.sets, self.cfg.llc.sets);
+        if llc < l2 || llc < l1i {
+            return Footprint([u64::MAX; 3]);
+        }
+        let bit = |c: &Cache, line: u64| 1u64 << c.hint_entry(Addr(line));
+        let next = line + crate::LINE_SIZE;
+        Footprint([
+            bit(&self.l1i, line),
+            bit(&self.l2, line) | bit(&self.l2, next),
+            bit(&self.llc, line) | bit(&self.llc, next),
+        ])
+    }
+
+    /// Worst-case extra cycles of one instruction fetch (a DRAM miss,
+    /// unless a faster level is configured slower).
+    pub(crate) fn max_ifetch_extra(&self) -> u64 {
+        let c = &self.cfg;
+        u64::from(c.ifetch_extra_l2.max(c.ifetch_extra_llc).max(c.ifetch_extra_dram))
     }
 
     /// Data read of the line containing `addr`; fills L1d/L2/LLC.

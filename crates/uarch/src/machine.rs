@@ -20,8 +20,8 @@ use crate::bpu::BranchPredictor;
 use crate::counters::{CounterBank, PerfEvent};
 use crate::decoded::{DecodedProgram, NO_IDX};
 use crate::engine::{
-    CallShape, CompiledProbe, InjectedNext, SeqOutcome, StepError, Thread, ThreadId, ThreadState,
-    CALL_SHAPE_SLOTS, DELAY_CHUNK, EMPTY_SHAPE, STEP_BUDGET,
+    step_budget, CallShape, CompiledProbe, InjectedNext, SeqOutcome, StepError, Thread, ThreadId,
+    ThreadState, CALL_SHAPE_SLOTS, DELAY_CHUNK, EMPTY_SHAPE,
 };
 use crate::hierarchy::{CacheHierarchy, Residency};
 use crate::isa::{Instr, Reg};
@@ -175,11 +175,14 @@ impl Machine {
     /// [`Machine::run_probe`] retires a whole compiled
     /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
     /// specialized pass, [`Machine::run_calls`] a batch of calls to
-    /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
-    /// bit-identical to per-step injection, catching a running sibling up
-    /// at the same points — and every catch-up of a sibling busy in a
-    /// counted delay loop retires its turns in closed form instead of
-    /// stepping them. Fusion refuses to run (and the per-step path
+    /// `nop*; ret` lines, [`Machine::run_probes`] a batch of probes and
+    /// [`Machine::advance`] a busy-wait — each bit-identical to per-step
+    /// injection, catching a running sibling up at the same points — and
+    /// every catch-up of a sibling busy in a counted delay loop retires
+    /// its turns in closed form instead of stepping them, or, across a
+    /// batch of calls or `Execute` probes clear of the loop's cache sets,
+    /// skips the batch's catch-ups for one closed form at its end. Fusion
+    /// refuses to run (and the per-step path
     /// takes over) when the injecting thread is running or speculating, or
     /// tracing / fetch logging could observe intermediate state. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable
@@ -570,6 +573,44 @@ impl Machine {
         self.run_sequence(tid, probe.instrs())
     }
 
+    /// Run `probe` once per target back to back on an idle thread, the
+    /// register its timed operation addresses through (the memory
+    /// operand's base, or `call *r`'s register) set to each target in
+    /// turn, writing each probe's measured `rdtsc` delta (closing
+    /// minus opening reading, saturating at 0) to the matching `timings`
+    /// slot: one fused pass for the whole batch when the guards allow
+    /// every probe, per-probe [`Machine::run_probe`] otherwise. An
+    /// eviction set probes its ways this way. Same outcome either way, by
+    /// construction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`StepError`] from either thread, after the probes
+    /// before the failing one have written their timings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timings` and `targets` differ in length.
+    pub fn run_probes(
+        &mut self,
+        tid: ThreadId,
+        probe: &CompiledProbe,
+        targets: &[Addr],
+        timings: &mut [u64],
+    ) -> Result<SeqOutcome, StepError> {
+        assert_eq!(targets.len(), timings.len(), "one timing slot per target");
+        if let Some(outcome) = self.try_fused_probes(tid, probe, targets, timings) {
+            return outcome;
+        }
+        let start = self.t(tid).clock;
+        for (target, slot) in targets.iter().zip(timings.iter_mut()) {
+            self.set_reg(tid, probe.addr, target.0);
+            self.run_probe(tid, probe)?;
+            *slot = probe.timing(self, tid);
+        }
+        Ok(self.outcome_since(tid, start))
+    }
+
     /// Call the line at `target` on an idle thread: one fused pass when the
     /// guards and the callee's shape allow it (the callee must be an
     /// attacker-style one-line `nop*; ret` routine), injecting the `call`
@@ -591,7 +632,8 @@ impl Machine {
     /// fused pass for the whole batch when the guards and every callee's
     /// shape allow it, falling back to per-call [`Machine::run_call`]
     /// otherwise — an eviction set primes its eight ways in one pass
-    /// instead of eight. Same outcome either way, by construction.
+    /// instead of eight. Same outcome either way, by construction. With
+    /// [`Machine::run_probes`], one of the two batch entries.
     ///
     /// # Errors
     ///
@@ -633,7 +675,7 @@ impl Machine {
     /// Drive a running thread to idle/halt, enforcing the default step
     /// budget.
     fn drive_to_idle(&mut self, tid: ThreadId) -> Result<(), StepError> {
-        self.run_burst(tid, STEP_BUDGET)?;
+        self.run_burst(tid, step_budget())?;
         if self.t(tid).state == ThreadState::Running {
             return Err(StepError::StepLimit);
         }

@@ -421,6 +421,26 @@ mod fused_probes {
         p
     }
 
+    /// Attacker ways clear of the busy loop: L1i set 40 (the loop holds
+    /// sets 0 and 1), with L2 and LLC hint entries, prefetch targets'
+    /// included, away from the loop's.
+    const CLEAR_WAYS: [u64; 4] = [0x32_0a00, 0x33_0a00, 0x34_0a00, 0x35_0a00];
+
+    /// An eviction set on the busy loop's own L1i set 0: fetched in a
+    /// batch, its ways re-stamp and evict the loop's lines, so a batch
+    /// that carried the loop over them would reorder the set.
+    const LOOP_SET_WAYS: [u64; 8] =
+        [0x38_0000, 0x39_0000, 0x3a_0000, 0x3b_0000, 0x3c_0000, 0x3d_0000, 0x3e_0000, 0x3f_0000];
+
+    /// `nop; nop; ret` at every clear and loop-set way.
+    fn attacker_ways() -> Program {
+        let mut a = Assembler::new(CLEAR_WAYS[0]);
+        for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS) {
+            a.org(w).nop().nop().ret();
+        }
+        a.assemble().expect("ways assemble")
+    }
+
     /// A length-preserving rewrite of one of the busy loop's instructions:
     /// the `delay` retuned (the loop keeps its shape) or restored, the
     /// `cmp` turned into `cmp r,1` (no longer the counted shape) or
@@ -466,6 +486,10 @@ mod fused_probes {
         /// Rewrite a busy-victim loop instruction in place
         /// ([`loop_patch`]).
         PatchLoop(u8),
+        /// One batched entry over `n` lines — the clear ways, or ways of
+        /// the busy loop's own L1i set: [`Machine::run_calls`], or
+        /// [`Machine::run_probes`] of the `Execute` probe (`probe`).
+        Batch { probe: bool, clear: bool, n: u8 },
     }
 
     fn action_strategy() -> impl Strategy<Value = Action> {
@@ -488,6 +512,26 @@ mod fused_probes {
     /// [`action_strategy`] plus rewrites of the busy victim's loop.
     fn busy_action_strategy() -> impl Strategy<Value = Action> {
         prop_oneof![action_strategy(), action_strategy(), (0u8..4).prop_map(Action::PatchLoop)]
+    }
+
+    /// Batched calls and probe rounds over clear or loop-set lines,
+    /// between waits, single probes and loop rewrites.
+    fn batch_action_strategy() -> impl Strategy<Value = Action> {
+        let batch = || {
+            (any::<bool>(), 0u8..4, 1u8..9).prop_map(|(probe, clear, n)| Action::Batch {
+                probe,
+                clear: clear > 0,
+                n,
+            })
+        };
+        prop_oneof![
+            batch(),
+            batch(),
+            batch(),
+            (0u16..3000).prop_map(Action::Wait),
+            action_strategy(),
+            (0u8..4).prop_map(Action::PatchLoop),
+        ]
     }
 
     /// How a run is set up: injected noise `(config, seed)`, and an
@@ -515,6 +559,9 @@ mod fused_probes {
         mem: Vec<u8>,
         residency: Vec<Residency>,
         hw_counters: Vec<(&'static str, u64)>,
+        /// Each thread's streamed line and fetch window
+        /// ([`Machine::fetch_state`]): which stores machine-clear.
+        fetch: Vec<(u64, [u64; 2])>,
         err: Option<String>,
     }
 
@@ -530,6 +577,8 @@ mod fused_probes {
         memory_probes: u64,
         /// Victim instructions the loop tier retired in closed form.
         loop_retired: u64,
+        /// Batches that carried the victim ([`PerfEvent::SimBatchCarried`]).
+        carried: u64,
     }
 
     /// Run `actions` on a fresh machine and capture the observable state.
@@ -549,6 +598,10 @@ mod fused_probes {
         };
         m.set_fused_probes(fused);
         m.load_program(&oracle(oracle_kind));
+        m.load_program(&attacker_ways());
+        for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS) {
+            m.warm_tlb(T0, Addr(w));
+        }
         if let Some(kind) = setup.victim {
             let v = match kind {
                 Victim::Modexp { iters, fault } => victim(iters, fault),
@@ -595,6 +648,22 @@ mod fused_probes {
                     m.patch_program(&loop_patch(kind));
                     Ok(())
                 }
+                Action::Batch { probe, clear, n } => {
+                    let ways: &[u64] = if clear { &CLEAR_WAYS } else { &LOOP_SET_WAYS };
+                    let lines: Vec<u64> = (0..n as usize).map(|i| ways[i % ways.len()]).collect();
+                    counts.attempts += n as u64;
+                    if probe {
+                        let execute = CompiledProbe::compile(&template(EXECUTE_OP)).unwrap();
+                        let targets: Vec<Addr> = lines.iter().map(|&l| Addr(l)).collect();
+                        let mut out = vec![0; lines.len()];
+                        let r = m.run_probes(T0, &execute, &targets, &mut out);
+                        let clock = m.clock(T0);
+                        timings.extend(out.iter().map(|&t| (t, clock)));
+                        r.map(|_| ())
+                    } else {
+                        m.run_calls(T0, &lines).map(|_| ())
+                    }
+                }
             };
             if let Err(e) = r {
                 err = Some(e.to_string());
@@ -612,6 +681,7 @@ mod fused_probes {
         counts.fast = m.counters(T0).read(PerfEvent::SimProbeFastPath);
         counts.fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
         counts.loop_retired = m.counters(T1).read(PerfEvent::SimLoopRetired);
+        counts.carried = m.counters(T0).read(PerfEvent::SimBatchCarried);
         let lines = [TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
         let mut mem = m.read_bytes(Addr(TARGET), 64);
         mem.extend(m.read_bytes(Addr(VICTIM_DATA), 16));
@@ -628,6 +698,7 @@ mod fused_probes {
             mem,
             residency: lines.iter().map(|&l| m.residency(Addr(l))).collect(),
             hw_counters,
+            fetch: vec![m.fetch_state(T0), m.fetch_state(T1)],
             err,
         };
         (outcome, counts)
@@ -730,6 +801,54 @@ mod fused_probes {
             prop_assert_eq!(&fused, &reference, "loop tier diverged from stepping");
             prop_assert_eq!(r.loop_retired, 0, "the per-step oracle retires no loop turns");
             prop_assert_eq!(f.fast + f.fallback, f.attempts);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The batch carry's axis: batched calls and `Execute` probe
+        /// rounds over ways clear of the busy victim's loop (which carry
+        /// it) and over an eviction set on the loop's own L1i set (which
+        /// must not), between waits, single probes and loop rewrites, under
+        /// heavy, realistic or no eviction noise. The carried batches must
+        /// land exactly where stepping at every catch-up point lands —
+        /// fetch windows included.
+        #[test]
+        fn prop_batches_match_with_busy_sibling(
+            actions in proptest::collection::vec(batch_action_strategy(), 1..30),
+            oracle_kind in 0u8..3,
+            seed in any::<u64>(),
+            noise in 0u8..3,
+            calls in 1u64..40,
+        ) {
+            let noise = [HEAVY_NOISE, NoiseConfig::realistic(), NoiseConfig::quiet()][noise as usize];
+            let setup = Setup {
+                noise: Some((noise, seed)),
+                victim: Some(Victim::Busy { calls }),
+            };
+            let (reference, r) = run_actions(&actions, oracle_kind, false, setup);
+            let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
+            prop_assert_eq!(&fused, &reference, "batch carry diverged from stepping");
+            prop_assert_eq!(r.carried, 0, "the per-step oracle carries nothing");
+            prop_assert_eq!(f.fast + f.fallback, f.attempts);
+        }
+    }
+
+    /// Probe rounds and primes over the clear ways carry the busy victim
+    /// (quiet and realistic noise), and still match stepping.
+    #[test]
+    fn busy_sibling_is_carried_across_batches() {
+        let batch = |probe| Action::Batch { probe, clear: true, n: 4 };
+        let actions: Vec<Action> = (0..60u16)
+            .flat_map(|i| [batch(false), Action::Wait(300 + i * 37), batch(true)])
+            .collect();
+        for noise in [None, Some((NoiseConfig::realistic(), 3))] {
+            let setup = Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }) };
+            let (reference, _) = run_actions(&actions, 0, false, setup);
+            let (fused, f) = run_actions(&actions, 0, true, setup);
+            assert_eq!(fused, reference, "{noise:?}");
+            assert!(f.carried >= 40, "{noise:?}: {} batches carried", f.carried);
         }
     }
 
