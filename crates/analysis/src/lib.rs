@@ -8,7 +8,7 @@
 //! the leak from program structure alone, in the style of a constant-time
 //! verifier:
 //!
-//! 1. [`cfg`] builds an instruction-level control-flow graph from the same
+//! 1. [`cfg`](mod@cfg) builds an instruction-level control-flow graph from the same
 //!    pre-decoded successor indices and cache-line ids the engine's fast
 //!    path uses ([`smack_uarch::DecodedProgram`]), harvesting candidate
 //!    targets for dynamic transfers (`call *%reg`, `ret`) from immediate
@@ -25,7 +25,7 @@
 //!    summarized) are *leaky*; a tainted indirect call leaks the
 //!    non-shared lines of its candidate targets. Leaky lines map to the
 //!    probe classes that can observe them on a given microarchitecture.
-//! 4. [`audit`] checks the self-modifying-code patch contract (SMC patch
+//! 4. [`audit`](mod@audit) checks the self-modifying-code patch contract (SMC patch
 //!    targets on instruction boundaries, planned patches mapped and
 //!    length-preserving) as a lint over decoded programs.
 //!

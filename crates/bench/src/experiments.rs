@@ -5,12 +5,12 @@
 //! can assert on shapes.
 //!
 //! Every experiment receives a [`Ctx`] from the registry: the run mode,
-//! the one [`Runner`](crate::runner::Runner) threaded down from the CLI
+//! the one [`Runner`] threaded down from the CLI
 //! (so `--threads` applies uniformly — no harness consults the
 //! environment on its own), and the CSV output directory. Trials fan out
 //! through
 //! [`Runner::run_scenarios`](crate::runner::Runner::run_scenarios), so
-//! each trial closure receives a pooled [`Session`](smack::Session):
+//! each trial closure receives a pooled [`Session`]:
 //! machine construction is amortized across trials and a probe threshold
 //! is calibrated at most once per
 //! `(profile, probe class, cold placement, noise)` for the whole process.

@@ -5,7 +5,7 @@
 //! reports and writing CSVs under `target/repro/`.
 //!
 //! Every experiment is a descriptor in the declarative
-//! [`registry`](crate::registry): name, title, group, CSV files, and a
+//! [`registry`]: name, title, group, CSV files, and a
 //! run function over a [`registry::Ctx`]. One binary, `all`, looks
 //! experiments up by name through the shared [`cli`]:
 //!

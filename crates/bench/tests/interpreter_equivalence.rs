@@ -1,19 +1,21 @@
 //! The interpreter tiers are pure mechanics: the reference interpreter and
 //! the decoded fast path, each with the fused probe tier off and on, must
 //! produce bit-identical experiment output. These tests lock the contract
-//! at the experiment level — covert-channel reports, RSA attack traces and
-//! a table2 SRP cell on a session machine; CI additionally diffs whole
+//! at the experiment level — calibrated thresholds, covert-channel
+//! reports, RSA attack traces and a table2 SRP cell, each attack on a
+//! session machine pinned to the tier; CI additionally diffs whole
 //! `target/repro/` trees at `SMACK_FUSED_PROBES=0` vs the default.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, ChannelSpec};
-use smack::rsa::{build_victim, collect_trace_on, RsaAttackConfig};
+use smack::calibrate::calibrate_with_cold;
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
+use smack::rsa::{build_victim, collect_trace_in, RsaAttackConfig};
 use smack::session::{Scenario, Sessions};
 use smack::srp::{self, SrpAttackConfig};
 use smack_bench::experiments::mastik_srp_attack_on;
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind, ThreadId};
+use smack_uarch::{Addr, Machine, MicroArch, NoiseConfig, Placement, ProbeKind, ThreadId};
 
 /// Every `(decoded, fused probes)` tier; the first, the reference
 /// interpreter stepping every probe, is the baseline.
@@ -24,24 +26,53 @@ fn set_tier(m: &mut Machine, (decoded, fused): (bool, bool)) {
     m.set_fused_probes(fused);
 }
 
-fn machine(seed: u64, tier: (bool, bool)) -> Machine {
-    let mut m = Machine::with_noise(MicroArch::CascadeLake.profile(), NoiseConfig::quiet(), seed);
-    set_tier(&mut m, tier);
-    m
+/// `Session::calibrated` computes on a machine of its own, never on the
+/// tier-pinned session machine, so the attack tests below share one
+/// threshold across tiers; this test shows each tier would have computed
+/// the same one.
+#[test]
+fn calibrations_identical_across_tiers() {
+    let profile = MicroArch::CascadeLake.profile();
+    for noise in [NoiseConfig::quiet(), NoiseConfig::noisy()] {
+        for kind in [ProbeKind::Store, ProbeKind::Flush, ProbeKind::Execute] {
+            for cold in [Placement::L2, Placement::DramOnly] {
+                let calibrate = |tier| {
+                    let mut m = Machine::with_noise(profile.clone(), noise, 0xca11b);
+                    set_tier(&mut m, tier);
+                    calibrate_with_cold(&mut m, ThreadId::T0, kind, Addr(0x0dca_0000), 16, cold)
+                        .expect("calibrates")
+                };
+                let baseline = calibrate(TIERS[0]);
+                for tier in &TIERS[1..] {
+                    let got = calibrate(*tier);
+                    assert_eq!(got, baseline, "{kind}/{cold} at (decoded, fused) = {tier:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn channel_reports_identical_across_tiers() {
+    let sessions = Sessions::new();
+    let scenario = Scenario::new(MicroArch::CascadeLake).with_seed(7);
     for spec in
         [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
     {
         let payload = random_payload(48, 11);
-        let baseline =
-            run_channel(&mut machine(7, TIERS[0]), &spec, &payload, false).expect("channel runs");
+        let run = |tier| {
+            let mut session = sessions.session(&scenario);
+            set_tier(session.machine(), tier);
+            run_channel_in(&mut session, &spec, &payload, false).expect("channel runs")
+        };
+        let baseline = run(TIERS[0]);
         for tier in &TIERS[1..] {
-            let got =
-                run_channel(&mut machine(7, *tier), &spec, &payload, false).expect("channel runs");
-            assert_eq!(got, baseline, "{} diverged at (decoded, fused) = {tier:?}", spec.name());
+            assert_eq!(
+                run(*tier),
+                baseline,
+                "{} diverged at (decoded, fused) = {tier:?}",
+                spec.name()
+            );
         }
     }
 }
@@ -51,13 +82,17 @@ fn rsa_traces_identical_across_tiers() {
     let cfg = RsaAttackConfig::new(ProbeKind::Store);
     let victim = build_victim(&cfg);
     let exp = Bignum::from_hex("b5a96e1dc3f47a2b");
-    let baseline = collect_trace_on(&mut machine(13, TIERS[0]), &victim, &exp, &cfg, 13, None)
-        .expect("trace collects");
+    let sessions = Sessions::new();
+    let scenario = Scenario::new(MicroArch::CascadeLake).with_noise(cfg.noise).with_seed(13);
+    let trace = |tier| {
+        let mut session = sessions.session(&scenario);
+        set_tier(session.machine(), tier);
+        collect_trace_in(&mut session, &victim, &exp, &cfg).expect("trace collects")
+    };
+    let baseline = trace(TIERS[0]);
     assert!(!baseline.samples.is_empty(), "attack produced samples");
     for tier in &TIERS[1..] {
-        let got = collect_trace_on(&mut machine(13, *tier), &victim, &exp, &cfg, 13, None)
-            .expect("trace collects");
-        assert_eq!(got, baseline, "trace diverged at (decoded, fused) = {tier:?}");
+        assert_eq!(trace(*tier), baseline, "trace diverged at (decoded, fused) = {tier:?}");
     }
 }
 

@@ -19,7 +19,6 @@ use smack_uarch::{
     Addr, Machine, NoiseConfig, Placement, ProbeKind, SmcBehavior, StepError, ThreadId,
 };
 
-use crate::calibrate::{calibrate_with_cold, CalibratedProbe};
 use crate::oracle::{EvictionSet, OraclePage};
 use crate::probe::Prober;
 use crate::session::Session;
@@ -170,7 +169,6 @@ const SENDER: ThreadId = ThreadId::T1;
 const EVSET_BASE: u64 = 0x0a00_0000;
 const SENDER_BASE: u64 = 0x0b00_0000;
 const SHARED_BASE: u64 = 0x0c00_0000;
-const SCRATCH_BASE: u64 = 0x0d00_0000;
 
 /// The cold placement the receiver's probe sees in each family:
 /// Prime+iProbe reads just-evicted (L2-resident) lines, Flush+iReload
@@ -182,28 +180,11 @@ fn cold_placement(family: ChannelFamily) -> Placement {
     }
 }
 
-/// Run a covert channel transmitting `payload`, recording a trace when
-/// `record_trace` is set. Calibrates the receiver's probe threshold on
-/// this machine (the standalone path; session-driven harnesses use
-/// [`run_channel_in`] and the shared calibration cache instead).
-///
-/// # Errors
-///
-/// Returns a description when the channel is inapplicable (the paper's N/A
-/// rows), or propagates simulator errors as strings.
-pub fn run_channel(
-    machine: &mut Machine,
-    spec: &ChannelSpec,
-    payload: &[bool],
-    record_trace: bool,
-) -> Result<ChannelReport, String> {
-    spec.applicability(machine).map_err(|e| format!("{}: {e}", spec.name()))?;
-    run_channel_inner(machine, spec, payload, record_trace, None)
-}
-
-/// Run a covert channel inside a [`Session`]: the machine comes from the
-/// pool and the receiver's threshold from the calibration cache (computed
-/// once per `(profile, probe class, cold placement, noise)` per process).
+/// Run a covert channel inside a [`Session`], transmitting `payload` and
+/// recording a trace when `record_trace` is set: the machine comes from
+/// the pool and the receiver's threshold from the calibration cache
+/// (computed once per `(profile, probe class, cold placement, noise)` per
+/// process).
 ///
 /// # Errors
 ///
@@ -215,27 +196,15 @@ pub fn run_channel_in(
     payload: &[bool],
     record_trace: bool,
 ) -> Result<ChannelReport, String> {
-    // Applicability first, like the standalone path: an N/A row must
-    // report its reason, not a calibration error, and must not cost a
-    // calibration pass.
+    // Applicability first: an N/A row must report its reason, not a
+    // calibration error, and must not cost a calibration pass.
     spec.applicability(session.machine()).map_err(|e| format!("{}: {e}", spec.name()))?;
     // Channels always transmit under the noisy model (see below), so the
     // threshold must be calibrated under it too.
     let cal = session
         .calibrated_for(spec.kind, cold_placement(spec.family), NoiseConfig::noisy())
         .map_err(|e| format!("{}: {e}", spec.name()))?;
-    run_channel_inner(session.machine(), spec, payload, record_trace, Some(cal))
-}
-
-/// The transmission body shared by both entry points. Callers have
-/// already checked [`ChannelSpec::applicability`].
-fn run_channel_inner(
-    machine: &mut Machine,
-    spec: &ChannelSpec,
-    payload: &[bool],
-    record_trace: bool,
-    cal_override: Option<CalibratedProbe>,
-) -> Result<ChannelReport, String> {
+    let machine = session.machine();
     machine.set_noise(NoiseConfig::noisy());
     let step = |e: StepError| format!("{}: {e}", spec.name());
 
@@ -261,14 +230,6 @@ fn run_channel_inner(
             machine.warm_tlb(RECEIVER, shared.line(0));
             machine.warm_tlb(SENDER, shared.line(0));
             (None, shared.line(0))
-        }
-    };
-    let cal = match cal_override {
-        Some(cal) => cal,
-        None => {
-            let cold = cold_placement(spec.family);
-            calibrate_with_cold(machine, RECEIVER, spec.kind, Addr(SCRATCH_BASE), 16, cold)
-                .map_err(step)?
         }
     };
 
@@ -473,7 +434,14 @@ pub fn random_payload(bits: usize, seed: u64) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Scenario, Sessions};
     use smack_uarch::MicroArch;
+
+    fn run(arch: MicroArch, spec: &ChannelSpec, payload: &[bool], trace: bool) -> ChannelReport {
+        let sessions = Sessions::new();
+        let mut session = sessions.session(&Scenario::new(arch));
+        run_channel_in(&mut session, spec, payload, trace).unwrap()
+    }
 
     #[test]
     fn names_match_paper_rows() {
@@ -495,24 +463,28 @@ mod tests {
 
     #[test]
     fn prime_probe_store_channel_transmits() {
-        let mut m = Machine::new(MicroArch::CascadeLake.profile());
         let payload = random_payload(120, 7);
-        let r = run_channel(&mut m, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, false)
-            .unwrap();
+        let spec = ChannelSpec::prime_probe(ProbeKind::Store);
+        let r = run(MicroArch::CascadeLake, &spec, &payload, false);
         assert!(r.error_rate_pct < 5.0, "error rate {}", r.error_rate_pct);
         assert!(r.kbit_per_s > 20.0, "bandwidth {}", r.kbit_per_s);
     }
 
     #[test]
     fn flush_reload_is_faster_than_prime_probe() {
-        let mut m1 = Machine::new(MicroArch::CascadeLake.profile());
-        let mut m2 = Machine::new(MicroArch::CascadeLake.profile());
         let payload = random_payload(120, 9);
-        let pp = run_channel(&mut m1, &ChannelSpec::prime_probe(ProbeKind::Flush), &payload, false)
-            .unwrap();
-        let fr =
-            run_channel(&mut m2, &ChannelSpec::flush_reload(ProbeKind::Flush), &payload, false)
-                .unwrap();
+        let pp = run(
+            MicroArch::CascadeLake,
+            &ChannelSpec::prime_probe(ProbeKind::Flush),
+            &payload,
+            false,
+        );
+        let fr = run(
+            MicroArch::CascadeLake,
+            &ChannelSpec::flush_reload(ProbeKind::Flush),
+            &payload,
+            false,
+        );
         assert!(
             fr.kbit_per_s > pp.kbit_per_s * 2.0,
             "F+R {} vs P+P {}",
@@ -525,10 +497,9 @@ mod tests {
 
     #[test]
     fn trace_recording_collects_samples() {
-        let mut m = Machine::new(MicroArch::TigerLake.profile());
         let payload = vec![true, false, true, true, false];
-        let r = run_channel(&mut m, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true)
-            .unwrap();
+        let r =
+            run(MicroArch::TigerLake, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true);
         assert!(r.trace.len() >= payload.len(), "at least one sample per slot");
         assert_eq!(r.decoded.len(), payload.len());
     }

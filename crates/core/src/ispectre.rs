@@ -17,7 +17,7 @@
 //! of Table 3.
 
 use smack_uarch::trace::Event;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind, SmcBehavior, ThreadId};
+use smack_uarch::{Machine, NoiseConfig, ProbeKind, SmcBehavior, ThreadId};
 use smack_victims::spectre::{SpectreVictim, ORACLE_SLOTS};
 
 use crate::probe::Prober;
@@ -158,25 +158,9 @@ fn needs_cleanup_flush(kind: ProbeKind, behavior: SmcBehavior) -> bool {
         || (kind == ProbeKind::Clwb && behavior != SmcBehavior::Triggers)
 }
 
-/// Run the full ISpectre attack against `secret`, on a fresh machine —
-/// the standalone path; session-driven harnesses use [`leak_secret_in`].
-///
-/// # Errors
-///
-/// Returns a message for unsupported probe classes or simulator errors.
-pub fn leak_secret(
-    arch: MicroArch,
-    secret: &[u8],
-    cfg: &ISpectreConfig,
-    seed: u64,
-) -> Result<ISpectreReport, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    leak_secret_on(&mut m, secret, cfg)
-}
-
-/// Run the full ISpectre attack inside a [`Session`] (the machine must be
-/// in its cold start state — [`Session::renew`] between attacks). The
-/// session's noise model should match `cfg.noise`.
+/// Run the full ISpectre attack against `secret` inside a [`Session`]
+/// (the machine must be in its cold start state — [`Session::renew`]
+/// between attacks). The session's noise model must match `cfg.noise`.
 ///
 /// # Errors
 ///
@@ -187,14 +171,7 @@ pub fn leak_secret_in(
     cfg: &ISpectreConfig,
 ) -> Result<ISpectreReport, String> {
     session.require_noise(cfg.noise)?;
-    leak_secret_on(session.machine(), secret, cfg)
-}
-
-fn leak_secret_on(
-    m: &mut Machine,
-    secret: &[u8],
-    cfg: &ISpectreConfig,
-) -> Result<ISpectreReport, String> {
+    let m = session.machine();
     if m.profile().smc.get(cfg.kind) == SmcBehavior::Unsupported {
         return Err(format!("{} unsupported on {}", cfg.kind, m.profile().arch));
     }
@@ -291,23 +268,9 @@ fn leak_secret_on(
 }
 
 /// Empirically classify a `(microarchitecture, probe class)` cell of
-/// Table 3 by running a short leak.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors other than unsupported
-/// instructions (which classify as ×).
-pub fn applicability(arch: MicroArch, kind: ProbeKind, seed: u64) -> Result<Applicability, String> {
-    if arch.profile().smc.get(kind) == SmcBehavior::Unsupported {
-        return Ok(Applicability::Unsupported);
-    }
-    let cfg = ISpectreConfig::new(kind);
-    classify(leak_secret(arch, &applicability_secret(), &cfg, seed)?)
-}
-
-/// [`applicability`] inside a [`Session`]: the machine must be in its
-/// cold start state ([`Session::renew`] between probe classes) and the
-/// session's noise must be the [`ISpectreConfig::new`] default.
+/// Table 3 by running a short leak inside a [`Session`]: the machine must
+/// be in its cold start state ([`Session::renew`] between probe classes)
+/// and the session's noise must be the [`ISpectreConfig::new`] default.
 ///
 /// # Errors
 ///
@@ -342,6 +305,27 @@ fn classify(report: ISpectreReport) -> Result<Applicability, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Scenario, Sessions};
+    use smack_uarch::MicroArch;
+
+    fn leak(
+        arch: MicroArch,
+        secret: &[u8],
+        cfg: &ISpectreConfig,
+        seed: u64,
+    ) -> Result<ISpectreReport, String> {
+        let sessions = Sessions::new();
+        let scenario = Scenario::new(arch).with_noise(cfg.noise).with_seed(seed);
+        let mut session = sessions.session(&scenario);
+        leak_secret_in(&mut session, secret, cfg)
+    }
+
+    fn cell(arch: MicroArch, kind: ProbeKind, seed: u64) -> Result<Applicability, String> {
+        let sessions = Sessions::new();
+        let scenario = Scenario::new(arch).with_noise(NoiseConfig::realistic()).with_seed(seed);
+        let mut session = sessions.session(&scenario);
+        applicability_in(&mut session, kind)
+    }
 
     #[test]
     fn decode_round_finds_high_outlier() {
@@ -368,7 +352,7 @@ mod tests {
     fn store_ispectre_leaks_on_cascade_lake() {
         let secret = b"SMaCk!";
         let cfg = ISpectreConfig::new(ProbeKind::Store);
-        let r = leak_secret(MicroArch::CascadeLake, secret, &cfg, 5).expect("attack runs");
+        let r = leak(MicroArch::CascadeLake, secret, &cfg, 5).expect("attack runs");
         assert!(r.success_rate >= 0.8, "success {}", r.success_rate);
         assert!(r.machine_clears > 0, "store attack rides on SMC clears");
         assert!(r.bytes_per_s > 0.0);
@@ -378,7 +362,7 @@ mod tests {
     fn load_leaks_without_smc() {
         let secret = b"ab";
         let cfg = ISpectreConfig::new(ProbeKind::Load);
-        let r = leak_secret(MicroArch::CascadeLake, secret, &cfg, 6).expect("attack runs");
+        let r = leak(MicroArch::CascadeLake, secret, &cfg, 6).expect("attack runs");
         assert!(r.success_rate >= 0.5, "success {}", r.success_rate);
         assert_eq!(r.machine_clears, 0, "plain loads never machine-clear");
     }
@@ -387,30 +371,27 @@ mod tests {
     fn execute_reload_does_not_leak() {
         let secret = b"zz";
         let cfg = ISpectreConfig::new(ProbeKind::Execute);
-        let r = leak_secret(MicroArch::CascadeLake, secret, &cfg, 7).expect("attack runs");
+        let r = leak(MicroArch::CascadeLake, secret, &cfg, 7).expect("attack runs");
         assert!(r.success_rate < 0.5, "execute must not leak, got {}", r.success_rate);
     }
 
     #[test]
     fn applicability_matches_table3_spot_cells() {
         // Store triggers SMC everywhere.
-        assert_eq!(
-            applicability(MicroArch::CascadeLake, ProbeKind::Store, 1).unwrap(),
-            Applicability::Smc
-        );
+        assert_eq!(cell(MicroArch::CascadeLake, ProbeKind::Store, 1).unwrap(), Applicability::Smc);
         // clwb does not exist on Broadwell.
         assert_eq!(
-            applicability(MicroArch::Broadwell, ProbeKind::Clwb, 2).unwrap(),
+            cell(MicroArch::Broadwell, ProbeKind::Clwb, 2).unwrap(),
             Applicability::Unsupported
         );
         // Flush on EPYC leaks without SMC (the AMD-SB-7024 machine).
         assert_eq!(
-            applicability(MicroArch::AmdEpyc7232P, ProbeKind::Flush, 3).unwrap(),
+            cell(MicroArch::AmdEpyc7232P, ProbeKind::Flush, 3).unwrap(),
             Applicability::LeakWithoutSmc
         );
         // Execute never leaks.
         assert_eq!(
-            applicability(MicroArch::CascadeLake, ProbeKind::Execute, 4).unwrap(),
+            cell(MicroArch::CascadeLake, ProbeKind::Execute, 4).unwrap(),
             Applicability::NoLeak
         );
     }

@@ -8,7 +8,7 @@
 //! * [`oracle`]: oracle code pages (Listing 1) and L1i eviction sets.
 //! * [`characterize`]: the Figure 1 timing characterization and the
 //!   Figure 2 performance-counter reverse engineering.
-//! * [`calibrate`]: hot/cold threshold calibration for each probe class.
+//! * [`calibrate`](mod@calibrate): hot/cold threshold calibration for each probe class.
 //! * [`session`]: the session layer — a pool of reset-and-reuse machines
 //!   plus a calibration cache keyed by
 //!   `(profile, probe class, cold placement, noise)`, so a campaign
@@ -36,7 +36,7 @@ pub mod session;
 pub mod srp;
 
 pub use calibrate::{calibrate, calibrate_with_cold, CalibratedProbe};
-pub use channel::{run_channel, ChannelFamily, ChannelReport, ChannelSpec};
+pub use channel::{run_channel_in, ChannelFamily, ChannelReport, ChannelSpec};
 pub use oracle::{EvictionSet, OraclePage};
 pub use probe::Prober;
 pub use session::{CalibrationCache, Scenario, Session, Sessions};

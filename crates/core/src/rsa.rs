@@ -17,10 +17,9 @@
 //! majority voting across a handful of traces effective (Figure 5).
 
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind, ThreadId};
+use smack_uarch::{NoiseConfig, ProbeKind, ThreadId};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictim, ModexpVictimBuilder};
 
-use crate::calibrate::{calibrate, CalibratedProbe};
 use crate::decode::{align_runs, to_runs};
 use crate::oracle::EvictionSet;
 use crate::probe::Prober;
@@ -29,7 +28,6 @@ use crate::session::Session;
 const ATTACKER: ThreadId = ThreadId::T0;
 const VICTIM: ThreadId = ThreadId::T1;
 const EVSET_BASE: u64 = 0x0a10_0000;
-const SCRATCH: u64 = 0x0d10_0000;
 
 /// Attack configuration.
 #[derive(Copy, Clone, Debug)]
@@ -96,29 +94,11 @@ pub fn build_victim(cfg: &RsaAttackConfig) -> ModexpVictim {
     b.build()
 }
 
-/// Collect one trace of the victim decrypting with exponent `exp`,
-/// building (and calibrating on) a fresh machine — the standalone path;
-/// session-driven harnesses use [`collect_trace_in`].
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn collect_trace(
-    arch: MicroArch,
-    victim: &ModexpVictim,
-    exp: &Bignum,
-    cfg: &RsaAttackConfig,
-    seed: u64,
-) -> Result<RsaTrace, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    collect_trace_on(&mut m, victim, exp, cfg, seed, None)
-}
-
-/// Collect one trace inside a [`Session`]: the machine comes from the pool
-/// (in its cold start state — [`Session::renew`] between traces) and the
-/// probe threshold from the calibration cache. The session's noise model
-/// should match `cfg.noise`, and its seed staggers the attacker phase just
-/// as [`collect_trace`]'s `seed` does.
+/// Collect one trace of the victim decrypting with exponent `exp` inside
+/// a [`Session`]: the machine comes from the pool (in its cold start
+/// state — [`Session::renew`] between traces) and the probe threshold from
+/// the calibration cache. The session's noise model must match
+/// `cfg.noise`, and its seed staggers the attacker phase.
 ///
 /// # Errors
 ///
@@ -134,38 +114,13 @@ pub fn collect_trace_in(
     let cal =
         session.calibrated(cfg.kind, smack_uarch::Placement::L2).map_err(|e| e.to_string())?;
     let seed = session.scenario().seed();
-    collect_trace_on(session.machine(), victim, exp, cfg, seed, Some(cal))
-}
-
-/// Collect one trace on a caller-provided machine, optionally with a
-/// pre-computed calibration (`None` calibrates inline, like
-/// [`collect_trace`]). The low-level entry for drivers that manage their
-/// own machines — e.g. the interpreter-equivalence tests, which pin
-/// [`Machine::set_decoded_fast_path`] and [`Machine::set_fused_probes`]
-/// per machine.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn collect_trace_on(
-    m: &mut Machine,
-    victim: &ModexpVictim,
-    exp: &Bignum,
-    cfg: &RsaAttackConfig,
-    seed: u64,
-    cal_override: Option<CalibratedProbe>,
-) -> Result<RsaTrace, String> {
+    let m = session.machine();
     m.load_program(&victim.program);
     let ev = EvictionSet::for_machine(m, EVSET_BASE, victim.mul_set);
     ev.install(m);
     for w in ev.ways() {
         m.warm_tlb(ATTACKER, *w);
     }
-    let cal = match cal_override {
-        Some(cal) => cal,
-        None => calibrate(m, ATTACKER, cfg.kind, smack_uarch::Addr(SCRATCH), 12)
-            .map_err(|e| e.to_string())?,
-    };
     let mut prober = Prober::new(ATTACKER);
     let wait_cycles = crate::probe::jittered_wait(cfg.wait_cycles, cfg.wait_jitter, seed);
 
@@ -345,42 +300,31 @@ fn landmark_vote(decodes: &[Vec<bool>], nbits: usize) -> Option<Vec<bool>> {
     Some(bits)
 }
 
-/// Figure 5: collect traces one by one (distinct noise seeds) until the
-/// majority-vote recovery reaches `target` (e.g. 0.70), up to `max_traces`.
-/// Returns `(traces_used, per-count recovery rates)`; `traces_used` is
-/// `None` if the target was never reached.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn traces_needed(
-    arch: MicroArch,
-    exp: &Bignum,
-    cfg: &RsaAttackConfig,
-    target: f64,
-    max_traces: usize,
-) -> Result<(Option<usize>, Vec<f64>), String> {
-    let victim = build_victim(cfg);
-    let mut decodes = Vec::new();
-    let mut rates = Vec::new();
-    for t in 0..max_traces {
-        let trace = collect_trace(arch, &victim, exp, cfg, 1000 + t as u64)?;
-        decodes.push(decode_trace(&trace, exp.bit_len()));
-        let combined = majority_vote(&decodes, exp.bit_len());
-        let rate = score_bits(&combined, exp);
-        rates.push(rate);
-        if rate >= target {
-            return Ok((Some(t + 1), rates));
-        }
-    }
-    Ok((None, rates))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Scenario, Sessions};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use smack_uarch::MicroArch;
+
+    /// Majority-vote recovery after each of `traces` traces (seeds 1000,
+    /// 1001, ...), the Figure 5 campaign on one renewed session.
+    fn vote_rates(exp: &Bignum, cfg: &RsaAttackConfig, traces: u64) -> Vec<f64> {
+        let victim = build_victim(cfg);
+        let sessions = Sessions::new();
+        let mut session =
+            sessions.session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise));
+        let mut decodes = Vec::new();
+        let mut rates = Vec::new();
+        for seed in 1000..1000 + traces {
+            session.renew(seed);
+            let trace = collect_trace_in(&mut session, &victim, exp, cfg).expect("trace collects");
+            decodes.push(decode_trace(&trace, exp.bit_len()));
+            rates.push(score_bits(&majority_vote(&decodes, exp.bit_len()), exp));
+        }
+        rates
+    }
 
     fn quiet_cfg(kind: ProbeKind) -> RsaAttackConfig {
         RsaAttackConfig {
@@ -401,8 +345,10 @@ mod tests {
         let exp = Bignum::random_bits(&mut rng, 192);
         let cfg = quiet_cfg(ProbeKind::Flush);
         let victim = build_victim(&cfg);
-        let trace =
-            collect_trace(MicroArch::TigerLake, &victim, &exp, &cfg, 1).expect("trace collects");
+        let sessions = Sessions::new();
+        let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(1);
+        let trace = collect_trace_in(&mut sessions.session(&scenario), &victim, &exp, &cfg)
+            .expect("trace collects");
         let decoded = decode_trace(&trace, exp.bit_len());
         let rate = score_bits(&decoded, &exp);
         assert!(rate > 0.5, "quiet single-trace recovery {rate}");
@@ -419,7 +365,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(32);
         let exp = Bignum::random_bits(&mut rng, 160);
         let cfg = RsaAttackConfig::new(ProbeKind::Flush);
-        let (_, rates) = traces_needed(MicroArch::TigerLake, &exp, &cfg, 0.70, 8).expect("runs");
+        let rates = vote_rates(&exp, &cfg, 8);
         let first = rates[0];
         let best = rates.iter().cloned().fold(0.0f64, f64::max);
         assert!(first > 0.45, "single-trace band: {first}");
@@ -510,7 +456,7 @@ mod tests {
             noise: NoiseConfig::noisy(),
             ..RsaAttackConfig::new(ProbeKind::Store)
         };
-        let (_, rates) = traces_needed(MicroArch::TigerLake, &exp, &cfg, 0.99, 7).expect("runs");
+        let rates = vote_rates(&exp, &cfg, 7);
         assert!(!rates.is_empty());
         let first = rates[0];
         let best = rates.iter().cloned().fold(0.0f64, f64::max);

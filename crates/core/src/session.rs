@@ -23,8 +23,7 @@
 //! construction — and (b) a trial's RNG stream is identical whether its
 //! calibration was a hit or a miss, which keeps parallel experiment output
 //! bit-identical to sequential output. Ablations that perturb probe costs
-//! get distinct profile fingerprints (and can force the issue with
-//! [`Session::recalibrate`]).
+//! get distinct profile fingerprints, hence their own cache entries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,12 +171,6 @@ impl CalibrationCache {
     fn slot(&self, key: CalKey) -> CalSlot {
         self.slots.lock().expect("calibration cache poisoned").entry(key).or_default().clone()
     }
-
-    fn replace(&self, key: CalKey, value: Result<CalibratedProbe, StepError>) {
-        let slot: CalSlot = Arc::default();
-        slot.set(value).expect("fresh slot is empty");
-        self.slots.lock().expect("calibration cache poisoned").insert(key, slot);
-    }
 }
 
 /// The shared session registry: one machine pool plus one calibration
@@ -242,21 +235,6 @@ impl Sessions {
         let counter = if computed { &self.calibrations.misses } else { &self.calibrations.hits };
         counter.fetch_add(1, Ordering::Relaxed);
         result.clone()
-    }
-
-    fn recalibrated(
-        &self,
-        scenario: &Scenario,
-        profile_fp: u64,
-        kind: ProbeKind,
-        cold: Placement,
-        noise: NoiseConfig,
-    ) -> Result<CalibratedProbe, StepError> {
-        let key = (profile_fp, kind, cold, noise.fingerprint());
-        let result = self.compute(scenario, kind, cold, noise);
-        self.calibrations.misses.fetch_add(1, Ordering::Relaxed);
-        self.calibrations.replace(key, result.clone());
-        result
     }
 
     /// Run one calibration on a dedicated pooled machine with the fixed
@@ -358,23 +336,6 @@ impl Session<'_> {
     ) -> Result<CalibratedProbe, StepError> {
         self.owner.calibrated(&self.scenario, self.profile_fp, kind, cold, noise)
     }
-
-    /// Force a fresh calibration and overwrite the cache entry — the
-    /// escape hatch for ablations that perturb probe costs behind the
-    /// cache's back (a perturbed *profile* already gets its own key; this
-    /// is for perturbations the profile fingerprint cannot see).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StepError::Unsupported`] when the profile lacks the
-    /// probe instruction.
-    pub fn recalibrate(
-        &self,
-        kind: ProbeKind,
-        cold: Placement,
-    ) -> Result<CalibratedProbe, StepError> {
-        self.owner.recalibrated(&self.scenario, self.profile_fp, kind, cold, self.scenario.noise)
-    }
 }
 
 #[cfg(test)]
@@ -417,15 +378,18 @@ mod tests {
 
     #[test]
     fn cached_equals_freshly_computed() {
+        let scenario = Scenario::new(MicroArch::TigerLake);
         let sessions = Sessions::new();
-        let session = sessions.session(&Scenario::new(MicroArch::TigerLake));
+        let session = sessions.session(&scenario);
         for kind in [ProbeKind::Store, ProbeKind::Flush, ProbeKind::Lock] {
             for cold in [Placement::L2, Placement::DramOnly] {
+                session.calibrated(kind, cold).unwrap();
                 let cached = session.calibrated(kind, cold).unwrap();
-                let fresh = session.recalibrate(kind, cold).unwrap();
+                let fresh = Sessions::new().session(&scenario).calibrated(kind, cold).unwrap();
                 assert_eq!(cached, fresh, "{kind}/{cold}");
             }
         }
+        assert_eq!(sessions.calibrations().hits(), 6, "every compared value was a hit");
     }
 
     #[test]

@@ -18,10 +18,10 @@
 
 use smack_crypto::modexp::SlidingWindowSchedule;
 use smack_crypto::{Bignum, WindowSizing};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind, ThreadId};
+use smack_uarch::{Machine, NoiseConfig, ProbeKind, ThreadId};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictim, ModexpVictimBuilder};
 
-use crate::calibrate::{calibrate, CalibratedProbe};
+use crate::calibrate::CalibratedProbe;
 use crate::oracle::EvictionSet;
 use crate::probe::Prober;
 use crate::session::Session;
@@ -29,7 +29,6 @@ use crate::session::Session;
 const ATTACKER: ThreadId = ThreadId::T0;
 const VICTIM: ThreadId = ThreadId::T1;
 const EVSET_BASE: u64 = 0x0a20_0000;
-const SCRATCH: u64 = 0x0d20_0000;
 
 /// SRP attack configuration.
 #[derive(Copy, Clone, Debug)]
@@ -112,12 +111,12 @@ where
 
 /// The SMC sampler: installs an eviction set over the victim's multiply
 /// set (on a machine with the victim loaded) and returns a closure
-/// running one prime → τ_w → probe round. `None` calibrates inline.
+/// running one prime → τ_w → probe round, classified against `cal`.
 fn smc_sampler(
     machine: &mut Machine,
     victim: &ModexpVictim,
     cfg: &SrpAttackConfig,
-    cal_override: Option<CalibratedProbe>,
+    cal: CalibratedProbe,
     seed: u64,
 ) -> Result<impl FnMut(&mut Machine) -> Result<bool, String>, String> {
     machine.set_noise(cfg.noise);
@@ -126,11 +125,6 @@ fn smc_sampler(
     for w in ev.ways() {
         machine.warm_tlb(ATTACKER, *w);
     }
-    let cal = match cal_override {
-        Some(cal) => cal,
-        None => calibrate(machine, ATTACKER, cfg.kind, smack_uarch::Addr(SCRATCH), 12)
-            .map_err(|e| e.to_string())?,
-    };
     let kind = cfg.kind;
     let wait = crate::probe::jittered_wait(cfg.wait_cycles, cfg.wait_jitter, seed);
     let ways = cfg.probe_ways;
@@ -273,29 +267,10 @@ pub struct SrpAttackOutcome {
     pub samples: Vec<(u64, bool)>,
 }
 
-/// Run the full single-trace attack with the SMC sampler, building (and
-/// calibrating on) a fresh machine — the standalone path; session-driven
-/// harnesses use [`single_trace_attack_in`].
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn single_trace_attack(
-    arch: MicroArch,
-    b: &Bignum,
-    cfg: &SrpAttackConfig,
-    seed: u64,
-) -> Result<SrpAttackOutcome, String> {
-    let mut machine = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    single_trace_attack_with(&mut machine, b, cfg.group_bits, |m, victim| {
-        smc_sampler(m, victim, cfg, None, seed)
-    })
-}
-
-/// Run the full single-trace attack inside a [`Session`]: the machine
-/// comes from the pool (in its cold start state) and the probe threshold
-/// from the calibration cache. The session's noise model should match
-/// `cfg.noise`.
+/// Run the full single-trace attack with the SMC sampler inside a
+/// [`Session`]: the machine comes from the pool (in its cold start state)
+/// and the probe threshold from the calibration cache. The session's
+/// noise model must match `cfg.noise`.
 ///
 /// # Errors
 ///
@@ -310,7 +285,7 @@ pub fn single_trace_attack_in(
         session.calibrated(cfg.kind, smack_uarch::Placement::L2).map_err(|e| e.to_string())?;
     let seed = session.scenario().seed();
     single_trace_attack_with(session.machine(), b, cfg.group_bits, |m, victim| {
-        smc_sampler(m, victim, cfg, Some(cal), seed)
+        smc_sampler(m, victim, cfg, cal, seed)
     })
 }
 
@@ -356,6 +331,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Scenario, Sessions};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use smack_crypto::modexp::sliding_window_schedule;
@@ -425,7 +401,11 @@ mod tests {
         // (the paper reports 83% at this size).
         let b = Bignum::random_bits(&mut rng, 160);
         let cfg = SrpAttackConfig { noise: NoiseConfig::quiet(), ..SrpAttackConfig::new(4096) };
-        let out = single_trace_attack(MicroArch::TigerLake, &b, &cfg, 3).expect("attack runs");
+        let sessions = Sessions::new();
+        let scenario =
+            Scenario::new(smack_uarch::MicroArch::TigerLake).with_noise(cfg.noise).with_seed(3);
+        let out = single_trace_attack_in(&mut sessions.session(&scenario), &b, &cfg)
+            .expect("attack runs");
         assert!(out.leakage > 0.5, "leakage {}", out.leakage);
         assert!(out.events > 10);
     }

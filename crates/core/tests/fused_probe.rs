@@ -3,7 +3,7 @@
 //! covert-channel transmissions must be bit-identical whether probe
 //! sequences retire through the fused engine pass or per-step injection.
 
-use smack::{calibrate_with_cold, run_channel, ChannelSpec, Prober};
+use smack::{calibrate_with_cold, run_channel_in, ChannelSpec, Prober, Scenario, Sessions};
 use smack_uarch::isa::Reg;
 use smack_uarch::{
     Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, StepError, ThreadId,
@@ -118,16 +118,20 @@ fn calibrated_thresholds_unchanged_under_fusion() {
 #[test]
 fn covert_channel_reports_identical_under_fusion() {
     let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+    let sessions = Sessions::new();
+    let scenario = Scenario::new(MicroArch::CascadeLake);
     for spec in
         [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
     {
-        let mut fused = machine(true);
-        let mut stepped = machine(false);
-        let a = run_channel(&mut fused, &spec, &payload, true).unwrap();
-        let b = run_channel(&mut stepped, &spec, &payload, true).unwrap();
+        let mut fused = sessions.session(&scenario);
+        let mut stepped = sessions.session(&scenario);
+        fused.machine().set_fused_probes(true);
+        stepped.machine().set_fused_probes(false);
+        let a = run_channel_in(&mut fused, &spec, &payload, true).unwrap();
+        let b = run_channel_in(&mut stepped, &spec, &payload, true).unwrap();
         assert_eq!(a, b, "{} diverged under fusion", spec.name());
         assert!(
-            fused.counters(T0).read(PerfEvent::SimProbeFastPath) > 0,
+            fused.machine().counters(T0).read(PerfEvent::SimProbeFastPath) > 0,
             "{}: channel never took the fast path",
             spec.name()
         );

@@ -4,12 +4,15 @@
 //! counters of the original per-step `BTreeMap` reference interpreter.
 //! The same holds under injected eviction noise, across mid-run code
 //! patches that re-decode lines in place or force a full recompile, and
-//! for two threads driven in one run or one step at a time.
+//! for two threads driven in one run or one step at a time. Cache state is
+//! compared in LRU order, not only residency (see [`lru_sweep`]).
 
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ThreadId, ThreadState};
+use smack_uarch::{
+    Addr, Machine, MicroArch, NoiseConfig, Placement, Residency, ThreadId, ThreadState,
+};
 
 const T0: ThreadId = ThreadId::T0;
 const T1: ThreadId = ThreadId::T1;
@@ -147,6 +150,36 @@ fn build_program(ops: &[BodyOp]) -> Program {
     a.assemble().expect("generated program assembles")
 }
 
+/// The residency of `lines`, then again after each of a sweep of fresh
+/// lines through every L1i, L2 and LLC set a line of `lines` maps to:
+/// `ways` insertions per set, one at a time, so the sweep evicts each
+/// set's lines in LRU order. Two machines whose caches hold the same lines
+/// in a different LRU order (an engine path that skips a re-stamp, say)
+/// give different sweeps, where residency alone agrees until some later
+/// eviction. Consumes the cache state, so call it last.
+fn lru_sweep(m: &mut Machine, lines: &[u64]) -> Vec<Residency> {
+    let h = m.profile().hierarchy;
+    let residency = |m: &Machine| lines.iter().map(|&l| m.residency(Addr(l))).collect::<Vec<_>>();
+    let mut out = residency(m);
+    // One fresh region per level, clear of every address the tests use.
+    for (region, geom, placement) in [
+        (0x4000_0000, h.l1i, Placement::L1i),
+        (0x5000_0000, h.l2, Placement::L2),
+        (0x6000_0000, h.llc, Placement::Llc),
+    ] {
+        let mut sets: Vec<usize> = lines.iter().map(|&l| Addr(l).set_index(geom.sets)).collect();
+        sets.sort_unstable();
+        sets.dedup();
+        for set in sets {
+            for way in 0..geom.ways {
+                m.place_line(Addr(region + ((way * geom.sets + set) * 64) as u64), placement);
+                out.extend(residency(m));
+            }
+        }
+    }
+    out
+}
+
 /// Everything the fast path must preserve, captured after a run.
 #[derive(PartialEq, Debug)]
 struct Outcome {
@@ -156,6 +189,25 @@ struct Outcome {
     counters_t0: smack_uarch::CounterSnapshot,
     counters_t1: smack_uarch::CounterSnapshot,
     data: Vec<u8>,
+    /// The program's code, helper and data lines through [`lru_sweep`].
+    lru: Vec<Residency>,
+}
+
+impl Outcome {
+    fn capture(m: &mut Machine) -> Outcome {
+        let code = (0..16).map(|i| CODE_BASE + i * 64);
+        let lines: Vec<u64> =
+            code.chain([HELPER_BASE, HELPER_BASE + 64, DATA_BASE, DATA_BASE + 64]).collect();
+        Outcome {
+            regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
+            clock_t0: m.clock(T0),
+            clock_t1: m.clock(T1),
+            counters_t0: m.counters(T0).snapshot(),
+            counters_t1: m.counters(T1).snapshot(),
+            data: m.read_bytes(Addr(DATA_BASE), 16 * 8),
+            lru: lru_sweep(m, &lines),
+        }
+    }
 }
 
 /// The interpreter configuration of one equivalence run: the decoded fast
@@ -183,14 +235,7 @@ fn run(prog: &Program, cfg: Cfg, noise_seed: Option<u64>) -> Outcome {
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
-    Outcome {
-        regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
-        clock_t0: m.clock(T0),
-        clock_t1: m.clock(T1),
-        counters_t0: m.counters(T0).snapshot(),
-        counters_t1: m.counters(T1).snapshot(),
-        data: m.read_bytes(smack_uarch::Addr(DATA_BASE), 16 * 8),
-    }
+    Outcome::capture(&mut m)
 }
 
 /// A runtime rewrite of the helper routine's code line. Three variants:
@@ -220,14 +265,7 @@ fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Ou
     m.run_burst(T0, at_step).expect("prefix runs");
     m.patch_program(patch);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
-    Outcome {
-        regs: (0..Reg::COUNT).map(|i| m.reg(T0, Reg::from_index(i))).collect(),
-        clock_t0: m.clock(T0),
-        clock_t1: m.clock(T1),
-        counters_t0: m.counters(T0).snapshot(),
-        counters_t1: m.counters(T1).snapshot(),
-        data: m.read_bytes(smack_uarch::Addr(DATA_BASE), 16 * 8),
-    }
+    Outcome::capture(&mut m)
 }
 
 proptest! {
@@ -275,15 +313,15 @@ proptest! {
 
 /// Fused probe execution is held to the same bar as the decoded tier:
 /// running a probe template through [`Machine::run_probe`] with fusion
-/// enabled must be bit-identical — registers, both clocks,
-/// memory, timings, residency and hardware counters — to the per-step
-/// injected sequence, across probe classes, cold placements, injected
-/// noise, waits, mid-run SMC patches of the probed line, and a victim
-/// co-running on the sibling thread (which may fault mid-probe).
+/// enabled must be bit-identical — registers, both clocks, memory,
+/// timings, cache contents in LRU order and hardware counters — to the
+/// per-step injected sequence, across probe classes, cold placements,
+/// injected noise, waits, mid-run SMC patches of the probed line, and a
+/// victim co-running on the sibling thread (which may fault mid-probe).
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
-    use smack_uarch::{Addr, CompiledProbe, PerfEvent, Placement, Residency, StepError};
+    use smack_uarch::{CompiledProbe, PerfEvent, StepError};
 
     /// The probed line holds a real routine, so write-class probes hit a
     /// resident instruction line (the SMC machine-clear path) and
@@ -557,7 +595,9 @@ mod fused_probes {
         clock_t1: u64,
         timings: Vec<(u64, u64)>,
         mem: Vec<u8>,
-        residency: Vec<Residency>,
+        /// The target, victim and attacker-way lines through
+        /// [`lru_sweep`](super::lru_sweep).
+        lru: Vec<Residency>,
         hw_counters: Vec<(&'static str, u64)>,
         /// Each thread's streamed line and fetch window
         /// ([`Machine::fetch_state`]): which stores machine-clear.
@@ -682,7 +722,9 @@ mod fused_probes {
         counts.fallback = m.counters(T0).read(PerfEvent::SimProbeFallback);
         counts.loop_retired = m.counters(T1).read(PerfEvent::SimLoopRetired);
         counts.carried = m.counters(T0).read(PerfEvent::SimBatchCarried);
-        let lines = [TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
+        let mut lines =
+            vec![TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
+        lines.extend(CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS));
         let mut mem = m.read_bytes(Addr(TARGET), 64);
         mem.extend(m.read_bytes(Addr(VICTIM_DATA), 16));
         let outcome = ProbeOutcome {
@@ -696,9 +738,9 @@ mod fused_probes {
             clock_t1: m.clock(T1),
             timings,
             mem,
-            residency: lines.iter().map(|&l| m.residency(Addr(l))).collect(),
             hw_counters,
             fetch: vec![m.fetch_state(T0), m.fetch_state(T1)],
+            lru: lru_sweep(&mut m, &lines),
             err,
         };
         (outcome, counts)

@@ -3,17 +3,21 @@
 //!
 //! Run with: `cargo run --example covert_channel`
 
-use smack::channel::{run_channel, ChannelSpec};
-use smack_uarch::{Machine, MicroArch, ProbeKind};
+use smack::channel::{run_channel_in, ChannelSpec};
+use smack::session::{Scenario, Sessions};
+use smack_uarch::{MicroArch, ProbeKind};
 
 fn main() {
     let message = b"SMaCk!";
     let payload: Vec<bool> =
         message.iter().flat_map(|b| (0..8).rev().map(move |i| (b >> i) & 1 == 1)).collect();
 
-    let mut machine = Machine::new(MicroArch::CascadeLake.profile());
+    // A session is a pooled machine plus the calibration cache the
+    // receiver's hit/miss threshold comes from.
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&Scenario::new(MicroArch::CascadeLake));
     let spec = ChannelSpec::flush_reload(ProbeKind::Flush);
-    let report = run_channel(&mut machine, &spec, &payload, false).expect("channel runs");
+    let report = run_channel_in(&mut session, &spec, &payload, false).expect("channel runs");
 
     let mut decoded_bytes = Vec::new();
     for chunk in report.decoded.chunks(8) {

@@ -7,8 +7,9 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smack::rsa::{
-    build_victim, collect_trace, decode_trace, majority_vote, score_bits, RsaAttackConfig,
+    build_victim, collect_trace_in, decode_trace, majority_vote, score_bits, RsaAttackConfig,
 };
+use smack::session::{Scenario, Sessions};
 use smack_crypto::RsaKeyPair;
 use smack_uarch::{MicroArch, NoiseConfig, ProbeKind};
 
@@ -23,10 +24,14 @@ fn main() {
     let cfg =
         RsaAttackConfig { noise: NoiseConfig::quiet(), ..RsaAttackConfig::new(ProbeKind::Flush) };
     let victim = build_victim(&cfg);
+    // One session for the whole campaign: the probe threshold is
+    // calibrated once, and each trace renews the machine under a new seed.
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise));
     let mut decodes = Vec::new();
     for trace_idx in 0..6 {
-        let trace = collect_trace(MicroArch::TigerLake, &victim, key.d(), &cfg, 100 + trace_idx)
-            .expect("trace collects");
+        session.renew(100 + trace_idx);
+        let trace = collect_trace_in(&mut session, &victim, key.d(), &cfg).expect("trace collects");
         let decoded = decode_trace(&trace, key.d().bit_len());
         let rate = score_bits(&decoded, key.d());
         println!("trace {trace_idx}: single-trace recovery {:.1}%", rate * 100.0);

@@ -6,7 +6,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::srp::{single_trace_attack, SrpAttackConfig};
+use smack::session::{Scenario, Sessions};
+use smack::srp::{single_trace_attack_in, SrpAttackConfig};
 use smack_crypto::srp::{register, SrpClient, SrpServer};
 use smack_crypto::SrpGroup;
 use smack_uarch::MicroArch;
@@ -30,7 +31,10 @@ fn main() {
     let cfg = SrpAttackConfig::new(4096);
     let mut rng = SmallRng::seed_from_u64(8);
     let b = smack_crypto::Bignum::random_bits(&mut rng, 256);
-    let out = single_trace_attack(MicroArch::TigerLake, &b, &cfg, 1).expect("attack runs");
+    let sessions = Sessions::new();
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(1);
+    let out =
+        single_trace_attack_in(&mut sessions.session(&scenario), &b, &cfg).expect("attack runs");
     println!();
     println!(
         "single-trace attack at group size 4096: {} multiply events observed \

@@ -5,16 +5,21 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, ChannelSpec};
-use smack::rsa::{build_victim, collect_trace, decode_trace, RsaAttackConfig};
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
+use smack::rsa::{build_victim, collect_trace_in, decode_trace, RsaAttackConfig};
+use smack::session::{Scenario, Sessions};
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind};
+use smack_uarch::{MicroArch, NoiseConfig, ProbeKind};
 
+/// One channel run in a registry of its own, so nothing is shared between
+/// the runs a test compares.
 fn channel_run(seed: u64) -> smack::channel::ChannelReport {
     let payload = random_payload(96, 0xd5);
-    let mut m =
-        Machine::with_noise(MicroArch::CascadeLake.profile(), NoiseConfig::realistic(), seed);
-    run_channel(&mut m, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true)
+    let sessions = Sessions::new();
+    let scenario =
+        Scenario::new(MicroArch::CascadeLake).with_noise(NoiseConfig::realistic()).with_seed(seed);
+    let mut session = sessions.session(&scenario);
+    run_channel_in(&mut session, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true)
         .expect("channel runs")
 }
 
@@ -40,8 +45,13 @@ fn rsa_trace_same_seed_is_bit_identical() {
     let exp = Bignum::random_bits(&mut rng, 96);
     let cfg = RsaAttackConfig::new(ProbeKind::Flush);
     let victim = build_victim(&cfg);
-    let t1 = collect_trace(MicroArch::TigerLake, &victim, &exp, &cfg, 0x51).expect("trace");
-    let t2 = collect_trace(MicroArch::TigerLake, &victim, &exp, &cfg, 0x51).expect("trace");
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0x51);
+    let trace = || {
+        let sessions = Sessions::new();
+        let mut session = sessions.session(&scenario);
+        collect_trace_in(&mut session, &victim, &exp, &cfg).expect("trace")
+    };
+    let (t1, t2) = (trace(), trace());
     assert_eq!(t1.samples, t2.samples);
     assert_eq!(t1.victim_cycles, t2.victim_cycles);
     assert_eq!(decode_trace(&t1, exp.bit_len()), decode_trace(&t2, exp.bit_len()));

@@ -3,21 +3,29 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, ChannelSpec};
-use smack::ispectre::{leak_secret, ISpectreConfig};
-use smack::rsa::{build_victim, collect_trace, decode_trace, score_bits, RsaAttackConfig};
-use smack::srp::{single_trace_attack, SrpAttackConfig};
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
+use smack::ispectre::{leak_secret_in, ISpectreConfig};
+use smack::rsa::{build_victim, collect_trace_in, decode_trace, score_bits, RsaAttackConfig};
+use smack::session::{Scenario, Sessions};
+use smack::srp::{single_trace_attack_in, SrpAttackConfig};
 use smack_crypto::{Bignum, RsaKeyPair};
-use smack_uarch::{Machine, MicroArch, NoiseConfig, ProbeKind};
+use smack_uarch::{MicroArch, NoiseConfig, ProbeKind};
+
+/// A scenario on `arch` under `noise`, seeded with `seed`.
+fn scenario(arch: MicroArch, noise: NoiseConfig, seed: u64) -> Scenario {
+    Scenario::new(arch).with_noise(noise).with_seed(seed)
+}
 
 #[test]
 fn covert_channel_transmits_text() {
     let message = b"hi";
     let payload: Vec<bool> =
         message.iter().flat_map(|b| (0..8).rev().map(move |i| (b >> i) & 1 == 1)).collect();
-    let mut m = Machine::new(MicroArch::CascadeLake.profile());
-    let r = run_channel(&mut m, &ChannelSpec::flush_reload(ProbeKind::Flush), &payload, false)
-        .expect("channel runs");
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&Scenario::new(MicroArch::CascadeLake));
+    let r =
+        run_channel_in(&mut session, &ChannelSpec::flush_reload(ProbeKind::Flush), &payload, false)
+            .expect("channel runs");
     assert_eq!(r.decoded.len(), payload.len());
     let errors = r.decoded.iter().zip(&payload).filter(|(a, b)| a != b).count();
     assert!(errors <= 1, "at most one bit error in 16 bits, got {errors}");
@@ -32,8 +40,9 @@ fn rsa_attack_recovers_real_private_exponent() {
     let cfg =
         RsaAttackConfig { noise: NoiseConfig::quiet(), ..RsaAttackConfig::new(ProbeKind::Flush) };
     let victim = build_victim(&cfg);
-    let trace =
-        collect_trace(MicroArch::TigerLake, &victim, key.d(), &cfg, 1).expect("trace collects");
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::TigerLake, cfg.noise, 1));
+    let trace = collect_trace_in(&mut session, &victim, key.d(), &cfg).expect("trace collects");
     let decoded = decode_trace(&trace, key.d().bit_len());
     let rate = score_bits(&decoded, key.d());
     assert!(rate > 0.5, "paper-level single-trace recovery, got {rate}");
@@ -44,7 +53,9 @@ fn srp_attack_leaks_ephemeral_exponent() {
     let mut rng = SmallRng::seed_from_u64(12);
     let b = Bignum::random_bits(&mut rng, 128);
     let cfg = SrpAttackConfig { noise: NoiseConfig::quiet(), ..SrpAttackConfig::new(4096) };
-    let out = single_trace_attack(MicroArch::TigerLake, &b, &cfg, 2).expect("attack runs");
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::TigerLake, cfg.noise, 2));
+    let out = single_trace_attack_in(&mut session, &b, &cfg).expect("attack runs");
     assert!(out.leakage > 0.4, "single-trace SRP leakage, got {}", out.leakage);
 }
 
@@ -52,7 +63,9 @@ fn srp_attack_leaks_ephemeral_exponent() {
 fn ispectre_leaks_secret_bytes() {
     let secret = b"spec";
     let cfg = ISpectreConfig::new(ProbeKind::Store);
-    let r = leak_secret(MicroArch::CascadeLake, secret, &cfg, 3).expect("attack runs");
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::CascadeLake, cfg.noise, 3));
+    let r = leak_secret_in(&mut session, secret, &cfg).expect("attack runs");
     assert!(r.success_rate >= 0.75, "got {}", r.success_rate);
     assert!(r.machine_clears > 0);
 }
@@ -62,7 +75,9 @@ fn ispectre_fails_where_table3_says_so() {
     // Execute-reload never leaks (Table 3's all-# row).
     let secret = b"xy";
     let cfg = ISpectreConfig::new(ProbeKind::Execute);
-    let r = leak_secret(MicroArch::CascadeLake, secret, &cfg, 4).expect("attack runs");
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::CascadeLake, cfg.noise, 4));
+    let r = leak_secret_in(&mut session, secret, &cfg).expect("attack runs");
     assert!(r.success_rate < 0.5, "execute must not leak, got {}", r.success_rate);
 }
 
@@ -70,9 +85,11 @@ fn ispectre_fails_where_table3_says_so() {
 fn channels_fail_on_parts_without_the_instruction() {
     let payload = random_payload(16, 1);
     // clwb does not exist before Cascade Lake: the channel must refuse.
-    let mut m = Machine::new(MicroArch::IvyBridge.profile());
-    let err = run_channel(&mut m, &ChannelSpec::prime_probe(ProbeKind::Clwb), &payload, false)
-        .unwrap_err();
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&Scenario::new(MicroArch::IvyBridge));
+    let err =
+        run_channel_in(&mut session, &ChannelSpec::prime_probe(ProbeKind::Clwb), &payload, false)
+            .unwrap_err();
     assert!(err.contains("unsupported"), "{err}");
 }
 
@@ -121,12 +138,13 @@ fn constant_time_ladder_defeats_the_attack() {
     }
     let cfg =
         RsaAttackConfig { noise: NoiseConfig::quiet(), ..RsaAttackConfig::new(ProbeKind::Flush) };
+    let sessions = Sessions::new();
     let decode_with = |algorithm: ModexpAlgorithm, key: &Bignum| -> Vec<bool> {
         let mut builder = ModexpVictimBuilder::new(algorithm);
         builder.operand_bits(cfg.operand_bits);
         let victim = builder.build();
-        let trace =
-            collect_trace(MicroArch::TigerLake, &victim, key, &cfg, 1).expect("trace collects");
+        let mut session = sessions.session(&scenario(MicroArch::TigerLake, cfg.noise, 1));
+        let trace = collect_trace_in(&mut session, &victim, key, &cfg).expect("trace collects");
         decode_trace(&trace, key.bit_len())
     };
     let ladder_a = decode_with(ModexpAlgorithm::MontgomeryLadder, &key_a);

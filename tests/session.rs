@@ -2,39 +2,42 @@
 //! bit-identical to a fresh one for whole attack pipelines, and the
 //! calibration cache must calibrate at most once per
 //! `(profile, probe class, cold placement, noise)` while returning values
-//! equal to a fresh computation.
+//! equal to a fresh computation in another registry.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smack::channel::{random_payload, run_channel, run_channel_in, ChannelSpec};
+use smack::channel::{random_payload, run_channel_in, ChannelSpec};
 use smack::rsa::{self, RsaAttackConfig};
-use smack::session::{Scenario, Sessions};
+use smack::session::{Scenario, Session, Sessions};
 use smack::srp::{self, SrpAttackConfig};
 use smack_crypto::Bignum;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind};
+use smack_uarch::{MicroArch, NoiseConfig, Placement, ProbeKind};
 
-/// Drive a machine through an unrelated noisy workload so its caches,
-/// TLBs, predictor, memory and RNG are thoroughly dirty before the reset.
-fn dirty(machine: &mut Machine) {
+/// Drive a session's machine through an unrelated noisy workload so its
+/// caches, TLBs, predictor, memory and RNG are thoroughly dirty before the
+/// reset.
+fn dirty(session: &mut Session<'_>) {
     let payload = random_payload(40, 0xd1);
-    run_channel(machine, &ChannelSpec::prime_probe(ProbeKind::Flush), &payload, false)
+    run_channel_in(session, &ChannelSpec::prime_probe(ProbeKind::Flush), &payload, false)
         .expect("dirtying channel runs");
-    machine.write_u64(smack_uarch::Addr(0x0b00_0000), u64::MAX);
+    session.machine().write_u64(smack_uarch::Addr(0x0b00_0000), u64::MAX);
 }
 
 #[test]
 fn reset_machine_reproduces_channel_report_bit_identically() {
-    let profile = MicroArch::CascadeLake.profile();
+    let scenario = Scenario::new(MicroArch::CascadeLake).with_noise(NoiseConfig::realistic());
     let payload = random_payload(96, 0xd5);
     let spec = ChannelSpec::prime_probe(ProbeKind::Store);
 
-    let mut fresh = Machine::with_noise(profile.clone(), NoiseConfig::realistic(), 0xfeed);
-    let want = run_channel(&mut fresh, &spec, &payload, true).expect("fresh channel runs");
+    let sessions = Sessions::new();
+    let mut fresh = sessions.session(&scenario.clone().with_seed(0xfeed));
+    let want = run_channel_in(&mut fresh, &spec, &payload, true).expect("fresh channel runs");
 
-    let mut reused = Machine::with_noise(profile, NoiseConfig::realistic(), 0x0ddba11);
+    let other = Sessions::new();
+    let mut reused = other.session(&scenario.with_seed(0x0ddba11));
     dirty(&mut reused);
-    reused.reset(NoiseConfig::realistic(), 0xfeed);
-    let got = run_channel(&mut reused, &spec, &payload, true).expect("reset channel runs");
+    reused.renew(0xfeed);
+    let got = run_channel_in(&mut reused, &spec, &payload, true).expect("reset channel runs");
 
     assert_eq!(want, got, "reset must erase every trace of the previous trial");
 }
@@ -45,11 +48,12 @@ fn reset_machine_reproduces_rsa_trace_bit_identically() {
     let exp = Bignum::random_bits(&mut rng, 96);
     let cfg = RsaAttackConfig::new(ProbeKind::Flush);
     let victim = rsa::build_victim(&cfg);
+    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0x51);
+    let fresh = Sessions::new();
     let want =
-        rsa::collect_trace(MicroArch::TigerLake, &victim, &exp, &cfg, 0x51).expect("fresh trace");
+        rsa::collect_trace_in(&mut fresh.session(&scenario), &victim, &exp, &cfg).expect("fresh");
 
     let sessions = Sessions::new();
-    let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0x51);
     // First session: machine is built. Dirty it via a different trace,
     // then renew — same pooled machine, reset in place.
     let mut session = sessions.session(&scenario.clone().with_seed(0x99));
@@ -63,13 +67,8 @@ fn reset_machine_reproduces_rsa_trace_bit_identically() {
     assert!(sessions.pool().stats().reused >= 1, "second checkout must reuse");
     let via_pool = rsa::collect_trace_in(&mut session, &victim, &exp, &cfg).expect("pooled");
 
-    assert_eq!(via_renew.samples, via_pool.samples);
-    assert_eq!(via_renew.victim_cycles, via_pool.victim_cycles);
-    // The standalone path interleaves its calibration with the trial
-    // machine's timeline, so it is a *different* (also deterministic)
-    // experiment — both must land in the same sample-count ballpark.
-    let (a, b) = (want.samples.len() as f64, via_pool.samples.len() as f64);
-    assert!((a - b).abs() / a < 0.1, "standalone {a} vs session {b} samples");
+    assert_eq!(via_renew, want, "a renewed machine reproduces a fresh one");
+    assert_eq!(via_pool, want, "a pooled machine reproduces a fresh one");
 }
 
 #[test]
@@ -113,15 +112,27 @@ fn campaign_calibrates_once_per_key() {
 
 #[test]
 fn cached_calibration_equals_fresh_computation() {
+    let scenario = Scenario::new(MicroArch::TigerLake);
     let sessions = Sessions::new();
-    let session = sessions.session(&Scenario::new(MicroArch::TigerLake));
+    let session = sessions.session(&scenario);
+    // The second registry calibrates on a pooled machine a trial has
+    // already dirtied, so equality also shows the reset erases it.
+    let registry = Sessions::new();
+    let other = registry.session(&scenario);
+    dirty(&mut registry.session(&scenario));
     for kind in [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb] {
         for cold in [Placement::L2, Placement::DramOnly] {
-            let cached = session.calibrated(kind, cold).expect("calibrates");
-            let fresh = session.recalibrate(kind, cold).expect("recalibrates");
+            session.calibrated(kind, cold).expect("calibrates");
+            let cached = session.calibrated(kind, cold).expect("cache hit");
+            let fresh = other.calibrated(kind, cold).expect("calibrates");
             assert_eq!(cached, fresh, "{kind}/{cold}: cache must be a pure function of its key");
         }
     }
+    assert_eq!(sessions.calibrations().hits(), 8, "every compared value was a hit");
+    // Built: `other`'s machine, the dirtied one, and the dirtying channel's
+    // noisy calibration machine — every quiet calibration reused the
+    // dirtied machine.
+    assert_eq!(registry.pool().stats().built, 3, "calibrations ran on the dirtied machine");
 }
 
 #[test]
