@@ -310,7 +310,7 @@ pub fn run_channel_in(
                 // Sender's turn. Stop sending a guard band before the slot
                 // boundary so a late fetch cannot bleed into the next bit.
                 if *bit && sent < spec.loads_per_one && sc + sample_cost < slot_end {
-                    machine.run_call(SENDER, target.0).map_err(step)?;
+                    machine.run_calls(SENDER, &[target]).map_err(step)?;
                     machine.advance(SENDER, sender_gap).map_err(step)?;
                     sent += 1;
                 } else {

@@ -151,11 +151,9 @@ impl Prober {
         kind: ProbeKind,
         addr: Addr,
     ) -> Result<ProbeTiming, StepError> {
-        machine.set_reg(self.tid, ADDR_REG, addr.0);
-        machine.run_probe(self.tid, &self.compiled[kind.index()])?;
-        let start = machine.reg(self.tid, T_START);
-        let end = machine.reg(self.tid, T_END);
-        Ok(ProbeTiming { cycles: end.saturating_sub(start), line: addr.line(), kind })
+        let mut cycles = [0];
+        self.measure_lines(machine, kind, &[addr], &mut cycles)?;
+        Ok(ProbeTiming { cycles: cycles[0], line: addr.line(), kind })
     }
 
     /// Run one timed probe of `kind` against each line in `addrs`, back
@@ -190,8 +188,7 @@ impl Prober {
     ///
     /// Propagates [`StepError`] from either thread.
     pub fn execute_line(&mut self, machine: &mut Machine, addr: Addr) -> Result<(), StepError> {
-        machine.run_call(self.tid, addr.0)?;
-        Ok(())
+        self.execute_lines(machine, &[addr])
     }
 
     /// Execute (call) every line in `addrs` back to back — the batched
@@ -208,14 +205,7 @@ impl Prober {
         machine: &mut Machine,
         addrs: &[Addr],
     ) -> Result<(), StepError> {
-        const BATCH: usize = 16;
-        let mut targets = [0u64; BATCH];
-        for chunk in addrs.chunks(BATCH) {
-            for (slot, addr) in targets.iter_mut().zip(chunk) {
-                *slot = addr.0;
-            }
-            machine.run_calls(self.tid, &targets[..chunk.len()])?;
-        }
+        machine.run_calls(self.tid, addrs)?;
         Ok(())
     }
 

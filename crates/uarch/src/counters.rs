@@ -61,24 +61,25 @@ pub enum PerfEvent {
     /// Full `DecodedProgram` recompiles taken by [`patch_program`] when the
     /// in-place [`patch`] fast path refuses a write (unmapped pc or changed
     /// instruction length). Not a hardware event: it makes the engine's
-    /// silent slow path visible in the counter bank and the engine bench.
+    /// silent slow path visible in the counter bank.
     ///
     /// [`patch_program`]: crate::machine::Machine::patch_program
     /// [`patch`]: crate::decoded::DecodedProgram::patch
     SimPatchRecompiles,
     /// Probe sequences and calls that entered the fused tier
-    /// ([`run_probe`], [`run_calls`]). Not a hardware event:
-    /// together with [`SimProbeFallback`] it makes the fused-vs-per-step
-    /// rate observable in tests and the engine bench.
+    /// ([`run_probes`], [`run_calls`]), one per probe or call. Not a
+    /// hardware event: together with [`SimProbeFallback`] it makes the
+    /// fused-vs-per-step rate observable in tests and the benchmark.
     ///
-    /// [`run_probe`]: crate::machine::Machine::run_probe
+    /// [`run_probes`]: crate::machine::Machine::run_probes
     /// [`run_calls`]: crate::machine::Machine::run_calls
     /// [`SimProbeFallback`]: PerfEvent::SimProbeFallback
     SimProbeFastPath,
     /// Probe sequences and calls that the fused tier refused (guards
-    /// tripped: tracing/fetch-log enabled, speculation live, a callee not
-    /// shaped `nop*; ret`, or fusion disabled) and that fell back to
-    /// per-step execution.
+    /// tripped: tracing/fetch-log enabled, speculation live, a callee in
+    /// the batch not shaped `nop*; ret`, or fusion disabled) and that fell
+    /// back to per-step execution, one per probe or call of the refused
+    /// batch.
     SimProbeFallback,
     /// Instructions a co-running sibling retired in closed form through
     /// whole turns of a counted delay loop, without stepping them (they

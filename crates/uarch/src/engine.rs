@@ -300,7 +300,7 @@ pub const DELAY_CHUNK: u64 = 200;
 /// A probe sequence precompiled for the fused probe tier: the classic
 /// `mfence; rdtsc; <op>; mfence; rdtsc` five-instruction template from
 /// `probe_sequence`, recognized once at construction so
-/// [`Machine::run_probe`] can retire the whole sequence in one
+/// [`Machine::run_probes`] can retire the whole sequence in one
 /// specialized pass instead of five injected-instruction round trips.
 ///
 /// `compile` returns `None` for sequences whose timed operation the fused
@@ -326,8 +326,9 @@ pub struct CompiledProbe {
 impl CompiledProbe {
     /// Recognize the probe template, or `None` when the sequence must run
     /// per-step. The middle-op whitelist is exactly the set of operations
-    /// the fused probe tier replicates bit-for-bit from `exec` and
-    /// the injected-call path.
+    /// the fused probe tier runs: the memory and probe-class instructions,
+    /// through the helper `exec` shares (`exec_memory`), and
+    /// `call *r`, through the fused call path.
     pub fn compile(instrs: &[Instr; 5]) -> Option<CompiledProbe> {
         let (t_start, t_end) = match (instrs[0], instrs[1], instrs[3], instrs[4]) {
             (Instr::Mfence, Instr::Rdtsc { dst: a }, Instr::Mfence, Instr::Rdtsc { dst: b }) => {
@@ -544,11 +545,6 @@ pub(crate) struct CallShape {
 pub(crate) const EMPTY_SHAPE: (u64, CallShape) =
     (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0, footprint: Footprint::NONE });
 
-/// Largest batch [`Machine::try_fused_calls`] and
-/// [`Machine::try_fused_probes`] fuse in one pass — an eviction set's way
-/// count with headroom.
-const BATCH_MAX: usize = 16;
-
 impl Machine {
     #[inline(always)]
     pub(crate) fn t(&self, tid: ThreadId) -> &Thread {
@@ -597,7 +593,7 @@ impl Machine {
         // Locate the instruction. The fast path chases pre-resolved indices
         // through the decoded side table (zero map lookups in steady state);
         // the reference path repeats the original per-step `BTreeMap` lookup
-        // and is kept only for A/B equivalence testing and benchmarking.
+        // and is kept only as the equivalence tests' oracle.
         let (instr, len, line, fall, target_idx) = if self.use_decoded {
             let idx = match self.t(tid).pc_idx {
                 NO_IDX => self.decoded.index_of(pc),
@@ -1003,22 +999,29 @@ impl Machine {
             && self.fetch_log.is_none()
     }
 
-    /// Retire a whole compiled probe sequence in one pass: the fused probe
-    /// tier behind [`Machine::run_probe`]. Returns `None` (with no side
-    /// effects) when a guard requires per-step execution — the caller then
-    /// injects `probe.instrs()` one instruction at a time — and otherwise
-    /// what that per-step injection would have returned.
+    /// Run `probe` once per target in one fused pass: the fused probe tier
+    /// behind [`Machine::run_probes`]. Before each probe the probe's
+    /// address register is set to its target (as the per-step fallback
+    /// does), and after it the probe's timing lands in the target's
+    /// `timings` slot. Returns `None` (with no side effects) when a guard
+    /// requires per-step execution — the caller then injects
+    /// `probe.instrs()` one instruction at a time per target — and
+    /// otherwise what that per-step injection would have returned.
     ///
     /// Bit-identical to per-step injection by construction: each
-    /// instruction replicates its `exec` arm (same cost formulas, counter
-    /// bumps, hierarchy calls, and one `evictions_for` draw per
-    /// instruction after its `rdtsc` jitter draw), and a running sibling
-    /// is caught up at exactly the points [`Machine::run_sequence`]
-    /// catches it up: before each instruction, before each step of the
-    /// `Execute` probe's callee, and once after the sequence. Every fused
-    /// step re-reads both clocks and the fetch state, which a sibling
-    /// machine clear may have changed. What fusion saves is the
-    /// per-instruction injection round trip and generic dispatch.
+    /// instruction runs the helper its `exec` arm runs (`exec_mfence`,
+    /// `exec_rdtsc`, `exec_memory`) with the same retirement bookkeeping,
+    /// and a running sibling is caught up at exactly the points
+    /// [`Machine::run_sequence`] catches it up: before each instruction,
+    /// before each step of the `Execute` probe's callee, and once after
+    /// each sequence. Every fused step re-reads both clocks and the fetch
+    /// state, which a sibling machine clear may have changed. What fusion
+    /// saves is the per-instruction injection round trip and generic
+    /// dispatch. An `Execute` batch may instead carry a looping sibling
+    /// from its first probe on ([`Machine::try_carry`]): the carried
+    /// probes run with no catch-up, and one closed form settles the
+    /// sibling after the last of them — where the catch-up at that point
+    /// would leave it.
     ///
     /// Guards (any one forces fallback): those of fusion itself (disabled,
     /// this thread running or speculating, tracing, fetch logging) and, for
@@ -1030,49 +1033,8 @@ impl Machine {
     /// `Some(Err(_))` propagates the middle operation's error (e.g. an
     /// [`StepError::Unsupported`] probe class) or the sibling's (including
     /// [`StepError::StepLimit`]), with the same partial state per-step
-    /// execution leaves behind.
-    pub(crate) fn try_fused_probe(
-        &mut self,
-        tid: ThreadId,
-        probe: &CompiledProbe,
-    ) -> Option<Result<SeqOutcome, StepError>> {
-        let callee = match probe.op {
-            Instr::CallReg { target } if self.use_decoded => {
-                let target = self.reg(tid, target);
-                self.call_shape(target).map(|shape| (target, shape))
-            }
-            _ => None,
-        };
-        let needs_callee = matches!(probe.op, Instr::CallReg { .. });
-        if !self.fusable(tid) || needs_callee && callee.is_none() {
-            return None;
-        }
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-        let start = self.t(tid).clock;
-        Some(
-            self.fused_probe_body::<true>(tid, probe, callee)
-                .map(|()| self.outcome_since(tid, start)),
-        )
-    }
-
-    /// Run `probe` once per target in one fused pass: the fused tier
-    /// behind [`Machine::run_probes`]. Before each probe the probe's
-    /// address register is set to its target (as `Prober::measure` does),
-    /// and after it the probe's timing lands in the target's `timings`
-    /// slot. Returns `None` (with no side effects) when
-    /// [`Machine::try_fused_probe`] would refuse any one of the probes.
-    ///
-    /// Bit-identical to per-probe injection: the probes step as
-    /// [`Machine::try_fused_probe`] steps them, with the same catch-ups.
-    /// An `Execute` batch may instead carry a looping sibling from its
-    /// first probe on ([`Machine::try_carry`]): the carried probes run
-    /// with no catch-up, and one closed form settles the sibling after the
-    /// last of them — where the catch-up at that point would leave it.
-    ///
-    /// # Errors
-    ///
-    /// `Some(Err(_))` as for [`Machine::try_fused_probe`], after the
-    /// probes before the failing one have written their timings.
+    /// execution leaves behind, after the probes before the failing one
+    /// have written their timings.
     pub(crate) fn try_fused_probes(
         &mut self,
         tid: ThreadId,
@@ -1082,7 +1044,6 @@ impl Machine {
     ) -> Option<Result<SeqOutcome, StepError>> {
         let execute = matches!(probe.op, Instr::CallReg { .. });
         if targets.is_empty()
-            || targets.len() > BATCH_MAX
             || !self.fusable(tid)
             || (execute
                 && !(self.use_decoded
@@ -1159,20 +1120,20 @@ impl Machine {
         self.sync::<SYNC>(tid)?;
         // Injected code executes from elsewhere; see `exec_injected`.
         self.t_mut(tid).last_fetch_line = u64::MAX;
-        self.fused_mfence(tid);
+        self.fused_exec(tid, &Instr::Mfence)?;
         self.sync::<SYNC>(tid)?;
-        self.fused_rdtsc(tid, probe.t_start);
+        self.fused_exec(tid, &Instr::Rdtsc { dst: probe.t_start })?;
         self.sync::<SYNC>(tid)?;
         match callee {
             Some((target, shape)) => self.fused_call_body::<SYNC>(tid, target, shape)?,
-            None => self.fused_probe_op(tid, &probe.op)?,
+            None => self.fused_exec(tid, &probe.op)?,
         }
         self.sync::<SYNC>(tid)?;
         // The closing `mfence` is injected again, away from any callee line.
         self.t_mut(tid).last_fetch_line = u64::MAX;
-        self.fused_mfence(tid);
+        self.fused_exec(tid, &Instr::Mfence)?;
         self.sync::<SYNC>(tid)?;
-        self.fused_rdtsc(tid, probe.t_end);
+        self.fused_exec(tid, &Instr::Rdtsc { dst: probe.t_end })?;
         self.sync::<SYNC>(tid)
     }
 
@@ -1256,12 +1217,10 @@ impl Machine {
     /// Retire a batch of injected calls to attacker-owned one-line
     /// `nop*; ret` routines in one fused pass — the shape of every
     /// eviction-set way and oracle line, so `EvictionSet::prime`'s eight
-    /// way-calls land here as a single entry ([`Machine::run_calls`];
-    /// [`Machine::run_call`] passes one target). Returns `None` (with *no*
-    /// side effects) when a guard or any callee's shape requires per-step
-    /// execution; the caller then runs the calls one at a time, each of
-    /// which may still fuse and counts its own fast-path or fallback
-    /// event.
+    /// way-calls land here as a single entry ([`Machine::run_calls`]).
+    /// Returns `None` (with *no* side effects) when a guard or any
+    /// callee's shape requires per-step execution; the caller then
+    /// injects the calls one at a time.
     ///
     /// Bit-identical to per-call injection by construction: a running
     /// sibling is caught up before each call and once after the batch
@@ -1285,13 +1244,12 @@ impl Machine {
     pub(crate) fn try_fused_calls(
         &mut self,
         tid: ThreadId,
-        targets: &[u64],
+        targets: &[Addr],
     ) -> Option<Result<SeqOutcome, StepError>> {
         if targets.is_empty()
-            || targets.len() > BATCH_MAX
             || !self.use_decoded
             || !self.fusable(tid)
-            || !targets.iter().all(|&target| self.call_shape(target).is_some())
+            || !targets.iter().all(|&Addr(target)| self.call_shape(target).is_some())
         {
             return None;
         }
@@ -1300,9 +1258,9 @@ impl Machine {
         Some(self.fused_calls_body(tid, targets).map(|()| self.outcome_since(tid, start)))
     }
 
-    fn fused_calls_body(&mut self, tid: ThreadId, targets: &[u64]) -> Result<(), StepError> {
+    fn fused_calls_body(&mut self, tid: ThreadId, targets: &[Addr]) -> Result<(), StepError> {
         let (mut carry, mut tried) = (None, false);
-        for &target in targets {
+        for &Addr(target) in targets {
             // Shapes were checked up front and nothing in the batch
             // re-decodes code; this is a memo hit.
             let shape = self.call_shape(target).expect("callee shape checked");
@@ -1454,33 +1412,6 @@ impl Machine {
         Some(shape)
     }
 
-    /// Fused-tier `mfence`: the `exec` arm plus injected-retirement
-    /// bookkeeping.
-    fn fused_mfence(&mut self, tid: ThreadId) {
-        let mfence_cost = self.profile.mfence_cost as u64;
-        let t = self.t_mut(tid);
-        t.counters.add(PerfEvent::InstRetired, 1);
-        let wait = t.pending_mem.saturating_sub(t.clock);
-        if wait > 0 {
-            t.counters.add(PerfEvent::CycleActivityStallsTotal, wait);
-        }
-        self.fused_retire(tid, wait + mfence_cost);
-    }
-
-    /// Fused-tier `rdtsc`. The jitter draw happens before the retire's
-    /// eviction draw, matching per-step RNG order.
-    fn fused_rdtsc(&mut self, tid: ThreadId, dst: Reg) {
-        let cost = self.profile.rdtsc_cost as u64;
-        let jitter = self.noise.jitter();
-        let clock0 = self.t(tid).clock;
-        let val = self.tsc_reading((clock0 + cost).saturating_add_signed(jitter));
-        let t = self.t_mut(tid);
-        t.counters.add(PerfEvent::InstRetired, 1);
-        t.regs[dst.index()] = val;
-        t.ready[dst.index()] = clock0 + cost;
-        self.fused_retire(tid, cost);
-    }
-
     /// Quantize a raw time-stamp to the profile's `rdtsc` resolution
     /// (AMD parts count in coarse quanta; Intel's resolution of one makes
     /// this the identity, and skips the division).
@@ -1492,94 +1423,20 @@ impl Machine {
         }
     }
 
-    /// Fused-tier timed middle operation: each arm replicates the
-    /// non-speculative branch of the corresponding `exec` arm (fusion
-    /// guards guarantee `spec.is_none()`). On error the partial state
-    /// (retire counter, dTLB fills) matches per-step execution — the
+    /// Retire one instruction of a fused probe the way `exec_injected`
+    /// retires it: count it, apply its effects through the helper its
+    /// `exec` arm runs (fusion guards guarantee `spec.is_none()`, so the
+    /// non-speculative one), then charge its cycles. On error the partial
+    /// state (retire counter, dTLB fills) matches per-step execution — the
     /// clock/noise epilogue is skipped exactly like `exec`'s early return.
     #[inline(always)]
-    fn fused_probe_op(&mut self, tid: ThreadId, op: &Instr) -> Result<(), StepError> {
+    fn fused_exec(&mut self, tid: ThreadId, instr: &Instr) -> Result<(), StepError> {
         self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
-        let clock0 = self.t(tid).clock;
-        let mut cost: u64 = 1;
-        match op {
-            Instr::Load { dst, mem, size } => {
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let info = self.hier.read(addr.line());
-                self.count_data_level(tid, info.level);
-                let val = self.read_mem_value(addr, *size);
-                let t = self.t_mut(tid);
-                t.regs[dst.index()] = val;
-                let done = (clock0 + cost).max(t.ready[mem.base.index()]) + info.latency as u64;
-                t.ready[dst.index()] = done;
-                t.pending_mem = t.pending_mem.max(done);
-            }
-            Instr::StoreImm { mem, imm } => {
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let res = self.hier.residency(addr.line());
-                let (_fired, c) = self.probe_effects(tid, ProbeKind::Store, addr.line(), res)?;
-                self.count_data_level(tid, res.data_level());
-                self.hier.write_resident(addr.line(), res);
-                self.write_mem_value(addr, *imm as u64, MemSize::Byte);
-                cost += c;
-            }
-            Instr::LockInc { mem } => {
-                let addr = self.mem_addr(tid, *mem);
-                let t = self.t_mut(tid);
-                let wait = t.pending_mem.saturating_sub(t.clock);
-                cost += wait;
-                cost += self.dtlb_cost(tid, addr);
-                let res = self.hier.residency(addr.line());
-                let (_fired, c) = self.probe_effects(tid, ProbeKind::Lock, addr.line(), res)?;
-                self.count_data_level(tid, res.data_level());
-                self.hier.write_resident(addr.line(), res);
-                let val = self.mem.read_u8(addr).wrapping_add(1);
-                self.mem.write_u8(addr, val);
-                cost += c;
-            }
-            Instr::Clflush { mem } | Instr::Clflushopt { mem } => {
-                let kind = if matches!(op, Instr::Clflush { .. }) {
-                    ProbeKind::Flush
-                } else {
-                    ProbeKind::FlushOpt
-                };
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let res = self.hier.residency(addr.line());
-                let (_fired, c) = self.probe_effects(tid, kind, addr.line(), res)?;
-                self.hier.flush(addr.line());
-                cost += c;
-            }
-            Instr::Clwb { mem } => {
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let res = self.hier.residency(addr.line());
-                let (_fired, c) = self.probe_effects(tid, ProbeKind::Clwb, addr.line(), res)?;
-                self.hier.writeback(addr.line());
-                cost += c;
-            }
-            Instr::PrefetchT0 { mem } | Instr::PrefetchNta { mem } => {
-                let kind = if matches!(op, Instr::PrefetchT0 { .. }) {
-                    ProbeKind::Prefetch
-                } else {
-                    ProbeKind::PrefetchNta
-                };
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let res = self.hier.residency(addr.line());
-                let (fired, c) = self.probe_effects(tid, kind, addr.line(), res)?;
-                if !fired {
-                    self.hier.prefetch(addr.line());
-                }
-                cost += c;
-            }
-            // `CompiledProbe::compile` whitelists the arms above (and the
-            // `Execute` probe's `call *r`, which `fused_probe_body` steps
-            // through `fused_call_body` instead).
-            _ => unreachable!("non-probe op in CompiledProbe"),
-        }
+        let cost = match *instr {
+            Instr::Mfence => self.exec_mfence(tid),
+            Instr::Rdtsc { dst } => self.exec_rdtsc(tid, dst),
+            _ => self.exec_memory(tid, instr)?,
+        };
         self.fused_retire(tid, cost);
         Ok(())
     }
@@ -1890,63 +1747,39 @@ impl Machine {
                 t.regs[dst.index()] = t.regs[src.index()];
                 t.ready[dst.index()] = (clock0 + 1).max(t.ready[src.index()]);
             }
-            Instr::Load { dst, mem, size } => {
-                let addr = self.mem_addr(tid, *mem);
-                cost += self.dtlb_cost(tid, addr);
-                let info = self.hier.read(addr.line());
-                self.count_data_level(tid, info.level);
-                let val = self.read_mem_value(addr, *size);
-                let t = self.t_mut(tid);
-                t.regs[dst.index()] = val;
-                let done = (clock0 + cost).max(t.ready[mem.base.index()]) + info.latency as u64;
-                t.ready[dst.index()] = done;
-                t.pending_mem = t.pending_mem.max(done);
-            }
-            Instr::Store { .. } | Instr::StoreImm { .. } => {
-                let (mem, val, size) = match instr {
-                    Instr::Store { src, mem, size } => (*mem, self.reg(tid, *src), *size),
-                    Instr::StoreImm { mem, imm } => (*mem, *imm as u64, MemSize::Byte),
+            Instr::Store { .. } | Instr::StoreImm { .. } | Instr::LockInc { .. } if in_spec => {
+                // Stores do not issue to the memory system speculatively.
+                let (mem, val, size) = match *instr {
+                    Instr::Store { src, mem, size } => (mem, self.reg(tid, src), size),
+                    Instr::StoreImm { mem, imm } => (mem, imm as u64, MemSize::Byte),
+                    Instr::LockInc { mem } => {
+                        let old = self.mem.read_u8(self.mem_addr(tid, mem));
+                        (mem, (old as u64).wrapping_add(1), MemSize::Byte)
+                    }
                     _ => unreachable!(),
                 };
                 let addr = self.mem_addr(tid, mem);
-                if in_spec {
-                    // Stores do not issue to the memory system speculatively.
-                    if let Some(s) = &mut self.t_mut(tid).spec {
-                        s.buffered_stores.push((addr, val, size));
-                    }
-                } else {
-                    cost += self.dtlb_cost(tid, addr);
-                    let res = self.hier.residency(addr.line());
-                    let (_fired, c) =
-                        self.probe_effects(tid, ProbeKind::Store, addr.line(), res)?;
-                    self.count_data_level(tid, res.data_level());
-                    self.hier.write_resident(addr.line(), res);
-                    self.write_mem_value(addr, val, size);
-                    cost += c;
+                if let Some(s) = &mut self.t_mut(tid).spec {
+                    s.buffered_stores.push((addr, val, size));
                 }
             }
-            Instr::LockInc { mem } => {
-                let addr = self.mem_addr(tid, *mem);
-                if in_spec {
-                    let val = (self.mem.read_u8(addr) as u64).wrapping_add(1);
-                    if let Some(s) = &mut self.t_mut(tid).spec {
-                        s.buffered_stores.push((addr, val, MemSize::Byte));
-                    }
-                } else {
-                    // Atomic RMW: serializes outstanding memory operations.
-                    let t = self.t_mut(tid);
-                    let wait = t.pending_mem.saturating_sub(t.clock);
-                    cost += wait;
-                    cost += self.dtlb_cost(tid, addr);
-                    let res = self.hier.residency(addr.line());
-                    let (_fired, c) = self.probe_effects(tid, ProbeKind::Lock, addr.line(), res)?;
-                    self.count_data_level(tid, res.data_level());
-                    self.hier.write_resident(addr.line(), res);
-                    let val = self.mem.read_u8(addr).wrapping_add(1);
-                    self.mem.write_u8(addr, val);
-                    cost += c;
-                }
-            }
+            // Flushes, write-backs and prefetches are not executed
+            // speculatively.
+            Instr::Clflush { .. }
+            | Instr::Clflushopt { .. }
+            | Instr::Clwb { .. }
+            | Instr::PrefetchT0 { .. }
+            | Instr::PrefetchNta { .. }
+                if in_spec => {}
+            Instr::Load { .. }
+            | Instr::Store { .. }
+            | Instr::StoreImm { .. }
+            | Instr::LockInc { .. }
+            | Instr::Clflush { .. }
+            | Instr::Clflushopt { .. }
+            | Instr::Clwb { .. }
+            | Instr::PrefetchT0 { .. }
+            | Instr::PrefetchNta { .. } => cost = self.exec_memory(tid, instr)?,
             Instr::Add { dst, src } => {
                 let t = self.t_mut(tid);
                 let v = t.regs[dst.index()].wrapping_add(t.regs[src.index()]);
@@ -2069,70 +1902,12 @@ impl Machine {
                     }
                 }
             }
-            Instr::Rdtsc { dst } => {
-                cost = self.profile.rdtsc_cost as u64;
-                let jitter = self.noise.jitter();
-                let val = self.tsc_reading((clock0 + cost).saturating_add_signed(jitter));
-                let t = self.t_mut(tid);
-                t.regs[dst.index()] = val;
-                t.ready[dst.index()] = clock0 + cost;
-            }
-            Instr::Mfence => {
-                let t = self.t_mut(tid);
-                let wait = t.pending_mem.saturating_sub(t.clock);
-                cost = wait + self.profile.mfence_cost as u64;
-                if wait > 0 {
-                    self.t_mut(tid).counters.add(PerfEvent::CycleActivityStallsTotal, wait);
-                }
-            }
+            Instr::Rdtsc { dst } => cost = self.exec_rdtsc(tid, *dst),
+            Instr::Mfence => cost = self.exec_mfence(tid),
             Instr::Lfence => {
                 let t = self.t_mut(tid);
                 let wait = t.pending_mem.saturating_sub(t.clock);
                 cost = wait + 2;
-            }
-            Instr::Clflush { mem } | Instr::Clflushopt { mem } => {
-                let kind = if matches!(instr, Instr::Clflush { .. }) {
-                    ProbeKind::Flush
-                } else {
-                    ProbeKind::FlushOpt
-                };
-                if in_spec {
-                    // Flushes are not executed speculatively.
-                } else {
-                    let addr = self.mem_addr(tid, *mem);
-                    cost += self.dtlb_cost(tid, addr);
-                    let res = self.hier.residency(addr.line());
-                    let (_fired, c) = self.probe_effects(tid, kind, addr.line(), res)?;
-                    self.hier.flush(addr.line());
-                    cost += c;
-                }
-            }
-            Instr::Clwb { mem } => {
-                if !in_spec {
-                    let addr = self.mem_addr(tid, *mem);
-                    cost += self.dtlb_cost(tid, addr);
-                    let res = self.hier.residency(addr.line());
-                    let (_fired, c) = self.probe_effects(tid, ProbeKind::Clwb, addr.line(), res)?;
-                    self.hier.writeback(addr.line());
-                    cost += c;
-                }
-            }
-            Instr::PrefetchT0 { mem } | Instr::PrefetchNta { mem } => {
-                let kind = if matches!(instr, Instr::PrefetchT0 { .. }) {
-                    ProbeKind::Prefetch
-                } else {
-                    ProbeKind::PrefetchNta
-                };
-                if !in_spec {
-                    let addr = self.mem_addr(tid, *mem);
-                    cost += self.dtlb_cost(tid, addr);
-                    let res = self.hier.residency(addr.line());
-                    let (fired, c) = self.probe_effects(tid, kind, addr.line(), res)?;
-                    if !fired {
-                        self.hier.prefetch(addr.line());
-                    }
-                    cost += c;
-                }
             }
             Instr::Delay { cycles } => {
                 cost = *cycles as u64;
@@ -2145,6 +1920,104 @@ impl Machine {
             self.apply_evictions(evictions);
         }
         Ok(next)
+    }
+
+    /// The non-speculative effects of a memory or probe-class instruction
+    /// — `Load` (which also runs on a wrong path), `Store`/`StoreImm`,
+    /// `LockInc`, `Clflush`/`Clflushopt`, `Clwb`, `PrefetchT0`/`PrefetchNta`
+    /// — shared by `exec` and the fused probe tier. Returns the
+    /// instruction's cycles, its issue cycle included. On error (an
+    /// unsupported probe class) the dTLB fill stays, and `exec` skips its
+    /// clock/noise epilogue.
+    #[inline(always)]
+    fn exec_memory(&mut self, tid: ThreadId, instr: &Instr) -> Result<u64, StepError> {
+        let clock0 = self.t(tid).clock;
+        let mut cost: u64 = 1;
+        let (kind, mem) = match *instr {
+            Instr::Load { dst, mem, size } => {
+                let addr = self.mem_addr(tid, mem);
+                cost += self.dtlb_cost(tid, addr);
+                let info = self.hier.read(addr.line());
+                self.count_data_level(tid, info.level);
+                let val = self.read_mem_value(addr, size);
+                let t = self.t_mut(tid);
+                t.regs[dst.index()] = val;
+                let done = (clock0 + cost).max(t.ready[mem.base.index()]) + info.latency as u64;
+                t.ready[dst.index()] = done;
+                t.pending_mem = t.pending_mem.max(done);
+                return Ok(cost);
+            }
+            Instr::Store { mem, .. } | Instr::StoreImm { mem, .. } => (ProbeKind::Store, mem),
+            Instr::LockInc { mem } => {
+                // Atomic RMW: serializes outstanding memory operations.
+                let t = self.t(tid);
+                cost += t.pending_mem.saturating_sub(t.clock);
+                (ProbeKind::Lock, mem)
+            }
+            Instr::Clflush { mem } => (ProbeKind::Flush, mem),
+            Instr::Clflushopt { mem } => (ProbeKind::FlushOpt, mem),
+            Instr::Clwb { mem } => (ProbeKind::Clwb, mem),
+            Instr::PrefetchT0 { mem } => (ProbeKind::Prefetch, mem),
+            Instr::PrefetchNta { mem } => (ProbeKind::PrefetchNta, mem),
+            _ => unreachable!("not a memory instruction: {instr:?}"),
+        };
+        let addr = self.mem_addr(tid, mem);
+        let line = addr.line();
+        cost += self.dtlb_cost(tid, addr);
+        let res = self.hier.residency(line);
+        let (fired, c) = self.probe_effects(tid, kind, line, res)?;
+        match *instr {
+            Instr::Clflush { .. } | Instr::Clflushopt { .. } => {
+                self.hier.flush(line);
+            }
+            Instr::Clwb { .. } => {
+                self.hier.writeback(line);
+            }
+            Instr::PrefetchT0 { .. } | Instr::PrefetchNta { .. } => {
+                if !fired {
+                    self.hier.prefetch(line);
+                }
+            }
+            // Stores and `lock inc` write the line.
+            _ => {
+                self.count_data_level(tid, res.data_level());
+                self.hier.write_resident(line, res);
+                match *instr {
+                    Instr::Store { src, size, .. } => {
+                        let val = self.reg(tid, src);
+                        self.write_mem_value(addr, val, size);
+                    }
+                    Instr::StoreImm { imm, .. } => self.mem.write_u8(addr, imm),
+                    _ => self.mem.write_u8(addr, self.mem.read_u8(addr).wrapping_add(1)),
+                }
+            }
+        }
+        Ok(cost + c)
+    }
+
+    /// `mfence`: waits out `tid`'s pending loads. Returns its cycles.
+    #[inline(always)]
+    fn exec_mfence(&mut self, tid: ThreadId) -> u64 {
+        let t = self.t_mut(tid);
+        let wait = t.pending_mem.saturating_sub(t.clock);
+        if wait > 0 {
+            t.counters.add(PerfEvent::CycleActivityStallsTotal, wait);
+        }
+        wait + self.profile.mfence_cost as u64
+    }
+
+    /// `rdtsc` into `dst`: the jitter draw comes before the instruction's
+    /// eviction draw. Returns its cycles.
+    #[inline(always)]
+    fn exec_rdtsc(&mut self, tid: ThreadId, dst: Reg) -> u64 {
+        let cost = self.profile.rdtsc_cost as u64;
+        let clock0 = self.t(tid).clock;
+        let jitter = self.noise.jitter();
+        let val = self.tsc_reading((clock0 + cost).saturating_add_signed(jitter));
+        let t = self.t_mut(tid);
+        t.regs[dst.index()] = val;
+        t.ready[dst.index()] = clock0 + cost;
+        cost
     }
 
     #[inline]
@@ -2320,7 +2193,7 @@ mod tests {
                 let store = Instr::StoreImm { mem: MemRef::base(Reg::R1), imm: 0x90 };
                 m.run_sequence(T0, &[store]).map(|_| ())
             }
-            Act::Call => m.run_call(T0, ORACLE).map(|_| ()),
+            Act::Call => m.run_calls(T0, &[Addr(ORACLE)]).map(|_| ()),
         }
     }
 
@@ -2547,7 +2420,10 @@ mod tests {
 
     fn run_batch(m: &mut Machine, b: Batch, timings: &mut Vec<u64>) -> Result<(), StepError> {
         match b {
-            Batch::Calls(lines) => m.run_calls(T0, lines).map(|_| ()),
+            Batch::Calls(lines) => {
+                let targets: Vec<Addr> = lines.iter().map(|&l| Addr(l)).collect();
+                m.run_calls(T0, &targets).map(|_| ())
+            }
             Batch::Probes(lines) => {
                 let execute = [
                     Instr::Mfence,

@@ -156,9 +156,8 @@ impl Machine {
     /// Switch between the decoded fast path (the default) and the original
     /// `BTreeMap` reference interpreter. Both execute the identical `exec`
     /// body and produce bit-identical architectural state, clocks and
-    /// counters; the reference path exists so equivalence tests and the
-    /// engine throughput benchmark can compare against the pre-decoded
-    /// interpreter. Reset restores the default.
+    /// counters; the reference path exists only as the oracle equivalence
+    /// tests compare the decoded path against. Reset restores the default.
     pub fn set_decoded_fast_path(&mut self, on: bool) {
         self.use_decoded = on;
         for t in &mut self.threads {
@@ -172,12 +171,12 @@ impl Machine {
     }
 
     /// Enable or disable the fused probe tier. When on,
-    /// [`Machine::run_probe`] retires a whole compiled
-    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequence in one
+    /// [`Machine::run_probes`] retires a batch of compiled
+    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences in one
     /// specialized pass, [`Machine::run_calls`] a batch of calls to
-    /// `nop*; ret` lines, [`Machine::run_probes`] a batch of probes and
-    /// [`Machine::advance`] a busy-wait — each bit-identical to per-step
-    /// injection, catching a running sibling up at the same points — and
+    /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
+    /// bit-identical to per-step injection, running the helpers `exec`
+    /// runs and catching a running sibling up at the same points — and
     /// every catch-up of a sibling busy in a counted delay loop retires
     /// its turns in closed form instead of stepping them, or, across a
     /// batch of calls or `Execute` probes clear of the loop's cache sets,
@@ -187,8 +186,9 @@ impl Machine {
     /// tracing / fetch logging could observe intermediate state. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable
     /// (`0` = off, anything else = on, unset = on); output is bit-identical
-    /// either way, so the toggle exists for the CI determinism gate and for
-    /// benchmarking the per-step probe path. Reset restores the default.
+    /// either way, so the toggle exists for the CI determinism gates and
+    /// as the per-step oracle of the equivalence tests. Reset restores the
+    /// default.
     pub fn set_fused_probes(&mut self, on: bool) {
         self.use_fused_probes = on;
     }
@@ -552,41 +552,23 @@ impl Machine {
         Ok(self.outcome_since(tid, start))
     }
 
-    /// Execute a compiled probe sequence on an idle thread: one fused pass
-    /// when the fusion guards allow it, injecting the five instructions
-    /// per-step via [`Machine::run_sequence`] otherwise. Same outcome
-    /// either way, by construction; the `SimProbeFastPath` and
-    /// `SimProbeFallback` counters record which path ran.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StepError`] (e.g. unsupported probe classes).
-    pub fn run_probe(
-        &mut self,
-        tid: ThreadId,
-        probe: &CompiledProbe,
-    ) -> Result<SeqOutcome, StepError> {
-        if let Some(outcome) = self.try_fused_probe(tid, probe) {
-            return outcome;
-        }
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-        self.run_sequence(tid, probe.instrs())
-    }
-
     /// Run `probe` once per target back to back on an idle thread, the
     /// register its timed operation addresses through (the memory
     /// operand's base, or `call *r`'s register) set to each target in
     /// turn, writing each probe's measured `rdtsc` delta (closing
     /// minus opening reading, saturating at 0) to the matching `timings`
     /// slot: one fused pass for the whole batch when the guards allow
-    /// every probe, per-probe [`Machine::run_probe`] otherwise. An
-    /// eviction set probes its ways this way. Same outcome either way, by
-    /// construction.
+    /// every probe, each probe's five instructions injected per-step via
+    /// [`Machine::run_sequence`] otherwise. An eviction set probes its
+    /// ways this way, and a single probe is a batch of one. Same outcome
+    /// either way, by construction; the `SimProbeFastPath` and
+    /// `SimProbeFallback` counters record which path each probe took.
     ///
     /// # Errors
     ///
-    /// Propagates [`StepError`] from either thread, after the probes
-    /// before the failing one have written their timings.
+    /// Propagates [`StepError`] from either thread (e.g. unsupported probe
+    /// classes), after the probes before the failing one have written
+    /// their timings.
     ///
     /// # Panics
     ///
@@ -605,51 +587,36 @@ impl Machine {
         let start = self.t(tid).clock;
         for (target, slot) in targets.iter().zip(timings.iter_mut()) {
             self.set_reg(tid, probe.addr, target.0);
-            self.run_probe(tid, probe)?;
+            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
+            self.run_sequence(tid, probe.instrs())?;
             *slot = probe.timing(self, tid);
         }
         Ok(self.outcome_since(tid, start))
     }
 
-    /// Call the line at `target` on an idle thread: one fused pass when the
-    /// guards and the callee's shape allow it (the callee must be an
-    /// attacker-style one-line `nop*; ret` routine), injecting the `call`
-    /// per-step via [`Machine::run_sequence`] otherwise. Same outcome
-    /// either way, by construction, with or without a running sibling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StepError`] from either thread.
-    pub fn run_call(&mut self, tid: ThreadId, target: u64) -> Result<SeqOutcome, StepError> {
-        if let Some(outcome) = self.try_fused_calls(tid, &[target]) {
-            return outcome;
-        }
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
-        self.run_sequence(tid, &[Instr::Call { target }])
-    }
-
     /// Call every line in `targets` back to back on an idle thread: one
     /// fused pass for the whole batch when the guards and every callee's
-    /// shape allow it, falling back to per-call [`Machine::run_call`]
-    /// otherwise — an eviction set primes its eight ways in one pass
-    /// instead of eight. Same outcome either way, by construction. With
-    /// [`Machine::run_probes`], one of the two batch entries.
+    /// shape allow it (each callee must be an attacker-style one-line
+    /// `nop*; ret` routine), each `call` injected per-step via
+    /// [`Machine::run_sequence`] otherwise — an eviction set primes its
+    /// eight ways in one pass instead of eight, and a single call is a
+    /// batch of one. Same outcome either way, by construction, with or
+    /// without a running sibling. With [`Machine::run_probes`], one of the
+    /// two batch entries.
     ///
     /// # Errors
     ///
     /// Propagates [`StepError`] from either thread.
-    pub fn run_calls(&mut self, tid: ThreadId, targets: &[u64]) -> Result<SeqOutcome, StepError> {
+    pub fn run_calls(&mut self, tid: ThreadId, targets: &[Addr]) -> Result<SeqOutcome, StepError> {
         if let Some(outcome) = self.try_fused_calls(tid, targets) {
             return outcome;
         }
-        let mut cycles = 0;
-        let mut end_clock = self.t(tid).clock;
-        for &target in targets {
-            let out = self.run_call(tid, target)?;
-            cycles += out.cycles;
-            end_clock = out.end_clock;
+        let start = self.t(tid).clock;
+        for &Addr(target) in targets {
+            self.t_mut(tid).counters.add(PerfEvent::SimProbeFallback, 1);
+            self.run_sequence(tid, &[Instr::Call { target }])?;
         }
-        Ok(SeqOutcome { cycles, end_clock })
+        Ok(self.outcome_since(tid, start))
     }
 
     /// Let `cycles` pass on `tid` (a "dummy for loop"), still interleaving
@@ -861,7 +828,7 @@ mod tests {
             m.set_decoded_fast_path(decoded);
             m.set_fused_probes(fused);
             m.load_program(&returns(1));
-            m.run_calls(T0, &[ROUTINE]).unwrap();
+            m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 1, "{tier}");
             assert!(m.residency(Addr(ROUTINE)).l1i, "{tier}: routine is L1i-resident");
 
@@ -876,14 +843,14 @@ mod tests {
             m.call(T0, ROUTINE, &[]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: call sees the patch");
             m.set_reg(T0, Reg::R0, 0);
-            m.run_calls(T0, &[ROUTINE]).unwrap();
+            m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: run_calls sees the patch");
 
             m.patch_program(&nops());
-            m.run_calls(T0, &[ROUTINE, ROUTINE]).unwrap();
+            m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: nop routine leaves R0");
             m.patch_program(&returns(3));
-            m.run_calls(T0, &[ROUTINE, ROUTINE]).unwrap();
+            m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 3, "{tier}: no stale call shape");
         }
     }

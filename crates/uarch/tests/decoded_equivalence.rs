@@ -151,7 +151,7 @@ fn build_program(ops: &[BodyOp]) -> Program {
 }
 
 /// The residency of `lines`, then again after each of a sweep of fresh
-/// lines through every L1i, L2 and LLC set a line of `lines` maps to:
+/// lines through every L1i, L1d, L2 and LLC set a line of `lines` maps to:
 /// `ways` insertions per set, one at a time, so the sweep evicts each
 /// set's lines in LRU order. Two machines whose caches hold the same lines
 /// in a different LRU order (an engine path that skips a re-stamp, say)
@@ -164,6 +164,7 @@ fn lru_sweep(m: &mut Machine, lines: &[u64]) -> Vec<Residency> {
     // One fresh region per level, clear of every address the tests use.
     for (region, geom, placement) in [
         (0x4000_0000, h.l1i, Placement::L1i),
+        (0x4800_0000, h.l1d, Placement::L1d),
         (0x5000_0000, h.l2, Placement::L2),
         (0x6000_0000, h.llc, Placement::Llc),
     ] {
@@ -312,7 +313,7 @@ proptest! {
 }
 
 /// Fused probe execution is held to the same bar as the decoded tier:
-/// running a probe template through [`Machine::run_probe`] with fusion
+/// running a probe template through [`Machine::run_probes`] with fusion
 /// enabled must be bit-identical — registers, both clocks, memory,
 /// timings, cache contents in LRU order and hardware counters — to the
 /// per-step injected sequence, across probe classes, cold placements,
@@ -321,7 +322,7 @@ proptest! {
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
-    use smack_uarch::{CompiledProbe, PerfEvent, StepError};
+    use smack_uarch::{CompiledProbe, PerfEvent, SeqOutcome, StepError};
 
     /// The probed line holds a real routine, so write-class probes hit a
     /// resident instruction line (the SMC machine-clear path) and
@@ -376,6 +377,12 @@ mod fused_probes {
             Instr::Mfence,
             Instr::Rdtsc { dst: Reg::R15 },
         ]
+    }
+
+    /// One probe of the line `R13` holds: [`Machine::run_probes`] with
+    /// that one target.
+    fn run_probe(m: &mut Machine, probe: &CompiledProbe) -> Result<SeqOutcome, StepError> {
+        m.run_probes(T0, probe, &[Addr(m.reg(T0, Reg::R13))], &mut [0])
     }
 
     fn placement(p: u8) -> Placement {
@@ -470,6 +477,13 @@ mod fused_probes {
     const LOOP_SET_WAYS: [u64; 8] =
         [0x38_0000, 0x39_0000, 0x3a_0000, 0x3b_0000, 0x3c_0000, 0x3d_0000, 0x3e_0000, 0x3f_0000];
 
+    /// A data eviction set on `TARGET`'s L1d set (set 0), each line in an
+    /// L2 and LLC set of its own: loading some of its ways evicts the set's
+    /// least recently used lines, so where a probe left `TARGET` in the
+    /// set's LRU order decides whether it survives.
+    const DATA_WAYS: [u64; 8] =
+        [0x70_1000, 0x70_2000, 0x70_3000, 0x70_4000, 0x70_5000, 0x70_6000, 0x70_7000, 0x70_8000];
+
     /// `nop; nop; ret` at every clear and loop-set way.
     fn attacker_ways() -> Program {
         let mut a = Assembler::new(CLEAR_WAYS[0]);
@@ -510,10 +524,11 @@ mod fused_probes {
         Probe { op: u8, place: Option<u8> },
         /// Prime→probe busy-wait ([`Machine::advance`] fast path).
         Wait(u16),
-        /// Execute (call) the target line via [`Machine::run_call`] — the
-        /// priming primitive, taking the fused-call tier when the routine's
-        /// shape allows — which makes the line L1i-resident, so the next
-        /// write-class probe takes the machine-clear path.
+        /// Execute (call) the target line via a one-target
+        /// [`Machine::run_calls`] — the priming primitive, taking the
+        /// fused-call tier when the routine's shape allows — which makes
+        /// the line L1i-resident, so the next write-class probe takes the
+        /// machine-clear path.
         Execute,
         /// Execute the target line `n` times through the *batched*
         /// [`Machine::run_calls`] entry (an eviction set primes its ways
@@ -525,9 +540,15 @@ mod fused_probes {
         /// ([`loop_patch`]).
         PatchLoop(u8),
         /// One batched entry over `n` lines — the clear ways, or ways of
-        /// the busy loop's own L1i set: [`Machine::run_calls`], or
-        /// [`Machine::run_probes`] of the `Execute` probe (`probe`).
+        /// the busy loop's and `TARGET`'s L1i set: [`Machine::run_calls`],
+        /// or [`Machine::run_probes`] of the `Execute` probe (`probe`).
         Batch { probe: bool, clear: bool, n: u8 },
+        /// Load the first `n` [`DATA_WAYS`] per-step, filling `TARGET`'s
+        /// L1d set.
+        LoadData(u8),
+        /// Rewrite the second clear way as `nop; add; ret`, a callee the
+        /// fused tier refuses.
+        BreakWay,
     }
 
     fn action_strategy() -> impl Strategy<Value = Action> {
@@ -544,6 +565,8 @@ mod fused_probes {
             Just(Action::Execute),
             (1u8..4).prop_map(Action::ExecuteBatch),
             (0u8..3).prop_map(Action::Patch),
+            (1u8..9).prop_map(Action::LoadData),
+            (1u8..9).prop_map(|n| Action::Batch { probe: false, clear: false, n }),
         ]
     }
 
@@ -639,7 +662,7 @@ mod fused_probes {
         m.set_fused_probes(fused);
         m.load_program(&oracle(oracle_kind));
         m.load_program(&attacker_ways());
-        for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS) {
+        for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS).chain(&DATA_WAYS) {
             m.warm_tlb(T0, Addr(w));
         }
         if let Some(kind) = setup.victim {
@@ -664,7 +687,7 @@ mod fused_probes {
                     let probe =
                         CompiledProbe::compile(&template(op)).expect("probe template compiles");
                     counts.attempts += 1;
-                    let r = m.run_probe(T0, &probe);
+                    let r = run_probe(&mut m, &probe);
                     if r.is_ok() && op % 9 != EXECUTE_OP {
                         counts.memory_probes += 1;
                     }
@@ -673,11 +696,11 @@ mod fused_probes {
                 Action::Wait(cycles) => m.advance(T0, cycles as u64),
                 Action::Execute => {
                     counts.attempts += 1;
-                    m.run_call(T0, TARGET).map(|_| ())
+                    m.run_calls(T0, &[Addr(TARGET)]).map(|_| ())
                 }
                 Action::ExecuteBatch(n) => {
                     counts.attempts += n as u64;
-                    let targets = [TARGET; 3];
+                    let targets = [Addr(TARGET); 3];
                     m.run_calls(T0, &targets[..n as usize]).map(|_| ())
                 }
                 Action::Patch(kind) => {
@@ -688,15 +711,32 @@ mod fused_probes {
                     m.patch_program(&loop_patch(kind));
                     Ok(())
                 }
+                Action::BreakWay => {
+                    let mut a = Assembler::new(CLEAR_WAYS[1]);
+                    a.nop().add(Reg::R0, Reg::R1).ret();
+                    m.patch_program(&a.assemble().expect("way assembles"));
+                    Ok(())
+                }
+                Action::LoadData(n) => {
+                    m.set_reg(T0, Reg::R1, DATA_WAYS[0]);
+                    let loads: Vec<Instr> = DATA_WAYS[..n as usize]
+                        .iter()
+                        .map(|&w| {
+                            let mem = MemRef::disp(Reg::R1, (w - DATA_WAYS[0]) as i64);
+                            Instr::Load { dst: Reg::R2, mem, size: MemSize::Quad }
+                        })
+                        .collect();
+                    m.run_sequence(T0, &loads).map(|_| ())
+                }
                 Action::Batch { probe, clear, n } => {
                     let ways: &[u64] = if clear { &CLEAR_WAYS } else { &LOOP_SET_WAYS };
-                    let lines: Vec<u64> = (0..n as usize).map(|i| ways[i % ways.len()]).collect();
+                    let lines: Vec<Addr> =
+                        (0..n as usize).map(|i| Addr(ways[i % ways.len()])).collect();
                     counts.attempts += n as u64;
                     if probe {
                         let execute = CompiledProbe::compile(&template(EXECUTE_OP)).unwrap();
-                        let targets: Vec<Addr> = lines.iter().map(|&l| Addr(l)).collect();
                         let mut out = vec![0; lines.len()];
-                        let r = m.run_probes(T0, &execute, &targets, &mut out);
+                        let r = m.run_probes(T0, &execute, &lines, &mut out);
                         let clock = m.clock(T0);
                         timings.extend(out.iter().map(|&t| (t, clock)));
                         r.map(|_| ())
@@ -724,7 +764,7 @@ mod fused_probes {
         counts.carried = m.counters(T0).read(PerfEvent::SimBatchCarried);
         let mut lines =
             vec![TARGET, VICTIM_BASE, VICTIM_BASE + 0x40, VICTIM_BASE + 0xc0, VICTIM_DATA];
-        lines.extend(CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS));
+        lines.extend(CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS).chain(&DATA_WAYS));
         let mut mem = m.read_bytes(Addr(TARGET), 64);
         mem.extend(m.read_bytes(Addr(VICTIM_DATA), 16));
         let outcome = ProbeOutcome {
@@ -894,6 +934,24 @@ mod fused_probes {
         }
     }
 
+    /// A batch with one callee that is not `nop*; ret` is refused as a
+    /// whole: each of its `Execute` probes or calls is injected per-step
+    /// and counted as one fallback, and the batch leaves the state it
+    /// leaves with fusion off — alone and beside the busy victim.
+    #[test]
+    fn refused_batches_step_every_probe_and_call() {
+        for victim in [None, Some(Victim::Busy { calls: 100 })] {
+            for probe in [true, false] {
+                let actions = [Action::BreakWay, Action::Batch { probe, clear: true, n: 4 }];
+                let setup = Setup { noise: Some((NoiseConfig::realistic(), 9)), victim };
+                let (reference, _) = run_actions(&actions, 0, false, setup);
+                let (fused, f) = run_actions(&actions, 0, true, setup);
+                assert_eq!(fused, reference, "probe batch {probe}, {victim:?}");
+                assert_eq!((f.fast, f.fallback), (0, 4), "probe batch {probe}, {victim:?}");
+            }
+        }
+    }
+
     /// The busy victim's turns do retire in closed form: over quiet and
     /// realistic noise, waits and probes, most of its instructions skip
     /// stepping, and the outcome still matches per-step execution.
@@ -1004,7 +1062,7 @@ mod fused_probes {
         // must land in the trace, which only the per-step path feeds.
         let probe = CompiledProbe::compile(&template(1)).unwrap();
         m.enable_trace(1024);
-        m.run_probe(T0, &probe).unwrap();
+        run_probe(&mut m, &probe).unwrap();
         assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 0);
         assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFallback), 1);
         assert!(!m.take_trace().is_empty(), "per-step path left a trace");
