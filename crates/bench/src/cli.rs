@@ -14,6 +14,10 @@
 //! and the output is bit-identical for every thread count.
 //!
 //! * `--out DIR` — CSV output directory (default `target/repro/`).
+//!
+//! Exit codes: 0 when every experiment ran and wrote its CSVs; 1 when any
+//! failed (each failure is printed as `error: <experiment>: <message>`
+//! after the remaining experiments ran); 2 for a usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,7 +112,13 @@ fn print_list() {
 pub fn run() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run_inner(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(errors) if errors.is_empty() => ExitCode::SUCCESS,
+        Ok(errors) => {
+            for e in errors {
+                eprintln!("error: {e}");
+            }
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
@@ -117,16 +127,18 @@ pub fn run() -> ExitCode {
     }
 }
 
-fn run_inner(argv: &[String]) -> Result<(), String> {
+/// Run the command line: `Err` is a usage error, `Ok` carries one
+/// `<experiment>: <message>` line per failed experiment.
+fn run_inner(argv: &[String]) -> Result<Vec<String>, String> {
     let args = parse(argv)?;
     if args.list {
         print_list();
-        return Ok(());
+        return Ok(Vec::new());
     }
     let selection = resolve(&args.names)?;
     let runner = args.threads.map_or_else(Runner::available, Runner::with_threads);
     let ctx = Ctx { mode: args.mode, runner, out_dir: args.out };
-    let times = registry::run_selection(&selection, &ctx);
+    let (times, errors) = registry::run_selection(&selection, &ctx);
 
     if selection.len() > 1 {
         report::banner("wall time");
@@ -144,7 +156,7 @@ fn run_inner(argv: &[String]) -> Result<(), String> {
     }
     let cal = Sessions::global().calibrations();
     println!("[calib] {} in-memory hits, {} computed", cal.hits(), cal.misses());
-    Ok(())
+    Ok(errors)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! The per-table/per-figure experiment implementations.
 //!
-//! Each function prints the paper-comparable rows, writes a CSV through
-//! its [`Ctx`], and returns its headline numbers so the integration tests
-//! can assert on shapes.
+//! Each function measures one paper artifact and returns a [`Report`]:
+//! the paper-comparable tables, named by their CSV files, and a closing
+//! note. A failed trial is an error naming the trial. The registry
+//! prints, writes and fails; no experiment does.
 //!
-//! Every experiment receives a [`Ctx`] from the registry: the run mode,
-//! the one [`Runner`] threaded down from the CLI
+//! Every experiment receives a [`Ctx`] from the registry: the run mode
+//! and the one [`Runner`] threaded down from the CLI
 //! (so `--threads` applies uniformly — no harness consults the
-//! environment on its own), and the CSV output directory. Trials fan out
+//! environment on its own). Trials fan out
 //! through
 //! [`Runner::run_scenarios`](crate::runner::Runner::run_scenarios), so
 //! each trial closure receives a pooled [`Session`]:
@@ -27,13 +28,13 @@ use smack::srp::{self, SrpAttackConfig};
 use smack_analysis::{AnalysisReport, Verdict};
 use smack_crypto::Bignum;
 use smack_mastik::MastikMonitor;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind, ThreadId};
+use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind, StepError, ThreadId};
 use smack_victims::corpus::{self, corpus};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictimBuilder};
 use smack_victims::{BenignWorkload, SpectreVictim};
 
-use crate::registry::Ctx;
-use crate::report::{banner, f, s, Table};
+use crate::registry::{Context, Ctx, Report};
+use crate::report::{f, s, Table};
 use crate::runner::Runner;
 use crate::Mode;
 
@@ -42,21 +43,20 @@ pub const FIG5_KINDS: [ProbeKind; 4] =
     [ProbeKind::Flush, ProbeKind::Store, ProbeKind::Lock, ProbeKind::Clwb];
 
 /// Figure 1: probe latency per cache state on Cascade Lake, plus the
-/// Mastik comparison row. Returns the store L1i/LLC margin.
-pub fn fig1(ctx: &Ctx) -> f64 {
-    banner("Figure 1 — probe timing per microarchitectural state (Cascade Lake)");
+/// Mastik comparison row.
+pub fn fig1(ctx: &Ctx) -> Result<Report, String> {
     let samples = ctx.mode.pick(100, 10_000);
-    let mut results =
+    let results =
         ctx.runner.run_scenarios(Scenario::new(MicroArch::CascadeLake), 2, |session, i| {
             let m = session.machine();
             if i == 0 {
-                figure1(m, ThreadId::T0, samples).expect("characterization runs")
+                figure1(m, ThreadId::T0, samples).context("probe classes")
             } else {
-                figure1_mastik_row(m, ThreadId::T0, samples).expect("mastik row runs")
+                figure1_mastik_row(m, ThreadId::T0, samples).context("mastik row")
             }
         });
-    let mastik = results.pop().expect("two jobs ran");
-    let cells = results.pop().expect("two jobs ran");
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let (cells, mastik) = (&results[0], &results[1]);
 
     let mut t = Table::new(&["probe", "L1i", "L1d", "L2", "LLC", "DRAM"]);
     let mean = |cells: &[smack::characterize::Figure1Cell], k: ProbeKind, st: Placement| -> f64 {
@@ -72,88 +72,63 @@ pub fn fig1(ctx: &Ctx) -> f64 {
         }
         t.row(vec![
             s(kind),
-            f(mean(&cells, kind, Placement::L1i), 0),
-            f(mean(&cells, kind, Placement::L1d), 0),
-            f(mean(&cells, kind, Placement::L2), 0),
-            f(mean(&cells, kind, Placement::Llc), 0),
-            f(mean(&cells, kind, Placement::DramOnly), 0),
+            f(mean(cells, kind, Placement::L1i), 0),
+            f(mean(cells, kind, Placement::L1d), 0),
+            f(mean(cells, kind, Placement::L2), 0),
+            f(mean(cells, kind, Placement::Llc), 0),
+            f(mean(cells, kind, Placement::DramOnly), 0),
         ]);
     }
     t.row(vec![
         "mastik (execute)".to_owned(),
-        f(mean(&mastik, ProbeKind::Execute, Placement::L1i), 0),
-        f(mean(&mastik, ProbeKind::Execute, Placement::L1d), 0),
-        f(mean(&mastik, ProbeKind::Execute, Placement::L2), 0),
-        f(mean(&mastik, ProbeKind::Execute, Placement::Llc), 0),
-        f(mean(&mastik, ProbeKind::Execute, Placement::DramOnly), 0),
+        f(mean(mastik, ProbeKind::Execute, Placement::L1i), 0),
+        f(mean(mastik, ProbeKind::Execute, Placement::L1d), 0),
+        f(mean(mastik, ProbeKind::Execute, Placement::L2), 0),
+        f(mean(mastik, ProbeKind::Execute, Placement::Llc), 0),
+        f(mean(mastik, ProbeKind::Execute, Placement::DramOnly), 0),
     ]);
-    t.print();
-    ctx.write_csv(&t, "fig1");
-    println!();
-    println!(
-        "paper shape: clflush/store/lock/prefetch/clwb spike on L1i-resident lines \
-         (SMC machine clear); Mastik's execute probe sees a 1-2 cycle L1i/L2 gap."
-    );
-    mean(&cells, ProbeKind::Store, Placement::L1i) - mean(&cells, ProbeKind::Store, Placement::Llc)
+    let note = "paper shape: clflush/store/lock/prefetch/clwb spike on L1i-resident lines \
+                (SMC machine clear); Mastik's execute probe sees a 1-2 cycle L1i/L2 gap.";
+    Ok(Report::new("fig1", t, note))
 }
 
 /// Figure 2: counter deltas per conflicting probe, Intel + AMD.
-pub fn fig2(ctx: &Ctx) {
-    banner("Figure 2 — SMC reverse engineering via performance counters");
+pub fn fig2(ctx: &Ctx) -> Result<Report, String> {
     let reps = ctx.mode.pick(200, 10_000);
-    let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
+    let arches = [(MicroArch::CascadeLake, "fig2_intel"), (MicroArch::AmdRyzen5, "fig2_amd")];
     let per_arch = ctx.runner.run_scenarios(
-        |i: usize| Scenario::new(arches[i]),
+        |i: usize| Scenario::new(arches[i].0),
         arches.len(),
-        |session, _| {
-            figure2(session.machine(), ThreadId::T0, reps).expect("counter profiling runs")
-        },
+        |session, i| figure2(session.machine(), ThreadId::T0, reps).context(arches[i].0),
     );
-    for (arch, profiles) in arches.iter().zip(per_arch) {
-        println!("--- {arch} ---");
+    let mut tables = Vec::new();
+    for ((_, name), profiles) in arches.iter().zip(per_arch) {
         let events = smack::characterize::FIGURE2_EVENTS;
         let mut header: Vec<&str> = vec!["probe"];
         let names: Vec<String> = events.iter().map(|e| e.name().to_owned()).collect();
         header.extend(names.iter().map(|n| n.as_str()));
         let mut t = Table::new(&header);
-        for p in &profiles {
+        for p in &profiles? {
             let mut row = vec![s(p.kind)];
             for (_, v) in &p.deltas {
                 row.push(f(*v, 1));
             }
             t.row(row);
         }
-        t.print();
-        ctx.write_csv(
-            &t,
-            &format!("fig2_{}", if *arch == MicroArch::CascadeLake { "intel" } else { "amd" }),
-        );
-        println!();
+        tables.push((*name, t));
     }
-    println!(
-        "paper shape: one MACHINE_CLEARS.COUNT per conflict; MACHINE_CLEARS.SMC \
-         double-counts clflushopt/clwb; store serializes ~200 cycles in the \
-         scoreboard; AMD shows ~500 back-pressure stall cycles and refills via L2."
-    );
-}
-
-/// One Table 1 row.
-#[derive(Clone, Debug)]
-pub struct ChannelRow {
-    /// Channel name.
-    pub name: String,
-    /// Applicability.
-    pub applicable: bool,
-    /// Bandwidth (kbit/s), if applicable.
-    pub kbit_per_s: f64,
-    /// Error rate (%), if applicable.
-    pub error_pct: f64,
+    Ok(Report {
+        tables,
+        note: "paper shape: one MACHINE_CLEARS.COUNT per conflict; MACHINE_CLEARS.SMC \
+               double-counts clflushopt/clwb; store serializes ~200 cycles in the \
+               scoreboard; AMD shows ~500 back-pressure stall cycles and refills via L2."
+            .to_owned(),
+    })
 }
 
 /// Table 1: the twelve covert channels on Cascade Lake (plus the paper's
-/// AMD Prime+iLock note). Returns the rows.
-pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
-    banner("Table 1 — SMC covert channels (Cascade Lake)");
+/// AMD Prime+iLock note). A channel that fails to run is N/A.
+pub fn table1(ctx: &Ctx) -> Result<Report, String> {
     let bits = ctx.mode.pick(300, 4_000);
     let payload = random_payload(bits, 0x7ab1e1);
     let specs = ChannelSpec::table1();
@@ -173,29 +148,14 @@ pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
             run_channel_in(session, &ChannelSpec::prime_probe(ProbeKind::Lock), &payload, false)
         }
     });
-    let mut rows = Vec::new();
     let mut t = Table::new(&["covert channel", "app.", "bit rate (kbit/s)", "error rate (%)"]);
     for (spec, outcome) in specs.iter().zip(&outcomes) {
         match outcome {
             Ok(r) => {
-                t.row(vec![r.name.clone(), s("yes"), f(r.kbit_per_s, 1), f(r.error_rate_pct, 1)]);
-                rows.push(ChannelRow {
-                    name: r.name.clone(),
-                    applicable: true,
-                    kbit_per_s: r.kbit_per_s,
-                    error_pct: r.error_rate_pct,
-                });
+                t.row(vec![r.name.clone(), s("yes"), f(r.kbit_per_s, 1), f(r.error_rate_pct, 1)])
             }
-            Err(_) => {
-                t.row(vec![spec.name(), s("no"), s("N/A"), s("N/A")]);
-                rows.push(ChannelRow {
-                    name: spec.name(),
-                    applicable: false,
-                    kbit_per_s: 0.0,
-                    error_pct: 0.0,
-                });
-            }
-        }
+            Err(_) => t.row(vec![spec.name(), s("no"), s("N/A"), s("N/A")]),
+        };
     }
     if let Some(Ok(r)) = outcomes.last() {
         t.row(vec![
@@ -204,27 +164,15 @@ pub fn table1(ctx: &Ctx) -> Vec<ChannelRow> {
             f(r.kbit_per_s, 1),
             f(r.error_rate_pct, 1),
         ]);
-        rows.push(ChannelRow {
-            name: format!("{} (AMD)", r.name),
-            applicable: true,
-            kbit_per_s: r.kbit_per_s,
-            error_pct: r.error_rate_pct,
-        });
     }
-    t.print();
-    ctx.write_csv(&t, "table1");
-    println!();
-    println!(
-        "paper shape: Flush+iReload channels are several times faster than \
-         Prime+iProbe; Flush+iLock and Flush+iStore are N/A (read-only shared \
-         page); error rates stay in the low percent."
-    );
-    rows
+    let note = "paper shape: Flush+iReload channels are several times faster than \
+                Prime+iProbe; Flush+iLock and Flush+iStore are N/A (read-only shared \
+                page); error rates stay in the low percent.";
+    Ok(Report::new("table1", t, note))
 }
 
 /// Figure 3: receiver trace with assigned bits (Tiger Lake, Prime+iStore).
-pub fn fig3(ctx: &Ctx) {
-    banner("Figure 3 — covert-channel receiver trace (Tiger Lake, Prime+iStore)");
+pub fn fig3(ctx: &Ctx) -> Result<Report, String> {
     let bits = ctx.mode.pick(24, 48);
     // A recognizable pattern, as in the paper's plot.
     let payload: Vec<bool> = (0..bits).map(|i| matches!(i % 4, 0 | 2 | 3)).collect();
@@ -232,7 +180,7 @@ pub fn fig3(ctx: &Ctx) {
         .session(&Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::noisy()));
     let r =
         run_channel_in(&mut session, &ChannelSpec::prime_probe(ProbeKind::Store), &payload, true)
-            .expect("channel runs");
+            .context("channel")?;
     let mut t = Table::new(&["sample", "clock", "min way timing", "activity", "slot", "sent bit"]);
     for (i, p) in r.trace.iter().enumerate() {
         t.row(vec![
@@ -244,20 +192,17 @@ pub fn fig3(ctx: &Ctx) {
             s(payload[p.slot] as u8),
         ]);
     }
-    t.print();
-    ctx.write_csv(&t, "fig3");
-    println!();
-    println!(
+    let note = format!(
         "decoded {} bits with {} errors ({:.1}%); low-timing samples mark the \
          sender's evictions, exactly like the paper's low peaks.",
         r.bits, r.errors, r.error_rate_pct
     );
+    Ok(Report::new("fig3", t, note))
 }
 
 /// Figure 4: per-sample minimum probe timing while an RSA victim runs —
 /// low dips are multiplication activity.
-pub fn fig4(ctx: &Ctx) {
-    banner("Figure 4 — multiplication activity via Prime+iStore (Tiger Lake)");
+pub fn fig4(ctx: &Ctx) -> Result<Report, String> {
     let bits = ctx.mode.pick(96, 256);
     let mut rng = SmallRng::seed_from_u64(0xf19);
     let exp = Bignum::random_bits(&mut rng, bits);
@@ -265,16 +210,13 @@ pub fn fig4(ctx: &Ctx) {
     let victim = rsa::build_victim(&cfg);
     let mut session = Sessions::global()
         .session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf4));
-    let trace = rsa::collect_trace_in(&mut session, &victim, &exp, &cfg).expect("trace");
+    let trace = rsa::collect_trace_in(&mut session, &victim, &exp, &cfg).context("trace")?;
     let mut t = Table::new(&["sample", "min timing", "activity"]);
     for (i, sample) in trace.samples.iter().enumerate().take(400) {
         t.row(vec![s(i), s(sample.min_timing), s(if sample.active { "*" } else { "" })]);
     }
-    t.print();
-    ctx.write_csv(&t, "fig4");
     let events = rsa::events_from_samples(&trace.samples);
-    println!();
-    println!(
+    let note = format!(
         "{} samples, {} activity events for {} true multiplications — low \
          timings are evictions by the victim's mul_n calls (paper: \"low timing \
          values indicate multiplication activity\").",
@@ -282,26 +224,25 @@ pub fn fig4(ctx: &Ctx) {
         events.len(),
         (0..exp.bit_len()).filter(|i| exp.bit(*i)).count(),
     );
+    Ok(Report::new("fig4", t, note))
 }
 
 /// One Figure 5 row.
-#[derive(Clone, Debug)]
-pub struct Fig5Row {
+struct Fig5Row {
     /// Probe class.
-    pub kind: ProbeKind,
+    kind: ProbeKind,
     /// Single-trace recovery rate (aligned scoring).
-    pub single_trace: f64,
+    single_trace: f64,
     /// Single-trace recovery rate (positional scoring).
-    pub positional_single: f64,
+    positional_single: f64,
     /// Traces needed for 70% (None = not reached within the budget).
-    pub traces_for_70: Option<usize>,
+    traces_for_70: Option<usize>,
     /// Best recovery achieved.
-    pub best: f64,
+    best: f64,
 }
 
 /// Figure 5: traces needed for 70% key recovery per probe class.
-pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
-    banner("Figure 5 — traces needed for 70% RSA key recovery (Tiger Lake)");
+pub fn fig5(ctx: &Ctx) -> Result<Report, String> {
     let bits = ctx.mode.pick(160, 512);
     let max_traces = ctx.mode.pick(12, 25);
     let mut rng = SmallRng::seed_from_u64(0xf5);
@@ -312,7 +253,7 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
     // machine per trace.
     // All four probe classes attack under the default realistic noise.
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(NoiseConfig::realistic());
-    let rows: Vec<Fig5Row> = ctx.runner.run_scenarios(scenario, FIG5_KINDS.len(), |session, i| {
+    let rows = ctx.runner.run_scenarios(scenario, FIG5_KINDS.len(), |session, i| {
         let kind = FIG5_KINDS[i];
         let cfg = RsaAttackConfig::new(kind);
         let victim = rsa::build_victim(&cfg);
@@ -322,7 +263,8 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
         let mut used = None;
         for trace_idx in 0..max_traces {
             session.renew(2_000 + trace_idx as u64);
-            let trace = rsa::collect_trace_in(session, &victim, &exp, &cfg).expect("attack runs");
+            let trace = rsa::collect_trace_in(session, &victim, &exp, &cfg)
+                .context(format_args!("{kind}, trace {}", trace_idx + 1))?;
             let decoded = rsa::decode_trace(&trace, exp.bit_len());
             if trace_idx == 0 {
                 positional_single = rsa::score_bits(&decoded, &exp);
@@ -338,7 +280,7 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
         }
         let single = aligned_rates.first().copied().unwrap_or(0.0);
         let best = aligned_rates.iter().cloned().fold(0.0f64, f64::max);
-        Fig5Row { kind, single_trace: single, positional_single, traces_for_70: used, best }
+        Ok(Fig5Row { kind, single_trace: single, positional_single, traces_for_70: used, best })
     });
     let mut t = Table::new(&[
         "probe",
@@ -347,7 +289,7 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
         "traces for 70% (aligned)",
         "best (aligned)",
     ]);
-    for row in &rows {
+    for row in rows.into_iter().collect::<Result<Vec<Fig5Row>, String>>()? {
         t.row(vec![
             s(row.kind),
             f(row.single_trace, 3),
@@ -356,14 +298,9 @@ pub fn fig5(ctx: &Ctx) -> Vec<Fig5Row> {
             f(row.best, 3),
         ]);
     }
-    t.print();
-    ctx.write_csv(&t, "fig5");
-    println!();
-    println!(
-        "paper shape: a single trace leaks ~63% of the key; Flush needs the \
-         fewest traces (10), Store ~13, Lock ~20, Clwb the most."
-    );
-    rows
+    let note = "paper shape: a single trace leaks ~63% of the key; Flush needs the \
+                fewest traces (10), Store ~13, Lock ~20, Clwb the most.";
+    Ok(Report::new("fig5", t, note))
 }
 
 /// One Table 2 cell result.
@@ -381,7 +318,11 @@ pub struct Table2Row {
 /// out over `runner` and averaged per group. Every (group, key) cell is one
 /// independent trial whose seeds derive from the key index alone. Exposed
 /// so tests can check parallel/sequential result equality.
-pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
+///
+/// # Errors
+///
+/// Names the first failing cell, e.g. `group 4096, key 2: <error>`.
+pub fn table2_rows(mode: Mode, runner: &Runner) -> Result<Vec<Table2Row>, String> {
     let keys = mode.pick(3, 100);
     let exp_bits = mode.pick(160, 0); // 0 = full group size
     let sizes = smack_crypto::SrpGroup::PAPER_SIZES;
@@ -399,13 +340,15 @@ pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
         let nbits = if exp_bits == 0 { group } else { exp_bits };
         let b = Bignum::random_bits(&mut rng, nbits);
         let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(group) };
-        let smack = srp::single_trace_attack_in(session, &b, &cfg).expect("smc attack runs");
+        let cell = format!("group {group}, key {key}");
+        let smack = srp::single_trace_attack_in(session, &b, &cfg).context(&cell)?;
         session.renew(key as u64);
         let mastik =
-            mastik_srp_attack_on(session.machine(), group, &b).expect("mastik attack runs");
-        (smack.leakage, mastik.leakage)
+            mastik_srp_attack_on(session.machine(), group, &b).context(cell + ", Mastik")?;
+        Ok((smack.leakage, mastik.leakage))
     });
-    sizes
+    let cells = cells.into_iter().collect::<Result<Vec<(f64, f64)>, String>>()?;
+    Ok(sizes
         .iter()
         .zip(cells.chunks(keys))
         .map(|(group, chunk)| Table2Row {
@@ -413,58 +356,50 @@ pub fn table2_rows(mode: Mode, runner: &Runner) -> Vec<Table2Row> {
             smack: chunk.iter().map(|c| c.0).sum::<f64>() / keys as f64,
             mastik: chunk.iter().map(|c| c.1).sum::<f64>() / keys as f64,
         })
-        .collect()
+        .collect())
 }
 
 /// Table 2: SRP single-trace leakage, Prime+iStore vs Mastik.
-pub fn table2(ctx: &Ctx) -> Vec<Table2Row> {
-    banner("Table 2 — SRP single-trace leakage per group size (Tiger Lake)");
-    let rows = table2_rows(ctx.mode, &ctx.runner);
+pub fn table2(ctx: &Ctx) -> Result<Report, String> {
     let mut t = Table::new(&["group size", "Prime+iStore", "Mastik (PnP)"]);
-    for row in &rows {
+    for row in table2_rows(ctx.mode, &ctx.runner)? {
         t.row(vec![
             s(row.group_bits),
             f(row.smack * 100.0, 0) + "%",
             f(row.mastik * 100.0, 0) + "%",
         ]);
     }
-    t.print();
-    ctx.write_csv(&t, "table2");
-    println!();
-    println!(
-        "paper shape: Prime+iStore leakage rises with group size (65->90%); \
-         Mastik trails badly (22->48%) because its 1-2 cycle margin drowns in \
-         noise."
-    );
-    rows
+    let note = "paper shape: Prime+iStore leakage rises with group size (65->90%); \
+                Mastik trails badly (22->48%) because its 1-2 cycle margin drowns in \
+                noise.";
+    Ok(Report::new("table2", t, note))
 }
 
-/// Collect the §6.1 dataset with every workload run as its own trial —
-/// the parallel equivalent of `smack_detection::collect_dataset`, built
-/// on the same [`smack_detection::dataset_units`] (identical workloads
-/// and seeds, so the dataset is identical).
+/// Collect the §6.1 dataset with every unit of
+/// [`smack_detection::dataset_units`] run as its own trial, on a pooled
+/// machine seeded with the unit's seed. Returns (benign, attack) windows.
 fn collect_detection_dataset(
     runner: &Runner,
     arch: MicroArch,
     cfg: &smack_detection::DetectionConfig,
-) -> (Vec<smack_detection::CounterDelta>, Vec<smack_detection::CounterDelta>) {
+) -> Result<(Vec<smack_detection::CounterDelta>, Vec<smack_detection::CounterDelta>), String> {
     let units = smack_detection::dataset_units();
     let spec_for = |i: usize| Scenario::new(arch).with_noise(cfg.noise).with_seed(units[i].seed());
     let windows = runner.run_scenarios(spec_for, units.len(), |session, i| {
         smack_detection::collect_unit_on(session.machine(), units[i], cfg)
-            .expect("dataset unit collects")
+            .context(format_args!("{:?}", units[i]))
     });
     let mut benign = Vec::new();
     let mut attacks = Vec::new();
     for (unit, w) in units.iter().zip(windows) {
-        let Some(w) = w else { continue };
+        let Some(w) = w? else { continue };
         if unit.is_benign() {
             benign.extend(w);
         } else {
             attacks.extend(w);
         }
     }
-    (benign, attacks)
+    Ok((benign, attacks))
 }
 
 /// table2's Mastik column: run the Mastik baseline against the SRP
@@ -487,15 +422,14 @@ pub fn mastik_srp_attack_on(
 }
 
 /// Figure 6: the SRP single-trace pattern timeline at group size 6144.
-pub fn fig6(ctx: &Ctx) {
-    banner("Figure 6 — SRP single-trace window patterns (6144-bit group)");
+pub fn fig6(ctx: &Ctx) -> Result<Report, String> {
     let exp_bits = ctx.mode.pick(128, 6144);
     let mut rng = SmallRng::seed_from_u64(0xf6);
     let b = Bignum::random_bits(&mut rng, exp_bits);
     let cfg = SrpAttackConfig::new(6144);
     let mut session = Sessions::global()
         .session(&Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(0xf6));
-    let out = srp::single_trace_attack_in(&mut session, &b, &cfg).expect("attack runs");
+    let out = srp::single_trace_attack_in(&mut session, &b, &cfg).context("attack")?;
     let events = srp::event_times(&out.samples);
     let measured = srp::measured_square_runs(&out.samples);
     let schedule = smack_crypto::modexp::sliding_window_schedule(&b);
@@ -520,20 +454,18 @@ pub fn fig6(ctx: &Ctx) {
             tr.map_or_else(|| "-".into(), |v| v.to_string()),
         ]);
     }
-    t.print();
-    ctx.write_csv(&t, "fig6");
-    println!();
-    println!(
+    let note = format!(
         "leakage {:.0}% of recoverable bits — the paper's seven patterns \
          ('0','1','11','1X1',...,'1XXXX1') appear as distinct square-run \
          lengths between multiply events.",
         out.leakage * 100.0
     );
+    Ok(Report::new("fig6", t, note))
 }
 
-/// Table 3: the ISpectre applicability matrix across all ten parts.
-pub fn table3(ctx: &Ctx) -> Vec<(MicroArch, Vec<Applicability>)> {
-    banner("Table 3 — ISpectre applicability: microarchitecture x probe class");
+/// Table 3: the ISpectre applicability matrix across all ten parts. A
+/// probe whose applicability check fails counts as no leak.
+pub fn table3(ctx: &Ctx) -> Result<Report, String> {
     let mut header: Vec<&str> = vec!["probe"];
     let names: Vec<String> = MicroArch::ALL.iter().map(|a| a.name().to_owned()).collect();
     header.extend(names.iter().map(|n| n.as_str()));
@@ -552,43 +484,23 @@ pub fn table3(ctx: &Ctx) -> Vec<(MicroArch, Vec<Applicability>)> {
             })
             .collect::<Vec<Applicability>>()
     });
-    let per_arch: Vec<(MicroArch, Vec<Applicability>)> =
-        MicroArch::ALL.iter().copied().zip(columns).collect();
     for (ki, kind) in ProbeKind::ALL.iter().enumerate() {
         let mut row = vec![s(kind)];
-        for (_, col) in &per_arch {
+        for col in &columns {
             row.push(col[ki].symbol().to_owned());
         }
         t.row(row);
     }
-    t.print();
-    ctx.write_csv(&t, "table3");
-    println!();
-    println!(
-        "legend: ● SMC-powered leak, ◐ leaks without SMC, # no leak, × \
-         unsupported. Paper shape: store/lock work everywhere; execute never \
-         works; EPYC's flushes leak without machine clears; clwb only on the \
-         newest parts."
-    );
-    per_arch
+    let note = "legend: ● SMC-powered leak, ◐ leaks without SMC, # no leak, × \
+                unsupported. Paper shape: store/lock work everywhere; execute never \
+                works; EPYC's flushes leak without machine clears; clwb only on the \
+                newest parts.";
+    Ok(Report::new("table3", t, note))
 }
 
-/// One Table 4 row.
-#[derive(Clone, Debug)]
-pub struct Table4Row {
-    /// Processor.
-    pub arch: MicroArch,
-    /// Probe class.
-    pub kind: ProbeKind,
-    /// Leak rate in bytes/second.
-    pub bytes_per_s: f64,
-    /// Recovery success rate.
-    pub success: f64,
-}
-
-/// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. Returns
-/// the applicable rows.
-pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
+/// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. A cell
+/// that fails to run or recovers under half the secret is N/A.
+pub fn table4(ctx: &Ctx) -> Result<Report, String> {
     let kinds = [
         ProbeKind::Flush,
         ProbeKind::FlushOpt,
@@ -598,7 +510,6 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
         ProbeKind::Clwb,
     ];
     let arches = [MicroArch::CascadeLake, MicroArch::AmdRyzen5];
-    banner("Table 4 — ISpectre leakage rates (B/s)");
     let secret_len = ctx.mode.pick(8, 64);
     let secret: Vec<u8> =
         (0..secret_len).map(|i| (i as u8).wrapping_mul(73).wrapping_add(19)).collect();
@@ -613,67 +524,44 @@ pub fn table4(ctx: &Ctx) -> Vec<Table4Row> {
         let cfg = ISpectreConfig::new(kind);
         (arch, kind, leak_secret_in(session, &secret, &cfg))
     });
-    let mut rows = Vec::new();
     let mut t = Table::new(&["processor", "probe", "B/s", "success (%)"]);
     for (arch, kind, outcome) in cells {
         match outcome {
             Ok(r) if r.success_rate >= 0.5 => {
-                t.row(vec![s(arch), s(kind), f(r.bytes_per_s, 0), f(r.success_rate * 100.0, 1)]);
-                rows.push(Table4Row {
-                    arch,
-                    kind,
-                    bytes_per_s: r.bytes_per_s,
-                    success: r.success_rate,
-                });
+                t.row(vec![s(arch), s(kind), f(r.bytes_per_s, 0), f(r.success_rate * 100.0, 1)])
             }
-            _ => {
-                t.row(vec![s(arch), s(kind), s("N/A"), s("N/A")]);
-            }
-        }
+            _ => t.row(vec![s(arch), s(kind), s("N/A"), s("N/A")]),
+        };
     }
-    t.print();
-    ctx.write_csv(&t, "table4");
-    println!();
-    println!(
-        "paper shape: thousands of bytes per second with high success; \
-         prefetch/clwb are unavailable or ineffective on AMD Ryzen 5."
-    );
-    rows
+    let note = "paper shape: thousands of bytes per second with high success; \
+                prefetch/clwb are unavailable or ineffective on AMD Ryzen 5.";
+    Ok(Report::new("table4", t, note))
 }
 
 /// §6.1 detection: accuracy/F1/FPR per counter feature set.
-pub fn table5(ctx: &Ctx) -> Vec<smack_detection::DetectionReport> {
-    banner("Section 6.1 — counter-based detection of SMC attacks (Cascade Lake)");
+pub fn table5(ctx: &Ctx) -> Result<Report, String> {
     let cfg = smack_detection::DetectionConfig {
         window_cycles: ctx.mode.pick(80_000, 200_000) as u64,
         windows_per_run: ctx.mode.pick(6, 14),
         noise: NoiseConfig::realistic(),
     };
-    let (benign, attacks) = collect_detection_dataset(&ctx.runner, MicroArch::CascadeLake, &cfg);
+    let (benign, attacks) = collect_detection_dataset(&ctx.runner, MicroArch::CascadeLake, &cfg)?;
     let mut t = Table::new(&["feature set", "accuracy", "F1", "FPR"]);
-    let mut out = Vec::new();
     for fs in smack_detection::FeatureSet::ALL {
         let r = smack_detection::evaluate(fs, &benign, &attacks, 0x7ab5);
         t.row(vec![s(fs), f(r.accuracy, 4), f(r.f1, 4), f(r.fpr, 4)]);
-        out.push(r);
     }
-    t.print();
-    ctx.write_csv(&t, "table5");
-    println!();
-    println!(
-        "paper shape: machine_clears.smc detects the attacks almost perfectly \
-         (F1 ~0.99, FPR <1%, residual false positives from the self-modifying \
-         amg workload); branch-misprediction and LLC-miss counters from prior \
-         work are much weaker."
-    );
-    out
+    let note = "paper shape: machine_clears.smc detects the attacks almost perfectly \
+                (F1 ~0.99, FPR <1%, residual false positives from the self-modifying \
+                amg workload); branch-misprediction and LLC-miss counters from prior \
+                work are much weaker.";
+    Ok(Report::new("table5", t, note))
 }
 
 /// Case Study II steps 1–2 (paper §5.2): identify the victim's crypto
 /// library version from L1i-set activity fingerprints, and locate the
 /// multiplication set.
-pub fn fingerprint(ctx: &Ctx) {
-    banner("Case Study II step 1 — library version fingerprinting (Tiger Lake)");
+pub fn fingerprint(ctx: &Ctx) -> Result<Report, String> {
     let full = corpus();
     let versions: Vec<_> = match ctx.mode {
         Mode::Quick => full.iter().cloned().step_by(4).collect(), // 9 versions
@@ -687,19 +575,15 @@ pub fn fingerprint(ctx: &Ctx) {
         ctx.mode.pick(1, 2),
         &cfg,
     )
-    .expect("experiment runs");
+    .context("library identification")?;
     let mut t = Table::new(&["metric", "measured", "paper"]);
     t.row(vec![s("versions classified"), s(report.versions), s("34 (20 OpenSSL + 14 Libgcrypt)")]);
     t.row(vec![s("offline cross-validation accuracy"), f(report.cv_accuracy, 3), s("1.00")]);
     t.row(vec![s("online identification accuracy"), f(report.online_accuracy, 3), s("0.97")]);
-
-    banner("Case Study II step 2 — multiplication-set detection");
     let acc = mul_set_detection_accuracy(MicroArch::TigerLake, ctx.mode.pick(8, 24), &cfg)
-        .expect("experiment runs");
-    println!("binary kNN accuracy: {acc:.3}   (paper: 0.96)");
+        .context("multiplication-set detection")?;
     t.row(vec![s("mul-set detection accuracy"), f(acc, 3), s("0.96")]);
-    t.print();
-    ctx.write_csv(&t, "fingerprint");
+    Ok(Report::new("fingerprint", t, ""))
 }
 
 /// The corpus versions the `analyze` experiment spot-checks (indices into
@@ -708,36 +592,35 @@ const ANALYZE_CORPUS_PICKS: [usize; 4] = [0, 10, 20, 30];
 
 /// Victim count of the `analyze` experiment: the four attack victims,
 /// every benign workload, and four corpus versions.
-pub const ANALYZE_VICTIMS: usize = 4 + BenignWorkload::ALL.len() + ANALYZE_CORPUS_PICKS.len();
+const ANALYZE_VICTIMS: usize = 4 + BenignWorkload::ALL.len() + ANALYZE_CORPUS_PICKS.len();
 
 /// One `analyze` row: a victim's static verdict joined with its dynamic
 /// measurement.
-#[derive(Clone, Debug)]
-pub struct AnalyzeRow {
+struct AnalyzeRow {
     /// Victim name.
-    pub victim: String,
+    victim: String,
     /// The static analyzer's verdict.
-    pub verdict: Verdict,
+    verdict: Verdict,
     /// Number of statically leaky cache lines.
-    pub leaky_lines: usize,
+    leaky_lines: usize,
     /// Number of SMC patch audit violations.
-    pub audit_violations: usize,
+    audit_violations: usize,
     /// Whether the observed victim-only fetch-line log was a subset of the
     /// static footprint (the soundness obligation, checked in production).
-    pub sound: bool,
+    sound: bool,
     /// What the dynamic column measures for this victim.
-    pub metric: &'static str,
+    metric: &'static str,
     /// The measured value.
-    pub value: f64,
+    value: f64,
     /// The value a secret-blind guesser would score.
-    pub chance: f64,
+    chance: f64,
     /// Whether the measurement shows a real leak (≫ chance).
-    pub signal: bool,
+    signal: bool,
 }
 
 impl AnalyzeRow {
     /// Static and dynamic agree: `Leaky` iff the measurement leaks.
-    pub fn agrees(&self) -> bool {
+    fn agrees(&self) -> bool {
         (self.verdict == Verdict::Leaky) == self.signal
     }
 }
@@ -751,14 +634,17 @@ fn footprint_covers(footprint: &[u64], observed: &[u64]) -> bool {
 /// Run the victim-only program currently staged on `m` from `start` to
 /// halt with the fetch log on; returns the sorted deduplicated fetched
 /// lines. `start` must already have staged program + data.
-fn observed_lines(m: &mut Machine, start: impl FnOnce(&mut Machine)) -> Vec<u64> {
+fn observed_lines(
+    m: &mut Machine,
+    start: impl FnOnce(&mut Machine) -> Result<(), StepError>,
+) -> Result<Vec<u64>, String> {
     m.set_fetch_log(true);
-    start(m);
-    m.run_until_halt(ThreadId::T0, 50_000_000).expect("victim halts");
+    start(m).context("victim start")?;
+    m.run_until_halt(ThreadId::T0, 50_000_000).context("victim run")?;
     let mut lines = m.take_fetch_log();
     lines.sort_unstable();
     lines.dedup();
-    lines
+    Ok(lines)
 }
 
 fn analyze_rsa_victim(
@@ -766,7 +652,7 @@ fn analyze_rsa_victim(
     mode: Mode,
     algorithm: ModexpAlgorithm,
     name: &str,
-) -> AnalyzeRow {
+) -> Result<AnalyzeRow, String> {
     let bits = mode.pick(128, 512);
     let mut rng = SmallRng::seed_from_u64(0xa71);
     let exp = Bignum::random_bits(&mut rng, bits);
@@ -779,7 +665,10 @@ fn analyze_rsa_victim(
 
     let m = session.machine();
     m.load_program(&victim.program);
-    let observed = observed_lines(m, |m| victim.start(m, ThreadId::T0, &exp));
+    let observed = observed_lines(m, |m| {
+        victim.start(m, ThreadId::T0, &exp);
+        Ok(())
+    })?;
     let sound = footprint_covers(&report.footprint, &observed);
 
     // The paper's recovery method (fig5): majority-vote a few traces and
@@ -788,7 +677,8 @@ fn analyze_rsa_victim(
     let mut value: f64 = 0.0;
     for trace_idx in 0..mode.pick(8, 12) {
         session.renew(0xa72 + trace_idx as u64);
-        let trace = rsa::collect_trace_in(session, &victim, &exp, &cfg).expect("trace collects");
+        let trace = rsa::collect_trace_in(session, &victim, &exp, &cfg)
+            .context(format_args!("trace {}", trace_idx + 1))?;
         decodes.push(rsa::decode_trace(&trace, exp.bit_len()));
         let combined = rsa::majority_vote(&decodes, exp.bit_len());
         value = value.max(rsa::score_bits_aligned(&combined, &exp));
@@ -796,7 +686,7 @@ fn analyze_rsa_victim(
             break;
         }
     }
-    AnalyzeRow {
+    Ok(AnalyzeRow {
         victim: name.to_owned(),
         verdict: report.verdict,
         leaky_lines: report.leaky_lines.len(),
@@ -806,10 +696,10 @@ fn analyze_rsa_victim(
         value,
         chance: 0.5,
         signal: value >= 0.70,
-    }
+    })
 }
 
-fn analyze_srp_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
+fn analyze_srp_victim(session: &mut Session<'_>, mode: Mode) -> Result<AnalyzeRow, String> {
     // Group 4096: the size where the single-trace attack is near-perfect
     // even with quick-mode exponents (table2's top row territory).
     let group_bits = 4096;
@@ -820,13 +710,16 @@ fn analyze_srp_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
 
     let m = session.machine();
     m.load_program(&victim.program);
-    let observed = observed_lines(m, |m| victim.start(m, ThreadId::T0, &b));
+    let observed = observed_lines(m, |m| {
+        victim.start(m, ThreadId::T0, &b);
+        Ok(())
+    })?;
     let sound = footprint_covers(&report.footprint, &observed);
 
     session.renew(0xa74);
     let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(group_bits) };
-    let out = srp::single_trace_attack_in(session, &b, &cfg).expect("srp attack runs");
-    AnalyzeRow {
+    let out = srp::single_trace_attack_in(session, &b, &cfg).context("attack")?;
+    Ok(AnalyzeRow {
         victim: "srp-sliding-window".to_owned(),
         verdict: report.verdict,
         leaky_lines: report.leaky_lines.len(),
@@ -836,10 +729,10 @@ fn analyze_srp_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
         value: out.leakage,
         chance: 0.0,
         signal: out.leakage >= 0.5,
-    }
+    })
 }
 
-fn analyze_spectre_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
+fn analyze_spectre_victim(session: &mut Session<'_>, mode: Mode) -> Result<AnalyzeRow, String> {
     let victim = SpectreVictim::build();
     let report = smack_analysis::analyze(&victim.program, victim.entry, &victim.secret_spec());
 
@@ -847,20 +740,21 @@ fn analyze_spectre_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
     victim.stage(m, b"K");
     let entry = victim.entry;
     let observed = observed_lines(m, |m| {
-        m.call(ThreadId::T0, entry, &[3]).expect("in-bounds call runs");
+        m.call(ThreadId::T0, entry, &[3])?;
         // `call` runs to completion on its own; park the thread so the
         // generic run-to-halt wait returns immediately.
         m.park(ThreadId::T0);
-    });
+        Ok(())
+    })?;
     let sound = footprint_covers(&report.footprint, &observed);
 
     session.renew(0xa75);
     let secret_len = mode.pick(4, 16);
     let secret: Vec<u8> =
         (0..secret_len).map(|i| (i as u8).wrapping_mul(73).wrapping_add(19)).collect();
-    let r = leak_secret_in(session, &secret, &ISpectreConfig::new(ProbeKind::Flush))
-        .expect("ispectre runs");
-    AnalyzeRow {
+    let r =
+        leak_secret_in(session, &secret, &ISpectreConfig::new(ProbeKind::Flush)).context("leak")?;
+    Ok(AnalyzeRow {
         victim: "ispectre-gadget".to_owned(),
         verdict: report.verdict,
         leaky_lines: report.leaky_lines.len(),
@@ -870,7 +764,7 @@ fn analyze_spectre_victim(session: &mut Session<'_>, mode: Mode) -> AnalyzeRow {
         value: r.success_rate,
         chance: 1.0 / 256.0,
         signal: r.success_rate >= 0.5,
-    }
+    })
 }
 
 /// Differential dynamic check for victims without secrets: run the program
@@ -882,19 +776,22 @@ fn analyze_differential_victim(
     report: &AnalysisReport,
     stage: impl Fn(&mut Machine),
     entry: u64,
-) -> AnalyzeRow {
+) -> Result<AnalyzeRow, String> {
     let mut footprints = Vec::new();
     let mut sound = true;
     for iters in [2u64, 3] {
         session.renew(iters);
         let m = session.machine();
         stage(m);
-        let observed = observed_lines(m, |m| m.start_program(ThreadId::T0, entry, &[iters]));
+        let observed = observed_lines(m, |m| {
+            m.start_program(ThreadId::T0, entry, &[iters]);
+            Ok(())
+        })?;
         sound &= footprint_covers(&report.footprint, &observed);
         footprints.push(observed);
     }
     let distinct = if footprints[0] == footprints[1] { 1.0 } else { 2.0 };
-    AnalyzeRow {
+    Ok(AnalyzeRow {
         victim: name,
         verdict: report.verdict,
         leaky_lines: report.leaky_lines.len(),
@@ -904,7 +801,7 @@ fn analyze_differential_victim(
         value: distinct,
         chance: 1.0,
         signal: distinct > 1.5,
-    }
+    })
 }
 
 /// The static analyzer joined with dynamic ground truth: every victim is
@@ -914,8 +811,7 @@ fn analyze_differential_victim(
 /// column must read `ok` on every row. The observed fetch-line log is also
 /// checked against the static footprint on every victim (the soundness
 /// obligation the proptests lock, re-verified on the real victims).
-pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
-    banner("Static leakage analysis — taint verdicts vs measured recovery");
+pub fn analyze(ctx: &Ctx) -> Result<Report, String> {
     let mode = ctx.mode;
     let n_benign = BenignWorkload::ALL.len();
     let arch_for = |victim: usize| match victim {
@@ -933,8 +829,8 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
             _ => scenario,
         }
     };
-    let rows =
-        ctx.runner.run_scenarios(spec_for, ANALYZE_VICTIMS, |session, victim| match victim {
+    let rows = ctx.runner.run_scenarios(spec_for, ANALYZE_VICTIMS, |session, victim| {
+        match victim {
             0 => analyze_rsa_victim(session, mode, ModexpAlgorithm::BinaryLtr, "rsa-binary-ltr"),
             1 => analyze_rsa_victim(
                 session,
@@ -973,7 +869,9 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
                     victim.entry,
                 )
             }
-        });
+        }
+        .context(format_args!("victim {victim}"))
+    });
 
     let mut t = Table::new(&[
         "victim",
@@ -987,7 +885,8 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
         "chance",
         "join",
     ]);
-    for (victim, row) in rows.iter().enumerate() {
+    for (victim, row) in rows.into_iter().enumerate() {
+        let row = row?;
         let probes = smack_analysis::observing_probes(&arch_for(victim).profile()).len();
         t.row(vec![
             row.victim.clone(),
@@ -1002,14 +901,9 @@ pub fn analyze(ctx: &Ctx) -> Vec<AnalyzeRow> {
             s(if row.agrees() { "ok" } else { "DISAGREE" }),
         ]);
     }
-    t.print();
-    ctx.write_csv(&t, "analyze");
-    println!();
-    println!(
-        "expected shape: every secret-processing victim is statically leaky \
-         and dynamically recovered; the constant-time ladder and every \
-         no-secret workload is proven constant-footprint and measures at \
-         chance. Any DISAGREE or UNSOUND cell is an analyzer bug."
-    );
-    rows
+    let note = "expected shape: every secret-processing victim is statically leaky \
+                and dynamically recovered; the constant-time ladder and every \
+                no-secret workload is proven constant-footprint and measures at \
+                chance. Any DISAGREE or UNSOUND cell is an analyzer bug.";
+    Ok(Report::new("analyze", t, note))
 }

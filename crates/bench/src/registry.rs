@@ -7,11 +7,17 @@
 //! Orchestrators enumerate [`registry`] instead of hard-coding harness
 //! functions; adding a workload is adding one descriptor. The CLI
 //! (`crate::cli`) looks experiments up here by name.
+//!
+//! A run function only measures: it returns a [`Report`] — its named
+//! tables and closing note — or an error naming the trial that failed.
+//! [`run_selection`] is the one place that prints banners and tables,
+//! writes CSVs and turns a failure into an error.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::report::Table;
+use crate::report::{banner, Table};
 use crate::runner::Runner;
 use crate::{ablations, experiments, Mode};
 
@@ -30,14 +36,31 @@ pub enum Group {
 pub struct Experiment {
     /// CLI name (`all <name>`).
     pub name: &'static str,
-    /// Human-readable one-liner for `--list`.
+    /// Human-readable one-liner for `--list` and the run banner.
     pub title: &'static str,
     /// Bundle membership.
     pub group: Group,
-    /// CSV files this experiment writes (without `.csv`).
+    /// CSV files this experiment writes (without `.csv`), in the order
+    /// its [`Report`] returns the tables.
     pub csvs: &'static [&'static str],
     /// Run the experiment under a context.
-    pub run: fn(&Ctx),
+    pub run: fn(&Ctx) -> Result<Report, String>,
+}
+
+/// What an experiment measured: its tables, each named by the CSV it is
+/// written to, and the note printed under them.
+pub struct Report {
+    /// `(csv name, table)` pairs, in [`Experiment::csvs`] order.
+    pub tables: Vec<(&'static str, Table)>,
+    /// The closing note (empty for none).
+    pub note: String,
+}
+
+impl Report {
+    /// A report of one table, written as `<csv>.csv`, and its note.
+    pub fn new(csv: &'static str, table: Table, note: impl Into<String>) -> Report {
+        Report { tables: vec![(csv, table)], note: note.into() }
+    }
 }
 
 /// Execution context handed to every experiment: the run mode, the trial
@@ -52,15 +75,16 @@ pub struct Ctx {
     pub out_dir: Option<PathBuf>,
 }
 
-impl Ctx {
-    /// Write a table as this experiment's CSV `name` (reporting, but not
-    /// aborting on, I/O errors — the printed tables are still useful when
-    /// the filesystem is read-only).
-    pub fn write_csv(&self, table: &Table, name: &str) {
-        match table.try_write_csv_in(self.out_dir.as_deref(), name) {
-            Ok(path) => println!("[csv] {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {name}.csv: {e}"),
-        }
+/// Prefix an error with the trial (or step) it came from, so a failure
+/// reads `table2: group 4096, key 17: <error>` once the registry adds the
+/// experiment's name.
+pub(crate) trait Context<T> {
+    fn context(self, what: impl Display) -> Result<T, String>;
+}
+
+impl<T, E: Display> Context<T> for Result<T, E> {
+    fn context(self, what: impl Display) -> Result<T, String> {
+        self.map_err(|e| format!("{what}: {e}"))
     }
 }
 
@@ -72,99 +96,77 @@ pub fn registry() -> &'static [Experiment] {
             title: "Figure 1 — probe timing per cache state (+ Mastik row)",
             group: Group::Paper,
             csvs: &["fig1"],
-            run: |ctx| {
-                experiments::fig1(ctx);
-            },
+            run: experiments::fig1,
         },
         Experiment {
             name: "fig2",
             title: "Figure 2 — SMC counter reverse engineering (Intel + AMD)",
             group: Group::Paper,
             csvs: &["fig2_intel", "fig2_amd"],
-            run: |ctx| {
-                experiments::fig2(ctx);
-            },
+            run: experiments::fig2,
         },
         Experiment {
             name: "table1",
             title: "Table 1 — covert-channel bandwidth & error rates",
             group: Group::Paper,
             csvs: &["table1"],
-            run: |ctx| {
-                experiments::table1(ctx);
-            },
+            run: experiments::table1,
         },
         Experiment {
             name: "fig3",
             title: "Figure 3 — receiver timing trace with assigned bits",
             group: Group::Paper,
             csvs: &["fig3"],
-            run: |ctx| {
-                experiments::fig3(ctx);
-            },
+            run: experiments::fig3,
         },
         Experiment {
             name: "fig4",
             title: "Figure 4 — multiplication-set activity",
             group: Group::Paper,
             csvs: &["fig4"],
-            run: |ctx| {
-                experiments::fig4(ctx);
-            },
+            run: experiments::fig4,
         },
         Experiment {
             name: "fig5",
             title: "Figure 5 — traces needed for 70% RSA key recovery",
             group: Group::Paper,
             csvs: &["fig5"],
-            run: |ctx| {
-                experiments::fig5(ctx);
-            },
+            run: experiments::fig5,
         },
         Experiment {
             name: "table2",
             title: "Table 2 — SRP leakage: Prime+iStore vs Mastik",
             group: Group::Paper,
             csvs: &["table2"],
-            run: |ctx| {
-                experiments::table2(ctx);
-            },
+            run: experiments::table2,
         },
         Experiment {
             name: "fig6",
             title: "Figure 6 — SRP single-trace pattern timeline",
             group: Group::Paper,
             csvs: &["fig6"],
-            run: |ctx| {
-                experiments::fig6(ctx);
-            },
+            run: experiments::fig6,
         },
         Experiment {
             name: "table3",
             title: "Table 3 — ISpectre applicability matrix",
             group: Group::Paper,
             csvs: &["table3"],
-            run: |ctx| {
-                experiments::table3(ctx);
-            },
+            run: experiments::table3,
         },
         Experiment {
             name: "table4",
             title: "Table 4 — ISpectre leakage rates (B/s)",
             group: Group::Paper,
             csvs: &["table4"],
-            run: |ctx| {
-                experiments::table4(ctx);
-            },
+            run: experiments::table4,
         },
         Experiment {
             name: "table5",
             title: "§6.1 — detection accuracy / F-score / FPR",
             group: Group::Paper,
             csvs: &["table5"],
-            run: |ctx| {
-                experiments::table5(ctx);
-            },
+            run: experiments::table5,
         },
         Experiment {
             name: "fingerprint",
@@ -178,9 +180,7 @@ pub fn registry() -> &'static [Experiment] {
             title: "Static leakage analyzer — taint verdicts vs measured recovery",
             group: Group::CaseStudy,
             csvs: &["analyze"],
-            run: |ctx| {
-                experiments::analyze(ctx);
-            },
+            run: experiments::analyze,
         },
         Experiment {
             name: "ablation_smc_penalty",
@@ -245,17 +245,47 @@ pub fn group(group: Group) -> Vec<&'static Experiment> {
     registry().iter().filter(|e| e.group == group).collect()
 }
 
-/// Run a selection of experiments in order under one context. Returns
-/// per-experiment wall times.
-pub fn run_selection(selection: &[&Experiment], ctx: &Ctx) -> Vec<(&'static str, Duration)> {
-    selection
-        .iter()
-        .map(|exp| {
-            let start = Instant::now();
-            (exp.run)(ctx);
-            (exp.name, start.elapsed())
-        })
-        .collect()
+/// Run a selection of experiments in order under one context, printing
+/// each one's banner, tables and note and writing its CSVs. A failing
+/// experiment does not stop the ones after it. Returns per-experiment
+/// wall times and one `<experiment>: <message>` error per failure.
+pub fn run_selection(
+    selection: &[&Experiment],
+    ctx: &Ctx,
+) -> (Vec<(&'static str, Duration)>, Vec<String>) {
+    let mut times = Vec::new();
+    let mut errors = Vec::new();
+    for exp in selection {
+        let start = Instant::now();
+        if let Err(e) = run_one(exp, ctx) {
+            errors.push(format!("{}: {e}", exp.name));
+        }
+        times.push((exp.name, start.elapsed()));
+    }
+    (times, errors)
+}
+
+/// Run one experiment and report it: banner, then each table printed and
+/// written as its CSV, then the note.
+fn run_one(exp: &Experiment, ctx: &Ctx) -> Result<(), String> {
+    banner(exp.title);
+    let report = (exp.run)(ctx)?;
+    let names: Vec<&str> = report.tables.iter().map(|(name, _)| *name).collect();
+    if names != exp.csvs {
+        return Err(format!("returned tables {names:?}, but the registry lists {:?}", exp.csvs));
+    }
+    for (name, table) in &report.tables {
+        table.print();
+        let path = table
+            .try_write_csv_in(ctx.out_dir.as_deref(), name)
+            .context(format_args!("writing {name}.csv"))?;
+        println!("[csv] {}", path.display());
+    }
+    if !report.note.is_empty() {
+        println!();
+        println!("{}", report.note);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ fn parallel_and_sequential_table2_agree_exactly() {
     // Table 2 is the densest trial grid (group sizes x keys, SMaCk and
     // Mastik per cell); identical aggregates here mean the runner neither
     // reorders nor cross-contaminates trials.
-    let seq = table2_rows(Mode::Quick, &Runner::sequential());
-    let par = table2_rows(Mode::Quick, &Runner::with_threads(4));
+    let seq = table2_rows(Mode::Quick, &Runner::sequential()).expect("sequential table2 runs");
+    let par = table2_rows(Mode::Quick, &Runner::with_threads(4)).expect("parallel table2 runs");
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.group_bits, b.group_bits);
@@ -46,7 +46,7 @@ fn quick_table2_is_fast_enough_for_ci() {
     // complete promptly — this is the heaviest single experiment `all`
     // runs in quick mode.
     let start = std::time::Instant::now();
-    let rows = table2_rows(Mode::Quick, &Runner::available());
+    let rows = table2_rows(Mode::Quick, &Runner::available()).expect("table2 runs");
     assert_eq!(rows.len(), smack_crypto::SrpGroup::PAPER_SIZES.len());
     for row in &rows {
         assert!(row.smack > row.mastik, "SMaCk must beat Mastik at {} bits", row.group_bits);

@@ -21,7 +21,7 @@ use smack::oracle::{EvictionSet, OraclePage};
 use smack::probe::Prober;
 use smack_ml::{train_test_split, BinaryConfusion, KnnClassifier, Sample};
 use smack_uarch::{
-    Addr, CounterBank, Machine, MicroArch, NoiseConfig, PerfEvent, ProbeKind, SmcBehavior, ThreadId,
+    Addr, CounterBank, Machine, NoiseConfig, PerfEvent, ProbeKind, SmcBehavior, ThreadId,
 };
 use smack_victims::benign::BenignWorkload;
 
@@ -146,23 +146,8 @@ impl Default for DetectionConfig {
 }
 
 /// Collect counter windows while a benign workload runs on the worker
-/// thread and the monitor thread idles.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn benign_windows(
-    arch: MicroArch,
-    workload: BenignWorkload,
-    cfg: &DetectionConfig,
-    seed: u64,
-) -> Result<Vec<CounterDelta>, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    benign_windows_on(&mut m, workload, cfg)
-}
-
-/// [`benign_windows`] on a caller-supplied machine in its cold start state
-/// (e.g. one checked out from a session pool).
+/// thread and the monitor thread idles, on a caller-supplied machine in
+/// its cold start state (e.g. one checked out from a session pool).
 ///
 /// # Errors
 ///
@@ -231,23 +216,9 @@ impl AttackLoop {
 }
 
 /// Collect counter windows while an attack loop runs on the monitor thread
-/// against a benign co-tenant on the worker thread.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn attack_windows(
-    arch: MicroArch,
-    attack: AttackLoop,
-    cfg: &DetectionConfig,
-    seed: u64,
-) -> Result<Vec<CounterDelta>, String> {
-    let mut m = Machine::with_noise(arch.profile(), cfg.noise, seed);
-    attack_windows_on(&mut m, attack, cfg)
-}
-
-/// [`attack_windows`] on a caller-supplied machine in its cold start state
-/// (e.g. one checked out from a session pool).
+/// against a benign co-tenant on the worker thread, on a caller-supplied
+/// machine in its cold start state (e.g. one checked out from a session
+/// pool).
 ///
 /// # Errors
 ///
@@ -352,8 +323,8 @@ pub struct DetectionReport {
 
 /// One independent unit of the §6.1 dataset: a workload run plus its
 /// fixed seed. The unit list is the single source of truth for the
-/// dataset's composition and seeding, shared by the sequential
-/// [`collect_dataset`] and any parallel collector fanning the units out.
+/// dataset's composition and seeding, shared by every collector fanning
+/// the units out.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DatasetUnit {
     /// A benign-suite workload (label 0).
@@ -393,28 +364,10 @@ pub fn dataset_units() -> Vec<DatasetUnit> {
     units
 }
 
-/// Collect one unit's windows. `Ok(None)` means the unit's probe class
-/// is unsupported on this part (the paper's N/A attack rows).
-///
-/// # Errors
-///
-/// Returns a message on simulator errors in benign runs; attack-side
-/// unsupported-probe errors are folded into `Ok(None)`.
-pub fn collect_unit(
-    arch: MicroArch,
-    unit: DatasetUnit,
-    cfg: &DetectionConfig,
-) -> Result<Option<Vec<CounterDelta>>, String> {
-    match unit {
-        DatasetUnit::Benign(w, seed) => benign_windows(arch, w, cfg, seed).map(Some),
-        DatasetUnit::Attack(a, seed) => Ok(attack_windows(arch, a, cfg, seed).ok()),
-    }
-}
-
-/// [`collect_unit`] on a caller-supplied machine in its cold start state:
-/// the machine must have been created (or reset) with the unit's
-/// [`DatasetUnit::seed`] and `cfg.noise` for the windows to match
-/// [`collect_unit`]'s bit-for-bit.
+/// Collect one unit's windows on a caller-supplied machine in its cold
+/// start state, created (or reset) with the unit's [`DatasetUnit::seed`]
+/// and `cfg.noise`. `Ok(None)` means the unit's probe class is
+/// unsupported on this part (the paper's N/A attack rows).
 ///
 /// # Errors
 ///
@@ -429,28 +382,6 @@ pub fn collect_unit_on(
         DatasetUnit::Benign(w, _) => benign_windows_on(m, w, cfg).map(Some),
         DatasetUnit::Attack(a, _) => Ok(attack_windows_on(m, a, cfg).ok()),
     }
-}
-
-/// Build the full benign + attack window dataset.
-///
-/// # Errors
-///
-/// Returns a message on simulator errors.
-pub fn collect_dataset(
-    arch: MicroArch,
-    cfg: &DetectionConfig,
-) -> Result<(Vec<CounterDelta>, Vec<CounterDelta>), String> {
-    let mut benign = Vec::new();
-    let mut attacks = Vec::new();
-    for unit in dataset_units() {
-        let Some(windows) = collect_unit(arch, unit, cfg)? else { continue };
-        if unit.is_benign() {
-            benign.extend(windows);
-        } else {
-            attacks.extend(windows);
-        }
-    }
-    Ok((benign, attacks))
 }
 
 /// Evaluate one feature set over a pre-collected dataset (80/20 split,
@@ -482,21 +413,31 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smack::session::{Scenario, Session, Sessions};
+    use smack_uarch::MicroArch;
 
     fn small_cfg() -> DetectionConfig {
         DetectionConfig { window_cycles: 60_000, windows_per_run: 4, ..Default::default() }
     }
 
+    /// A Cascade Lake session machine seeded with `seed` under `cfg.noise`.
+    fn machine(cfg: &DetectionConfig, seed: u64) -> Session<'static> {
+        let scenario = Scenario::new(MicroArch::CascadeLake).with_noise(cfg.noise).with_seed(seed);
+        Sessions::global().session(&scenario)
+    }
+
+    fn benign(w: BenignWorkload, cfg: &DetectionConfig, seed: u64) -> Vec<CounterDelta> {
+        benign_windows_on(machine(cfg, seed).machine(), w, cfg).unwrap()
+    }
+
+    fn attack(a: AttackLoop, cfg: &DetectionConfig, seed: u64) -> Vec<CounterDelta> {
+        attack_windows_on(machine(cfg, seed).machine(), a, cfg).unwrap()
+    }
+
     #[test]
     fn attack_windows_show_machine_clears() {
         let cfg = small_cfg();
-        let w = attack_windows(
-            MicroArch::CascadeLake,
-            AttackLoop::PrimeProbe(ProbeKind::Store),
-            &cfg,
-            1,
-        )
-        .unwrap();
+        let w = attack(AttackLoop::PrimeProbe(ProbeKind::Store), &cfg, 1);
         for d in &w {
             assert!(d.read(PerfEvent::MachineClearsSmc) > 10, "SMC storm expected");
         }
@@ -505,12 +446,10 @@ mod tests {
     #[test]
     fn benign_windows_are_mostly_clear_free_except_amg() {
         let cfg = small_cfg();
-        let quiet =
-            benign_windows(MicroArch::CascadeLake, BenignWorkload::StreamSum, &cfg, 2).unwrap();
-        for d in &quiet {
+        for d in &benign(BenignWorkload::StreamSum, &cfg, 2) {
             assert_eq!(d.read(PerfEvent::MachineClearsSmc), 0);
         }
-        let amg = benign_windows(MicroArch::CascadeLake, BenignWorkload::Amg, &cfg, 3).unwrap();
+        let amg = benign(BenignWorkload::Amg, &cfg, 3);
         let total: u64 = amg.iter().map(|d| d.read(PerfEvent::MachineClearsSmc)).sum();
         assert!(total > 0, "the amg workload self-modifies");
     }
@@ -526,15 +465,13 @@ mod tests {
         ]
         .iter()
         .enumerate()
-        .flat_map(|(i, w)| benign_windows(MicroArch::CascadeLake, *w, &cfg, 20 + i as u64).unwrap())
+        .flat_map(|(i, w)| benign(*w, &cfg, 20 + i as u64))
         .collect();
         let attacks: Vec<CounterDelta> =
             [AttackLoop::PrimeProbe(ProbeKind::Store), AttackLoop::FlushReload(ProbeKind::Flush)]
                 .iter()
                 .enumerate()
-                .flat_map(|(i, a)| {
-                    attack_windows(MicroArch::CascadeLake, *a, &cfg, 30 + i as u64).unwrap()
-                })
+                .flat_map(|(i, a)| attack(*a, &cfg, 30 + i as u64))
                 .collect();
         let smc = evaluate(FeatureSet::MachineClearsSmc, &benign, &attacks, 5);
         let llc = evaluate(FeatureSet::LlcMisses, &benign, &attacks, 5);

@@ -5,15 +5,28 @@
 //!
 //! Run with: `cargo run --example detection`
 
-use smack_detection::{collect_dataset, evaluate, DetectionConfig, FeatureSet};
+use smack::session::{Scenario, Sessions};
+use smack_detection::{collect_unit_on, dataset_units, evaluate, DetectionConfig, FeatureSet};
 use smack_uarch::MicroArch;
 
 fn main() {
     let cfg =
         DetectionConfig { window_cycles: 80_000, windows_per_run: 6, ..DetectionConfig::default() };
     println!("collecting counter windows (20 benign workloads + 12 attack loops)...");
-    let (benign, attacks) =
-        collect_dataset(MicroArch::CascadeLake, &cfg).expect("dataset collects");
+    // Every dataset unit runs on a pooled machine seeded with its own seed.
+    let sessions = Sessions::new();
+    let (mut benign, mut attacks) = (Vec::new(), Vec::new());
+    for unit in dataset_units() {
+        let scenario =
+            Scenario::new(MicroArch::CascadeLake).with_noise(cfg.noise).with_seed(unit.seed());
+        let mut session = sessions.session(&scenario);
+        // `None`: the unit's probe class is unsupported on this part.
+        let Some(windows) = collect_unit_on(session.machine(), unit, &cfg).expect("unit collects")
+        else {
+            continue;
+        };
+        if unit.is_benign() { &mut benign } else { &mut attacks }.extend(windows);
+    }
     println!("{} benign windows, {} attack windows", benign.len(), attacks.len());
     println!();
     for fs in FeatureSet::ALL {

@@ -100,18 +100,19 @@ fn detection_separates_attack_from_benign() {
         windows_per_run: 4,
         ..Default::default()
     };
-    let benign = smack_detection::benign_windows(
-        MicroArch::CascadeLake,
+    let sessions = Sessions::new();
+    let mut session = sessions.session(&scenario(MicroArch::CascadeLake, cfg.noise, 5));
+    let benign = smack_detection::benign_windows_on(
+        session.machine(),
         smack_victims::BenignWorkload::MatMul,
         &cfg,
-        5,
     )
     .expect("benign windows");
-    let attacks = smack_detection::attack_windows(
-        MicroArch::CascadeLake,
+    let mut session = sessions.session(&scenario(MicroArch::CascadeLake, cfg.noise, 6));
+    let attacks = smack_detection::attack_windows_on(
+        session.machine(),
         smack_detection::AttackLoop::PrimeProbe(ProbeKind::Store),
         &cfg,
-        6,
     )
     .expect("attack windows");
     let r = smack_detection::evaluate(
