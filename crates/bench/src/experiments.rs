@@ -20,15 +20,20 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smack::channel::{random_payload, run_channel_in, ChannelSpec};
 use smack::characterize::{figure1, figure1_mastik_row, figure2};
-use smack::fingerprint::{library_id_experiment, mul_set_detection_accuracy, SweepConfig};
-use smack::ispectre::{applicability_in, leak_secret_in, Applicability, ISpectreConfig};
+use smack::fingerprint::{
+    activity_vector_on, identify_libraries, library_id_plan, mul_set_accuracy, mul_set_sample_on,
+    mul_set_seed, SweepConfig,
+};
+use smack::ispectre::{applicability_in, leak_secret_in, ISpectreConfig};
 use smack::rsa::{self, RsaAttackConfig};
 use smack::session::{Scenario, Session, Sessions};
 use smack::srp::{self, SrpAttackConfig};
 use smack_analysis::{AnalysisReport, Verdict};
 use smack_crypto::Bignum;
 use smack_mastik::MastikMonitor;
-use smack_uarch::{Machine, MicroArch, NoiseConfig, Placement, ProbeKind, StepError, ThreadId};
+use smack_uarch::{
+    Machine, MicroArch, NoiseConfig, Placement, ProbeKind, SmcBehavior, StepError, ThreadId,
+};
 use smack_victims::corpus::{self, corpus};
 use smack_victims::modexp::{ModexpAlgorithm, ModexpVictimBuilder};
 use smack_victims::{BenignWorkload, SpectreVictim};
@@ -127,7 +132,9 @@ pub fn fig2(ctx: &Ctx) -> Result<Report, String> {
 }
 
 /// Table 1: the twelve covert channels on Cascade Lake (plus the paper's
-/// AMD Prime+iLock note). A channel that fails to run is N/A.
+/// AMD Prime+iLock note). A channel its part cannot run
+/// ([`ChannelSpec::applicability`]) is N/A; any other failure is an
+/// error.
 pub fn table1(ctx: &Ctx) -> Result<Report, String> {
     let bits = ctx.mode.pick(300, 4_000);
     let payload = random_payload(bits, 0x7ab1e1);
@@ -141,23 +148,26 @@ pub fn table1(ctx: &Ctx) -> Result<Report, String> {
         let arch = if i < specs.len() { MicroArch::CascadeLake } else { MicroArch::AmdRyzen5 };
         Scenario::new(arch).with_noise(NoiseConfig::noisy())
     };
+    let amd = ChannelSpec::prime_probe(ProbeKind::Lock);
     let outcomes = ctx.runner.run_scenarios(spec_for, specs.len() + 1, |session, i| {
-        if i < specs.len() {
-            run_channel_in(session, &specs[i], &payload, false)
-        } else {
-            run_channel_in(session, &ChannelSpec::prime_probe(ProbeKind::Lock), &payload, false)
+        let spec = specs.get(i).unwrap_or(&amd);
+        if spec.applicability(session.machine()).is_err() {
+            return Ok(None);
         }
+        run_channel_in(session, spec, &payload, false).map(Some)
     });
+    let mut outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let amd_outcome = outcomes.pop().flatten();
     let mut t = Table::new(&["covert channel", "app.", "bit rate (kbit/s)", "error rate (%)"]);
     for (spec, outcome) in specs.iter().zip(&outcomes) {
         match outcome {
-            Ok(r) => {
+            Some(r) => {
                 t.row(vec![r.name.clone(), s("yes"), f(r.kbit_per_s, 1), f(r.error_rate_pct, 1)])
             }
-            Err(_) => t.row(vec![spec.name(), s("no"), s("N/A"), s("N/A")]),
+            None => t.row(vec![spec.name(), s("no"), s("N/A"), s("N/A")]),
         };
     }
-    if let Some(Ok(r)) = outcomes.last() {
+    if let Some(r) = amd_outcome {
         t.row(vec![
             format!("{} (AMD Ryzen 5)", r.name),
             s("yes"),
@@ -463,8 +473,7 @@ pub fn fig6(ctx: &Ctx) -> Result<Report, String> {
     Ok(Report::new("fig6", t, note))
 }
 
-/// Table 3: the ISpectre applicability matrix across all ten parts. A
-/// probe whose applicability check fails counts as no leak.
+/// Table 3: the ISpectre applicability matrix across all ten parts.
 pub fn table3(ctx: &Ctx) -> Result<Report, String> {
     let mut header: Vec<&str> = vec!["probe"];
     let names: Vec<String> = MicroArch::ALL.iter().map(|a| a.name().to_owned()).collect();
@@ -475,15 +484,17 @@ pub fn table3(ctx: &Ctx) -> Result<Report, String> {
     let spec_for = |i: usize| -> Scenario {
         Scenario::new(MicroArch::ALL[i]).with_noise(NoiseConfig::realistic()).with_seed(0x7ab3)
     };
-    let columns = ctx.runner.run_scenarios(spec_for, MicroArch::ALL.len(), |session, _| {
+    let columns = ctx.runner.run_scenarios(spec_for, MicroArch::ALL.len(), |session, i| {
         ProbeKind::ALL
             .iter()
             .map(|kind| {
                 session.renew(0x7ab3);
-                applicability_in(session, *kind).unwrap_or(Applicability::NoLeak)
+                applicability_in(session, *kind)
+                    .context(format_args!("{}, {kind}", MicroArch::ALL[i]))
             })
-            .collect::<Vec<Applicability>>()
+            .collect::<Result<Vec<_>, _>>()
     });
+    let columns = columns.into_iter().collect::<Result<Vec<_>, _>>()?;
     for (ki, kind) in ProbeKind::ALL.iter().enumerate() {
         let mut row = vec![s(kind)];
         for col in &columns {
@@ -499,7 +510,8 @@ pub fn table3(ctx: &Ctx) -> Result<Report, String> {
 }
 
 /// Table 4: ISpectre leakage rates on Cascade Lake and Ryzen 5. A cell
-/// that fails to run or recovers under half the secret is N/A.
+/// whose probe its part lacks, or that recovers under half the secret,
+/// is N/A; a failed run is an error.
 pub fn table4(ctx: &Ctx) -> Result<Report, String> {
     let kinds = [
         ProbeKind::Flush,
@@ -521,13 +533,18 @@ pub fn table4(ctx: &Ctx) -> Result<Report, String> {
     };
     let cells = ctx.runner.run_scenarios(spec_for, arches.len() * kinds.len(), |session, cell| {
         let (arch, kind) = (arches[cell / kinds.len()], kinds[cell % kinds.len()]);
-        let cfg = ISpectreConfig::new(kind);
-        (arch, kind, leak_secret_in(session, &secret, &cfg))
+        if session.machine().profile().smc.get(kind) == SmcBehavior::Unsupported {
+            return Ok((arch, kind, None));
+        }
+        leak_secret_in(session, &secret, &ISpectreConfig::new(kind))
+            .context(format_args!("{arch}, {kind}"))
+            .map(|r| (arch, kind, Some(r)))
     });
     let mut t = Table::new(&["processor", "probe", "B/s", "success (%)"]);
-    for (arch, kind, outcome) in cells {
+    for cell in cells {
+        let (arch, kind, outcome) = cell?;
         match outcome {
-            Ok(r) if r.success_rate >= 0.5 => {
+            Some(r) if r.success_rate >= 0.5 => {
                 t.row(vec![s(arch), s(kind), f(r.bytes_per_s, 0), f(r.success_rate * 100.0, 1)])
             }
             _ => t.row(vec![s(arch), s(kind), s("N/A"), s("N/A")]),
@@ -568,20 +585,34 @@ pub fn fingerprint(ctx: &Ctx) -> Result<Report, String> {
         Mode::Full => full.clone(),
     };
     let cfg = SweepConfig::default();
-    let report = library_id_experiment(
-        MicroArch::TigerLake,
-        &versions,
-        ctx.mode.pick(5, 8),
-        ctx.mode.pick(1, 2),
-        &cfg,
-    )
-    .context("library identification")?;
+    // One trial per measurement, on a pooled machine seeded as the
+    // measurement's plan says; each calibrates on its own machine.
+    let scenario =
+        |seed: u64| Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(seed);
+    let plan = library_id_plan(versions.len(), ctx.mode.pick(5, 8), ctx.mode.pick(1, 2));
+    let spec = |i: usize| scenario(plan[i].seed);
+    let vectors = ctx.runner.run_scenarios(spec, plan.len(), |session, i| {
+        let (version, key) = (&versions[plan[i].version], plan[i].key_seed);
+        activity_vector_on(session.machine(), version, key, &cfg)
+            .context(format_args!("{}, key {key}", version.label()))
+    });
+    let vectors = vectors.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let report = identify_libraries(&plan, vectors, versions.len());
     let mut t = Table::new(&["metric", "measured", "paper"]);
     t.row(vec![s("versions classified"), s(report.versions), s("34 (20 OpenSSL + 14 Libgcrypt)")]);
     t.row(vec![s("offline cross-validation accuracy"), f(report.cv_accuracy, 3), s("1.00")]);
     t.row(vec![s("online identification accuracy"), f(report.online_accuracy, 3), s("0.97")]);
-    let acc = mul_set_detection_accuracy(MicroArch::TigerLake, ctx.mode.pick(8, 24), &cfg)
-        .context("multiplication-set detection")?;
+    // Two trials (the multiplication set, another set) per measurement.
+    let measurements = ctx.mode.pick(8, 24);
+    let samples = ctx.runner.run_scenarios(
+        |j: usize| scenario(mul_set_seed(j / 2)),
+        2 * measurements,
+        |session, j| {
+            mul_set_sample_on(session.machine(), j / 2, j % 2 == 0, &cfg)
+                .context(format_args!("multiplication set, measurement {}", j / 2))
+        },
+    );
+    let acc = mul_set_accuracy(samples.into_iter().collect::<Result<Vec<_>, _>>()?);
     t.row(vec![s("mul-set detection accuracy"), f(acc, 3), s("0.96")]);
     Ok(Report::new("fingerprint", t, ""))
 }

@@ -2,20 +2,23 @@
 //! the decoded fast path, each with the fused probe tier off and on, must
 //! produce bit-identical experiment output. These tests lock the contract
 //! at the experiment level — calibrated thresholds, covert-channel
-//! reports, RSA attack traces and a table2 SRP cell, each attack on a
-//! session machine pinned to the tier; CI additionally diffs whole
-//! `target/repro/` trees at `SMACK_FUSED_PROBES=0` vs the default.
+//! reports, RSA attack traces, a table2 SRP cell and ISpectre leaks, each
+//! attack on a session machine pinned to the tier; CI additionally diffs
+//! whole repro CSV trees at `SMACK_FUSED_PROBES=0` vs the default.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smack::calibrate::calibrate_with_cold;
 use smack::channel::{random_payload, run_channel_in, ChannelSpec};
+use smack::ispectre::{leak_secret_in, ISpectreConfig};
 use smack::rsa::{build_victim, collect_trace_in, RsaAttackConfig};
 use smack::session::{Scenario, Sessions};
 use smack::srp::{self, SrpAttackConfig};
 use smack_bench::experiments::mastik_srp_attack_on;
 use smack_crypto::Bignum;
-use smack_uarch::{Addr, Machine, MicroArch, NoiseConfig, Placement, ProbeKind, ThreadId};
+use smack_uarch::{
+    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
+};
 
 /// Every `(decoded, fused probes)` tier; the first, the reference
 /// interpreter stepping every probe, is the baseline.
@@ -123,5 +126,53 @@ fn srp_table2_cell_identical_across_tiers() {
     assert!(baseline.0.iter().any(|s| s.1), "the attack saw the victim");
     for tier in &TIERS[1..] {
         assert!(cell(*tier) == baseline, "table2 cell diverged at (decoded, fused) = {tier:?}");
+    }
+}
+
+/// ISpectre as table3/table4 run it, on three cells: Cascade Lake store
+/// (the leak rides on machine clears, ●), Cascade Lake load (leaks
+/// without them, with a cleanup flush after every reload, ◐) and EPYC
+/// 7232P flush (no clears at all). Reports and every hardware counter
+/// must match across tiers, and the fused tier must actually serve the
+/// attack's probes.
+#[test]
+fn ispectre_leaks_identical_across_tiers() {
+    let secret = b"Sm";
+    // (part, probe class, whether the reload primitive machine-clears)
+    let cells = [
+        (MicroArch::CascadeLake, ProbeKind::Store, true),
+        (MicroArch::CascadeLake, ProbeKind::Load, false),
+        (MicroArch::AmdEpyc7232P, ProbeKind::Flush, false),
+    ];
+    let sessions = Sessions::new();
+    for (arch, kind, clears) in cells {
+        let cfg = ISpectreConfig::new(kind);
+        let scenario = Scenario::new(arch).with_noise(cfg.noise).with_seed(0x7ab3);
+        let leak = |tier| {
+            let mut session = sessions.session(&scenario);
+            set_tier(session.machine(), tier);
+            let report = leak_secret_in(&mut session, secret, &cfg).expect("attack runs");
+            let m = session.machine();
+            let hardware = |tid| -> Vec<u64> {
+                PerfEvent::ALL
+                    .iter()
+                    .filter(|e| !e.is_sim())
+                    .map(|e| m.counters(tid).read(*e))
+                    .collect()
+            };
+            let counters = (hardware(ThreadId::T0), hardware(ThreadId::T1));
+            (report, counters, m.counters(ThreadId::T0).read(PerfEvent::SimProbeFastPath))
+        };
+        let (baseline, counters, _) = leak(TIERS[0]);
+        assert!(baseline.success_rate > 0.0, "{arch} {kind} leaked nothing");
+        assert_eq!(baseline.machine_clears > 0, clears, "{arch} {kind} clears");
+        for tier in &TIERS[1..] {
+            let (report, tier_counters, fast) = leak(*tier);
+            assert_eq!(report, baseline, "{arch} {kind} report at (decoded, fused) = {tier:?}");
+            assert_eq!(tier_counters, counters, "{arch} {kind} counters at {tier:?}");
+            if *tier == (true, true) {
+                assert!(fast > 0, "{arch} {kind}: the fused tier served no probe");
+            }
+        }
     }
 }

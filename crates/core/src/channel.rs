@@ -41,10 +41,6 @@ pub struct ChannelSpec {
     pub kind: ProbeKind,
     /// Monitored L1i set (Prime+iProbe only).
     pub set: usize,
-    /// Receiver samples per bit slot.
-    pub samples_per_bit: u32,
-    /// Sender line executions per `1` bit (the paper's `N_l`).
-    pub loads_per_one: u32,
     /// Receiver wait between prime and probe (the paper's `τ_w`), cycles.
     pub wait_cycles: u64,
 }
@@ -52,26 +48,12 @@ pub struct ChannelSpec {
 impl ChannelSpec {
     /// A Prime+iProbe channel with paper-like defaults.
     pub fn prime_probe(kind: ProbeKind) -> ChannelSpec {
-        ChannelSpec {
-            family: ChannelFamily::PrimeProbe,
-            kind,
-            set: 21,
-            samples_per_bit: 3,
-            loads_per_one: 40,
-            wait_cycles: 1_000,
-        }
+        ChannelSpec { family: ChannelFamily::PrimeProbe, kind, set: 21, wait_cycles: 1_000 }
     }
 
     /// A Flush+iReload channel with paper-like defaults.
     pub fn flush_reload(kind: ProbeKind) -> ChannelSpec {
-        ChannelSpec {
-            family: ChannelFamily::FlushReload,
-            kind,
-            set: 0,
-            samples_per_bit: 3,
-            loads_per_one: 40,
-            wait_cycles: 1_400,
-        }
+        ChannelSpec { family: ChannelFamily::FlushReload, kind, set: 0, wait_cycles: 1_400 }
     }
 
     /// The paper's Table 1 channel list, in row order (including the two
@@ -169,6 +151,12 @@ const SENDER: ThreadId = ThreadId::T1;
 const EVSET_BASE: u64 = 0x0a00_0000;
 const SENDER_BASE: u64 = 0x0b00_0000;
 const SHARED_BASE: u64 = 0x0c00_0000;
+
+/// Receiver samples per bit slot.
+const SAMPLES_PER_BIT: u64 = 3;
+
+/// Sender line executions per `1` bit (the paper's `N_l`).
+const LOADS_PER_ONE: u32 = 40;
 
 /// The cold placement the receiver's probe sees in each family:
 /// Prime+iProbe reads just-evicted (L2-resident) lines, Flush+iReload
@@ -271,13 +259,12 @@ pub fn run_channel_in(
         ChannelFamily::PrimeProbe => machine.l1i_ways() as u64,
         ChannelFamily::FlushReload => 1,
     };
-    let stall_allowance = spec.samples_per_bit as u64
-        * clears_per_sample
-        * machine.profile().clear.sibling_stall as u64;
-    let bit_period = sample_cost * spec.samples_per_bit as u64 + sample_cost / 2 + stall_allowance;
+    let stall_allowance =
+        SAMPLES_PER_BIT * clears_per_sample * machine.profile().clear.sibling_stall as u64;
+    let bit_period = sample_cost * SAMPLES_PER_BIT + sample_cost / 2 + stall_allowance;
     // Spread the sender's N_l executions across the whole slot so that
     // every receiver prime→wait window overlaps at least one of them.
-    let sender_gap = (bit_period / spec.loads_per_one.max(1) as u64).max(60);
+    let sender_gap = (bit_period / u64::from(LOADS_PER_ONE)).max(60);
 
     // --- transmit -----------------------------------------------------------
     // The receiver's sample is split into phases so that the sender's
@@ -309,7 +296,7 @@ pub fn run_channel_in(
             if sc <= rc && sc < slot_end {
                 // Sender's turn. Stop sending a guard band before the slot
                 // boundary so a late fetch cannot bleed into the next bit.
-                if *bit && sent < spec.loads_per_one && sc + sample_cost < slot_end {
+                if *bit && sent < LOADS_PER_ONE && sc + sample_cost < slot_end {
                     machine.run_calls(SENDER, &[target]).map_err(step)?;
                     machine.advance(SENDER, sender_gap).map_err(step)?;
                     sent += 1;

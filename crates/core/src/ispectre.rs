@@ -16,8 +16,7 @@
 //! visits — never produce a confident outlier, reproducing the `#` cells
 //! of Table 3.
 
-use smack_uarch::trace::Event;
-use smack_uarch::{Machine, NoiseConfig, ProbeKind, SmcBehavior, ThreadId};
+use smack_uarch::{Addr, Machine, NoiseConfig, PerfEvent, ProbeKind, SmcBehavior, ThreadId};
 use smack_victims::spectre::{SpectreVictim, ORACLE_SLOTS};
 
 use crate::probe::Prober;
@@ -25,17 +24,20 @@ use crate::session::Session;
 
 const ATTACKER: ThreadId = ThreadId::T0;
 
+/// Branch-predictor training calls per attack round.
+const TRAIN_ROUNDS: u64 = 6;
+
+/// Attack rounds (votes) per secret byte.
+const ROUNDS_PER_BYTE: u32 = 3;
+
+/// Minimum outlier margin in cycles for a confident decode.
+const MIN_MARGIN: i64 = 45;
+
 /// ISpectre configuration.
 #[derive(Copy, Clone, Debug)]
 pub struct ISpectreConfig {
     /// Probe class used for the reload phase.
     pub kind: ProbeKind,
-    /// Branch-predictor training calls per attack round.
-    pub train_rounds: u32,
-    /// Attack rounds (votes) per secret byte.
-    pub rounds_per_byte: u32,
-    /// Minimum outlier margin in cycles for a confident decode.
-    pub min_margin: u64,
     /// Noise model.
     pub noise: NoiseConfig,
 }
@@ -43,18 +45,12 @@ pub struct ISpectreConfig {
 impl ISpectreConfig {
     /// Paper-like defaults for a probe class.
     pub fn new(kind: ProbeKind) -> ISpectreConfig {
-        ISpectreConfig {
-            kind,
-            train_rounds: 6,
-            rounds_per_byte: 3,
-            min_margin: 45,
-            noise: NoiseConfig::realistic(),
-        }
+        ISpectreConfig { kind, noise: NoiseConfig::realistic() }
     }
 }
 
 /// Result of an ISpectre run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ISpectreReport {
     /// Probe class used.
     pub kind: ProbeKind,
@@ -66,7 +62,7 @@ pub struct ISpectreReport {
     pub success_rate: f64,
     /// Leakage rate in bytes per second at the nominal frequency.
     pub bytes_per_s: f64,
-    /// SMC machine clears observed during the run.
+    /// SMC machine clears caused by the reload primitive's own probes.
     pub machine_clears: u64,
 }
 
@@ -95,7 +91,8 @@ impl Applicability {
     }
 }
 
-/// Decode one probe round: find the confident outlier slot.
+/// Decode one probe round: find the slot that stands out by at least
+/// the minimum margin (45 cycles).
 ///
 /// `hot_is_high` says whether the secret-selected (L1i-resident) slot is
 /// expected to probe slower (SMC classes) or faster (plain-timing classes).
@@ -105,7 +102,7 @@ impl Applicability {
 /// read similarly fast. When the top two scores are adjacent, the earlier
 /// slot is the real one; the shadow slot is excluded from the ambiguity
 /// check.
-pub fn decode_round(timings: &[u64], hot_is_high: bool, min_margin: u64) -> Option<u8> {
+pub fn decode_round(timings: &[u64], hot_is_high: bool) -> Option<u8> {
     assert_eq!(timings.len(), ORACLE_SLOTS, "one timing per oracle slot");
     let mut sorted = timings.to_vec();
     sorted.sort_unstable();
@@ -124,7 +121,7 @@ pub fn decode_round(timings: &[u64], hot_is_high: bool, min_margin: u64) -> Opti
             best = i;
         }
     }
-    let half_margin = (min_margin / 2) as i64;
+    let half_margin = MIN_MARGIN / 2;
     // If the predecessor scores nearly as high, `best` is the prefetch
     // shadow of `best - 1`.
     if best > 0 && scores[best - 1] >= scores[best] - half_margin {
@@ -138,7 +135,7 @@ pub fn decode_round(timings: &[u64], hot_is_high: bool, min_margin: u64) -> Opti
         .map(|(_, s)| *s)
         .max()
         .unwrap_or(i64::MIN);
-    if best_score >= min_margin as i64 && best_score - runner_up >= half_margin {
+    if best_score >= MIN_MARGIN && best_score - runner_up >= half_margin {
         Some(best as u8)
     } else {
         None
@@ -175,7 +172,6 @@ pub fn leak_secret_in(
     if m.profile().smc.get(cfg.kind) == SmcBehavior::Unsupported {
         return Err(format!("{} unsupported on {}", cfg.kind, m.profile().arch));
     }
-    m.enable_trace(1 << 20);
     let victim = SpectreVictim::build();
     victim.stage(m, secret);
     let mut prober = Prober::new(ATTACKER);
@@ -183,46 +179,52 @@ pub fn leak_secret_in(
         m.warm_tlb(ATTACKER, victim.oracle_slot(s as u8));
     }
     let hot_is_high = expected_hot_is_high(m, cfg.kind);
-    let behavior = m.profile().smc.get(cfg.kind);
+    let cleanup = needs_cleanup_flush(cfg.kind, m.profile().smc.get(cfg.kind));
     let err = |e: smack_uarch::StepError| e.to_string();
+    // Only the reload primitive's own clears count: the cleanup flushes
+    // can conflict too, but the Table 3 ●/◐ distinction is about whether
+    // the *reload primitive* rides on SMC. (The gadget itself only loads,
+    // and loads never clear.)
+    let mut machine_clears = 0u64;
+    let mut reload = |m: &mut Machine, line: Addr| -> Result<u64, String> {
+        let before = m.counters(ATTACKER).read(PerfEvent::SimSmcClears);
+        let cycles = prober.measure(m, cfg.kind, line).map_err(err)?.cycles;
+        machine_clears += m.counters(ATTACKER).read(PerfEvent::SimSmcClears) - before;
+        if cleanup {
+            prober.flush_line(m, line).map_err(err)?;
+        }
+        Ok(cycles)
+    };
 
     // Warm-up pass: bring every slot into the data-side steady state the
     // probe loop maintains.
     for s in 0..ORACLE_SLOTS {
-        let line = victim.oracle_slot(s as u8);
-        prober.measure(m, cfg.kind, line).map_err(err)?;
-        if needs_cleanup_flush(cfg.kind, behavior) {
-            prober.flush_line(m, line).map_err(err)?;
-        }
+        reload(m, victim.oracle_slot(s as u8))?;
     }
 
     let start = m.clock(ATTACKER);
     let mut correct = 0usize;
     for (i, truth) in secret.iter().enumerate() {
         let mut votes = [0u32; ORACLE_SLOTS];
-        for _ in 0..cfg.rounds_per_byte {
+        for _ in 0..ROUNDS_PER_BYTE {
             // Mistrain the bounds check with in-bounds calls.
-            for t in 0..cfg.train_rounds {
-                m.call(ATTACKER, victim.entry, &[t as u64 % victim.array_len]).map_err(err)?;
+            for t in 0..TRAIN_ROUNDS {
+                m.call(ATTACKER, victim.entry, &[t % victim.array_len]).map_err(err)?;
             }
             // The training calls executed oracle slots the attacker chose
             // itself (`notsecret[i]`) — and the next-line prefetcher warmed
             // each one's successor. Scrub both back to the cold steady
             // state so only the speculative fetch stands out.
             let mut scrub: Vec<u64> = Vec::new();
-            for t in 0..cfg.train_rounds {
-                let slot = t as u64 % victim.array_len;
+            for t in 0..TRAIN_ROUNDS {
+                let slot = t % victim.array_len;
                 scrub.push(slot);
                 scrub.push((slot + 1).min(ORACLE_SLOTS as u64 - 1));
             }
             scrub.sort_unstable();
             scrub.dedup();
             for slot in scrub {
-                let line = victim.oracle_slot(slot as u8);
-                prober.measure(m, cfg.kind, line).map_err(err)?;
-                if needs_cleanup_flush(cfg.kind, behavior) {
-                    prober.flush_line(m, line).map_err(err)?;
-                }
+                reload(m, victim.oracle_slot(slot as u8))?;
             }
             // Delay the bounds resolution, then fire the OOB call.
             m.flush_line(victim.bounds_ptr);
@@ -231,13 +233,9 @@ pub fn leak_secret_in(
             // Reload every oracle slot.
             let mut timings = Vec::with_capacity(ORACLE_SLOTS);
             for s in 0..ORACLE_SLOTS {
-                let line = victim.oracle_slot(s as u8);
-                timings.push(prober.measure(m, cfg.kind, line).map_err(err)?.cycles);
-                if needs_cleanup_flush(cfg.kind, behavior) {
-                    prober.flush_line(m, line).map_err(err)?;
-                }
+                timings.push(reload(m, victim.oracle_slot(s as u8))?);
             }
-            if let Some(b) = decode_round(&timings, hot_is_high, cfg.min_margin) {
+            if let Some(b) = decode_round(&timings, hot_is_high) {
                 votes[b as usize] += 1;
             }
         }
@@ -249,14 +247,6 @@ pub fn leak_secret_in(
     }
     let cycles = m.clock(ATTACKER) - start;
     let seconds = m.profile().cycles_to_seconds(cycles);
-    // Count only clears caused by the probe class itself: auxiliary
-    // cleanup flushes can conflict too, but the Table 3 ●/◐ distinction is
-    // about whether the *reload primitive* rides on SMC.
-    let machine_clears = m
-        .take_trace()
-        .iter()
-        .filter(|e| matches!(e, Event::MachineClear { kind, .. } if *kind == cfg.kind))
-        .count() as u64;
     Ok(ISpectreReport {
         kind: cfg.kind,
         bytes: secret.len(),
@@ -331,21 +321,21 @@ mod tests {
     fn decode_round_finds_high_outlier() {
         let mut t = vec![100u64; ORACLE_SLOTS];
         t[0xA5] = 400;
-        assert_eq!(decode_round(&t, true, 45), Some(0xA5));
+        assert_eq!(decode_round(&t, true), Some(0xA5));
         // Low outlier with inverted polarity.
         let mut t = vec![250u64; ORACLE_SLOTS];
         t[0x17] = 40;
-        assert_eq!(decode_round(&t, false, 45), Some(0x17));
+        assert_eq!(decode_round(&t, false), Some(0x17));
     }
 
     #[test]
     fn decode_round_rejects_flat_and_ambiguous() {
         let t = vec![100u64; ORACLE_SLOTS];
-        assert_eq!(decode_round(&t, true, 45), None);
+        assert_eq!(decode_round(&t, true), None);
         let mut t = vec![100u64; ORACLE_SLOTS];
         t[3] = 400;
         t[9] = 390; // two similar outliers: ambiguous
-        assert_eq!(decode_round(&t, true, 45), None);
+        assert_eq!(decode_round(&t, true), None);
     }
 
     #[test]

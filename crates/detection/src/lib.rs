@@ -206,6 +206,13 @@ impl AttackLoop {
         v
     }
 
+    /// The loop's probe class.
+    pub fn kind(&self) -> ProbeKind {
+        match self {
+            AttackLoop::PrimeProbe(k) | AttackLoop::FlushReload(k) => *k,
+        }
+    }
+
     /// Display name.
     pub fn name(&self) -> String {
         match self {
@@ -229,9 +236,7 @@ pub fn attack_windows_on(
     attack: AttackLoop,
     cfg: &DetectionConfig,
 ) -> Result<Vec<CounterDelta>, String> {
-    let kind = match attack {
-        AttackLoop::PrimeProbe(k) | AttackLoop::FlushReload(k) => k,
-    };
+    let kind = attack.kind();
     if m.profile().smc.get(kind) == SmcBehavior::Unsupported {
         return Err(format!("{} unsupported on {}", attack.name(), m.profile().arch));
     }
@@ -367,12 +372,12 @@ pub fn dataset_units() -> Vec<DatasetUnit> {
 /// Collect one unit's windows on a caller-supplied machine in its cold
 /// start state, created (or reset) with the unit's [`DatasetUnit::seed`]
 /// and `cfg.noise`. `Ok(None)` means the unit's probe class is
-/// unsupported on this part (the paper's N/A attack rows).
+/// unsupported on this part (the paper's N/A attack rows), as its
+/// profile says; nothing else is.
 ///
 /// # Errors
 ///
-/// Returns a message on simulator errors in benign runs; attack-side
-/// unsupported-probe errors are folded into `Ok(None)`.
+/// Returns a message on simulator errors.
 pub fn collect_unit_on(
     m: &mut Machine,
     unit: DatasetUnit,
@@ -380,7 +385,10 @@ pub fn collect_unit_on(
 ) -> Result<Option<Vec<CounterDelta>>, String> {
     match unit {
         DatasetUnit::Benign(w, _) => benign_windows_on(m, w, cfg).map(Some),
-        DatasetUnit::Attack(a, _) => Ok(attack_windows_on(m, a, cfg).ok()),
+        DatasetUnit::Attack(a, _) if m.profile().smc.get(a.kind()) == SmcBehavior::Unsupported => {
+            Ok(None)
+        }
+        DatasetUnit::Attack(a, _) => attack_windows_on(m, a, cfg).map(Some),
     }
 }
 
@@ -477,6 +485,27 @@ mod tests {
         let llc = evaluate(FeatureSet::LlcMisses, &benign, &attacks, 5);
         assert!(smc.f1 >= 0.8, "smc F1 {}", smc.f1);
         assert!(smc.f1 >= llc.f1, "smc {} vs llc {}", smc.f1, llc.f1);
+    }
+
+    /// An attack whose probe class the part lacks is an N/A unit; a
+    /// simulator error in a supported attack is an error, not N/A.
+    #[test]
+    fn collect_unit_is_none_only_for_unsupported_probes() {
+        let cfg = small_cfg();
+        let unit = DatasetUnit::Attack(AttackLoop::PrimeProbe(ProbeKind::Clwb), 1);
+        let scenario = Scenario::new(MicroArch::Broadwell).with_noise(cfg.noise).with_seed(1);
+        let mut broadwell = Sessions::global().session(&scenario);
+        assert!(collect_unit_on(broadwell.machine(), unit, &cfg).unwrap().is_none());
+
+        let unit = DatasetUnit::Attack(AttackLoop::PrimeProbe(ProbeKind::Store), 1);
+        let windows = collect_unit_on(machine(&cfg, 1).machine(), unit, &cfg).unwrap();
+        assert_eq!(windows.map(|w| w.len()), Some(cfg.windows_per_run));
+        // The monitor thread already runs a program, so the attack cannot
+        // inject its probes there.
+        let mut busy = machine(&cfg, 1);
+        busy.machine().start_program(MONITOR, 0, &[]);
+        let err = collect_unit_on(busy.machine(), unit, &cfg).unwrap_err();
+        assert!(err.contains("not running"), "{err}");
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub enum PerfEvent {
     /// [`SimProbeFallback`]: PerfEvent::SimProbeFallback
     SimProbeFastPath,
     /// Probe sequences and calls that the fused tier refused (guards
-    /// tripped: tracing/fetch-log enabled, speculation live, a callee in
-    /// the batch not shaped `nop*; ret`, or fusion disabled) and that fell
+    /// tripped: fetch log enabled, speculation live, a callee in the
+    /// batch not shaped `nop*; ret`, or fusion disabled) and that fell
     /// back to per-step execution, one per probe or call of the refused
     /// batch.
     SimProbeFallback,
@@ -96,11 +96,18 @@ pub enum PerfEvent {
     /// [`run_calls`]: crate::machine::Machine::run_calls
     /// [`run_probes`]: crate::machine::Machine::run_probes
     SimBatchCarried,
+    /// SMC machine clears, one per clear on the thread whose instruction
+    /// caused it, on either vendor. Not a hardware event: Intel's
+    /// `MACHINE_CLEARS.SMC` double-counts some probe classes and AMD
+    /// exposes no clear count, so this is the vendor-independent count
+    /// an attack reads to tell whether its leak rode on machine clears
+    /// (ISpectre's Table 3 ● vs ◐ split).
+    SimSmcClears,
 }
 
 impl PerfEvent {
     /// Every modeled event, in a stable order.
-    pub const ALL: [PerfEvent; 23] = [
+    pub const ALL: [PerfEvent; 24] = [
         PerfEvent::InstRetired,
         PerfEvent::BrInstRetired,
         PerfEvent::BrMispRetired,
@@ -124,6 +131,7 @@ impl PerfEvent {
         PerfEvent::SimProbeFallback,
         PerfEvent::SimLoopRetired,
         PerfEvent::SimBatchCarried,
+        PerfEvent::SimSmcClears,
     ];
 
     fn slot(self) -> usize {
@@ -161,6 +169,7 @@ impl PerfEvent {
             PerfEvent::SimProbeFallback => "SIM.PROBE_FALLBACK",
             PerfEvent::SimLoopRetired => "SIM.LOOP_RETIRED",
             PerfEvent::SimBatchCarried => "SIM.BATCH_CARRIED",
+            PerfEvent::SimSmcClears => "SIM.SMC_CLEARS",
         }
     }
 
@@ -176,6 +185,7 @@ impl PerfEvent {
                 | PerfEvent::SimProbeFallback
                 | PerfEvent::SimLoopRetired
                 | PerfEvent::SimBatchCarried
+                | PerfEvent::SimSmcClears
         )
     }
 }

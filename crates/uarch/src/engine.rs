@@ -53,7 +53,6 @@ use crate::hierarchy::{Footprint, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
 use crate::machine::Machine;
 use crate::profile::{ProbeKind, SmcBehavior, Vendor};
-use crate::trace::Event;
 
 /// Return-address sentinel marking the boundary of an injected call: when a
 /// `ret` pops this value the thread parks itself back in [`ThreadState::Idle`].
@@ -167,8 +166,6 @@ pub(crate) struct SpecState {
     correct_pc: u64,
     resolve_at: u64,
     budget: u32,
-    wrong_path: u32,
-    branch_pc: u64,
     buffered_stores: Vec<(Addr, u64, MemSize)>,
 }
 
@@ -650,7 +647,6 @@ impl Machine {
         }
         if let Some(spec) = &mut self.t_mut(tid).spec {
             spec.budget = spec.budget.saturating_sub(1);
-            spec.wrong_path += 1;
         } else {
             self.t_mut(tid).counters.add(PerfEvent::InstRetired, 1);
         }
@@ -727,14 +723,11 @@ impl Machine {
     }
 
     /// Whether catch-ups may use the loop tier: the fused tier's global
-    /// guards (fusion on, the decoded table in use, no tracing or fetch
-    /// logging to observe the elided steps).
+    /// guards (fusion on, the decoded table in use, no fetch logging to
+    /// observe the elided steps).
     #[inline(always)]
     fn loop_tier_enabled(&self) -> bool {
-        self.use_fused_probes
-            && self.use_decoded
-            && !self.tracer.is_enabled()
-            && self.fetch_log.is_none()
+        self.use_fused_probes && self.use_decoded && self.fetch_log.is_none()
     }
 
     /// The loop tier's per-step test: when the sibling's next instruction
@@ -988,14 +981,13 @@ impl Machine {
     }
 
     /// Whether `tid` may enter the fused tier: fusion on, the thread idle
-    /// and not speculating, and nothing (tracing, fetch logging) observing
-    /// intermediate state. A running sibling is no guard — the fused paths
+    /// and not speculating, and no fetch log observing intermediate
+    /// state. A running sibling is no guard — the fused paths
     /// catch it up at the per-step points.
     fn fusable(&self, tid: ThreadId) -> bool {
         self.use_fused_probes
             && self.t(tid).state != ThreadState::Running
             && self.t(tid).spec.is_none()
-            && !self.tracer.is_enabled()
             && self.fetch_log.is_none()
     }
 
@@ -1024,7 +1016,7 @@ impl Machine {
     /// would leave it.
     ///
     /// Guards (any one forces fallback): those of fusion itself (disabled,
-    /// this thread running or speculating, tracing, fetch logging) and, for
+    /// this thread running or speculating, fetch logging) and, for
     /// the `Execute` probe, the reference interpreter or a callee that is
     /// not a one-line `nop*; ret` routine.
     ///
@@ -1600,9 +1592,9 @@ impl Machine {
         let clear = self.profile.clear;
         let smc_inc = self.profile.smc_count_increment(kind);
         let vendor = self.profile.vendor;
-        let at = self.t(tid).clock;
         {
             let c = &mut self.t_mut(tid).counters;
+            c.add(PerfEvent::SimSmcClears, 1);
             c.add(PerfEvent::CycleActivityStallsTotal, clear.stalls_total[kind.index()] as u64);
             match vendor {
                 Vendor::Intel => {
@@ -1640,9 +1632,6 @@ impl Machine {
         self.t_mut(sib)
             .counters
             .add(PerfEvent::CycleActivityStallsTotal, clear.sibling_stall as u64);
-        if self.tracer.is_enabled() {
-            self.tracer.record(Event::MachineClear { tid, kind, line, at });
-        }
     }
 
     /// Roll back mispredicted speculation, with the misprediction penalty.
@@ -1662,15 +1651,6 @@ impl Machine {
         t.last_fetch_line = u64::MAX;
         t.fetch_window = [u64::MAX; FETCH_WINDOW];
         t.fetch_window_next = 0;
-        if self.tracer.is_enabled() {
-            let at = self.t(tid).clock;
-            self.tracer.record(Event::BranchSquash {
-                tid,
-                pc: spec.branch_pc,
-                wrong_path_instrs: spec.wrong_path,
-                at,
-            });
-        }
     }
 
     /// Roll back speculation without charging the misprediction penalty
@@ -1728,12 +1708,7 @@ impl Machine {
                         s.budget = 0;
                     }
                 } else {
-                    let t = self.t_mut(tid);
-                    t.state = ThreadState::Halted;
-                    let at = t.clock;
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(Event::Halted { tid, at });
-                    }
+                    self.t_mut(tid).state = ThreadState::Halted;
                     next = Next::Stop;
                 }
             }
@@ -1893,10 +1868,6 @@ impl Machine {
                         } else {
                             // Returning with an empty stack ends the program.
                             self.t_mut(tid).state = ThreadState::Halted;
-                            if self.tracer.is_enabled() {
-                                let at = self.t(tid).clock;
-                                self.tracer.record(Event::Halted { tid, at });
-                            }
                             next = Next::Stop;
                         }
                     }
@@ -2062,8 +2033,6 @@ impl Machine {
             correct_pc: correct,
             resolve_at: t.flags_ready,
             budget: window,
-            wrong_path: 0,
-            branch_pc: pc,
             buffered_stores: Vec::new(),
         }));
         Ok(Next::Jump(wrong))
@@ -2337,19 +2306,19 @@ mod tests {
     }
 
     /// Guards refuse without side effects: a cold tail line, a trained
-    /// `je`, tracing, and the reference interpreter all keep the victim
+    /// `je`, fetch logging, and the reference interpreter all keep the victim
     /// stepping.
     #[test]
     fn guards_fall_back_to_stepping() {
         let victim = busy_victim(1, 1_000_000);
         let warm = |m: &mut Machine| apply(m, Act::Catch(30 * TURN)).unwrap();
-        let mut traced = corun(true, None, &victim);
-        warm(&mut traced);
-        let before = loop_retired(&traced);
+        let mut logged = corun(true, None, &victim);
+        warm(&mut logged);
+        let before = loop_retired(&logged);
         assert!(before > 0);
-        traced.enable_trace(16);
-        apply(&mut traced, Act::Catch(10 * TURN)).unwrap();
-        assert_eq!(loop_retired(&traced), before, "tracing refuses");
+        logged.set_fetch_log(true);
+        apply(&mut logged, Act::Catch(10 * TURN)).unwrap();
+        assert_eq!(loop_retired(&logged), before, "fetch logging refuses");
 
         let mut reference = corun(true, None, &victim);
         reference.set_decoded_fast_path(false);

@@ -54,7 +54,6 @@ pub mod pool;
 pub mod profile;
 pub mod stablehash;
 pub mod tlb;
-pub mod trace;
 
 pub use addr::{Addr, LINE_SIZE, PAGE_SIZE};
 pub use counters::{CounterBank, CounterSnapshot, PerfEvent};

@@ -29,7 +29,6 @@ use crate::mem::Memory;
 use crate::noise::{NoiseConfig, NoiseSource};
 use crate::profile::UarchProfile;
 use crate::tlb::Tlb;
-use crate::trace::{Event, Tracer};
 
 /// Where to place a line for experiment setup (paper §4.1 prepares the
 /// oracle line in each of five microarchitectural states).
@@ -104,7 +103,6 @@ pub struct Machine {
     pub(crate) dtlb: [Tlb; 2],
     pub(crate) bpu: BranchPredictor,
     pub(crate) noise: NoiseSource,
-    pub(crate) tracer: Tracer,
     /// When enabled, every line-granular instruction fetch (architectural
     /// *and* speculative wrong-path) appends its line address here. Used by
     /// the static analyzer's soundness tests to compare the observed fetch
@@ -147,7 +145,6 @@ impl Machine {
             dtlb,
             bpu: BranchPredictor::new(4096),
             noise: NoiseSource::new(noise, seed),
-            tracer: Tracer::new(),
             fetch_log: None,
             profile,
         }
@@ -183,7 +180,7 @@ impl Machine {
     /// skips the batch's catch-ups for one closed form at its end. Fusion
     /// refuses to run (and the per-step path
     /// takes over) when the injecting thread is running or speculating, or
-    /// tracing / fetch logging could observe intermediate state. The
+    /// a fetch log could observe intermediate state. The
     /// default comes from the `SMACK_FUSED_PROBES` environment variable
     /// (`0` = off, anything else = on, unset = on); output is bit-identical
     /// either way, so the toggle exists for the CI determinism gates and
@@ -227,7 +224,6 @@ impl Machine {
         }
         self.bpu.reset();
         self.noise = NoiseSource::new(noise, seed);
-        self.tracer.disable();
         self.fetch_log = None;
     }
 
@@ -403,16 +399,6 @@ impl Machine {
         for t in &mut self.threads {
             t.counters.reset();
         }
-    }
-
-    /// Enable event tracing with a capacity bound.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer.enable(capacity);
-    }
-
-    /// Take recorded trace events.
-    pub fn take_trace(&mut self) -> Vec<Event> {
-        self.tracer.take()
     }
 
     /// Start (or stop) recording the line address of every instruction
