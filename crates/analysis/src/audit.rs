@@ -1,18 +1,12 @@
-//! Static audit of the self-modifying-code (SMC) patch contract.
+//! Static audit of self-modifying-code (SMC) store targets.
 //!
-//! The engine re-decodes a self-modified instruction in place only when
-//! the write-back keeps instruction boundaries
-//! (`DecodedProgram::patch`); anything else costs a full recompile, and a
-//! store that lands mid-instruction would desynchronize decode. This lint
-//! checks both sides of that contract from the instruction stream alone:
-//!
-//! - **SMC patch targets sit on instruction boundaries.** Candidate patch
-//!   targets are harvested from immediate operands that point into the
-//!   program's code lines (the `mov_imm reg, target; store (reg)`
-//!   self-modifying idiom): a store landing mid-instruction would
-//!   desynchronize decode.
-//! - **Planned patches are length-preserving and mapped**
-//!   ([`audit_patches`]): the in-place `DecodedProgram::patch` contract.
+//! A store that lands mid-instruction would desynchronize decode. This
+//! lint checks, from the instruction stream alone, that **SMC patch
+//! targets sit on instruction boundaries**: candidate patch targets are
+//! harvested from immediate operands that point into the program's code
+//! lines (the `mov_imm reg, target; store (reg)` self-modifying idiom),
+//! and each must be the address of an instruction or of a gap between
+//! instructions.
 
 use smack_uarch::asm::Program;
 use smack_uarch::isa::Instr;
@@ -26,20 +20,6 @@ pub enum AuditViolation {
     PatchTargetMidInstruction {
         /// The target address.
         target: u64,
-    },
-    /// A planned patch changes the encoded instruction length.
-    PatchChangesLength {
-        /// The patch site.
-        pc: u64,
-        /// Old encoded length.
-        old_len: u64,
-        /// New encoded length.
-        new_len: u64,
-    },
-    /// A planned patch aims at an address with no decoded instruction.
-    PatchTargetUnmapped {
-        /// The patch site.
-        pc: u64,
     },
 }
 
@@ -88,30 +68,6 @@ pub fn audit(prog: &Program) -> Vec<AuditViolation> {
     v
 }
 
-/// Lint a planned set of in-place patches against `prog`: each site must
-/// be a decoded instruction and keep its encoded length (the
-/// `DecodedProgram::patch` contract).
-pub fn audit_patches(prog: &Program, patches: &[(u64, Instr)]) -> Vec<AuditViolation> {
-    let d = DecodedProgram::compile(prog);
-    let mut v = Vec::new();
-    for (pc, instr) in patches {
-        let idx = d.index_of(*pc);
-        if idx == smack_uarch::decoded::NO_IDX {
-            v.push(AuditViolation::PatchTargetUnmapped { pc: *pc });
-            continue;
-        }
-        let old = d.get(idx);
-        if old.len != instr.len() {
-            v.push(AuditViolation::PatchChangesLength {
-                pc: *pc,
-                old_len: old.len,
-                new_len: instr.len(),
-            });
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,20 +108,5 @@ mod tests {
             x,
             AuditViolation::PatchTargetMidInstruction { target } if *target == 0x3401
         )));
-    }
-
-    #[test]
-    fn planned_patches_checked_for_length_and_mapping() {
-        let mut a = Assembler::new(0x5000);
-        a.add(Reg::R0, Reg::R1).halt();
-        let p = a.assemble().unwrap();
-        // add → lfence keeps the 3-byte length: clean.
-        assert!(audit_patches(&p, &[(0x5000, Instr::Lfence)]).is_empty());
-        // add → nop shrinks the encoding: flagged.
-        let v = audit_patches(&p, &[(0x5000, Instr::Nop)]);
-        assert!(matches!(v[0], AuditViolation::PatchChangesLength { .. }));
-        // Unmapped site: flagged.
-        let v = audit_patches(&p, &[(0xdead, Instr::Nop)]);
-        assert!(matches!(v[0], AuditViolation::PatchTargetUnmapped { .. }));
     }
 }

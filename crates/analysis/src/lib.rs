@@ -25,9 +25,8 @@
 //!    summarized) are *leaky*; a tainted indirect call leaks the
 //!    non-shared lines of its candidate targets. Leaky lines map to the
 //!    probe classes that can observe them on a given microarchitecture.
-//! 4. [`audit`](mod@audit) checks the self-modifying-code patch contract (SMC patch
-//!    targets on instruction boundaries, planned patches mapped and
-//!    length-preserving) as a lint over decoded programs.
+//! 4. [`audit`](mod@audit) checks that self-modifying stores aim at
+//!    instruction boundaries, as a lint over decoded programs.
 //!
 //! The analysis is a *may*-analysis throughout: the static fetch footprint
 //! over-approximates any dynamic execution's fetched lines (including
@@ -47,7 +46,7 @@ use smack_uarch::asm::Program;
 use smack_uarch::isa::Reg;
 use smack_uarch::{ProbeKind, SmcBehavior, UarchProfile};
 
-pub use audit::{audit, audit_patches, AuditViolation};
+pub use audit::{audit, AuditViolation};
 pub use cfg::Cfg;
 pub use leakage::LeakageSummary;
 pub use taint::TaintSummary;
@@ -94,11 +93,6 @@ impl SecretSpec {
     /// secret-dependent.
     pub fn none() -> SecretSpec {
         SecretSpec::default()
-    }
-
-    /// Whether the spec declares any secret input at all.
-    pub fn declares_secrets(&self) -> bool {
-        !self.tainted_regs.is_empty() || !self.tainted_memory.is_empty()
     }
 }
 

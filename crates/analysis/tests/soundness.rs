@@ -9,18 +9,17 @@
 //! 2. **Patch stability** — taint verdicts come from instruction def/use
 //!    shape, not encodings: a same-length, same-def/use rewrite of a
 //!    routine (the `add → xor` swap the SMC equivalence suite uses)
-//!    changes neither the verdict, the leaky lines, nor the footprint,
-//!    and the decoded side table accepts it without tripping the audit.
+//!    changes neither the verdict, the leaky lines, nor the footprint.
 //!
 //! The program generator mirrors `decoded_equivalence.rs` in the uarch
 //! crate: random ALU/load/store bodies with forward skips, bounded inner
 //! loops, and static + register-indirect calls to a fixed helper routine.
 
 use proptest::prelude::*;
-use smack_analysis::{analyze, audit_patches, SecretSpec};
+use smack_analysis::{analyze, SecretSpec};
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
-use smack_uarch::{DecodedProgram, Machine, MicroArch, NoiseConfig, ThreadId};
+use smack_uarch::{Machine, MicroArch, NoiseConfig, ThreadId, Tier};
 
 const T0: ThreadId = ThreadId::T0;
 const CODE_BASE: u64 = 0x10_0000;
@@ -168,7 +167,7 @@ fn observed_lines(prog: &Program, noise_seed: Option<u64>) -> Vec<u64> {
         Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
         None => Machine::new(profile),
     };
-    m.set_decoded_fast_path(false);
+    m.set_tier(Tier::Reference);
     m.load_program(prog);
     m.set_fetch_log(true);
     m.start_program(T0, prog.entry(), &[]);
@@ -219,8 +218,7 @@ proptest! {
     /// Patch stability: rewriting the helper's `add` to the same-length,
     /// same-def/use `xor` — the SMC patch the equivalence suite applies
     /// mid-run — leaves the verdict, leaky lines, tainted transfer sites,
-    /// and footprint identical, the decoded side table re-decodes the
-    /// patch in place, and the patch audit stays clean.
+    /// and footprint identical.
     #[test]
     fn prop_verdicts_stable_across_same_shape_patch(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -237,17 +235,6 @@ proptest! {
         prop_assert_eq!(&before.tainted_branches, &after.tainted_branches);
         prop_assert_eq!(&before.tainted_transfers, &after.tainted_transfers);
         prop_assert_eq!(&before.footprint, &after.footprint);
-
-        // The same rewrite expressed as a decoded-table patch: the helper
-        // head is a mapped instruction of the same length, so `patch`
-        // succeeds in place and the audit has nothing to flag.
-        let mut d = DecodedProgram::compile(&prog);
-        let xor_instr = {
-            let dp = DecodedProgram::compile(&patched);
-            dp.get(dp.index_of(HELPER_BASE)).instr
-        };
-        prop_assert!(d.patch(HELPER_BASE, xor_instr), "same-length patch re-decodes in place");
-        prop_assert!(audit_patches(&prog, &[(HELPER_BASE, xor_instr)]).is_empty());
 
         // Determinism: analyzing the same program twice is bit-identical.
         let again = analyze(&prog, prog.entry(), &spec);

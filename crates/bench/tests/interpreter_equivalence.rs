@@ -1,10 +1,10 @@
-//! The interpreter tiers are pure mechanics: the reference interpreter and
-//! the decoded fast path, each with the fused probe tier off and on, must
-//! produce bit-identical experiment output. These tests lock the contract
-//! at the experiment level — calibrated thresholds, covert-channel
-//! reports, RSA attack traces, a table2 SRP cell and ISpectre leaks, each
-//! attack on a session machine pinned to the tier; CI additionally diffs
-//! whole repro CSV trees at `SMACK_FUSED_PROBES=0` vs the default.
+//! The interpreter tiers are pure mechanics: the reference, decoded and
+//! fused tiers must produce bit-identical experiment output. These tests
+//! lock the contract at the experiment level — calibrated thresholds,
+//! covert-channel reports, RSA attack traces, a table2 SRP cell and
+//! ISpectre leaks, each attack on a session machine pinned to the tier;
+//! CI additionally diffs whole repro CSV trees at `SMACK_FUSED_PROBES=0`
+//! (the decoded tier) vs the default (the fused tier).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,17 +17,12 @@ use smack::srp::{self, SrpAttackConfig};
 use smack_bench::experiments::mastik_srp_attack_on;
 use smack_crypto::Bignum;
 use smack_uarch::{
-    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId,
+    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId, Tier,
 };
 
-/// Every `(decoded, fused probes)` tier; the first, the reference
-/// interpreter stepping every probe, is the baseline.
-const TIERS: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
-
-fn set_tier(m: &mut Machine, (decoded, fused): (bool, bool)) {
-    m.set_decoded_fast_path(decoded);
-    m.set_fused_probes(fused);
-}
+/// Every tier; the first, the reference interpreter stepping every probe,
+/// is the baseline.
+const TIERS: [Tier; 3] = [Tier::Reference, Tier::Decoded, Tier::Fused];
 
 /// `Session::calibrated` computes on a machine of its own, never on the
 /// tier-pinned session machine, so the attack tests below share one
@@ -41,14 +36,14 @@ fn calibrations_identical_across_tiers() {
             for cold in [Placement::L2, Placement::DramOnly] {
                 let calibrate = |tier| {
                     let mut m = Machine::with_noise(profile.clone(), noise, 0xca11b);
-                    set_tier(&mut m, tier);
+                    m.set_tier(tier);
                     calibrate_with_cold(&mut m, ThreadId::T0, kind, Addr(0x0dca_0000), 16, cold)
                         .expect("calibrates")
                 };
                 let baseline = calibrate(TIERS[0]);
                 for tier in &TIERS[1..] {
                     let got = calibrate(*tier);
-                    assert_eq!(got, baseline, "{kind}/{cold} at (decoded, fused) = {tier:?}");
+                    assert_eq!(got, baseline, "{kind}/{cold} on {tier:?}");
                 }
             }
         }
@@ -65,17 +60,12 @@ fn channel_reports_identical_across_tiers() {
         let payload = random_payload(48, 11);
         let run = |tier| {
             let mut session = sessions.session(&scenario);
-            set_tier(session.machine(), tier);
+            session.machine().set_tier(tier);
             run_channel_in(&mut session, &spec, &payload, false).expect("channel runs")
         };
         let baseline = run(TIERS[0]);
         for tier in &TIERS[1..] {
-            assert_eq!(
-                run(*tier),
-                baseline,
-                "{} diverged at (decoded, fused) = {tier:?}",
-                spec.name()
-            );
+            assert_eq!(run(*tier), baseline, "{} diverged on {tier:?}", spec.name());
         }
     }
 }
@@ -89,13 +79,13 @@ fn rsa_traces_identical_across_tiers() {
     let scenario = Scenario::new(MicroArch::CascadeLake).with_noise(cfg.noise).with_seed(13);
     let trace = |tier| {
         let mut session = sessions.session(&scenario);
-        set_tier(session.machine(), tier);
+        session.machine().set_tier(tier);
         collect_trace_in(&mut session, &victim, &exp, &cfg).expect("trace collects")
     };
     let baseline = trace(TIERS[0]);
     assert!(!baseline.samples.is_empty(), "attack produced samples");
     for tier in &TIERS[1..] {
-        assert_eq!(trace(*tier), baseline, "trace diverged at (decoded, fused) = {tier:?}");
+        assert_eq!(trace(*tier), baseline, "trace diverged on {tier:?}");
     }
 }
 
@@ -110,12 +100,12 @@ fn srp_table2_cell_identical_across_tiers() {
     let cfg = SrpAttackConfig { noise: NoiseConfig::noisy(), ..SrpAttackConfig::new(group) };
     let scenario = Scenario::new(MicroArch::TigerLake).with_noise(cfg.noise).with_seed(key);
     let sessions = Sessions::new();
-    let cell = |tier: (bool, bool)| {
+    let cell = |tier: Tier| {
         let mut session = sessions.session(&scenario);
-        set_tier(session.machine(), tier);
+        session.machine().set_tier(tier);
         let smack = srp::single_trace_attack_in(&mut session, &b, &cfg).expect("smc attack runs");
         session.renew(key);
-        set_tier(session.machine(), tier);
+        session.machine().set_tier(tier);
         let mastik =
             mastik_srp_attack_on(session.machine(), group, &b).expect("mastik attack runs");
         let m = session.machine();
@@ -125,7 +115,7 @@ fn srp_table2_cell_identical_across_tiers() {
     let baseline = cell(TIERS[0]);
     assert!(baseline.0.iter().any(|s| s.1), "the attack saw the victim");
     for tier in &TIERS[1..] {
-        assert!(cell(*tier) == baseline, "table2 cell diverged at (decoded, fused) = {tier:?}");
+        assert!(cell(*tier) == baseline, "table2 cell diverged on {tier:?}");
     }
 }
 
@@ -150,7 +140,7 @@ fn ispectre_leaks_identical_across_tiers() {
         let scenario = Scenario::new(arch).with_noise(cfg.noise).with_seed(0x7ab3);
         let leak = |tier| {
             let mut session = sessions.session(&scenario);
-            set_tier(session.machine(), tier);
+            session.machine().set_tier(tier);
             let report = leak_secret_in(&mut session, secret, &cfg).expect("attack runs");
             let m = session.machine();
             let hardware = |tid| -> Vec<u64> {
@@ -168,9 +158,9 @@ fn ispectre_leaks_identical_across_tiers() {
         assert_eq!(baseline.machine_clears > 0, clears, "{arch} {kind} clears");
         for tier in &TIERS[1..] {
             let (report, tier_counters, fast) = leak(*tier);
-            assert_eq!(report, baseline, "{arch} {kind} report at (decoded, fused) = {tier:?}");
-            assert_eq!(tier_counters, counters, "{arch} {kind} counters at {tier:?}");
-            if *tier == (true, true) {
+            assert_eq!(report, baseline, "{arch} {kind} report on {tier:?}");
+            assert_eq!(tier_counters, counters, "{arch} {kind} counters on {tier:?}");
+            if *tier == Tier::Fused {
                 assert!(fast > 0, "{arch} {kind}: the fused tier served no probe");
             }
         }

@@ -221,36 +221,46 @@ pub fn run_channel_in(
         }
     };
 
-    // --- measure one idle sample to size the bit slot ----------------------
-    let sample_probe =
+    // One receiver measurement: a Prime+iProbe round over every way of the
+    // eviction set, or one Flush+iReload reload. Returns the fastest
+    // way's (or the reload's) timing and whether it shows sender activity.
+    // One timing buffer serves every probe round of the trial.
+    let mut timings = Vec::new();
+    let mut measure =
         |machine: &mut Machine, prober: &mut Prober| -> Result<(u64, bool), StepError> {
-            match spec.family {
-                ChannelFamily::PrimeProbe => {
-                    let ev = evset.as_ref().expect("prime+probe has an eviction set");
-                    ev.prime(machine, prober)?;
-                    prober.wait(machine, spec.wait_cycles)?;
-                    let timings = ev.probe(machine, prober, spec.kind)?;
+            match &evset {
+                Some(ev) => {
+                    ev.probe_first_into(machine, prober, spec.kind, ev.ways().len(), &mut timings)?;
                     // Activity = at least one way did NOT conflict (it was
                     // evicted by the sender's fetch).
                     let misses = timings.iter().filter(|t| !cal.is_hit(**t)).count();
-                    let min = *timings.iter().min().expect("nonempty ways");
-                    Ok((min, misses >= 1))
+                    Ok((*timings.iter().min().expect("nonempty ways"), misses >= 1))
                 }
-                ChannelFamily::FlushReload => {
+                None => {
                     let t = prober.measure(machine, spec.kind, target)?.cycles;
                     // Prefetch-based reloads need an explicit flush afterwards
                     // (paper: prefetch requires clflush before the next round).
                     if matches!(spec.kind, ProbeKind::Prefetch | ProbeKind::PrefetchNta) {
                         prober.flush_line(machine, target)?;
                     }
-                    prober.wait(machine, spec.wait_cycles)?;
                     Ok((t, cal.is_hit(t)))
                 }
             }
         };
 
+    // --- measure one idle sample to size the bit slot ----------------------
     let t0 = machine.clock(RECEIVER);
-    let (_, _) = sample_probe(machine, &mut prober).map_err(step)?;
+    match &evset {
+        Some(ev) => {
+            ev.prime(machine, &mut prober).map_err(step)?;
+            prober.wait(machine, spec.wait_cycles).map_err(step)?;
+            measure(machine, &mut prober).map_err(step)?;
+        }
+        None => {
+            measure(machine, &mut prober).map_err(step)?;
+            prober.wait(machine, spec.wait_cycles).map_err(step)?;
+        }
+    }
     let sample_cost = (machine.clock(RECEIVER) - t0).max(1);
     // Every conflicting probe stalls the *sender* by `sibling_stall` cycles
     // (the machine clear flushes the whole physical core), so the bit slot
@@ -278,8 +288,6 @@ pub fn run_channel_in(
     }
     let epoch = machine.clock(RECEIVER).max(machine.clock(SENDER));
     let mut decoded = Vec::with_capacity(payload.len());
-    // One timing buffer reused across every probe round of the trial.
-    let mut timings = Vec::new();
     let mut trace = Vec::new();
     let mut errors = 0usize;
     let mut phase = Phase::Setup;
@@ -345,31 +353,7 @@ pub fn run_channel_in(
                         }
                     }
                     Phase::Measure { started_at } => {
-                        let (timing, activity) = match spec.family {
-                            ChannelFamily::PrimeProbe => {
-                                let ev = evset.as_ref().expect("eviction set");
-                                let n = ev.ways().len();
-                                ev.probe_first_into(
-                                    machine,
-                                    &mut prober,
-                                    spec.kind,
-                                    n,
-                                    &mut timings,
-                                )
-                                .map_err(step)?;
-                                let misses = timings.iter().filter(|t| !cal.is_hit(**t)).count();
-                                let min = *timings.iter().min().expect("nonempty");
-                                (min, misses >= 1)
-                            }
-                            ChannelFamily::FlushReload => {
-                                let t = prober.measure(machine, spec.kind, target).map_err(step)?;
-                                if matches!(spec.kind, ProbeKind::Prefetch | ProbeKind::PrefetchNta)
-                                {
-                                    prober.flush_line(machine, target).map_err(step)?;
-                                }
-                                (t.cycles, cal.is_hit(t.cycles))
-                            }
-                        };
+                        let (timing, activity) = measure(machine, &mut prober).map_err(step)?;
                         saw_activity |= activity;
                         if record_trace {
                             trace.push(TracePoint { at: started_at, timing, activity, slot });

@@ -360,8 +360,9 @@ mod tests {
     fn majority_voting_does_not_degrade() {
         // The paper reaches 70% with ~10 traces; our simulated traces have
         // partially systematic errors (the same exposure-window multiply
-        // misses recur), so voting plateaus — see EXPERIMENTS.md. The
-        // combination must stay in the single-trace band and not degrade.
+        // misses recur), so voting plateaus: an error every trace makes wins
+        // every vote. The combination must stay in the single-trace band and
+        // not degrade.
         let mut rng = SmallRng::seed_from_u64(32);
         let exp = Bignum::random_bits(&mut rng, 160);
         let cfg = RsaAttackConfig::new(ProbeKind::Flush);

@@ -7,21 +7,31 @@ use smack::{calibrate_with_cold, run_channel_in, ChannelSpec, Prober, Scenario, 
 use smack_uarch::isa::Reg;
 use smack_uarch::{
     Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, StepError, ThreadId,
+    Tier,
 };
 
 const T0: ThreadId = ThreadId::T0;
 const SCRATCH: Addr = Addr(0x3_0000);
 
+/// The fused tier, or its per-step oracle, the decoded tier.
+fn tier(fused: bool) -> Tier {
+    if fused {
+        Tier::Fused
+    } else {
+        Tier::Decoded
+    }
+}
+
 fn machine(fused: bool) -> Machine {
     let mut m = Machine::new(MicroArch::CascadeLake.profile());
-    m.set_fused_probes(fused);
+    m.set_tier(tier(fused));
     m
 }
 
 fn noisy_machine(fused: bool, seed: u64) -> Machine {
     let mut m =
         Machine::with_noise(MicroArch::CascadeLake.profile(), NoiseConfig::realistic(), seed);
-    m.set_fused_probes(fused);
+    m.set_tier(tier(fused));
     m
 }
 
@@ -125,8 +135,8 @@ fn covert_channel_reports_identical_under_fusion() {
     {
         let mut fused = sessions.session(&scenario);
         let mut stepped = sessions.session(&scenario);
-        fused.machine().set_fused_probes(true);
-        stepped.machine().set_fused_probes(false);
+        fused.machine().set_tier(Tier::Fused);
+        stepped.machine().set_tier(Tier::Decoded);
         let a = run_channel_in(&mut fused, &spec, &payload, true).unwrap();
         let b = run_channel_in(&mut stepped, &spec, &payload, true).unwrap();
         assert_eq!(a, b, "{} diverged under fusion", spec.name());
@@ -178,7 +188,7 @@ fn probe_rounds(
     iters: u64,
 ) -> (Vec<u64>, Option<StepError>, Vec<String>) {
     let mut m = Machine::with_noise(arch.profile(), NoiseConfig::realistic(), 9);
-    m.set_fused_probes(fused);
+    m.set_tier(tier(fused));
     let ev = smack::EvictionSet::build(0x20_0000, 40, 8);
     ev.install(&mut m);
     for w in ev.ways() {

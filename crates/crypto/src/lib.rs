@@ -23,7 +23,6 @@
 //! sizes (1024/2048/4096/6144): the paper's leakage depends only on the
 //! operand bit length (per-limb multiplication cost), not on the specific
 //! prime, and the offline environment has no copy of the RFC constants.
-//! See DESIGN.md §1 for the substitution table.
 
 pub mod bn;
 pub mod modexp;

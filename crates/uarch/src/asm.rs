@@ -301,11 +301,6 @@ impl Assembler {
         self.push(Instr::Store { src, mem, size: MemSize::Quad })
     }
 
-    /// Emit a byte store `movb %src, (mem)`.
-    pub fn store_byte(&mut self, src: Reg, mem: MemRef) -> &mut Self {
-        self.push(Instr::Store { src, mem, size: MemSize::Byte })
-    }
-
     /// Emit `movb $imm, (mem)`.
     pub fn store_imm(&mut self, mem: MemRef, imm: u8) -> &mut Self {
         self.push(Instr::StoreImm { mem, imm })
@@ -431,11 +426,6 @@ impl Assembler {
     /// Emit `clflush (mem)`.
     pub fn clflush(&mut self, mem: MemRef) -> &mut Self {
         self.push(Instr::Clflush { mem })
-    }
-
-    /// Emit `lock incb (mem)`.
-    pub fn lock_inc(&mut self, mem: MemRef) -> &mut Self {
-        self.push(Instr::LockInc { mem })
     }
 
     /// Emit a `Delay` pseudo-instruction.

@@ -58,13 +58,11 @@ pub enum PerfEvent {
     AmdL2FillBusy,
 
     // ---- simulator-internal ----------------------------------------------
-    /// Full `DecodedProgram` recompiles taken by [`patch_program`] when the
-    /// in-place [`patch`] fast path refuses a write (unmapped pc or changed
-    /// instruction length). Not a hardware event: it makes the engine's
-    /// silent slow path visible in the counter bank.
+    /// Full `DecodedProgram` recompiles taken by [`patch_program`], one per
+    /// self-modifying write-back. Not a hardware event: it makes the cost
+    /// of rewriting code visible in the counter bank.
     ///
     /// [`patch_program`]: crate::machine::Machine::patch_program
-    /// [`patch`]: crate::decoded::DecodedProgram::patch
     SimPatchRecompiles,
     /// Probe sequences and calls that entered the fused tier
     /// ([`run_probes`], [`run_calls`]), one per probe or call. Not a

@@ -17,8 +17,9 @@
 //! turn `head: delay c; add r,-1; cmp r,0; je exit; jmp tail` with
 //! `tail: jmp head` on the next line, the shape of a busy victim routine —
 //! so the engine can retire whole turns of it in closed form
-//! ([`CountedLoop`]). Marks follow self-modifying writes: [`DecodedProgram::patch`]
-//! re-checks a loop whenever it rewrites one of its instructions.
+//! ([`CountedLoop`]). A self-modifying write-back
+//! ([`crate::machine::Machine::patch_program`]) recompiles the whole table,
+//! so marks always match the code.
 
 use std::collections::HashMap;
 
@@ -109,8 +110,7 @@ impl CountedLoop {
 pub struct DecodedProgram {
     instrs: Vec<DecodedInstr>,
     by_pc: HashMap<u64, u32>,
-    /// Counted loops, indexed by [`DecodedInstr::counted`]. A slot whose
-    /// loop a patch broke stays allocated but unreferenced.
+    /// Counted loops, indexed by [`DecodedInstr::counted`].
     loops: Vec<CountedLoop>,
 }
 
@@ -152,8 +152,12 @@ impl DecodedProgram {
         for head in 0..prog.instrs.len() as u32 {
             if let Some(found) = prog.counted_loop_at(head) {
                 let slot = prog.loops.len() as u32;
+                for (pos, i) in found.idx.into_iter().enumerate() {
+                    let d = &mut prog.instrs[i as usize];
+                    d.counted = slot;
+                    d.loop_pos = pos as u8;
+                }
                 prog.loops.push(found);
-                prog.mark(slot);
             }
         }
         prog
@@ -206,57 +210,6 @@ impl DecodedProgram {
             delay: u64::from(cycles),
             line: h.line,
         })
-    }
-
-    /// Point every position of loop `slot` at it.
-    fn mark(&mut self, slot: u32) {
-        for (pos, i) in self.loops[slot as usize].idx.into_iter().enumerate() {
-            let d = &mut self.instrs[i as usize];
-            d.counted = slot;
-            d.loop_pos = pos as u8;
-        }
-    }
-
-    /// Re-decode one instruction in place after a self-modifying
-    /// write-back. Succeeds when `pc` is already decoded and the new
-    /// instruction keeps the old encoded length (the common SMC pattern:
-    /// a line's bytes are rewritten but instruction boundaries survive) —
-    /// the entry's operation and static branch target are refreshed while
-    /// every index in the table, including successor links held by other
-    /// entries and any `pc → index` values cached by the engine's
-    /// threads, stays valid. Returns `false` when the patch would move
-    /// instruction boundaries (an unmapped `pc`, or a different length);
-    /// the caller must then recompile the whole table.
-    pub fn patch(&mut self, pc: u64, instr: Instr) -> bool {
-        let Some(&idx) = self.by_pc.get(&pc) else {
-            return false;
-        };
-        let target = match instr {
-            Instr::Jmp { target } | Instr::Jcc { target, .. } | Instr::Call { target } => {
-                self.by_pc.get(&target).copied().unwrap_or(NO_IDX)
-            }
-            _ => NO_IDX,
-        };
-        let d = &mut self.instrs[idx as usize];
-        if d.len != instr.len() {
-            return false;
-        }
-        d.instr = instr;
-        d.target = target;
-        let slot = d.counted;
-        if slot != NO_IDX {
-            // The write may have turned the loop into something else:
-            // unmark it, and mark it again only if the shape survived.
-            let head = self.loops[slot as usize].idx[0];
-            for i in self.loops[slot as usize].idx {
-                self.instrs[i as usize].counted = NO_IDX;
-            }
-            if let Some(found) = self.counted_loop_at(head) {
-                self.loops[slot as usize] = found;
-                self.mark(slot);
-            }
-        }
-        true
     }
 
     /// Drop the compiled table (machine reset).
@@ -371,40 +324,6 @@ mod tests {
         assert_eq!(d.get(0).target, NO_IDX, "target outside the program");
     }
 
-    #[test]
-    fn patch_rewrites_in_place_when_lengths_match() {
-        let p = looped();
-        let mut d = DecodedProgram::compile(&p);
-        let jne_idx = (0..d.len() as u32)
-            .find(|i| matches!(d.get(*i).instr, Instr::Jcc { .. }))
-            .expect("program has a jcc");
-        let pc = d.get(jne_idx).pc;
-        let old_fall = d.get(jne_idx).fall;
-        // Retarget the branch at its own pc: same length, new static target.
-        let new_target = d.get(0).pc;
-        let patched = Instr::Jcc { cond: crate::isa::Cond::Eq, target: new_target };
-        assert!(d.patch(pc, patched));
-        let e = d.get(jne_idx);
-        assert_eq!(e.instr, patched);
-        assert_eq!(d.get(e.target).pc, new_target, "target re-resolved");
-        assert_eq!(e.fall, old_fall, "fall-through index survives");
-    }
-
-    #[test]
-    fn patch_refuses_boundary_changes() {
-        let p = looped();
-        let mut d = DecodedProgram::compile(&p);
-        // Unmapped pc: nothing to patch in place.
-        assert!(!d.patch(0xdead_0000, Instr::Nop));
-        // Length change (add_imm is 5 bytes, nop is 1): boundaries move.
-        let add_pc = (0..d.len() as u32)
-            .map(|i| *d.get(i))
-            .find(|e| matches!(e.instr, Instr::AddImm { .. }))
-            .expect("program has an add_imm")
-            .pc;
-        assert!(!d.patch(add_pc, Instr::Nop));
-    }
-
     const ROUTINE: u64 = 0x7_0000;
 
     /// A busy routine in the shape `ModexpVictimBuilder::emit_routine`
@@ -465,27 +384,6 @@ mod tests {
         ] {
             assert_eq!(marked(&DecodedProgram::compile(&p)), 0, "{what}");
         }
-    }
-
-    #[test]
-    fn patches_recheck_only_the_loops_they_touch() {
-        let p = emitted_shape();
-        let mut d = DecodedProgram::compile(&p);
-        let body = p.label("body").unwrap();
-        let slot = d.get(d.index_of(body)).counted;
-        let cmp_pc = d.counted_loop(slot).pc[LOOP_CMP];
-        // A patch outside the loop keeps it, in place.
-        assert!(
-            d.patch(ROUTINE, Instr::StoreImm { mem: crate::isa::MemRef::base(Reg::R10), imm: 2 })
-        );
-        assert_eq!(marked(&d), LOOP_LEN);
-        // Retuning the delay keeps the shape: re-marked with the new count.
-        assert!(d.patch(body, Instr::Delay { cycles: 90 }));
-        assert_eq!(marked(&d), LOOP_LEN);
-        assert_eq!(d.counted_loop(d.get(d.index_of(body)).counted).delay, 90);
-        // `cmp r,1` is no longer the counted shape: every position drops.
-        assert!(d.patch(cmp_pc, Instr::CmpImm { a: Reg::R11, imm: 1 }));
-        assert_eq!(marked(&d), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::counters::{CounterBank, PerfEvent};
 use crate::decoded::{LOOP_ADD, LOOP_CMP, LOOP_JE, LOOP_LEN, LOOP_TAIL, NO_IDX};
 use crate::hierarchy::{Footprint, Level, Residency};
 use crate::isa::{Cond, Flags, Instr, MemRef, MemSize, Reg};
-use crate::machine::Machine;
+use crate::machine::{Machine, Tier};
 use crate::profile::{ProbeKind, SmcBehavior, Vendor};
 
 /// Return-address sentinel marking the boundary of an injected call: when a
@@ -587,11 +587,11 @@ impl Machine {
             }
             return Ok(());
         }
-        // Locate the instruction. The fast path chases pre-resolved indices
-        // through the decoded side table (zero map lookups in steady state);
-        // the reference path repeats the original per-step `BTreeMap` lookup
+        // Locate the instruction. The decoded tiers chase pre-resolved
+        // indices through the decoded side table (zero map lookups in steady
+        // state); the reference tier repeats the per-step `BTreeMap` lookup
         // and is kept only as the equivalence tests' oracle.
-        let (instr, len, line, fall, target_idx) = if self.use_decoded {
+        let (instr, len, line, fall, target_idx) = if self.tier != Tier::Reference {
             let idx = match self.t(tid).pc_idx {
                 NO_IDX => self.decoded.index_of(pc),
                 cached => cached,
@@ -723,11 +723,11 @@ impl Machine {
     }
 
     /// Whether catch-ups may use the loop tier: the fused tier's global
-    /// guards (fusion on, the decoded table in use, no fetch logging to
-    /// observe the elided steps).
+    /// guards (the fused tier selected, no fetch logging to observe the
+    /// elided steps).
     #[inline(always)]
     fn loop_tier_enabled(&self) -> bool {
-        self.use_fused_probes && self.use_decoded && self.fetch_log.is_none()
+        self.tier == Tier::Fused && self.fetch_log.is_none()
     }
 
     /// The loop tier's per-step test: when the sibling's next instruction
@@ -980,12 +980,12 @@ impl Machine {
         }
     }
 
-    /// Whether `tid` may enter the fused tier: fusion on, the thread idle
-    /// and not speculating, and no fetch log observing intermediate
-    /// state. A running sibling is no guard — the fused paths
+    /// Whether `tid` may enter the fused tier: the fused tier selected,
+    /// the thread idle and not speculating, and no fetch log observing
+    /// intermediate state. A running sibling is no guard — the fused paths
     /// catch it up at the per-step points.
     fn fusable(&self, tid: ThreadId) -> bool {
-        self.use_fused_probes
+        self.tier == Tier::Fused
             && self.t(tid).state != ThreadState::Running
             && self.t(tid).spec.is_none()
             && self.fetch_log.is_none()
@@ -1015,10 +1015,10 @@ impl Machine {
     /// sibling after the last of them — where the catch-up at that point
     /// would leave it.
     ///
-    /// Guards (any one forces fallback): those of fusion itself (disabled,
-    /// this thread running or speculating, fetch logging) and, for
-    /// the `Execute` probe, the reference interpreter or a callee that is
-    /// not a one-line `nop*; ret` routine.
+    /// Guards (any one forces fallback): those of fusion itself (another
+    /// tier selected, this thread running or speculating, fetch logging)
+    /// and, for the `Execute` probe, a callee that is not a one-line
+    /// `nop*; ret` routine.
     ///
     /// # Errors
     ///
@@ -1037,9 +1037,7 @@ impl Machine {
         let execute = matches!(probe.op, Instr::CallReg { .. });
         if targets.is_empty()
             || !self.fusable(tid)
-            || (execute
-                && !(self.use_decoded
-                    && targets.iter().all(|target| self.call_shape(target.0).is_some())))
+            || (execute && !targets.iter().all(|target| self.call_shape(target.0).is_some()))
         {
             return None;
         }
@@ -1239,7 +1237,6 @@ impl Machine {
         targets: &[Addr],
     ) -> Option<Result<SeqOutcome, StepError>> {
         if targets.is_empty()
-            || !self.use_decoded
             || !self.fusable(tid)
             || !targets.iter().all(|&Addr(target)| self.call_shape(target).is_some())
         {
@@ -2089,7 +2086,7 @@ mod tests {
             Some((cfg, seed)) => Machine::with_noise(profile, cfg, seed),
             None => Machine::new(profile),
         };
-        m.set_fused_probes(loop_tier);
+        m.set_tier(if loop_tier { Tier::Fused } else { Tier::Decoded });
         m.load_program(victim);
         let mut o = Assembler::new(ORACLE);
         o.nop().ret();
@@ -2321,7 +2318,7 @@ mod tests {
         assert_eq!(loop_retired(&logged), before, "fetch logging refuses");
 
         let mut reference = corun(true, None, &victim);
-        reference.set_decoded_fast_path(false);
+        reference.set_tier(Tier::Reference);
         warm(&mut reference);
         assert_eq!(loop_retired(&reference), 0, "the reference interpreter refuses");
 

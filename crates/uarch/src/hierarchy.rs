@@ -1,7 +1,7 @@
 //! The four-level cache hierarchy: split L1 (instruction + data), unified
 //! L2, and an inclusive last-level cache.
 //!
-//! Key modeling choices (see DESIGN.md §3):
+//! Key modeling choices, and the attack behaviour each one produces:
 //!
 //! * **Inclusive LLC** — evicting an LLC line back-invalidates it from L1i,
 //!   L1d and L2, which is what lets cross-core eviction matter. L2 is
@@ -50,19 +50,6 @@ impl Residency {
     pub fn data_level(&self) -> Level {
         if self.l1d {
             Level::L1d
-        } else if self.l2 {
-            Level::L2
-        } else if self.llc {
-            Level::Llc
-        } else {
-            Level::Dram
-        }
-    }
-
-    /// Level an *instruction fetch* would hit.
-    pub fn fetch_level(&self) -> Level {
-        if self.l1i {
-            Level::L1i
         } else if self.l2 {
             Level::L2
         } else if self.llc {

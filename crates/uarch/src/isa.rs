@@ -222,7 +222,8 @@ pub enum Instr {
     /// Pseudo-instruction: advance this thread's clock by `cycles` without
     /// touching architectural state. Used to model long computations
     /// (e.g. a bignum limb multiplication loop) without simulating every
-    /// ALU micro-op; see DESIGN.md §1.
+    /// ALU micro-op: the attacks observe how long code runs from its cache
+    /// lines, not the arithmetic inside it.
     Delay { cycles: u32 },
 }
 

@@ -60,7 +60,7 @@ pub use counters::{CounterBank, CounterSnapshot, PerfEvent};
 pub use decoded::{DecodedInstr, DecodedProgram};
 pub use engine::{CompiledProbe, SeqOutcome, StepError, ThreadId, ThreadState};
 pub use hierarchy::{Level, Residency};
-pub use machine::{Machine, Placement};
+pub use machine::{Machine, Placement, Tier};
 pub use noise::NoiseConfig;
 pub use pool::{MachinePool, PoolStats, PooledMachine};
 pub use profile::{MicroArch, ProbeKind, SmcBehavior, UarchProfile, Vendor};

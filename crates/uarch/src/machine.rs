@@ -69,6 +69,37 @@ impl fmt::Display for Placement {
     }
 }
 
+/// The interpreter tier a machine executes on. All three produce
+/// bit-identical architectural state, clocks, caches and hardware
+/// counters; only the `SIM.*` engine bookkeeping differs.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Tier {
+    /// Every instruction stepped through a `BTreeMap` lookup in the
+    /// loaded program: the oracle the equivalence tests compare the other
+    /// tiers against. Nothing times it.
+    Reference,
+    /// Every instruction stepped through the decoded side table
+    /// ([`DecodedProgram`]), which chases pre-resolved successor indices
+    /// instead of looking each pc up: the per-step oracle of the fused
+    /// tier.
+    Decoded,
+    /// The decoded table plus fusion (the default):
+    /// [`Machine::run_probes`] retires a batch of compiled
+    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences in one
+    /// specialized pass, [`Machine::run_calls`] a batch of calls to
+    /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
+    /// bit-identical to per-step injection, running the helpers `exec`
+    /// runs and catching a running sibling up at the same points — and
+    /// every catch-up of a sibling busy in a counted delay loop retires
+    /// its turns in closed form instead of stepping them, or, across a
+    /// batch of calls or `Execute` probes clear of the loop's cache sets,
+    /// skips the batch's catch-ups for one closed form at its end. Fusion
+    /// refuses to run (and per-step execution takes over) when the
+    /// injecting thread is running or speculating, or a fetch log could
+    /// observe intermediate state.
+    Fused,
+}
+
 /// One simulated SMT physical core plus memory. See the
 /// [module documentation](self).
 pub struct Machine {
@@ -79,12 +110,8 @@ pub struct Machine {
     /// step loop chases successor indices through it instead of walking the
     /// program's `BTreeMap` per instruction.
     pub(crate) decoded: DecodedProgram,
-    /// Whether `step` uses the decoded table (default) or the original
-    /// map-lookup reference interpreter (A/B equivalence testing).
-    pub(crate) use_decoded: bool,
-    /// Whether injected probe sequences may retire through the fused probe
-    /// tier (default; see [`Machine::set_fused_probes`]).
-    pub(crate) use_fused_probes: bool,
+    /// The interpreter tier (see [`Machine::set_tier`]).
+    pub(crate) tier: Tier,
     /// Memoized callee-shape walks for the fused call path — `(target,
     /// shape)`, direct-mapped by a multiply-hash of the target address,
     /// valid while `call_shapes_gen` matches `decode_gen`. Sized for
@@ -94,8 +121,8 @@ pub struct Machine {
     /// `pc → index` in the decoded table's map every call.
     pub(crate) call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
     pub(crate) call_shapes_gen: u64,
-    /// Bumped whenever the decoded table changes (load / patch / reset),
-    /// invalidating `call_shapes`.
+    /// Bumped whenever the decoded table is rebuilt (load / patch /
+    /// reset), invalidating `call_shapes`.
     pub(crate) decode_gen: u64,
     pub(crate) mem: Memory,
     pub(crate) hier: CacheHierarchy,
@@ -111,12 +138,15 @@ pub struct Machine {
     pub(crate) fetch_log: Option<Vec<u64>>,
 }
 
-/// Default fused-probe setting: on, unless the `SMACK_FUSED_PROBES`
-/// environment variable is set to `0` (the CI determinism gate runs the
-/// repro both ways and diffs CSVs).
-fn fused_probes_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SMACK_FUSED_PROBES").map(|v| v != "0").unwrap_or(true))
+/// Default tier: [`Tier::Fused`], or [`Tier::Decoded`] when the
+/// `SMACK_FUSED_PROBES` environment variable is `0` (the CI determinism
+/// gates run the repro both ways and diff CSVs).
+fn default_tier() -> Tier {
+    static TIER: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+    *TIER.get_or_init(|| match std::env::var("SMACK_FUSED_PROBES") {
+        Ok(v) if v == "0" => Tier::Decoded,
+        _ => Tier::Fused,
+    })
 }
 
 impl Machine {
@@ -134,8 +164,7 @@ impl Machine {
             threads: [Thread::new(), Thread::new()],
             code: Program::default(),
             decoded: DecodedProgram::default(),
-            use_decoded: true,
-            use_fused_probes: fused_probes_default(),
+            tier: default_tier(),
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
             decode_gen: 0,
@@ -150,49 +179,20 @@ impl Machine {
         }
     }
 
-    /// Switch between the decoded fast path (the default) and the original
-    /// `BTreeMap` reference interpreter. Both execute the identical `exec`
-    /// body and produce bit-identical architectural state, clocks and
-    /// counters; the reference path exists only as the oracle equivalence
-    /// tests compare the decoded path against. Reset restores the default.
-    pub fn set_decoded_fast_path(&mut self, on: bool) {
-        self.use_decoded = on;
+    /// Select the interpreter tier. Output is bit-identical on every
+    /// tier, so the switch exists for the equivalence tests and the CI
+    /// determinism gates. Reset restores the default: [`Tier::Fused`], or
+    /// [`Tier::Decoded`] under `SMACK_FUSED_PROBES=0`.
+    pub fn set_tier(&mut self, tier: Tier) {
+        self.tier = tier;
         for t in &mut self.threads {
             t.pc_idx = NO_IDX;
         }
     }
 
-    /// Whether the decoded fast path is active.
-    pub fn decoded_fast_path(&self) -> bool {
-        self.use_decoded
-    }
-
-    /// Enable or disable the fused probe tier. When on,
-    /// [`Machine::run_probes`] retires a batch of compiled
-    /// `mfence; rdtsc; <op>; mfence; rdtsc` probe sequences in one
-    /// specialized pass, [`Machine::run_calls`] a batch of calls to
-    /// `nop*; ret` lines and [`Machine::advance`] a busy-wait — each
-    /// bit-identical to per-step injection, running the helpers `exec`
-    /// runs and catching a running sibling up at the same points — and
-    /// every catch-up of a sibling busy in a counted delay loop retires
-    /// its turns in closed form instead of stepping them, or, across a
-    /// batch of calls or `Execute` probes clear of the loop's cache sets,
-    /// skips the batch's catch-ups for one closed form at its end. Fusion
-    /// refuses to run (and the per-step path
-    /// takes over) when the injecting thread is running or speculating, or
-    /// a fetch log could observe intermediate state. The
-    /// default comes from the `SMACK_FUSED_PROBES` environment variable
-    /// (`0` = off, anything else = on, unset = on); output is bit-identical
-    /// either way, so the toggle exists for the CI determinism gates and
-    /// as the per-step oracle of the equivalence tests. Reset restores the
-    /// default.
-    pub fn set_fused_probes(&mut self, on: bool) {
-        self.use_fused_probes = on;
-    }
-
-    /// Whether the fused probe tier is active.
-    pub fn fused_probes(&self) -> bool {
-        self.use_fused_probes
+    /// The active interpreter tier.
+    pub fn tier(&self) -> Tier {
+        self.tier
     }
 
     /// The microarchitecture profile.
@@ -215,8 +215,7 @@ impl Machine {
         self.code.clear();
         self.decoded.clear();
         self.decode_gen += 1;
-        self.use_decoded = true;
-        self.use_fused_probes = fused_probes_default();
+        self.tier = default_tier();
         self.mem.clear();
         self.hier.clear();
         for tlb in self.itlb.iter_mut().chain(self.dtlb.iter_mut()) {
@@ -239,26 +238,14 @@ impl Machine {
     /// load, never per step).
     pub fn load_program(&mut self, prog: &Program) {
         self.code.merge(prog);
-        self.decoded = DecodedProgram::compile(&self.code);
-        self.decode_gen += 1;
-        for t in &mut self.threads {
-            t.pc_idx = NO_IDX;
-        }
+        self.recompile();
     }
 
     /// Apply a self-modifying write-back: overwrite already-loaded
     /// instructions with `prog`'s (replacing on conflict, unlike
-    /// [`Machine::load_program`]'s merge-only semantics). Use this instead
-    /// of `load_program` when the new code *replaces* instructions at
-    /// addresses that are already mapped.
-    ///
-    /// The affected entries of the decoded side table re-decode **in
-    /// place** whenever instruction boundaries survive the rewrite — the
-    /// patched pcs keep their indices, so every successor link and cached
-    /// `pc_idx` stays valid and the steady-state step loop keeps chasing
-    /// indices instead of degrading to per-step map lookups. A write-back
-    /// that moves boundaries (instructions at new pcs, or changed encoded
-    /// lengths) falls back to one full recompile.
+    /// [`Machine::load_program`]'s merge-only semantics), then recompile
+    /// the decoded side table as a load does, counting one
+    /// `SimPatchRecompiles`.
     ///
     /// Architectural state only, like `load_program`: the *timing* side
     /// of a real SMC write-back (machine clear, L1i invalidation, sibling
@@ -266,16 +253,19 @@ impl Machine {
     /// executes against the line.
     pub fn patch_program(&mut self, prog: &Program) {
         self.code.overwrite(prog);
+        // Charge the recompile to T0's bank: the event is core-wide, so
+        // attributing it to one thread keeps `counters_total` exact.
+        self.threads[0].counters.add(PerfEvent::SimPatchRecompiles, 1);
+        self.recompile();
+    }
+
+    /// Rebuild the decoded side table from `code`, invalidating the
+    /// call-shape memo and every thread's cached instruction index.
+    fn recompile(&mut self) {
+        self.decoded = DecodedProgram::compile(&self.code);
         self.decode_gen += 1;
-        let in_place = prog.iter().all(|(pc, instr)| self.decoded.patch(pc, *instr));
-        if !in_place {
-            // Charge the recompile to T0's bank: the event is core-wide, so
-            // attributing it to one thread keeps `counters_total` exact.
-            self.threads[0].counters.add(PerfEvent::SimPatchRecompiles, 1);
-            self.decoded = DecodedProgram::compile(&self.code);
-            for t in &mut self.threads {
-                t.pc_idx = NO_IDX;
-            }
+        for t in &mut self.threads {
+            t.pc_idx = NO_IDX;
         }
     }
 
@@ -392,13 +382,6 @@ impl Machine {
         let mut total = self.threads[0].counters.clone();
         total.accumulate(&self.threads[1].counters);
         total
-    }
-
-    /// Reset all performance counters.
-    pub fn reset_counters(&mut self) {
-        for t in &mut self.threads {
-            t.counters.reset();
-        }
     }
 
     /// Start (or stop) recording the line address of every instruction
@@ -612,7 +595,7 @@ impl Machine {
     ///
     /// Propagates [`StepError`] from the sibling's program.
     pub fn advance(&mut self, tid: ThreadId, cycles: u64) -> Result<(), StepError> {
-        if self.use_fused_probes && self.t(tid).state != ThreadState::Running {
+        if self.tier == Tier::Fused && self.t(tid).state != ThreadState::Running {
             return self.fused_advance(tid, cycles);
         }
         let mut left = cycles;
@@ -792,7 +775,8 @@ mod tests {
         // invalidated), rewrite its return value, and call it again through
         // both the plain and the batched call path. The last two patches
         // flip the routine into and out of the fused `nop*; ret` call shape,
-        // so a stale call-shape memo would skip the final `mov_imm`.
+        // so a stale call-shape memo would skip the final `mov_imm`. Every
+        // patch, same-length or not, recompiles the decoded table once.
         const ROUTINE: u64 = 0x7_0000;
         let returns = |value: u64| -> Program {
             let mut a = Assembler::new(ROUTINE);
@@ -808,11 +792,11 @@ mod tests {
             a.ret();
             a.assemble().unwrap()
         };
-        for (decoded, fused) in [(false, false), (false, true), (true, false), (true, true)] {
-            let tier = format!("decoded={decoded} fused_probes={fused}");
+        let recompiles = |m: &Machine| m.counters(T0).read(PerfEvent::SimPatchRecompiles);
+        for t in [Tier::Reference, Tier::Decoded, Tier::Fused] {
+            let tier = format!("{t:?}");
             let mut m = cl();
-            m.set_decoded_fast_path(decoded);
-            m.set_fused_probes(fused);
+            m.set_tier(t);
             m.load_program(&returns(1));
             m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 1, "{tier}");
@@ -826,6 +810,7 @@ mod tests {
             assert!(!m.residency(Addr(ROUTINE)).l1i, "{tier}: clear invalidates the line");
 
             m.patch_program(&returns(2));
+            assert_eq!(recompiles(&m), 1, "{tier}: a same-length patch recompiles");
             m.call(T0, ROUTINE, &[]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: call sees the patch");
             m.set_reg(T0, Reg::R0, 0);
@@ -833,9 +818,11 @@ mod tests {
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: run_calls sees the patch");
 
             m.patch_program(&nops());
+            assert_eq!(recompiles(&m), 2, "{tier}");
             m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: nop routine leaves R0");
             m.patch_program(&returns(3));
+            assert_eq!(recompiles(&m), 3, "{tier}");
             m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 3, "{tier}: no stale call shape");
         }

@@ -158,7 +158,7 @@ impl Drop for PooledMachine<'_> {
 mod tests {
     use super::*;
     use crate::isa::{Instr, MemRef, Reg};
-    use crate::machine::Placement;
+    use crate::machine::{Placement, Tier};
     use crate::{Addr, ThreadId};
 
     const T0: ThreadId = ThreadId::T0;
@@ -239,14 +239,21 @@ mod tests {
         let fresh =
             probe_dance(&mut Machine::with_noise(profile.clone(), NoiseConfig::realistic(), 0xabc));
         {
-            // Dirty a machine thoroughly, then shelve it.
+            // Dirty a machine thoroughly, pinned to the reference tier as
+            // an equivalence test pins it, then shelve it.
             let mut m = pool.checkout(&profile, NoiseConfig::realistic(), 7);
+            m.set_tier(Tier::Reference);
             probe_dance(&mut m);
             m.write_u64(Addr(0x3000), u64::MAX);
         }
         let mut m = pool.checkout(&profile, NoiseConfig::realistic(), 0xabc);
         assert_eq!(pool.stats().reused, 1);
         assert_eq!(m.read_u64(Addr(0x3000)), 0, "reset zeroes memory");
+        assert_eq!(
+            m.tier(),
+            Machine::new(profile.clone()).tier(),
+            "reset restores the default tier"
+        );
         assert_eq!(probe_dance(&mut m), fresh, "reset machine times identically");
     }
 

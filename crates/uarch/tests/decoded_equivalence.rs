@@ -1,17 +1,18 @@
-//! The decoded fast path is an *optimization*, never a semantic change:
+//! The decoded tiers are an *optimization*, never a semantic change:
 //! for arbitrary programs, executing through the pre-decoded side table
 //! must produce exactly the architectural state, clocks, and performance
-//! counters of the original per-step `BTreeMap` reference interpreter.
-//! The same holds under injected eviction noise, across mid-run code
-//! patches that re-decode lines in place or force a full recompile, and
-//! for two threads driven in one run or one step at a time. Cache state is
-//! compared in LRU order, not only residency (see [`lru_sweep`]).
+//! counters of the per-step `BTreeMap` reference tier. The same holds
+//! under injected eviction noise, across mid-run code patches (each
+//! recompiles the table), and for two threads driven in one run or one
+//! step at a time. The fused tier is held to the per-step decoded tier
+//! the same way (the `fused_probes` module). Cache state is compared in
+//! LRU order, not only residency (see [`lru_sweep`]).
 
 use proptest::prelude::*;
 use smack_uarch::asm::{Assembler, Program};
 use smack_uarch::isa::{MemRef, Reg};
 use smack_uarch::{
-    Addr, Machine, MicroArch, NoiseConfig, Placement, Residency, ThreadId, ThreadState,
+    Addr, Machine, MicroArch, NoiseConfig, Placement, Residency, ThreadId, ThreadState, Tier,
 };
 
 const T0: ThreadId = ThreadId::T0;
@@ -211,28 +212,25 @@ impl Outcome {
     }
 }
 
-/// The interpreter configuration of one equivalence run: the decoded fast
-/// path (`true`) or the reference interpreter (`false`).
-type Cfg = bool;
-
 /// The oracle every run is compared against.
-const REFERENCE: Cfg = false;
-/// The configuration under test.
-const DECODED: Cfg = true;
+const REFERENCE: Tier = Tier::Reference;
+/// The tier under test: the shipped one, which steps whole programs
+/// through the decoded table.
+const DECODED: Tier = Tier::Fused;
 
-fn machine(decoded: Cfg, noise_seed: Option<u64>) -> Machine {
+fn machine(tier: Tier, noise_seed: Option<u64>) -> Machine {
     let profile = MicroArch::CascadeLake.profile();
     let mut m = match noise_seed {
         Some(seed) => Machine::with_noise(profile, NoiseConfig::realistic(), seed),
         None => Machine::new(profile),
     };
-    m.set_decoded_fast_path(decoded);
+    m.set_tier(tier);
     m
 }
 
 /// Run `prog` to completion under the given interpreter configuration.
-fn run(prog: &Program, cfg: Cfg, noise_seed: Option<u64>) -> Outcome {
-    let mut m = machine(cfg, noise_seed);
+fn run(prog: &Program, tier: Tier, noise_seed: Option<u64>) -> Outcome {
+    let mut m = machine(tier, noise_seed);
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
@@ -241,9 +239,8 @@ fn run(prog: &Program, cfg: Cfg, noise_seed: Option<u64>) -> Outcome {
 
 /// A runtime rewrite of the helper routine's code line. Three variants:
 /// a same-length `xor` swap and a same-length `mfence` swap (instruction
-/// boundaries survive, entries re-decode in place), and the
-/// boundary-moving variant that also places a fresh routine at new
-/// addresses, forcing the full-recompile fallback.
+/// boundaries survive), and the boundary-moving variant that also places
+/// a fresh routine at new addresses.
 fn helper_patch(kind: u8) -> Program {
     let mut a = Assembler::new(HELPER_BASE);
     match kind {
@@ -259,8 +256,8 @@ fn helper_patch(kind: u8) -> Program {
 
 /// Run `prog`, apply `patch` after `at_step` engine steps (mid-run
 /// self-modification), and run to completion.
-fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, cfg: Cfg) -> Outcome {
-    let mut m = machine(cfg, None);
+fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, tier: Tier) -> Outcome {
+    let mut m = machine(tier, None);
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
     m.run_burst(T0, at_step).expect("prefix runs");
@@ -282,10 +279,10 @@ proptest! {
         prop_assert_eq!(&run(&prog, DECODED, None), &reference, "decoded diverged");
     }
 
-    /// Self-modified code lines re-decode into the side table: rewriting
-    /// the helper routine mid-run (two same-length in-place patches and
-    /// the boundary-moving variant that forces a recompile) must leave
-    /// the decoded path bit-identical to the map-lookup reference.
+    /// Self-modified code lines recompile into the side table: rewriting
+    /// the helper routine mid-run (two same-length patches and the
+    /// boundary-moving variant) must leave the decoded tier bit-identical
+    /// to the map-lookup reference.
     #[test]
     fn prop_rewritten_code_lines_match_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -534,10 +531,9 @@ mod fused_probes {
         /// [`Machine::run_calls`] entry (an eviction set primes its ways
         /// this way).
         ExecuteBatch(u8),
-        /// Rewrite the probed routine in place (SMC patch between probes).
+        /// Rewrite the probed routine (SMC patch between probes).
         Patch(u8),
-        /// Rewrite a busy-victim loop instruction in place
-        /// ([`loop_patch`]).
+        /// Rewrite a busy-victim loop instruction ([`loop_patch`]).
         PatchLoop(u8),
         /// One batched entry over `n` lines — the clear ways, or ways of
         /// the busy loop's and `TARGET`'s L1i set: [`Machine::run_calls`],
@@ -659,7 +655,7 @@ mod fused_probes {
             Some((noise, seed)) => Machine::with_noise(profile, noise, seed),
             None => Machine::new(profile),
         };
-        m.set_fused_probes(fused);
+        m.set_tier(if fused { Tier::Fused } else { Tier::Decoded });
         m.load_program(&oracle(oracle_kind));
         m.load_program(&attacker_ways());
         for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS).chain(&DATA_WAYS) {
@@ -1102,9 +1098,9 @@ fn dual_thread_decoded_matches_reference() {
     let driver = b.assemble().unwrap();
 
     let mut outcomes = Vec::new();
-    for decoded in [REFERENCE, DECODED] {
+    for tier in [REFERENCE, DECODED] {
         for one_step_at_a_time in [false, true] {
-            let mut m = machine(decoded, None);
+            let mut m = machine(tier, None);
             m.load_program(&victim);
             m.load_program(&driver);
             m.start_program(T1, victim.entry(), &[]);
@@ -1118,7 +1114,7 @@ fn dual_thread_decoded_matches_reference() {
             }
             assert_eq!(m.state(T1), ThreadState::Halted, "the victim halts mid-run");
             outcomes.push((
-                (decoded, one_step_at_a_time),
+                (tier, one_step_at_a_time),
                 m.reg(T0, Reg::R1),
                 m.reg(T0, Reg::R2),
                 m.reg(T1, Reg::R0),
@@ -1142,7 +1138,7 @@ fn dual_thread_decoded_matches_reference() {
                 &reference.6,
                 &reference.7
             ),
-            "(decoded, one step at a time) = {:?} diverged from the reference",
+            "(tier, one step at a time) = {:?} diverged from the reference",
             o.0
         );
     }

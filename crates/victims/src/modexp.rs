@@ -9,8 +9,9 @@
 //! exponent's structure.
 //!
 //! The routines model their O(limbs²) Montgomery-arithmetic cost with a
-//! `Delay` pseudo-instruction (see DESIGN.md §1) and append an op code to an
-//! in-memory log so tests can cross-validate the executed schedule against
+//! `Delay` pseudo-instruction — the attacks observe how long a routine
+//! keeps running from its cache lines, not the ALU work inside it — and
+//! append an op code to an in-memory log so tests can cross-validate the executed schedule against
 //! [`smack_crypto::modexp`]'s schedule extraction.
 
 use smack_crypto::Bignum;
