@@ -161,34 +161,49 @@ pub fn to_runs(bits: &[bool]) -> Vec<u32> {
 /// shared bits for pair count). Returns `(reference index, other's
 /// length)` pairs in reference order — the shared burst landmarks two
 /// traces agree on.
+///
+/// Cost: one flat `(n+1)·(m+1)` table filled row by row, then an
+/// O(n + m) traceback. Identical sequences skip the table: the diagonal
+/// shares every reference bit, the most any alignment can, and the
+/// traceback tries the diagonal first, so the identity alignment is what
+/// the table would return.
 pub fn align_runs(reference: &[u32], other: &[u32]) -> Vec<(usize, u32)> {
+    if reference == other {
+        return reference.iter().copied().enumerate().collect();
+    }
     let n = reference.len();
-    let m = other.len();
-    let matches = |i: usize, j: usize| -> bool {
-        i % 2 == j % 2 && reference[i - 1].abs_diff(other[j - 1]) <= 1
+    let w = other.len() + 1;
+    // Bits shared by pairing reference run `i` with other's run `j`
+    // (0-based), if the two may pair at all.
+    let pair = |i: usize, j: usize| -> Option<u32> {
+        let (r, o) = (reference[i], other[j]);
+        (i % 2 == j % 2 && r.abs_diff(o) <= 1).then_some(r.min(o))
     };
-    let pair_score = |i: usize, j: usize| -> u32 { reference[i - 1].min(other[j - 1]) };
-    let mut dp = vec![vec![0u32; m + 1]; n + 1];
+    let mut dp = vec![0u32; (n + 1) * w];
     for i in 1..=n {
-        for j in 1..=m {
-            let mut best = dp[i - 1][j].max(dp[i][j - 1]);
-            if matches(i, j) {
-                best = best.max(dp[i - 1][j - 1] + pair_score(i, j));
-            }
-            dp[i][j] = best;
+        let (prev, row) = dp[(i - 1) * w..(i + 1) * w].split_at_mut(w);
+        // Rows never decrease left to right, so a pair that may not form
+        // can add 0 instead of being skipped (`prev[j - 1] <= prev[j]`),
+        // and the row is a running maximum: only its last step waits on
+        // the previous cell.
+        let mut best = 0;
+        for j in 1..w {
+            best = best.max(prev[j].max(prev[j - 1] + pair(i - 1, j - 1).unwrap_or(0)));
+            row[j] = best;
         }
     }
+    let at = |i: usize, j: usize| dp[i * w + j];
     let mut out = Vec::new();
-    let (mut i, mut j) = (n, m);
+    let (mut i, mut j) = (n, w - 1);
     while i > 0 && j > 0 {
-        if matches(i, j) && dp[i][j] == dp[i - 1][j - 1] + pair_score(i, j) {
-            out.push((i - 1, other[j - 1]));
-            i -= 1;
-            j -= 1;
-        } else if dp[i - 1][j] >= dp[i][j - 1] {
-            i -= 1;
-        } else {
-            j -= 1;
+        match pair(i - 1, j - 1) {
+            Some(s) if at(i, j) == at(i - 1, j - 1) + s => {
+                out.push((i - 1, other[j - 1]));
+                i -= 1;
+                j -= 1;
+            }
+            _ if at(i - 1, j) >= at(i, j - 1) => i -= 1,
+            _ => j -= 1,
         }
     }
     out.reverse();
@@ -198,6 +213,115 @@ pub fn align_runs(reference: &[u32], other: &[u32]) -> Vec<(usize, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The nested-row weighted-LCS alignment [`align_runs`] replaced,
+    /// kept verbatim as the oracle for its flat table and identity path.
+    fn align_runs_nested(reference: &[u32], other: &[u32]) -> Vec<(usize, u32)> {
+        let n = reference.len();
+        let m = other.len();
+        let matches = |i: usize, j: usize| -> bool {
+            i % 2 == j % 2 && reference[i - 1].abs_diff(other[j - 1]) <= 1
+        };
+        let pair_score = |i: usize, j: usize| -> u32 { reference[i - 1].min(other[j - 1]) };
+        let mut dp = vec![vec![0u32; m + 1]; n + 1];
+        for i in 1..=n {
+            for j in 1..=m {
+                let mut best = dp[i - 1][j].max(dp[i][j - 1]);
+                if matches(i, j) {
+                    best = best.max(dp[i - 1][j - 1] + pair_score(i, j));
+                }
+                dp[i][j] = best;
+            }
+        }
+        let mut out = Vec::new();
+        let (mut i, mut j) = (n, m);
+        while i > 0 && j > 0 {
+            if matches(i, j) && dp[i][j] == dp[i - 1][j - 1] + pair_score(i, j) {
+                out.push((i - 1, other[j - 1]));
+                i -= 1;
+                j -= 1;
+            } else if dp[i - 1][j] >= dp[i][j - 1] {
+                i -= 1;
+            } else {
+                j -= 1;
+            }
+        }
+        out.reverse();
+        out
+    }
+
+    fn assert_matches_oracle(reference: &[u32], other: &[u32]) {
+        assert_eq!(
+            align_runs(reference, other),
+            align_runs_nested(reference, other),
+            "reference {reference:?}, other {other:?}"
+        );
+    }
+
+    /// `len` runs of 1..=max_run bits: short runs make many runs pair
+    /// within one bit, so ties between equal-scoring alignments are common.
+    fn random_runs(rng: &mut SmallRng, len: usize, max_run: u32) -> Vec<u32> {
+        (0..len).map(|_| rng.gen_range(1..=max_run)).collect()
+    }
+
+    #[test]
+    fn flat_alignment_matches_oracle_on_identical_runs() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for case in 0..200 {
+            let runs = random_runs(&mut rng, case % 300 + 1, 1 + case as u32 % 6);
+            assert_matches_oracle(&runs, &runs);
+        }
+    }
+
+    #[test]
+    fn flat_alignment_matches_oracle_on_perturbed_runs() {
+        let mut rng = SmallRng::seed_from_u64(42);
+        for case in 0..200 {
+            let len = rng.gen_range(1..=300);
+            let reference = random_runs(&mut rng, len, 5);
+            let mut other = reference.clone();
+            for _ in 0..rng.gen_range(1..=4) {
+                let k = rng.gen_range(0..other.len());
+                match case % 3 {
+                    // One run decoded a bit too long or too short.
+                    0 => {
+                        other[k] =
+                            if rng.gen_bool(0.5) { other[k] + 1 } else { other[k].max(2) - 1 }
+                    }
+                    // A spurious multiply splits a run; a missed one drops it.
+                    1 => other.insert(k, rng.gen_range(1..=3)),
+                    _ if other.len() > 1 => drop(other.remove(k)),
+                    _ => {}
+                }
+            }
+            assert_matches_oracle(&reference, &other);
+            assert_matches_oracle(&other, &reference);
+        }
+    }
+
+    #[test]
+    fn flat_alignment_matches_oracle_on_random_runs() {
+        let mut rng = SmallRng::seed_from_u64(43);
+        for _ in 0..100 {
+            let max_run = rng.gen_range(1..=6);
+            let (n, m) = (rng.gen_range(1..=300), rng.gen_range(1..=300));
+            let reference = random_runs(&mut rng, n, max_run);
+            let other = random_runs(&mut rng, m, max_run);
+            assert_matches_oracle(&reference, &other);
+        }
+    }
+
+    #[test]
+    fn flat_alignment_matches_oracle_on_empty_sides() {
+        let mut rng = SmallRng::seed_from_u64(44);
+        let runs = random_runs(&mut rng, 20, 4);
+        assert_matches_oracle(&[], &[]);
+        assert_matches_oracle(&runs, &[]);
+        assert_matches_oracle(&[], &runs);
+        assert!(align_runs(&runs, &[]).is_empty());
+    }
 
     /// Lay out bursts of `len` units at the given op offsets, `spp`
     /// samples per op.

@@ -245,6 +245,10 @@ pub fn score_bits_aligned(decoded: &[bool], truth: &Bignum) -> f64 {
 /// voting plateau below the paper's 10-trace 70% on noisier probe
 /// classes). Positional voting remains the fallback for fewer than three
 /// traces or structureless decodes.
+///
+/// Cost: one [`align_runs`] per distinct decode, not one per trace
+/// (repeated traces mostly decode alike), and traces that decode to the
+/// reference's own runs align without a table.
 pub fn majority_vote(decodes: &[Vec<bool>], nbits: usize) -> Vec<bool> {
     if decodes.len() >= 3 {
         if let Some(bits) = landmark_vote(decodes, nbits) {
@@ -261,7 +265,8 @@ pub fn majority_vote(decodes: &[Vec<bool>], nbits: usize) -> Vec<bool> {
 
 /// Landmark-anchored run voting (see [`majority_vote`]): pick the trace
 /// whose run count is the median as the reference, align every other
-/// trace's runs to it, and take the per-landmark median length.
+/// trace's runs to it, and take the per-landmark median length. Each
+/// distinct run sequence is aligned once, however many traces decoded it.
 fn landmark_vote(decodes: &[Vec<bool>], nbits: usize) -> Option<Vec<bool>> {
     let runs: Vec<Vec<u32>> = decodes.iter().map(|d| to_runs(d)).collect();
     // Reference: the trace with the median run count (ties to the earlier
@@ -273,14 +278,23 @@ fn landmark_vote(decodes: &[Vec<bool>], nbits: usize) -> Option<Vec<bool>> {
     if reference.is_empty() {
         return None;
     }
-    // Each landmark starts with the reference's own vote.
+    // Each landmark starts with the reference's own vote. Every other
+    // trace votes the lengths its alignment pairs; traces with the same
+    // runs share one alignment, which votes once per trace.
     let mut votes: Vec<Vec<u32>> = reference.iter().map(|len| vec![*len]).collect();
+    let mut distinct: Vec<(&[u32], usize)> = Vec::new();
     for (t, r) in runs.iter().enumerate() {
         if t == ref_idx {
             continue;
         }
+        match distinct.iter_mut().find(|(seen, _)| *seen == r.as_slice()) {
+            Some((_, traces)) => *traces += 1,
+            None => distinct.push((r, 1)),
+        }
+    }
+    for (r, traces) in distinct {
         for (landmark, len) in align_runs(reference, r) {
-            votes[landmark].push(len);
+            votes[landmark].extend(std::iter::repeat_n(len, traces));
         }
     }
     let mut bits = Vec::with_capacity(nbits);
@@ -305,7 +319,8 @@ mod tests {
     use super::*;
     use crate::session::{Scenario, Sessions};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
     use smack_uarch::MicroArch;
 
     /// Majority-vote recovery after each of `traces` traces (seeds 1000,
@@ -447,6 +462,113 @@ mod tests {
         let t3 = vec![true, false, true, false]; // a different error
         let combined = majority_vote(&[t1, t2, t3], 4);
         assert_eq!(combined, truth);
+    }
+
+    /// [`landmark_vote`] as it was before deduplication, aligning every
+    /// trace to the reference: the oracle for the one-alignment-per-
+    /// distinct-decode vote.
+    fn landmark_vote_every_trace(decodes: &[Vec<bool>], nbits: usize) -> Option<Vec<bool>> {
+        let runs: Vec<Vec<u32>> = decodes.iter().map(|d| to_runs(d)).collect();
+        let mut by_len: Vec<usize> = (0..runs.len()).collect();
+        by_len.sort_by_key(|i| (runs[*i].len(), *i));
+        let ref_idx = by_len[by_len.len() / 2];
+        let reference = &runs[ref_idx];
+        if reference.is_empty() {
+            return None;
+        }
+        let mut votes: Vec<Vec<u32>> = reference.iter().map(|len| vec![*len]).collect();
+        for (t, r) in runs.iter().enumerate() {
+            if t == ref_idx {
+                continue;
+            }
+            for (landmark, len) in align_runs(reference, r) {
+                votes[landmark].push(len);
+            }
+        }
+        let mut bits = Vec::with_capacity(nbits);
+        let mut ones = true;
+        for vals in &mut votes {
+            vals.sort_unstable();
+            let len = vals[vals.len() / 2];
+            for _ in 0..len {
+                bits.push(ones);
+            }
+            ones = !ones;
+        }
+        bits.truncate(nbits);
+        while bits.len() < nbits {
+            bits.push(false);
+        }
+        Some(bits)
+    }
+
+    /// The bits of alternating `runs` (ones first), cut or zero-padded to
+    /// `nbits` like a decode.
+    fn bits_from_runs(runs: &[u32], nbits: usize) -> Vec<bool> {
+        let mut bits = Vec::new();
+        let mut ones = true;
+        for r in runs {
+            bits.extend(std::iter::repeat_n(ones, *r as usize));
+            ones = !ones;
+        }
+        bits.resize(nbits, false);
+        bits
+    }
+
+    /// Vote 25 decodes, `copies[k]` of them decoding to `sequences[k]`,
+    /// in twenty shuffled orders, deduplicated and aligning every trace.
+    fn assert_dedup_vote_matches(
+        rng: &mut SmallRng,
+        sequences: &[Vec<u32>; 3],
+        copies: [usize; 3],
+    ) {
+        assert_eq!(copies.iter().sum::<usize>(), 25);
+        let nbits = sequences.iter().map(|s| s.iter().sum::<u32>()).max().unwrap() as usize;
+        let mut decodes: Vec<Vec<bool>> = sequences
+            .iter()
+            .zip(copies)
+            .flat_map(|(s, c)| std::iter::repeat_n(bits_from_runs(s, nbits), c))
+            .collect();
+        for _ in 0..20 {
+            decodes.shuffle(rng);
+            let want = landmark_vote_every_trace(&decodes, nbits).expect("runs exist");
+            assert_eq!(majority_vote(&decodes, nbits), want);
+            assert_eq!(landmark_vote(&decodes, nbits), Some(want));
+        }
+    }
+
+    #[test]
+    fn deduplicated_vote_matches_aligning_every_trace() {
+        let mut rng = SmallRng::seed_from_u64(34);
+        for _ in 0..10 {
+            let base: Vec<u32> =
+                (0..120).map(|i| rng.gen_range(1..=if i % 2 == 0 { 2 } else { 5 })).collect();
+            // One run off by one; one spurious multiply splitting a zero run.
+            let mut off_by_one = base.clone();
+            off_by_one[rng.gen_range(0..60usize) * 2 + 1] += 1;
+            let mut split = base.clone();
+            let k = rng.gen_range(0..60usize) * 2 + 1;
+            split.splice(k..k, [1, 1]);
+            let sequences = [base, off_by_one, split];
+            // The reference's own sequence repeats: most traces decode
+            // alike, the rest spread over the other two.
+            assert_dedup_vote_matches(&mut rng, &sequences, [17, 5, 3]);
+            // `base` and `off_by_one` tie on run count and hold the median,
+            // so trace order among the tied traces picks the reference.
+            assert_dedup_vote_matches(&mut rng, &sequences, [10, 10, 5]);
+            assert_dedup_vote_matches(&mut rng, &sequences, [5, 8, 12]);
+        }
+    }
+
+    #[test]
+    fn fewer_than_three_traces_vote_by_position() {
+        // Two decodes that disagree on run structure: a bit is one only
+        // where both traces read one.
+        let t1 = bits_from_runs(&[1, 3, 2, 1, 1], 8);
+        let t2 = bits_from_runs(&[2, 1, 1, 2, 2], 8);
+        let both: Vec<bool> = t1.iter().zip(&t2).map(|(a, b)| *a && *b).collect();
+        assert_eq!(majority_vote(&[t1.clone(), t2], 8), both);
+        assert_eq!(majority_vote(std::slice::from_ref(&t1), 8), t1);
     }
 
     #[test]
