@@ -27,12 +27,12 @@ const TIERS: [Tier; 3] = [Tier::Reference, Tier::Decoded, Tier::Fused];
 /// `Session::calibrated` computes on a machine of its own, never on the
 /// tier-pinned session machine, so the attack tests below share one
 /// threshold across tiers; this test shows each tier would have computed
-/// the same one.
+/// the same one, for all nine probe classes.
 #[test]
 fn calibrations_identical_across_tiers() {
     let profile = MicroArch::CascadeLake.profile();
     for noise in [NoiseConfig::quiet(), NoiseConfig::noisy()] {
-        for kind in [ProbeKind::Store, ProbeKind::Flush, ProbeKind::Execute] {
+        for kind in ProbeKind::ALL {
             for cold in [Placement::L2, Placement::DramOnly] {
                 let calibrate = |tier| {
                     let mut m = Machine::with_noise(profile.clone(), noise, 0xca11b);
@@ -50,6 +50,8 @@ fn calibrations_identical_across_tiers() {
     }
 }
 
+/// Channel reports with their traces recorded; the fused tier must serve
+/// the channel's probes.
 #[test]
 fn channel_reports_identical_across_tiers() {
     let sessions = Sessions::new();
@@ -61,11 +63,16 @@ fn channel_reports_identical_across_tiers() {
         let run = |tier| {
             let mut session = sessions.session(&scenario);
             session.machine().set_tier(tier);
-            run_channel_in(&mut session, &spec, &payload, false).expect("channel runs")
+            let report = run_channel_in(&mut session, &spec, &payload, true).expect("channel runs");
+            (report, session.machine().counters(ThreadId::T0).read(PerfEvent::SimProbeFastPath))
         };
-        let baseline = run(TIERS[0]);
+        let (baseline, _) = run(TIERS[0]);
         for tier in &TIERS[1..] {
-            assert_eq!(run(*tier), baseline, "{} diverged on {tier:?}", spec.name());
+            let (report, fast) = run(*tier);
+            assert_eq!(report, baseline, "{} diverged on {tier:?}", spec.name());
+            if *tier == Tier::Fused {
+                assert!(fast > 0, "{}: the fused tier served no probe", spec.name());
+            }
         }
     }
 }

@@ -144,19 +144,6 @@ impl Program {
             self.labels.insert(name.clone(), *addr);
         }
     }
-
-    /// Merge another program's code with *overwrite* semantics: where both
-    /// programs define an instruction at the same address, `other`'s wins.
-    /// This is the write-back form of [`Program::merge`], used when
-    /// self-modifying code rewrites already-loaded lines at runtime.
-    pub fn overwrite(&mut self, other: &Program) {
-        for (a, i) in other.iter() {
-            self.code.insert(a, *i);
-        }
-        for (name, addr) in &other.labels {
-            self.labels.insert(name.clone(), *addr);
-        }
-    }
 }
 
 enum Pending {

@@ -341,100 +341,6 @@ impl Cache {
     }
 }
 
-/// Lines covered by one [`LineFilter`] page: 64 × 64 bits = 4096 lines,
-/// i.e. 256 KiB of address space per page.
-const FILTER_PAGE_LINES: u64 = 64 * 64;
-/// Address-space cap precisely tracked by the filter: 4 GiB. Anything at
-/// or above this is answered conservatively (`true`).
-const FILTER_MAX_PAGES: usize = ((1u64 << 32) / (FILTER_PAGE_LINES * crate::LINE_SIZE)) as usize;
-
-/// A one-bit-per-line membership *superset* filter over the address space.
-///
-/// The SMC detection unit must check, on **every** store / flush /
-/// prefetch, whether the touched line might be code-resident
-/// (`Machine::smc_conflict`). That exact check walks an L1i set plus both
-/// threads' fetch windows — cheap in isolation, but it sits on the hot
-/// path of data-heavy victims where essentially every store targets the
-/// data segment and the answer is always "no". `LineFilter` makes that
-/// common case one shift-and-mask: the hierarchy marks every line it ever
-/// inserts into the L1i, never clears individual bits (only whole-machine
-/// [`LineFilter::clear`]), so a clear bit *proves* the line was never
-/// fetched as code and the exact probe can be skipped. Set bits say
-/// nothing (the line may since have been evicted) and fall through to the
-/// exact check, so stale bits cost a probe, never correctness.
-///
-/// Storage is a lazily-allocated paged bitmap (one 512-byte page per
-/// 256 KiB of address space) capped at 4 GiB; beyond the cap queries are
-/// unconditionally conservative and inserts are dropped.
-///
-/// ```
-/// use smack_uarch::cache::LineFilter;
-/// use smack_uarch::Addr;
-///
-/// let mut f = LineFilter::new();
-/// assert!(!f.maybe_contains(Addr(0x1000)));
-/// f.insert(Addr(0x1000));
-/// assert!(f.maybe_contains(Addr(0x1008))); // same line
-/// assert!(!f.maybe_contains(Addr(0x2000)));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct LineFilter {
-    pages: Vec<Option<Box<[u64; 64]>>>,
-}
-
-impl LineFilter {
-    /// An empty filter (no storage allocated yet).
-    pub fn new() -> LineFilter {
-        LineFilter::default()
-    }
-
-    #[inline]
-    fn locate(addr: Addr) -> (usize, usize, u64) {
-        let line_idx = addr.0 / crate::LINE_SIZE;
-        let page = (line_idx / FILTER_PAGE_LINES) as usize;
-        let bit = line_idx % FILTER_PAGE_LINES;
-        (page, (bit / 64) as usize, 1u64 << (bit % 64))
-    }
-
-    /// Mark the line containing `addr` as possibly code-resident.
-    /// Addresses beyond the 4 GiB tracking cap are ignored (queries there
-    /// already answer conservatively).
-    #[inline]
-    pub fn insert(&mut self, addr: Addr) {
-        let (page, word, mask) = Self::locate(addr);
-        if page >= FILTER_MAX_PAGES {
-            return;
-        }
-        if page >= self.pages.len() {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let words = self.pages[page].get_or_insert_with(|| Box::new([0u64; 64]));
-        words[word] |= mask;
-    }
-
-    /// `false` proves the line containing `addr` was never inserted;
-    /// `true` means "maybe" (or "beyond the tracked range").
-    #[inline]
-    pub fn maybe_contains(&self, addr: Addr) -> bool {
-        let (page, word, mask) = Self::locate(addr);
-        if page >= FILTER_MAX_PAGES {
-            return true;
-        }
-        match self.pages.get(page) {
-            Some(Some(words)) => words[word] & mask != 0,
-            _ => false,
-        }
-    }
-
-    /// Forget everything (whole-machine reset). Keeps allocated pages,
-    /// zeroed in place, so steady-state resets don't churn the allocator.
-    pub fn clear(&mut self) {
-        for page in self.pages.iter_mut().flatten() {
-            page.fill(0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,52 +520,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn line_filter_tracks_lines_not_bytes() {
-        let mut f = LineFilter::new();
-        f.insert(Addr(0x10_0007));
-        // Every byte of the same 64-byte line answers "maybe".
-        assert!(f.maybe_contains(Addr(0x10_0000)));
-        assert!(f.maybe_contains(Addr(0x10_003f)));
-        // Neighboring lines stay provably absent.
-        assert!(!f.maybe_contains(Addr(0x10_0040)));
-        assert!(!f.maybe_contains(Addr(0x0f_ffc0)));
-    }
-
-    #[test]
-    fn line_filter_page_boundaries() {
-        let mut f = LineFilter::new();
-        let page_bytes = FILTER_PAGE_LINES * crate::LINE_SIZE;
-        // Last line of page 0 and first line of page 3.
-        f.insert(Addr(page_bytes - 1));
-        f.insert(Addr(3 * page_bytes));
-        assert!(f.maybe_contains(Addr(page_bytes - 64)));
-        assert!(!f.maybe_contains(Addr(page_bytes)));
-        assert!(f.maybe_contains(Addr(3 * page_bytes + 63)));
-        // Page 2 was never allocated: still a definite no.
-        assert!(!f.maybe_contains(Addr(2 * page_bytes)));
-    }
-
-    #[test]
-    fn line_filter_is_conservative_beyond_cap() {
-        let mut f = LineFilter::new();
-        let beyond = Addr(1u64 << 33);
-        // Never inserted, but out of range → must answer "maybe".
-        assert!(f.maybe_contains(beyond));
-        // Inserting out of range is a no-op, not a huge allocation.
-        f.insert(beyond);
-        assert!(f.pages.is_empty());
-    }
-
-    #[test]
-    fn line_filter_clear_forgets_in_place() {
-        let mut f = LineFilter::new();
-        f.insert(Addr(0x4000));
-        let pages_before = f.pages.len();
-        f.clear();
-        assert!(!f.maybe_contains(Addr(0x4000)));
-        assert_eq!(f.pages.len(), pages_before);
     }
 }

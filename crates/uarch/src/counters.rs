@@ -58,11 +58,10 @@ pub enum PerfEvent {
     AmdL2FillBusy,
 
     // ---- simulator-internal ----------------------------------------------
-    /// Full `DecodedProgram` recompiles taken by [`patch_program`], one per
-    /// self-modifying write-back. Not a hardware event: it makes the cost
-    /// of rewriting code visible in the counter bank.
-    ///
-    /// [`patch_program`]: crate::machine::Machine::patch_program
+    /// Never incremented: the simulator models the timing of SMC
+    /// write-backs but never rewrites loaded code, so there is nothing to
+    /// recompile. Kept only because the benchmark's per-layer table still
+    /// reads it (as `engine.patch_recompiles`, always 0).
     SimPatchRecompiles,
     /// Probe sequences and calls that entered the fused tier
     /// ([`run_probes`], [`run_calls`]), one per probe or call. Not a

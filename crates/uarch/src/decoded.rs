@@ -17,9 +17,8 @@
 //! turn `head: delay c; add r,-1; cmp r,0; je exit; jmp tail` with
 //! `tail: jmp head` on the next line, the shape of a busy victim routine —
 //! so the engine can retire whole turns of it in closed form
-//! ([`CountedLoop`]). A self-modifying write-back
-//! ([`crate::machine::Machine::patch_program`]) recompiles the whole table,
-//! so marks always match the code.
+//! ([`CountedLoop`]). Every load recompiles the whole table and loaded
+//! code is never rewritten, so marks always match the code.
 
 use std::collections::HashMap;
 

@@ -1536,23 +1536,10 @@ impl Machine {
     }
 
     /// Does a write/flush/prefetch-class access to `line` conflict with the
-    /// front-end? True when the line is in L1i or in either thread's
-    /// in-flight fetch window.
-    ///
-    /// Prefiltered through [`CacheHierarchy::maybe_in_l1i`]: the filter is
-    /// a superset of every line ever *fetched* (fetch-window entries all
-    /// went through `Machine::fetch`, so they are marked too), which means a
-    /// clear filter bit disproves both conditions at the cost of one
-    /// shift-and-mask. Data-heavy victims issue nearly all their stores at
-    /// provably-data lines, so the exact L1i set walk becomes cold.
+    /// front-end? True when the line is in L1i (`in_l1i`, the caller's
+    /// residency bit) or in either thread's in-flight fetch window.
     fn smc_conflict(&self, line: Addr, in_l1i: bool) -> bool {
-        if !self.hier.maybe_in_l1i(line) {
-            return false;
-        }
-        if in_l1i {
-            return true;
-        }
-        self.threads.iter().any(|t| t.fetch_window.contains(&line.0))
+        in_l1i || self.threads.iter().any(|t| t.fetch_window.contains(&line.0))
     }
 
     /// Probe-class bookkeeping shared by stores, flushes, prefetches and

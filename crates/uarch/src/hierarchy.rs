@@ -15,7 +15,7 @@
 //!   modified line), which is the hook the SMC detection unit observes.
 
 use crate::addr::Addr;
-use crate::cache::{Cache, CacheGeometry, Evicted, LineFilter};
+use crate::cache::{Cache, CacheGeometry, Evicted};
 
 /// The hierarchy level where an access hit.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -171,9 +171,6 @@ pub struct CacheHierarchy {
     l1d: Cache,
     l2: Cache,
     llc: Cache,
-    /// Superset of every line ever inserted into the L1i since the last
-    /// [`CacheHierarchy::clear`]; backs [`CacheHierarchy::maybe_in_l1i`].
-    l1i_filter: LineFilter,
 }
 
 impl CacheHierarchy {
@@ -185,7 +182,6 @@ impl CacheHierarchy {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
             llc: Cache::new(cfg.llc),
-            l1i_filter: LineFilter::new(),
         }
     }
 
@@ -201,7 +197,6 @@ impl CacheHierarchy {
         for c in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.llc] {
             c.flush_all();
         }
-        self.l1i_filter.clear();
     }
 
     /// Where is this line cached right now? (Non-mutating.)
@@ -213,16 +208,6 @@ impl CacheHierarchy {
             l2: self.l2.contains_line(line),
             llc: self.llc.contains_line(line),
         }
-    }
-
-    /// `false` proves the line containing `addr` has never been in the
-    /// L1i since the last [`CacheHierarchy::clear`]; `true` means "maybe,
-    /// run the exact check". One shift-and-mask — the SMC detection unit
-    /// uses this to skip residency probes for stores that provably target
-    /// pure data lines (the overwhelmingly common case).
-    #[inline]
-    pub fn maybe_in_l1i(&self, addr: Addr) -> bool {
-        self.l1i_filter.maybe_contains(addr)
     }
 
     /// Data latency for a hierarchy level.
@@ -288,7 +273,6 @@ impl CacheHierarchy {
         if !in_l1i {
             self.fill_shared(line);
             self.l1i.insert_line(line, false);
-            self.l1i_filter.insert(line);
         }
         AccessInfo { level, latency: self.ifetch_extra(level), was_in_l1i: in_l1i }
     }
@@ -530,7 +514,6 @@ impl CacheHierarchy {
         }
         if residency.l1i {
             self.l1i.insert(addr, false);
-            self.l1i_filter.insert(addr);
         }
         if residency.l1d {
             self.l1d.insert(addr, false);
@@ -554,31 +537,6 @@ mod tests {
         let r = h.residency(a);
         assert!(r.l1i && r.l2 && r.llc && !r.l1d);
         assert_eq!(h.fetch(a).level, Level::L1i);
-    }
-
-    /// The filter is a sound superset of L1i residency: no line may be in
-    /// the L1i while the filter answers a definite "no" — not after
-    /// fetches, placements, evictions, or clears.
-    #[test]
-    fn l1i_filter_is_a_residency_superset() {
-        let mut h = hier();
-        let code = Addr(0x4000);
-        let data = Addr(0x9000);
-        assert!(!h.maybe_in_l1i(code));
-        h.fetch(code);
-        assert!(h.maybe_in_l1i(code));
-        h.read(data);
-        assert!(!h.maybe_in_l1i(data), "data reads must not pollute the filter");
-        // Eviction leaves the bit set: stale "maybe" is allowed...
-        h.invalidate_l1i(code);
-        assert!(!h.residency(code).l1i);
-        assert!(h.maybe_in_l1i(code));
-        // ...and place() marks, clear() forgets.
-        h.place(data, Residency { l1i: true, l1d: false, l2: false, llc: true });
-        assert!(h.maybe_in_l1i(data));
-        h.clear();
-        assert!(!h.maybe_in_l1i(code));
-        assert!(!h.maybe_in_l1i(data));
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod mem;
 pub mod noise;
 pub mod pool;
 pub mod profile;
-pub mod stablehash;
 pub mod tlb;
 
 pub use addr::{Addr, LINE_SIZE, PAGE_SIZE};

@@ -121,8 +121,8 @@ pub struct Machine {
     /// `pc → index` in the decoded table's map every call.
     pub(crate) call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
     pub(crate) call_shapes_gen: u64,
-    /// Bumped whenever the decoded table is rebuilt (load / patch /
-    /// reset), invalidating `call_shapes`.
+    /// Bumped whenever the decoded table is rebuilt (load / reset),
+    /// invalidating `call_shapes`.
     pub(crate) decode_gen: u64,
     pub(crate) mem: Memory,
     pub(crate) hier: CacheHierarchy,
@@ -235,33 +235,14 @@ impl Machine {
 
     /// Load (merge) a program into the core's address space and recompile
     /// the decoded side table (linear in total program size — paid per
-    /// load, never per step).
+    /// load, never per step), invalidating the call-shape memo and every
+    /// thread's cached instruction index.
+    ///
+    /// Architectural state only: a store to a code line has the timing
+    /// effects of an SMC write-back (machine clear, L1i invalidation,
+    /// sibling stall) but never changes the instructions executed there.
     pub fn load_program(&mut self, prog: &Program) {
         self.code.merge(prog);
-        self.recompile();
-    }
-
-    /// Apply a self-modifying write-back: overwrite already-loaded
-    /// instructions with `prog`'s (replacing on conflict, unlike
-    /// [`Machine::load_program`]'s merge-only semantics), then recompile
-    /// the decoded side table as a load does, counting one
-    /// `SimPatchRecompiles`.
-    ///
-    /// Architectural state only, like `load_program`: the *timing* side
-    /// of a real SMC write-back (machine clear, L1i invalidation, sibling
-    /// stall) is modeled by the store/flush instructions the workload
-    /// executes against the line.
-    pub fn patch_program(&mut self, prog: &Program) {
-        self.code.overwrite(prog);
-        // Charge the recompile to T0's bank: the event is core-wide, so
-        // attributing it to one thread keeps `counters_total` exact.
-        self.threads[0].counters.add(PerfEvent::SimPatchRecompiles, 1);
-        self.recompile();
-    }
-
-    /// Rebuild the decoded side table from `code`, invalidating the
-    /// call-shape memo and every thread's cached instruction index.
-    fn recompile(&mut self) {
         self.decoded = DecodedProgram::compile(&self.code);
         self.decode_gen += 1;
         for t in &mut self.threads {
@@ -768,64 +749,54 @@ mod tests {
     }
 
     #[test]
-    fn patched_code_executes_on_the_fast_path() {
-        // The SMC coherence contract every interpreter tier honours (the
-        // selfie `coherency-invalidation` idiom): make a routine
-        // icache-resident, store to its line (one machine clear, L1i line
-        // invalidated), rewrite its return value, and call it again through
-        // both the plain and the batched call path. The last two patches
-        // flip the routine into and out of the fused `nop*; ret` call shape,
-        // so a stale call-shape memo would skip the final `mov_imm`. Every
-        // patch, same-length or not, recompiles the decoded table once.
+    fn call_shape_memo_follows_index_shifting_loads() {
+        // The fused call path memoizes a callee's `nop*; ret` shape,
+        // including the decoded index of its `ret`, where the caller parks
+        // `pc_idx` as the per-step path does. Loading code below the
+        // routine shifts every decoded index, so a memo that outlived the
+        // load would park the thread on the new code's third `mov_imm`.
+        // After a reset, the same address may hold a routine of another
+        // shape, which a stale memo would still retire as `nop; nop; ret`.
         const ROUTINE: u64 = 0x7_0000;
-        let returns = |value: u64| -> Program {
-            let mut a = Assembler::new(ROUTINE);
-            a.mov_imm(Reg::R0, value).ret();
-            a.assemble().unwrap()
-        };
-        let nops = || -> Program {
-            let mut a = Assembler::new(ROUTINE);
-            // Seven one-byte nops cover the seven-byte `mov_imm`.
-            for _ in 0..7 {
-                a.nop();
-            }
-            a.ret();
-            a.assemble().unwrap()
-        };
-        let recompiles = |m: &Machine| m.counters(T0).read(PerfEvent::SimPatchRecompiles);
+        const BELOW: u64 = 0x1000;
+        let mut a = Assembler::new(BELOW);
+        a.mov_imm(Reg::R0, 0xbad).mov_imm(Reg::R0, 0xbad).mov_imm(Reg::R0, 0xbad).ret();
+        let below = a.assemble().unwrap();
+        let mut a = Assembler::new(ROUTINE);
+        a.nop().add(Reg::R0, Reg::R1).ret();
+        let adds = a.assemble().unwrap();
+        let mut outcomes = Vec::new();
         for t in [Tier::Reference, Tier::Decoded, Tier::Fused] {
             let tier = format!("{t:?}");
             let mut m = cl();
             m.set_tier(t);
-            m.load_program(&returns(1));
-            m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
+            m.load_program(&oracle_program(ROUTINE));
+            m.set_reg(T0, Reg::R0, 1);
+            m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
+            m.load_program(&below);
+            m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 1, "{tier}");
-            assert!(m.residency(Addr(ROUTINE)).l1i, "{tier}: routine is L1i-resident");
+            let (pc, pc_idx) = (m.threads[0].pc, m.threads[0].pc_idx);
+            if t != Tier::Reference {
+                assert_eq!(pc_idx, m.decoded.index_of(pc), "{tier}: parked on the `ret`");
+            }
+            if t == Tier::Fused {
+                assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 4, "{tier}");
+            }
+            m.call(T0, BELOW, &[]).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 0xbad, "{tier}: the new code runs");
 
-            let before = m.counters(T0).snapshot();
-            m.set_reg(T0, Reg::R1, ROUTINE);
-            m.run_sequence(T0, &[Instr::StoreImm { mem: MemRef::base(Reg::R1), imm: 0x90 }])
-                .unwrap();
-            assert_eq!(m.counters(T0).delta(&before, PerfEvent::MachineClearsSmc), 1, "{tier}");
-            assert!(!m.residency(Addr(ROUTINE)).l1i, "{tier}: clear invalidates the line");
-
-            m.patch_program(&returns(2));
-            assert_eq!(recompiles(&m), 1, "{tier}: a same-length patch recompiles");
-            m.call(T0, ROUTINE, &[]).unwrap();
-            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: call sees the patch");
-            m.set_reg(T0, Reg::R0, 0);
-            m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
-            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: run_calls sees the patch");
-
-            m.patch_program(&nops());
-            assert_eq!(recompiles(&m), 2, "{tier}");
+            m.reset(NoiseConfig::quiet(), 0x5eed);
+            m.set_tier(t);
+            m.load_program(&adds);
+            m.set_reg(T0, Reg::R0, 1);
+            m.set_reg(T0, Reg::R1, 2);
             m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
-            assert_eq!(m.reg(T0, Reg::R0), 2, "{tier}: nop routine leaves R0");
-            m.patch_program(&returns(3));
-            assert_eq!(recompiles(&m), 3, "{tier}");
-            m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
-            assert_eq!(m.reg(T0, Reg::R0), 3, "{tier}: no stale call shape");
+            assert_eq!(m.reg(T0, Reg::R0), 5, "{tier}: no stale shape after a reset");
+            outcomes.push((pc, m.clock(T0), m.counters(T0).read(PerfEvent::InstRetired)));
         }
+        assert_eq!(outcomes[1], outcomes[0], "decoded vs reference");
+        assert_eq!(outcomes[2], outcomes[0], "fused vs reference");
     }
 
     #[test]

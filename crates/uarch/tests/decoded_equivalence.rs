@@ -2,9 +2,9 @@
 //! for arbitrary programs, executing through the pre-decoded side table
 //! must produce exactly the architectural state, clocks, and performance
 //! counters of the per-step `BTreeMap` reference tier. The same holds
-//! under injected eviction noise, across mid-run code patches (each
-//! recompiles the table), and for two threads driven in one run or one
-//! step at a time. The fused tier is held to the per-step decoded tier
+//! under injected eviction noise, across mid-run loads of fresh code (each
+//! recompiles the table and may shift every decoded index), and for two
+//! threads driven in one run or one step at a time. The fused tier is held to the per-step decoded tier
 //! the same way (the `fused_probes` module). Cache state is compared in
 //! LRU order, not only residency (see [`lru_sweep`]).
 
@@ -237,31 +237,24 @@ fn run(prog: &Program, tier: Tier, noise_seed: Option<u64>) -> Outcome {
     Outcome::capture(&mut m)
 }
 
-/// A runtime rewrite of the helper routine's code line. Three variants:
-/// a same-length `xor` swap and a same-length `mfence` swap (instruction
-/// boundaries survive), and the boundary-moving variant that also places
-/// a fresh routine at new addresses.
-fn helper_patch(kind: u8) -> Program {
-    let mut a = Assembler::new(HELPER_BASE);
-    match kind {
-        0 => a.label("helper").xor(Reg::R0, Reg::R1).nop().ret(),
-        1 => a.label("helper").mfence().nop().ret(),
-        _ => {
-            a.label("helper").xor(Reg::R0, Reg::R1).nop().ret();
-            a.org(HELPER_BASE + 0x40).label("helper2").add_imm(Reg::R0, 5).ret()
-        }
-    };
-    a.assemble().expect("patch assembles")
+/// A fresh routine at new addresses, loaded while a program runs: below
+/// the program (every decoded index shifts), between the program and its
+/// helper (the helper's indices shift), or on the line after the helper.
+fn fresh_routine(kind: u8) -> Program {
+    let origin = [0x1_0000, 0x18_0000, HELPER_BASE + 0x40][kind as usize % 3];
+    let mut a = Assembler::new(origin);
+    a.label("fresh").xor(Reg::R0, Reg::R1).add_imm(Reg::R0, 5).ret();
+    a.assemble().expect("fresh routine assembles")
 }
 
-/// Run `prog`, apply `patch` after `at_step` engine steps (mid-run
-/// self-modification), and run to completion.
-fn run_with_patch(prog: &Program, patch: &Program, at_step: u64, tier: Tier) -> Outcome {
+/// Run `prog`, load `fresh` after `at_step` engine steps, and run to
+/// completion.
+fn run_with_load(prog: &Program, fresh: &Program, at_step: u64, tier: Tier) -> Outcome {
     let mut m = machine(tier, None);
     m.load_program(prog);
     m.start_program(T0, prog.entry(), &[]);
     m.run_burst(T0, at_step).expect("prefix runs");
-    m.patch_program(patch);
+    m.load_program(fresh);
     m.run_until_halt(T0, 1_000_000).expect("program halts");
     Outcome::capture(&mut m)
 }
@@ -279,21 +272,21 @@ proptest! {
         prop_assert_eq!(&run(&prog, DECODED, None), &reference, "decoded diverged");
     }
 
-    /// Self-modified code lines recompile into the side table: rewriting
-    /// the helper routine mid-run (two same-length patches and the
-    /// boundary-moving variant) must leave the decoded tier bit-identical
-    /// to the map-lookup reference.
+    /// A load recompiles the side table under a running thread: loading
+    /// a fresh routine mid-run, at addresses that shift the running code's
+    /// decoded indices or not, must leave the decoded tier bit-identical to
+    /// the map-lookup reference.
     #[test]
-    fn prop_rewritten_code_lines_match_reference(
+    fn prop_midrun_loads_match_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60),
         kind in 0u8..3,
         at_step in 1u64..150,
     ) {
         let prog = build_program(&ops);
-        let patch = helper_patch(kind);
-        let reference = run_with_patch(&prog, &patch, at_step, REFERENCE);
-        let got = run_with_patch(&prog, &patch, at_step, DECODED);
-        prop_assert_eq!(&got, &reference, "decoded diverged after rewrite {}", kind);
+        let fresh = fresh_routine(kind);
+        let reference = run_with_load(&prog, &fresh, at_step, REFERENCE);
+        let got = run_with_load(&prog, &fresh, at_step, DECODED);
+        prop_assert_eq!(&got, &reference, "decoded diverged after load {}", kind);
     }
 
     /// Injected eviction noise is drawn from the thread clocks: noisy runs
@@ -314,8 +307,8 @@ proptest! {
 /// enabled must be bit-identical — registers, both clocks, memory,
 /// timings, cache contents in LRU order and hardware counters — to the
 /// per-step injected sequence, across probe classes, cold placements,
-/// injected noise, waits, mid-run SMC patches of the probed line, and a
-/// victim co-running on the sibling thread (which may fault mid-probe).
+/// injected noise, waits, mid-run loads of fresh code, and a victim
+/// co-running on the sibling thread (which may fault mid-probe).
 mod fused_probes {
     use super::*;
     use smack_uarch::isa::{Instr, MemRef, MemSize};
@@ -433,8 +426,6 @@ mod fused_probes {
     const BUSY_TURNS: u64 = 40;
     /// The body's first instruction follows the 19-byte prologue.
     const BUSY_DELAY_PC: u64 = VICTIM_BASE + 19;
-    /// `delay` (4 bytes) and `add` (5) precede the body's `cmp`.
-    const BUSY_CMP_PC: u64 = BUSY_DELAY_PC + 9;
 
     fn busy_victim(calls: u64) -> Program {
         let mut a = Assembler::new(BUSY_DRIVER);
@@ -481,29 +472,21 @@ mod fused_probes {
     const DATA_WAYS: [u64; 8] =
         [0x70_1000, 0x70_2000, 0x70_3000, 0x70_4000, 0x70_5000, 0x70_6000, 0x70_7000, 0x70_8000];
 
-    /// `nop; nop; ret` at every clear and loop-set way.
-    fn attacker_ways() -> Program {
+    /// `nop; nop; ret` at every clear and loop-set way, except that with
+    /// `break_way` the second clear way is `nop; add; ret`, a callee the
+    /// fused tier refuses.
+    fn attacker_ways(break_way: bool) -> Program {
         let mut a = Assembler::new(CLEAR_WAYS[0]);
         for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS) {
-            a.org(w).nop().nop().ret();
+            a.org(w).nop();
+            if break_way && w == CLEAR_WAYS[1] {
+                a.add(Reg::R0, Reg::R1);
+            } else {
+                a.nop();
+            }
+            a.ret();
         }
         a.assemble().expect("ways assemble")
-    }
-
-    /// A length-preserving rewrite of one of the busy loop's instructions:
-    /// the `delay` retuned (the loop keeps its shape) or restored, the
-    /// `cmp` turned into `cmp r,1` (no longer the counted shape) or
-    /// restored.
-    fn loop_patch(kind: u8) -> Program {
-        let (pc, instr) = match kind % 4 {
-            0 => (BUSY_DELAY_PC, Instr::Delay { cycles: 64 }),
-            1 => (BUSY_DELAY_PC, Instr::Delay { cycles: 37 }),
-            2 => (BUSY_CMP_PC, Instr::CmpImm { a: Reg::R11, imm: 1 }),
-            _ => (BUSY_CMP_PC, Instr::CmpImm { a: Reg::R11, imm: 0 }),
-        };
-        let mut a = Assembler::new(pc);
-        a.push(instr);
-        a.assemble().expect("loop patch assembles")
     }
 
     /// The co-running program on T1.
@@ -531,10 +514,11 @@ mod fused_probes {
         /// [`Machine::run_calls`] entry (an eviction set primes its ways
         /// this way).
         ExecuteBatch(u8),
-        /// Rewrite the probed routine (SMC patch between probes).
-        Patch(u8),
-        /// Rewrite a busy-victim loop instruction ([`loop_patch`]).
-        PatchLoop(u8),
+        /// Load a [`fresh_routine`] between actions, as table5's attack
+        /// windows load theirs while the co-tenant runs. Every variant
+        /// lies below `TARGET` and the victim, so their decoded indices
+        /// shift under the running sibling.
+        Load(u8),
         /// One batched entry over `n` lines — the clear ways, or ways of
         /// the busy loop's and `TARGET`'s L1i set: [`Machine::run_calls`],
         /// or [`Machine::run_probes`] of the `Execute` probe (`probe`).
@@ -542,9 +526,6 @@ mod fused_probes {
         /// Load the first `n` [`DATA_WAYS`] per-step, filling `TARGET`'s
         /// L1d set.
         LoadData(u8),
-        /// Rewrite the second clear way as `nop; add; ret`, a callee the
-        /// fused tier refuses.
-        BreakWay,
     }
 
     fn action_strategy() -> impl Strategy<Value = Action> {
@@ -560,19 +541,14 @@ mod fused_probes {
             (0u16..3000).prop_map(Action::Wait),
             Just(Action::Execute),
             (1u8..4).prop_map(Action::ExecuteBatch),
-            (0u8..3).prop_map(Action::Patch),
+            (0u8..3).prop_map(Action::Load),
             (1u8..9).prop_map(Action::LoadData),
             (1u8..9).prop_map(|n| Action::Batch { probe: false, clear: false, n }),
         ]
     }
 
-    /// [`action_strategy`] plus rewrites of the busy victim's loop.
-    fn busy_action_strategy() -> impl Strategy<Value = Action> {
-        prop_oneof![action_strategy(), action_strategy(), (0u8..4).prop_map(Action::PatchLoop)]
-    }
-
     /// Batched calls and probe rounds over clear or loop-set lines,
-    /// between waits, single probes and loop rewrites.
+    /// between waits, single probes and mid-run loads.
     fn batch_action_strategy() -> impl Strategy<Value = Action> {
         let batch = || {
             (any::<bool>(), 0u8..4, 1u8..9).prop_map(|(probe, clear, n)| Action::Batch {
@@ -587,16 +563,17 @@ mod fused_probes {
             batch(),
             (0u16..3000).prop_map(Action::Wait),
             action_strategy(),
-            (0u8..4).prop_map(Action::PatchLoop),
         ]
     }
 
-    /// How a run is set up: injected noise `(config, seed)`, and an
-    /// optional co-running victim started on T1.
+    /// How a run is set up: injected noise `(config, seed)`, an optional
+    /// co-running victim started on T1, and whether the second clear way
+    /// is a callee the fused tier refuses ([`attacker_ways`]).
     #[derive(Copy, Clone, Debug, Default)]
     struct Setup {
         noise: Option<(NoiseConfig, u64)>,
         victim: Option<Victim>,
+        break_way: bool,
     }
 
     /// An eviction every ~250 cycles: frequent enough that the order of
@@ -657,7 +634,7 @@ mod fused_probes {
         };
         m.set_tier(if fused { Tier::Fused } else { Tier::Decoded });
         m.load_program(&oracle(oracle_kind));
-        m.load_program(&attacker_ways());
+        m.load_program(&attacker_ways(setup.break_way));
         for &w in CLEAR_WAYS.iter().chain(&LOOP_SET_WAYS).chain(&DATA_WAYS) {
             m.warm_tlb(T0, Addr(w));
         }
@@ -699,18 +676,8 @@ mod fused_probes {
                     let targets = [Addr(TARGET); 3];
                     m.run_calls(T0, &targets[..n as usize]).map(|_| ())
                 }
-                Action::Patch(kind) => {
-                    m.patch_program(&oracle(kind));
-                    Ok(())
-                }
-                Action::PatchLoop(kind) => {
-                    m.patch_program(&loop_patch(kind));
-                    Ok(())
-                }
-                Action::BreakWay => {
-                    let mut a = Assembler::new(CLEAR_WAYS[1]);
-                    a.nop().add(Reg::R0, Reg::R1).ret();
-                    m.patch_program(&a.assemble().expect("way assembles"));
+                Action::Load(kind) => {
+                    m.load_program(&fresh_routine(kind));
                     Ok(())
                 }
                 Action::LoadData(n) => {
@@ -782,18 +749,15 @@ mod fused_probes {
         (outcome, counts)
     }
 
-    /// `nop.nop.ret` is exactly the fusable call shape; the other oracle
-    /// kinds (and patches to them) make calls and `Execute` probes fall
-    /// back.
-    fn always_fusable(actions: &[Action], oracle_kind: u8) -> bool {
-        oracle_kind == 0 && actions.iter().all(|a| !matches!(a, Action::Patch(k) if k % 3 != 0))
-    }
+    /// `nop.nop.ret` (oracle kind 0) is exactly the fusable call shape;
+    /// the other oracle kinds make calls and `Execute` probes fall back.
+    const FUSABLE_ORACLE: u8 = 0;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Fused vs per-step probe execution over arbitrary interleavings
-        /// of probes, placements, waits, executes, and SMC patches.
+        /// of probes, placements, waits, executes, and mid-run loads.
         #[test]
         fn prop_fused_probes_match_per_step(
             actions in proptest::collection::vec(action_strategy(), 1..40),
@@ -812,7 +776,7 @@ mod fused_probes {
             // shape is not `nop*; ret` on one line.
             prop_assert!(f.fast >= f.memory_probes, "fast {} < {} probes", f.fast, f.memory_probes);
             prop_assert_eq!(f.fast + f.fallback, f.attempts);
-            if always_fusable(&actions, oracle_kind) {
+            if oracle_kind == FUSABLE_ORACLE {
                 prop_assert_eq!(f.fallback, 0, "fusable oracle never falls back");
             }
         }
@@ -825,7 +789,7 @@ mod fused_probes {
             oracle_kind in 0u8..3,
             seed in any::<u64>(),
         ) {
-            let setup = Setup { noise: Some((NoiseConfig::realistic(), seed)), victim: None };
+            let setup = Setup { noise: Some((NoiseConfig::realistic(), seed)), victim: None, ..Setup::default() };
             let (reference, _) = run_actions(&actions, oracle_kind, false, setup);
             let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
             prop_assert_eq!(&fused, &reference, "fused probes diverged under noise");
@@ -847,12 +811,12 @@ mod fused_probes {
             iters in 1u64..3000,
         ) {
             let victim = Some(Victim::Modexp { iters, fault: false });
-            let setup = Setup { noise: Some((HEAVY_NOISE, seed)), victim };
+            let setup = Setup { noise: Some((HEAVY_NOISE, seed)), victim, ..Setup::default() };
             let (reference, _) = run_actions(&actions, oracle_kind, false, setup);
             let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
             prop_assert_eq!(&fused, &reference, "fused tier diverged with a co-running sibling");
             prop_assert_eq!(f.fast + f.fallback, f.attempts);
-            if always_fusable(&actions, oracle_kind) {
+            if oracle_kind == FUSABLE_ORACLE {
                 prop_assert_eq!(f.fallback, 0, "a running sibling forced a fallback");
             }
         }
@@ -860,12 +824,11 @@ mod fused_probes {
         /// The loop tier's axis: a victim busy in counted delay loops
         /// whose body line shares `TARGET`'s L1i set, so attacker calls
         /// and probes keep evicting it, under heavy eviction noise, while
-        /// SMC patches retune or break the loop between actions. Catch-ups
-        /// that retire turns in closed form must land exactly where
-        /// stepping lands.
+        /// fresh code loads between actions. Catch-ups that retire turns in
+        /// closed form must land exactly where stepping lands.
         #[test]
         fn prop_fused_match_with_busy_sibling(
-            actions in proptest::collection::vec(busy_action_strategy(), 1..30),
+            actions in proptest::collection::vec(action_strategy(), 1..30),
             oracle_kind in 0u8..3,
             seed in any::<u64>(),
             calls in 1u64..40,
@@ -873,6 +836,7 @@ mod fused_probes {
             let setup = Setup {
                 noise: Some((HEAVY_NOISE, seed)),
                 victim: Some(Victim::Busy { calls }),
+                ..Setup::default()
             };
             let (reference, r) = run_actions(&actions, oracle_kind, false, setup);
             let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
@@ -888,7 +852,7 @@ mod fused_probes {
         /// The batch carry's axis: batched calls and `Execute` probe
         /// rounds over ways clear of the busy victim's loop (which carry
         /// it) and over an eviction set on the loop's own L1i set (which
-        /// must not), between waits, single probes and loop rewrites, under
+        /// must not), between waits, single probes and mid-run loads, under
         /// heavy, realistic or no eviction noise. The carried batches must
         /// land exactly where stepping at every catch-up point lands —
         /// fetch windows included.
@@ -904,6 +868,7 @@ mod fused_probes {
             let setup = Setup {
                 noise: Some((noise, seed)),
                 victim: Some(Victim::Busy { calls }),
+                ..Setup::default()
             };
             let (reference, r) = run_actions(&actions, oracle_kind, false, setup);
             let (fused, f) = run_actions(&actions, oracle_kind, true, setup);
@@ -922,7 +887,8 @@ mod fused_probes {
             .flat_map(|i| [batch(false), Action::Wait(300 + i * 37), batch(true)])
             .collect();
         for noise in [None, Some((NoiseConfig::realistic(), 3))] {
-            let setup = Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }) };
+            let setup =
+                Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }), ..Setup::default() };
             let (reference, _) = run_actions(&actions, 0, false, setup);
             let (fused, f) = run_actions(&actions, 0, true, setup);
             assert_eq!(fused, reference, "{noise:?}");
@@ -938,8 +904,9 @@ mod fused_probes {
     fn refused_batches_step_every_probe_and_call() {
         for victim in [None, Some(Victim::Busy { calls: 100 })] {
             for probe in [true, false] {
-                let actions = [Action::BreakWay, Action::Batch { probe, clear: true, n: 4 }];
-                let setup = Setup { noise: Some((NoiseConfig::realistic(), 9)), victim };
+                let actions = [Action::Batch { probe, clear: true, n: 4 }];
+                let setup =
+                    Setup { noise: Some((NoiseConfig::realistic(), 9)), victim, break_way: true };
                 let (reference, _) = run_actions(&actions, 0, false, setup);
                 let (fused, f) = run_actions(&actions, 0, true, setup);
                 assert_eq!(fused, reference, "probe batch {probe}, {victim:?}");
@@ -957,7 +924,8 @@ mod fused_probes {
             .flat_map(|i| [Action::Wait(300 + i * 37), Action::Probe { op: 0, place: None }])
             .collect();
         for noise in [None, Some((NoiseConfig::realistic(), 3))] {
-            let setup = Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }) };
+            let setup =
+                Setup { noise, victim: Some(Victim::Busy { calls: 1_000 }), ..Setup::default() };
             let (reference, _) = run_actions(&actions, 0, false, setup);
             let (fused, f) = run_actions(&actions, 0, true, setup);
             assert_eq!(fused, reference, "{noise:?}");
@@ -988,7 +956,11 @@ mod fused_probes {
             .collect();
         let mut left_mid_call = 0;
         for (iters, noise) in (1..48).flat_map(|i| [(i, None), (i, Some((HEAVY_NOISE, i)))]) {
-            let setup = Setup { noise, victim: Some(Victim::Modexp { iters, fault: true }) };
+            let setup = Setup {
+                noise,
+                victim: Some(Victim::Modexp { iters, fault: true }),
+                ..Setup::default()
+            };
             let (reference, _) = run_actions(&actions, 0, false, setup);
             let (fused, f) = run_actions(&actions, 0, true, setup);
             assert_eq!(fused, reference, "victim faulting after {iters} iterations, {noise:?}");
@@ -1012,7 +984,7 @@ mod fused_probes {
         let actions: Vec<Action> =
             (0..9u8).flat_map(|op| [Action::Execute, Action::Probe { op, place: None }]).collect();
         let victim = Some(Victim::Modexp { iters: 1_000_000, fault: false });
-        let setup = Setup { noise: None, victim };
+        let setup = Setup { noise: None, victim, ..Setup::default() };
         let (reference, _) = run_actions(&actions, 0, false, setup);
         let (fused, f) = run_actions(&actions, 0, true, setup);
         assert_eq!(fused, reference);

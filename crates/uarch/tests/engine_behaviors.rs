@@ -5,7 +5,8 @@
 use smack_uarch::asm::Assembler;
 use smack_uarch::isa::{Instr, MemRef, MemSize, Reg};
 use smack_uarch::{
-    Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, ThreadId, ThreadState,
+    Addr, CompiledProbe, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind,
+    ThreadId, ThreadState, Tier,
 };
 
 const T0: ThreadId = ThreadId::T0;
@@ -89,6 +90,48 @@ fn machine_clear_invalidates_l1i_only() {
     let r = m.residency(Addr(0x4000));
     assert!(!r.l1i, "clear removes the L1i copy");
     assert!(r.l2 && r.llc, "shared levels keep the line");
+}
+
+/// A line still in a thread's fetch window conflicts after it has left
+/// the L1i: a store to it machine-clears, and the clear empties both
+/// windows, so a second store does not. Checked for a store from the
+/// fetching thread and from its sibling, on the per-step reference tier
+/// and through the fused probe tier.
+#[test]
+fn store_to_fetch_window_line_clears_once() {
+    const ROUTINE: u64 = 0x4000;
+    let mem = MemRef::base(Reg::R13);
+    let store = CompiledProbe::compile(&[
+        Instr::Mfence,
+        Instr::Rdtsc { dst: Reg::R14 },
+        Instr::StoreImm { mem, imm: 0x90 },
+        Instr::Mfence,
+        Instr::Rdtsc { dst: Reg::R15 },
+    ])
+    .expect("store probe compiles");
+    let mut a = Assembler::new(ROUTINE);
+    a.nop().ret();
+    let routine = a.assemble().unwrap();
+    for tier in [Tier::Reference, Tier::Fused] {
+        for storer in [T0, T1] {
+            let case = format!("{tier:?}, store from {storer:?}");
+            let mut m = cl();
+            m.set_tier(tier);
+            m.load_program(&routine);
+            m.call(T0, ROUTINE, &[]).unwrap();
+            m.place_line(Addr(ROUTINE), Placement::L2);
+            assert!(!m.residency(Addr(ROUTINE)).l1i, "{case}: line left the L1i");
+            assert!(m.fetch_state(T0).1.contains(&ROUTINE), "{case}: line in T0's window");
+            for _ in 0..2 {
+                m.run_probes(storer, &store, &[Addr(ROUTINE)], &mut [0]).unwrap();
+                let clears = m.counters(storer).read(PerfEvent::MachineClearsSmc);
+                assert_eq!(clears, 1, "{case}: exactly one clear");
+            }
+            if tier == Tier::Fused {
+                assert_eq!(m.counters(storer).read(PerfEvent::SimProbeFastPath), 2, "{case}");
+            }
+        }
+    }
 }
 
 /// Executing a store to your own *data* never clears, even at high rates.
