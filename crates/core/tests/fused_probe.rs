@@ -1,11 +1,9 @@
 //! The fused probe tier must be invisible to everything built on top of
-//! [`Prober`]: measurements, waits and batched probe rounds must be
-//! bit-identical whether probe sequences retire through the fused engine
-//! pass or per-step injection. Calibrated thresholds and whole
-//! covert-channel transmissions are held to the same bar on all three
-//! tiers in `smack-bench`'s `interpreter_equivalence` tests.
+//! [`Prober`]: measurements, waits, calibration thresholds, and whole
+//! covert-channel transmissions must be bit-identical whether probe
+//! sequences retire through the fused engine pass or per-step injection.
 
-use smack::Prober;
+use smack::{calibrate_with_cold, run_channel_in, ChannelSpec, Prober, Scenario, Sessions};
 use smack_uarch::isa::Reg;
 use smack_uarch::{
     Addr, Machine, MicroArch, NoiseConfig, PerfEvent, Placement, ProbeKind, StepError, ThreadId,
@@ -114,6 +112,40 @@ fn prober_wait_matches_chunked_advance() {
         assert_eq!(fused.clock(T0), stepped.clock(T0), "after wait({cycles})");
     }
     assert_eq!(hw_counters(&fused), hw_counters(&stepped));
+}
+
+#[test]
+fn calibrated_thresholds_unchanged_under_fusion() {
+    for cold in [Placement::L2, Placement::DramOnly] {
+        for kind in ProbeKind::ALL {
+            let a = calibrate_with_cold(&mut machine(true), T0, kind, SCRATCH, 16, cold).unwrap();
+            let b = calibrate_with_cold(&mut machine(false), T0, kind, SCRATCH, 16, cold).unwrap();
+            assert_eq!(a, b, "{kind} calibration diverged with cold={cold:?}");
+        }
+    }
+}
+
+#[test]
+fn covert_channel_reports_identical_under_fusion() {
+    let payload: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
+    let sessions = Sessions::new();
+    let scenario = Scenario::new(MicroArch::CascadeLake);
+    for spec in
+        [ChannelSpec::prime_probe(ProbeKind::Store), ChannelSpec::flush_reload(ProbeKind::Flush)]
+    {
+        let mut fused = sessions.session(&scenario);
+        let mut stepped = sessions.session(&scenario);
+        fused.machine().set_tier(Tier::Fused);
+        stepped.machine().set_tier(Tier::Decoded);
+        let a = run_channel_in(&mut fused, &spec, &payload, true).unwrap();
+        let b = run_channel_in(&mut stepped, &spec, &payload, true).unwrap();
+        assert_eq!(a, b, "{} diverged under fusion", spec.name());
+        assert!(
+            fused.machine().counters(T0).read(PerfEvent::SimProbeFastPath) > 0,
+            "{}: channel never took the fast path",
+            spec.name()
+        );
+    }
 }
 
 /// A sibling for the batched-probe rounds: `iters` turns of a counted
