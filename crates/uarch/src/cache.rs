@@ -51,8 +51,9 @@ pub struct Evicted {
 /// compiler can unroll and vectorize, instead of chasing 24-byte entries.
 /// Within a set the occupied slots form a prefix (`occ[set]` of them), so
 /// lightly-filled sets — the common case right after a per-trace reset —
-/// scan only the lines actually present, exactly like the old `Vec` sets.
-/// LRU stamps live in a parallel array touched only on a hit.
+/// scan only the lines actually present; a full 8-way set compares all
+/// its tags at once instead. LRU stamps live in a parallel array touched
+/// only on a hit.
 ///
 /// A fixed-size hint table short-circuits repeat accesses: touching a line
 /// that is already the most recent in its set leaves the LRU order
@@ -118,12 +119,6 @@ impl Cache {
         (set ^ (set >> 6) ^ (set >> 12)) & (MRU_HINTS - 1)
     }
 
-    /// Range of *occupied* way-slot indices of the set containing `addr`.
-    #[inline]
-    fn slots_of(&self, addr: Addr) -> std::ops::Range<usize> {
-        self.slots_in(self.set_of(addr))
-    }
-
     /// Range of *occupied* way-slot indices of set `set`.
     #[inline]
     fn slots_in(&self, set: usize) -> std::ops::Range<usize> {
@@ -131,10 +126,26 @@ impl Cache {
         base..base + usize::from(self.occ[set])
     }
 
-    /// Slot index holding `line` within `slots`, if present.
-    #[inline]
-    fn find(&self, slots: std::ops::Range<usize>, line: u64) -> Option<usize> {
-        self.lines[slots.clone()].iter().position(|&l| l == line).map(|w| slots.start + w)
+    /// Slot index holding `line` in set `set`, if present.
+    ///
+    /// A set holding eight lines — a full set of the 8-way L1s, where an
+    /// eviction set keeps its ways — compares all eight tags into a mask.
+    /// Its lines are distinct, so the mask has at most the bit of the
+    /// line's slot, and no branch depends on where a scan would stop: the
+    /// ways of an eviction set take turns as the most recent line, so the
+    /// hint rarely answers and a scan's exit branch mispredicts. Any other
+    /// set scans its occupied prefix, which is short in the lightly filled
+    /// sets of a lone attacker, where the mask measured slower.
+    #[inline(always)]
+    fn find(&self, set: usize, line: u64) -> Option<usize> {
+        let base = set * self.geom.ways;
+        let occupied = &self.lines[base..base + usize::from(self.occ[set])];
+        if let Ok(tags) = <&[u64; 8]>::try_from(occupied) {
+            let mask =
+                tags.iter().enumerate().fold(0u32, |m, (w, &l)| m | (u32::from(l == line) << w));
+            return (mask != 0).then(|| base + mask.trailing_zeros() as usize);
+        }
+        occupied.iter().position(|&l| l == line).map(|w| base + w)
     }
 
     /// Whether the line containing `addr` is present.
@@ -151,7 +162,7 @@ impl Cache {
     pub fn contains_line(&self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
         let set = self.set_of(line);
-        self.mru[Self::hint_of(set)] == line.0 || self.lines[self.slots_in(set)].contains(&line.0)
+        self.mru[Self::hint_of(set)] == line.0 || self.find(set, line.0).is_some()
     }
 
     /// Whether the line-aligned `line` is the hinted most recent line of
@@ -172,8 +183,7 @@ impl Cache {
 
     /// Whether the line containing `addr` is present and dirty.
     pub fn is_dirty(&self, addr: Addr) -> bool {
-        let line = addr.line().0;
-        self.find(self.slots_of(addr), line).is_some_and(|i| self.dirty[i])
+        self.find(self.set_of(addr), addr.line().0).is_some_and(|i| self.dirty[i])
     }
 
     /// Mark the line as most-recently-used. Returns `true` if it was present.
@@ -192,7 +202,7 @@ impl Cache {
             return true;
         }
         self.clock += 1;
-        match self.find(self.slots_in(set), line.0) {
+        match self.find(set, line.0) {
             Some(i) => {
                 self.stamps[i] = self.clock;
                 self.mru[hint] = line.0;
@@ -212,17 +222,35 @@ impl Cache {
     /// [`Cache::insert`] for an already line-aligned address.
     pub fn insert_line(&mut self, line: Addr, dirty: bool) -> Option<Evicted> {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
-        let line = line.0;
+        let set = self.set_of(line);
+        match self.find(set, line.0) {
+            Some(i) => {
+                self.clock += 1;
+                self.stamps[i] = self.clock;
+                self.dirty[i] |= dirty;
+                self.mru[Self::hint_of(set)] = line.0;
+                None
+            }
+            None => self.fill(set, line.0, dirty),
+        }
+    }
+
+    /// [`Cache::insert_line`] of a line the caller knows is absent — a
+    /// [`Cache::touch_line`] just missed it and nothing has filled its set
+    /// since — without the presence scan.
+    pub(crate) fn insert_absent_line(&mut self, line: Addr, dirty: bool) -> Option<Evicted> {
+        debug_assert!(!self.contains_line(line), "the caller knows the line is absent");
+        self.fill(self.set_of(line), line.0, dirty)
+    }
+
+    /// Fill the absent line-aligned `line` into set `set` as its most
+    /// recent line, evicting the LRU way if the set is full.
+    #[inline]
+    fn fill(&mut self, set: usize, line: u64, dirty: bool) -> Option<Evicted> {
         self.clock += 1;
         let stamp = self.clock;
-        let set = self.set_of(Addr(line));
         let slots = self.slots_in(set);
         self.mru[Self::hint_of(set)] = line;
-        if let Some(i) = self.find(slots.clone(), line) {
-            self.stamps[i] = stamp;
-            self.dirty[i] |= dirty;
-            return None;
-        }
         // Append into the free suffix if any, else replace the
         // (unique-stamped) LRU victim.
         let (slot, evicted) = if usize::from(self.occ[set]) < self.geom.ways {
@@ -248,8 +276,7 @@ impl Cache {
     /// [`Cache::mark_dirty`] for an already line-aligned address.
     pub fn mark_dirty_line(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
-        let line = line.0;
-        match self.find(self.slots_of(Addr(line)), line) {
+        match self.find(self.set_of(line), line.0) {
             Some(i) => {
                 self.dirty[i] = true;
                 true
@@ -267,8 +294,7 @@ impl Cache {
     /// [`Cache::clean`] for an already line-aligned address.
     pub fn clean_line(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
-        let line = line.0;
-        match self.find(self.slots_of(Addr(line)), line) {
+        match self.find(self.set_of(line), line.0) {
             Some(i) => {
                 let was = self.dirty[i];
                 self.dirty[i] = false;
@@ -288,19 +314,18 @@ impl Cache {
     pub fn invalidate_line(&mut self, line: Addr) -> Option<Evicted> {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
         let line = line.0;
-        let slots = self.slots_of(Addr(line));
-        match self.find(slots.clone(), line) {
+        let set = self.set_of(Addr(line));
+        match self.find(set, line) {
             Some(i) => {
                 let ev = Evicted { line: Addr(self.lines[i]), dirty: self.dirty[i] };
                 // Keep the occupied prefix dense: move the last occupied
                 // slot into the hole (slot order carries no meaning — LRU
                 // is decided purely by the unique stamps).
-                let last = slots.end - 1;
+                let last = self.slots_in(set).end - 1;
                 self.lines[i] = self.lines[last];
                 self.stamps[i] = self.stamps[last];
                 self.dirty[i] = self.dirty[last];
                 self.lines[last] = EMPTY;
-                let set = self.set_of(Addr(line));
                 self.occ[set] -= 1;
                 let hint = &mut self.mru[Self::hint_of(set)];
                 if *hint == line {
@@ -478,15 +503,22 @@ mod tests {
     /// Short-circuiting touches and lookups of each set's most recent line
     /// through the fixed hint table (which aliases sets once a cache has
     /// more than `MRU_HINTS` of them) leaves every hit, eviction victim and
-    /// LRU order exactly as re-stamping on every touch has them.
+    /// LRU order exactly as re-stamping on every touch has them — on the
+    /// prefix scan and on the full 8-way set compare.
     #[test]
     fn mru_hints_match_stamp_every_touch() {
-        for geom in [CacheGeometry { sets: 64, ways: 2 }, CacheGeometry { sets: 256, ways: 4 }] {
+        let geoms = [
+            CacheGeometry { sets: 64, ways: 2 },
+            CacheGeometry { sets: 256, ways: 4 },
+            CacheGeometry { sets: 64, ways: 8 },
+        ];
+        for geom in geoms {
             let mut c = Cache::new(geom);
             let mut reference =
                 StampEveryTouch { sets: vec![Vec::new(); geom.sets], ways: geom.ways };
             let stride = (geom.sets * 64) as u64;
             let mut x = 0x2545_f491_4f6c_dd1du64;
+            let tags = (geom.ways as u64 + 2).max(6);
             let mut last = 0u64;
             for i in 0..20_000 {
                 x ^= x << 13;
@@ -496,7 +528,7 @@ mod tests {
                 // more tags than ways; the previous line half the time.
                 let set = [0u64, 1, 64, 65, 3][(x % 5) as usize];
                 let line =
-                    if (x >> 3) & 1 == 0 { last } else { set * 64 + ((x >> 4) % 6) * stride };
+                    if (x >> 3) & 1 == 0 { last } else { set * 64 + ((x >> 4) % tags) * stride };
                 last = line;
                 if i % 1000 == 999 {
                     c.flush_all();

@@ -528,19 +528,17 @@ struct Carry {
 pub(crate) const CALL_SHAPE_SLOTS: usize = 64;
 
 /// The shape of a fusable callee: `nops` one-byte `nop`s, then the `ret`
-/// at `ret_pc` (decoded index `ret_idx`), all on the entry line, whose
-/// fetch touches `footprint`.
+/// at `ret_pc`, all on the entry line, whose fetch touches `footprint`.
 #[derive(Copy, Clone, Debug, Default)]
 pub(crate) struct CallShape {
     nops: u64,
     ret_pc: u64,
-    ret_idx: u32,
     footprint: Footprint,
 }
 
 /// Empty call-shape slot (`u64::MAX` is never a decodable call target).
 pub(crate) const EMPTY_SHAPE: (u64, CallShape) =
-    (u64::MAX, CallShape { nops: 0, ret_pc: 0, ret_idx: 0, footprint: Footprint::NONE });
+    (u64::MAX, CallShape { nops: 0, ret_pc: 0, footprint: Footprint::NONE });
 
 impl Machine {
     #[inline(always)]
@@ -809,18 +807,23 @@ impl Machine {
     /// fetch window and counters, all of which follow from the number of
     /// instructions retired ([`Machine::retire_span`]). A run must still
     /// pass [`QuietLoop::fits`].
+    ///
+    /// The tests are pure, so their order is free: the head line's fetch
+    /// comes first because it is the one that fails — an attacker prime
+    /// of the head's L1i set takes the head line's recency after every
+    /// sample.
     #[inline(always)]
     fn loop_is_quiet(&self, sib: ThreadId, q: &QuietLoop) -> bool {
         let t = self.t(sib);
         let tail_line = q.line + crate::LINE_SIZE;
         let je = self.decoded.counted_loop(q.slot).pc[LOOP_JE];
-        !(t.spec.is_some()
+        !(!self.hier.front_end_fetch_is_quiet(q.line)
+            || t.spec.is_some()
             || t.ready[q.reg.index()] > q.t0 + 1
             || (q.pos == LOOP_JE && t.flags.eval(Cond::Eq))
             || !self.bpu.strongly_not_taken(je)
             || !self.itlb[sib.index()].hit_is_quiet(Addr(q.line))
             || !self.itlb[sib.index()].hit_is_quiet(Addr(tail_line))
-            || !self.hier.front_end_fetch_is_quiet(q.line)
             || !self.hier.front_end_fetch_is_quiet(tail_line))
     }
 
@@ -1035,24 +1038,32 @@ impl Machine {
         timings: &mut [u64],
     ) -> Option<Result<SeqOutcome, StepError>> {
         let execute = matches!(probe.op, Instr::CallReg { .. });
-        if targets.is_empty()
-            || !self.fusable(tid)
-            || (execute && !targets.iter().all(|target| self.call_shape(target.0).is_some()))
-        {
+        if targets.is_empty() || !self.fusable(tid) {
             return None;
         }
-        let start = self.t(tid).clock;
-        Some(
-            self.fused_probes_body(tid, probe, targets, timings)
-                .map(|()| self.outcome_since(tid, start)),
-        )
+        let mut shapes = std::mem::take(&mut self.batch_shapes);
+        shapes.clear();
+        let result = if !execute || self.collect_call_shapes(targets, &mut shapes) {
+            let start = self.t(tid).clock;
+            Some(
+                self.fused_probes_body(tid, probe, targets, &shapes, timings)
+                    .map(|()| self.outcome_since(tid, start)),
+            )
+        } else {
+            None
+        };
+        self.batch_shapes = shapes;
+        result
     }
 
+    /// The batch behind [`Machine::try_fused_probes`]; `shapes` holds each
+    /// target's callee shape for the `Execute` probe, nothing otherwise.
     fn fused_probes_body(
         &mut self,
         tid: ThreadId,
         probe: &CompiledProbe,
         targets: &[Addr],
+        shapes: &[CallShape],
         timings: &mut [u64],
     ) -> Result<(), StepError> {
         let wrap = 2 * u64::from(self.profile.mfence_cost + self.profile.rdtsc_cost);
@@ -1062,12 +1073,7 @@ impl Machine {
             // which a sibling machine clear may delay.
             self.set_reg(tid, probe.addr, target);
             self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, 1);
-            let callee = match probe.op {
-                // Shapes were checked up front and nothing in the batch
-                // re-decodes code; this is a memo hit.
-                Instr::CallReg { .. } => Some((target, self.call_shape(target).expect("shape"))),
-                _ => None,
-            };
+            let callee = shapes.get(i).map(|&shape| (target, shape));
             if let Some((_, shape)) = &callee {
                 carry = match carry {
                     Some(c) if self.carries(tid, &c, shape, wrap) => Some(c),
@@ -1224,8 +1230,10 @@ impl Machine {
     /// tried only where a catch-up would step it. The injected `call` itself
     /// retires nothing and charges nothing (`exec_injected` returns
     /// `EnterCall` before reaching `exec`), and the return sentinel
-    /// push/pop nets out: the thread ends idle with `pc`/`pc_idx` parked
-    /// at the last `ret` — the exact per-step end state.
+    /// push/pop nets out: the thread ends idle with `pc` parked at the
+    /// last `ret` — the per-step end state — and `pc_idx` unresolved,
+    /// which nothing reads: every way to run the thread again
+    /// (`begin_injected_call`, [`Machine::start_program`]) resets it.
     ///
     /// # Errors
     ///
@@ -1236,23 +1244,44 @@ impl Machine {
         tid: ThreadId,
         targets: &[Addr],
     ) -> Option<Result<SeqOutcome, StepError>> {
-        if targets.is_empty()
-            || !self.fusable(tid)
-            || !targets.iter().all(|&Addr(target)| self.call_shape(target).is_some())
-        {
+        if targets.is_empty() || !self.fusable(tid) {
             return None;
         }
-        self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, targets.len() as u64);
-        let start = self.t(tid).clock;
-        Some(self.fused_calls_body(tid, targets).map(|()| self.outcome_since(tid, start)))
+        let mut shapes = std::mem::take(&mut self.batch_shapes);
+        let result = self.collect_call_shapes(targets, &mut shapes).then(|| {
+            self.t_mut(tid).counters.add(PerfEvent::SimProbeFastPath, targets.len() as u64);
+            let start = self.t(tid).clock;
+            self.fused_calls_body(tid, targets, &shapes).map(|()| self.outcome_since(tid, start))
+        });
+        self.batch_shapes = shapes;
+        result
     }
 
-    fn fused_calls_body(&mut self, tid: ThreadId, targets: &[Addr]) -> Result<(), StepError> {
-        let (mut carry, mut tried) = (None, false);
+    /// Resolve every target's callee shape ([`Machine::call_shape`]) into
+    /// `shapes`, in order: `false` as soon as one callee is not a fusable
+    /// `nop*; ret` routine. Nothing in a batch re-decodes code, so the
+    /// shapes hold for the whole batch.
+    fn collect_call_shapes(&mut self, targets: &[Addr], shapes: &mut Vec<CallShape>) -> bool {
+        shapes.clear();
         for &Addr(target) in targets {
-            // Shapes were checked up front and nothing in the batch
-            // re-decodes code; this is a memo hit.
-            let shape = self.call_shape(target).expect("callee shape checked");
+            match self.call_shape(target) {
+                Some(shape) => shapes.push(shape),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// The batch behind [`Machine::try_fused_calls`], `shapes[i]` the
+    /// callee shape of `targets[i]`.
+    fn fused_calls_body(
+        &mut self,
+        tid: ThreadId,
+        targets: &[Addr],
+        shapes: &[CallShape],
+    ) -> Result<(), StepError> {
+        let (mut carry, mut tried) = (None, false);
+        for (&Addr(target), &shape) in targets.iter().zip(shapes) {
             carry = match carry {
                 Some(c) if self.carries(tid, &c, &shape, 0) => Some(c),
                 Some(c) => {
@@ -1291,9 +1320,15 @@ impl Machine {
     /// [`STEP_BUDGET`]; the callee line is fetched whenever the front-end
     /// is not streaming it — on entry (the injected call reset
     /// `last_fetch_line`) and again after a sibling machine clear. `nop`
-    /// costs 1 and `ret` 2. With no catch-up to make — the sibling held
-    /// by a batch carry (`SYNC` off) or not running — the callee retires
-    /// in one update. On error the thread is left mid-call exactly as the
+    /// costs 1 and `ret` 2.
+    ///
+    /// Once no later catch-up point of the callee can have work — the
+    /// sibling held by a batch carry (`SYNC` off), not running, or not
+    /// behind the clock the last `nop` will end at — and the step budget
+    /// covers the rest, the rest retires in one update: nothing runs
+    /// between its steps, it needs no further fetch, and
+    /// `evictions_for` is partition-invariant with no other draw between
+    /// theirs. On error the thread is left mid-call exactly as the
     /// per-step path leaves it: running at the next callee instruction,
     /// sentinel pushed.
     fn fused_call_body<const SYNC: bool>(
@@ -1305,35 +1340,36 @@ impl Machine {
         let line = Addr(target).line().0;
         self.t_mut(tid).last_fetch_line = u64::MAX;
         let budget = step_budget();
-        if (!SYNC || self.t(tid.sibling()).state != ThreadState::Running) && shape.nops < budget {
-            // Nothing runs between the callee's steps: it fetches its line
-            // once, on entry, and its `nop`s and `ret` retire as one
-            // update (`evictions_for` is partition-invariant, and no other
-            // draw comes between theirs).
-            self.fetch(tid, line);
-            self.fused_retire(tid, shape.nops + 2);
-        } else {
-            let mut steps = 0u64;
-            for k in 0..=shape.nops {
-                if SYNC && self.sibling_behind(tid) {
-                    if let Err(e) = self.step_sibling_behind(tid, &mut steps, 0) {
-                        return Err(self.leave_mid_call(tid, target + k, k, e));
-                    }
+        let mut steps = 0u64;
+        for k in 0..=shape.nops {
+            if SYNC && self.sibling_behind(tid) {
+                if let Err(e) = self.step_sibling_behind(tid, &mut steps, 0) {
+                    return Err(self.leave_mid_call(tid, target + k, k, e));
                 }
-                if steps >= budget {
-                    return Err(self.leave_mid_call(tid, target + k, k, StepError::StepLimit));
-                }
-                steps += 1;
-                if self.t(tid).last_fetch_line != line {
-                    self.fetch(tid, line);
-                }
-                self.fused_retire(tid, if k < shape.nops { 1 } else { 2 });
             }
+            if steps >= budget {
+                return Err(self.leave_mid_call(tid, target + k, k, StepError::StepLimit));
+            }
+            steps += 1;
+            if self.t(tid).last_fetch_line != line {
+                self.fetch(tid, line);
+            }
+            // One catch-up point follows each of the `left` nops from
+            // this one on, the last `left` cycles from now.
+            let left = shape.nops - k;
+            let sib = self.t(tid.sibling());
+            let clear =
+                !SYNC || sib.state != ThreadState::Running || sib.clock >= self.t(tid).clock + left;
+            if left == 0 || (clear && steps + left <= budget) {
+                self.fused_retire(tid, left + 2);
+                break;
+            }
+            self.fused_retire(tid, 1);
         }
         let t = self.t_mut(tid);
         t.counters.add(PerfEvent::InstRetired, shape.nops + 1);
         t.pc = shape.ret_pc;
-        t.pc_idx = shape.ret_idx;
+        t.pc_idx = NO_IDX;
         Ok(())
     }
 
@@ -1377,7 +1413,7 @@ impl Machine {
         let line = Addr(target).line().0;
         let mut idx = self.decoded.index_of(target);
         let footprint = self.hier.fetch_footprint(line);
-        let mut shape = CallShape { nops: 0, ret_pc: target, ret_idx: NO_IDX, footprint };
+        let mut shape = CallShape { nops: 0, ret_pc: target, footprint };
         loop {
             if idx == NO_IDX {
                 return None;
@@ -1396,7 +1432,6 @@ impl Machine {
                 _ => return None,
             }
         }
-        shape.ret_idx = idx;
         self.call_shapes[slot] = (target, shape);
         Some(shape)
     }
@@ -2086,7 +2121,9 @@ mod tests {
     /// Everything a closed-form catch-up must leave exactly as stepping
     /// does: both threads' architectural, timing and fetch state and
     /// hardware counters, the noise schedule, the predictor, the TLBs and
-    /// — with `full` — every cache.
+    /// — with `full` — every cache. A thread's instruction index is the
+    /// one its next step runs: a fused call leaves its cached index
+    /// unresolved where stepping caches the `ret`'s.
     fn observable(m: &Machine, full: bool) -> String {
         let threads: Vec<String> = m
             .threads
@@ -2097,6 +2134,10 @@ mod tests {
                     .filter(|e| !e.is_sim())
                     .map(|&e| t.counters.read(e))
                     .collect();
+                let idx = match t.pc_idx {
+                    NO_IDX => m.decoded.index_of(t.pc),
+                    cached => cached,
+                };
                 format!(
                     "{:?} {:?} {:?} {:?} {} {:#x} {} {:?} {} {:?} {} {:#x} {} {} {:?}",
                     t.state,
@@ -2105,7 +2146,7 @@ mod tests {
                     t.flags,
                     t.flags_ready,
                     t.pc,
-                    t.pc_idx,
+                    idx,
                     t.stack,
                     t.clock,
                     t.fetch_window,
@@ -2118,7 +2159,7 @@ mod tests {
             })
             .collect();
         let caches = if full { format!("{:?}", m.hier) } else { format!("{:?}", m.hier.l1i()) };
-        format!("{threads:?}\n{:?}\n{:?}\n{:?}\n{caches}", m.noise, m.itlb, m.bpu)
+        format!("{threads:?}\n{}\n{:?}\n{:?}\n{caches}", m.noise.observable(), m.itlb, m.bpu)
     }
 
     /// One attacker action, applied identically to both machines.
@@ -2566,6 +2607,63 @@ mod tests {
                 let (_, err) = check_batches(&victim, None, &WAYS, &batches);
                 TEST_BUDGET.with(|b| b.set(STEP_BUDGET));
                 assert_eq!(err, Some(StepError::StepLimit), "budget {budget}, {start:?}");
+            }
+        }
+    }
+
+    /// A callee retires the rest of its `nop`s and its `ret` in one update
+    /// only once no catch-up inside it can have work. With the sibling's
+    /// clock at `clock + nops` after the entry fetch, none has; one cycle
+    /// less, and the last `nop`'s catch-up steps the sibling, whose store
+    /// machine-clears the callee line mid-call, so the callee refetches
+    /// it. Likewise a step budget one short of the callee stops it at its
+    /// `ret`. All of these match the reference interpreter.
+    #[test]
+    fn callee_retires_at_once_only_past_its_last_catch_up() {
+        const CALLEE: u64 = 0x58_0000;
+        const STORER: u64 = 0x5c_0000;
+        let mut a = Assembler::new(STORER);
+        a.label("top").store_imm(MemRef::base(Reg::R1), 0x90).jmp("top");
+        let storer = a.assemble().unwrap();
+        for nops in [1u64, 2, 5] {
+            let mut a = Assembler::new(CALLEE);
+            for _ in 0..nops {
+                a.nop();
+            }
+            let callee = a.ret().assemble().unwrap();
+            let mut refetches = Vec::new();
+            for behind in [0, 1] {
+                let [reference, fused] = [Tier::Reference, Tier::Fused].map(|tier| {
+                    let mut m = Machine::new(MicroArch::CascadeLake.profile());
+                    m.set_tier(tier);
+                    m.load_program(&storer);
+                    m.load_program(&callee);
+                    m.warm_tlb(T0, Addr(CALLEE));
+                    m.run_calls(T0, &[Addr(CALLEE)]).unwrap();
+                    // The callee line is in the L1i and its page in the
+                    // iTLB, so the entry fetch costs nothing.
+                    m.start_program(T1, STORER, &[CALLEE]);
+                    m.t_mut(T1).clock = m.clock(T0) + nops - behind;
+                    let misses = m.counters(T0).read(PerfEvent::L1iMisses);
+                    m.run_calls(T0, &[Addr(CALLEE)]).unwrap();
+                    refetches.push(m.counters(T0).read(PerfEvent::L1iMisses) - misses);
+                    observable(&m, true)
+                });
+                assert_eq!(fused, reference, "{nops} nops, sibling {behind} behind");
+            }
+            assert_eq!(refetches, [0, 0, 1, 1], "{nops} nops: the clear lands mid-call");
+            for budget in [nops, nops + 1] {
+                TEST_BUDGET.with(|b| b.set(budget));
+                let [reference, fused] = [Tier::Reference, Tier::Fused].map(|tier| {
+                    let mut m = Machine::new(MicroArch::CascadeLake.profile());
+                    m.set_tier(tier);
+                    m.load_program(&callee);
+                    let r = m.run_calls(T0, &[Addr(CALLEE)]).map(|_| ());
+                    format!("{r:?}\n{}", observable(&m, true))
+                });
+                TEST_BUDGET.with(|b| b.set(STEP_BUDGET));
+                assert_eq!(fused, reference, "{nops} nops, budget {budget}");
+                assert_eq!(fused.starts_with("Ok"), budget > nops, "{nops} nops, budget {budget}");
             }
         }
     }

@@ -256,6 +256,13 @@ impl CacheHierarchy {
     /// absolute stamp values, never the relative recency order — eviction
     /// decisions, and therefore all observable behavior, are bit-identical
     /// to the probe-then-touch formulation at half the set scans.
+    ///
+    /// The same argument lets an L1i miss fill only the levels it missed:
+    /// a touch that hit L2 or the LLC has just made the line the most
+    /// recent of its set there, which is all a fill of a present line
+    /// would do, and an LLC fill's back-invalidation removes another line,
+    /// never this one. The L1i fill skips its presence scan: the touch
+    /// found the line absent.
     pub fn fetch(&mut self, addr: Addr) -> AccessInfo {
         let line = addr.line();
         let in_l1i = self.l1i.touch_line(line);
@@ -271,8 +278,14 @@ impl CacheHierarchy {
             Level::Dram
         };
         if !in_l1i {
-            self.fill_shared(line);
-            self.l1i.insert_line(line, false);
+            if !in_llc {
+                let ev = self.llc.insert_absent_line(line, false);
+                self.back_invalidate(ev);
+            }
+            if !in_l2 {
+                self.l2.insert_absent_line(line, false);
+            }
+            self.l1i.insert_absent_line(line, false);
         }
         AccessInfo { level, latency: self.ifetch_extra(level), was_in_l1i: in_l1i }
     }
@@ -617,6 +630,105 @@ mod tests {
         let r = h.residency(a);
         assert!(r.l2 && r.llc, "streamed into the shared levels");
         assert!(!r.l1i, "but not into the L1i");
+    }
+
+    /// [`CacheHierarchy::fetch`] as it was before it skipped fills: an
+    /// L1i miss refills the LLC, L2 and L1i through the inserts that scan
+    /// for the line first.
+    fn fetch_refilling_every_level(h: &mut CacheHierarchy, addr: Addr) -> AccessInfo {
+        let line = addr.line();
+        let in_l1i = h.l1i.touch_line(line);
+        let in_l2 = h.l2.touch_line(line);
+        let in_llc = h.llc.touch_line(line);
+        let level = match (in_l1i, in_l2, in_llc) {
+            (true, _, _) => Level::L1i,
+            (_, true, _) => Level::L2,
+            (_, _, true) => Level::Llc,
+            _ => Level::Dram,
+        };
+        if !in_l1i {
+            h.fill_shared(line);
+            h.l1i.insert_line(line, false);
+        }
+        AccessInfo { level, latency: h.ifetch_extra(level), was_in_l1i: in_l1i }
+    }
+
+    /// Every line of every set of `c`, least recent first.
+    fn lru_orders(c: &Cache) -> Vec<Vec<Addr>> {
+        (0..c.geometry().sets)
+            .map(|set| {
+                let mut order = Vec::new();
+                let mut scratch = c.clone();
+                while let Some(line) = scratch.lru_line(set) {
+                    order.push(line);
+                    scratch.invalidate(line);
+                }
+                order
+            })
+            .collect()
+    }
+
+    /// Filling only the levels an instruction fetch missed, with no
+    /// presence scan in the L1i, gives every access the outcome, every
+    /// line the residency and every set the LRU victim that refilling all
+    /// three levels gives — over fetches, reads, writes, flushes and noise
+    /// evictions that keep the sets full and back-invalidate through the
+    /// inclusive LLC, on a small hierarchy and on the Intel-like one.
+    #[test]
+    fn fetch_fills_match_refilling_every_level() {
+        let small = HierarchyConfig {
+            l1i: CacheGeometry { sets: 4, ways: 8 },
+            l1d: CacheGeometry { sets: 4, ways: 8 },
+            l2: CacheGeometry { sets: 8, ways: 4 },
+            llc: CacheGeometry { sets: 16, ways: 4 },
+            ..HierarchyConfig::intel_like()
+        };
+        for cfg in [small, HierarchyConfig::intel_like()] {
+            let (mut new, mut old) = (CacheHierarchy::new(cfg), CacheHierarchy::new(cfg));
+            let llc_stride = (cfg.llc.sets * 64) as u64;
+            let l1i_stride = (cfg.l1i.sets * 64) as u64;
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut line = Addr(0);
+            for i in 0..40_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Tags past the LLC's ways in a few LLC sets, tags past the
+                // L1i's ways in one L1i set spread over the outer sets, or
+                // the previous line again.
+                line = match x % 3 {
+                    0 => {
+                        Addr((x >> 8) % 3 * 64 + (x >> 12) % (cfg.llc.ways as u64 + 4) * llc_stride)
+                    }
+                    1 => Addr((x >> 8) % (cfg.l1i.ways as u64 + 6) * l1i_stride),
+                    _ => line,
+                };
+                match (x >> 20) % 10 {
+                    0..=4 => {
+                        let got = new.fetch(line);
+                        assert_eq!(got, fetch_refilling_every_level(&mut old, line), "fetch {i}");
+                    }
+                    5 => assert_eq!(new.read(line), old.read(line), "read {i}"),
+                    6 => assert_eq!(new.write(line), old.write(line), "write {i}"),
+                    7 => assert_eq!(new.flush(line), old.flush(line), "flush {i}"),
+                    _ => {
+                        let set = ((x >> 24) % cfg.l1i.sets as u64) as usize;
+                        assert_eq!(new.evict_lru_l1i(set), old.evict_lru_l1i(set), "evict {i}");
+                    }
+                }
+                assert_eq!(new.residency(line), old.residency(line), "residency after {i}");
+                let levels = [(&new.l1i, &old.l1i), (&new.l1d, &old.l1d), (&new.l2, &old.l2)];
+                for (a, b) in levels.into_iter().chain([(&new.llc, &old.llc)]) {
+                    let set = line.set_index(a.geometry().sets);
+                    assert_eq!(a.lru_line(set), b.lru_line(set), "LRU line after {i}");
+                }
+                if i % 4000 == 0 && cfg == small {
+                    for (a, b) in [(&new.l1i, &old.l1i), (&new.l2, &old.l2), (&new.llc, &old.llc)] {
+                        assert_eq!(lru_orders(a), lru_orders(b), "LRU orders after {i}");
+                    }
+                }
+            }
+        }
     }
 
     impl CacheHierarchy {

@@ -121,6 +121,9 @@ pub struct Machine {
     /// `pc → index` in the decoded table's map every call.
     pub(crate) call_shapes: [(u64, CallShape); CALL_SHAPE_SLOTS],
     pub(crate) call_shapes_gen: u64,
+    /// The callee shapes of the fused batch being run, resolved once
+    /// while its guards are checked; reused across batches.
+    pub(crate) batch_shapes: Vec<CallShape>,
     /// Bumped whenever the decoded table is rebuilt (load / reset),
     /// invalidating `call_shapes`.
     pub(crate) decode_gen: u64,
@@ -167,6 +170,7 @@ impl Machine {
             tier: default_tier(),
             call_shapes: [EMPTY_SHAPE; CALL_SHAPE_SLOTS],
             call_shapes_gen: 0,
+            batch_shapes: Vec::new(),
             decode_gen: 0,
             mem: Memory::new(),
             hier,
@@ -750,11 +754,11 @@ mod tests {
 
     #[test]
     fn call_shape_memo_follows_index_shifting_loads() {
-        // The fused call path memoizes a callee's `nop*; ret` shape,
-        // including the decoded index of its `ret`, where the caller parks
-        // `pc_idx` as the per-step path does. Loading code below the
-        // routine shifts every decoded index, so a memo that outlived the
-        // load would park the thread on the new code's third `mov_imm`.
+        // The fused call path memoizes a callee's `nop*; ret` shape and
+        // parks the thread after the `ret` with no cached instruction
+        // index. Loading code below the routine shifts every decoded
+        // index, so whatever runs the thread next — a call, a started
+        // program — must run the code now at its address on every tier.
         // After a reset, the same address may hold a routine of another
         // shape, which a stale memo would still retire as `nop; nop; ret`.
         const ROUTINE: u64 = 0x7_0000;
@@ -776,15 +780,18 @@ mod tests {
             m.load_program(&below);
             m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 1, "{tier}");
-            let (pc, pc_idx) = (m.threads[0].pc, m.threads[0].pc_idx);
-            if t != Tier::Reference {
-                assert_eq!(pc_idx, m.decoded.index_of(pc), "{tier}: parked on the `ret`");
-            }
+            let pc = m.threads[0].pc;
             if t == Tier::Fused {
                 assert_eq!(m.counters(T0).read(PerfEvent::SimProbeFastPath), 4, "{tier}");
             }
             m.call(T0, BELOW, &[]).unwrap();
-            assert_eq!(m.reg(T0, Reg::R0), 0xbad, "{tier}: the new code runs");
+            assert_eq!(m.reg(T0, Reg::R0), 0xbad, "{tier}: the next call runs the new code");
+            m.set_reg(T0, Reg::R0, 1);
+            m.run_calls(T0, &[Addr(ROUTINE)]).unwrap();
+            m.start_program(T0, BELOW, &[]);
+            m.run_until_halt(T0, 100).unwrap();
+            assert_eq!(m.reg(T0, Reg::R0), 0xbad, "{tier}: the next start runs the new code");
+            let started = m.clock(T0);
 
             m.reset(NoiseConfig::quiet(), 0x5eed);
             m.set_tier(t);
@@ -793,7 +800,7 @@ mod tests {
             m.set_reg(T0, Reg::R1, 2);
             m.run_calls(T0, &[Addr(ROUTINE), Addr(ROUTINE)]).unwrap();
             assert_eq!(m.reg(T0, Reg::R0), 5, "{tier}: no stale shape after a reset");
-            outcomes.push((pc, m.clock(T0), m.counters(T0).read(PerfEvent::InstRetired)));
+            outcomes.push((pc, started, m.clock(T0), m.counters(T0).read(PerfEvent::InstRetired)));
         }
         assert_eq!(outcomes[1], outcomes[0], "decoded vs reference");
         assert_eq!(outcomes[2], outcomes[0], "fused vs reference");

@@ -26,7 +26,7 @@
 //! the same catch-up spans).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Noise model parameters.
 #[derive(Copy, Clone, Debug)]
@@ -103,6 +103,56 @@ fn rate_ratio(evictions_per_kcycle: f64) -> Option<(u128, u128)> {
     Some((num, den))
 }
 
+/// A uniform draw from `[-j, j]` that consumes the RNG stream exactly as
+/// `gen_range(-j..=j)` does — one `next_u64` per try, rejecting tries above
+/// the zone — without the rand shim's two 64-bit divisions per draw: the
+/// zone and the reciprocal are computed once per jitter setting.
+#[derive(Copy, Clone, Debug)]
+struct JitterDraw {
+    /// Maximum absolute jitter `j`.
+    j: u64,
+    /// Largest accepted raw draw (the shim's rejection zone).
+    zone: u64,
+    /// `⌈2¹²⁸ / (2j + 1)⌉`, the multiplier of Lemire's direct remainder.
+    recip: u128,
+}
+
+impl JitterDraw {
+    fn new(j: u32) -> JitterDraw {
+        let (j, bound) = (u64::from(j), 2 * u64::from(j) + 1);
+        JitterDraw {
+            j,
+            zone: u64::MAX - (u64::MAX % bound) - 1,
+            // Wraps to 0 only at `j == 0`, where every remainder is 0.
+            recip: (u128::MAX / u128::from(bound)).wrapping_add(1),
+        }
+    }
+
+    /// `v % (2j + 1)` by direct computation ("Faster remainder by direct
+    /// computation", Lemire, Kaser and Kurz 2019): the high 128 bits of
+    /// the fraction `recip · v mod 2¹²⁸` times the divisor. 128 fraction
+    /// bits cover every 64-bit `v` and divisor, so this is exact.
+    #[inline(always)]
+    fn rem(&self, v: u64) -> u64 {
+        let frac = self.recip.wrapping_mul(u128::from(v));
+        let bound = u128::from(2 * self.j + 1);
+        let high = (frac >> 64) * bound;
+        let low = (u128::from(frac as u64) * bound) >> 64;
+        ((high + low) >> 64) as u64
+    }
+
+    /// One draw: what `rng.gen_range(-j..=j)` would return.
+    #[inline(always)]
+    fn sample(&self, rng: &mut SmallRng) -> i64 {
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return self.rem(v) as i64 - self.j as i64;
+            }
+        }
+    }
+}
+
 /// Stateful noise source: seeded RNG plus the configuration.
 ///
 /// The eviction schedule is kept as a *fully reduced remainder* plus the
@@ -121,6 +171,8 @@ fn rate_ratio(evictions_per_kcycle: f64) -> Option<(u128, u128)> {
 pub struct NoiseSource {
     cfg: NoiseConfig,
     rng: SmallRng,
+    /// The jitter draw of `cfg.timing_jitter`.
+    jitter: JitterDraw,
     /// Eviction rate as an exact rational (`None` when the rate is zero).
     rate: Option<(u128, u128)>,
     /// Reduced schedule remainder as of the last crossing; invariant
@@ -147,6 +199,7 @@ impl NoiseSource {
         NoiseSource {
             cfg,
             rng: SmallRng::seed_from_u64(seed),
+            jitter: JitterDraw::new(cfg.timing_jitter),
             rate,
             acc: 0,
             pending: 0,
@@ -172,6 +225,7 @@ impl NoiseSource {
             self.until_next =
                 self.rate.map_or(u64::MAX, |(num, den)| distance_to_next(num, den, 0));
         }
+        self.jitter = JitterDraw::new(cfg.timing_jitter);
         self.cfg = cfg;
     }
 
@@ -181,8 +235,7 @@ impl NoiseSource {
         if self.cfg.timing_jitter == 0 {
             return 0;
         }
-        let j = self.cfg.timing_jitter as i64;
-        self.rng.gen_range(-j..=j)
+        self.jitter.sample(&mut self.rng)
     }
 
     /// Advance noise time by `cycles`; returns how many spurious L1i
@@ -258,6 +311,19 @@ impl NoiseSource {
 }
 
 #[cfg(test)]
+impl NoiseSource {
+    /// This source as every later call sees it: the configuration, the RNG
+    /// stream and the eviction schedule with its pending cycles folded in.
+    /// How many cycles wait unfolded is invisible to later calls, and it
+    /// differs between retiring cycles one instruction at a time and in one
+    /// batch across a crossing.
+    pub(crate) fn observable(&self) -> String {
+        let folded = self.rate.map_or(0, |(num, _)| self.acc + u128::from(self.pending) * num);
+        format!("{:?} {:?} {:?} {folded} {}", self.cfg, self.rng, self.rate, self.until_next)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -287,6 +353,60 @@ mod tests {
             NoiseSource::new(NoiseConfig { timing_jitter: 0, evictions_per_kcycle: 1.0 }, 3);
         // 10k cycles at 1 eviction per kcycle = exactly 10.
         assert_eq!(n.evictions_for(10_000), 10);
+    }
+
+    /// The division-free draw returns what `gen_range(-j..=j)` returns
+    /// and leaves the RNG stream where it leaves it, draw by draw. A
+    /// rejected try is too rare to meet in a stream (about one raw draw
+    /// in 2^55 at j = 255), so the zone is checked against the shim's
+    /// formula and the remainder against `%` over raw values directly.
+    #[test]
+    fn jitter_matches_gen_range() {
+        for j in [1u32, 4, 8, 255] {
+            let cfg = NoiseConfig { timing_jitter: j, evictions_per_kcycle: 0.0 };
+            for seed in 0..200u64 {
+                let mut n = NoiseSource::new(cfg, seed);
+                let mut reference = SmallRng::seed_from_u64(seed);
+                let j = i64::from(j);
+                for i in 0..500 {
+                    assert_eq!(
+                        n.jitter(),
+                        reference.gen_range(-j..=j),
+                        "j {j} seed {seed} draw {i}"
+                    );
+                }
+                assert_eq!(n.rng.next_u64(), reference.next_u64(), "j {j} seed {seed}: stream");
+            }
+        }
+        for j in [1u32, 2, 3, 4, 8, 12, 255, 1 << 20, u32::MAX] {
+            let draw = JitterDraw::new(j);
+            let bound = 2 * u64::from(j) + 1;
+            assert_eq!(draw.zone, u64::MAX - (u64::MAX % bound) - 1);
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                for v in [x, x >> 17, u64::MAX - (x >> 40), draw.zone - (x & 0xff)] {
+                    assert_eq!(draw.rem(v), v % bound, "j {j} v {v}");
+                }
+            }
+        }
+    }
+
+    /// Setting a new jitter bound switches the draw with it.
+    #[test]
+    fn set_config_switches_the_jitter_draw() {
+        let mut n = NoiseSource::new(NoiseConfig::quiet(), 3);
+        let mut reference = SmallRng::seed_from_u64(3);
+        n.set_config(NoiseConfig { timing_jitter: 12, evictions_per_kcycle: 0.0 });
+        for _ in 0..100 {
+            assert_eq!(n.jitter(), reference.gen_range(-12i64..=12));
+        }
+        n.set_config(NoiseConfig { timing_jitter: 4, evictions_per_kcycle: 0.0 });
+        for _ in 0..100 {
+            assert_eq!(n.jitter(), reference.gen_range(-4i64..=4));
+        }
     }
 
     #[test]
