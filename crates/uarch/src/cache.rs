@@ -212,6 +212,27 @@ impl Cache {
         }
     }
 
+    /// [`Cache::touch_line`] of a line the caller knows is present, and
+    /// set its dirty bit — a store's hit — in one scan. The hint check
+    /// still skips the re-stamp of the set's most recent line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is absent.
+    #[inline]
+    pub(crate) fn touch_dirty_line(&mut self, line: Addr) {
+        debug_assert_eq!(line.line(), line, "caller resolves the line mask");
+        let set = self.set_of(line);
+        let i = self.find(set, line.0).expect("the caller knows the line is present");
+        let hint = Self::hint_of(set);
+        if self.mru[hint] != line.0 {
+            self.clock += 1;
+            self.stamps[i] = self.clock;
+            self.mru[hint] = line.0;
+        }
+        self.dirty[i] = true;
+    }
+
     /// Insert (fill) the line containing `addr`, evicting the LRU way if the
     /// set is full. Touching an already-present line updates LRU and ORs in
     /// the dirty bit.
@@ -268,13 +289,10 @@ impl Cache {
         evicted
     }
 
-    /// Set the dirty bit on a present line. Returns `true` if present.
-    pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        self.mark_dirty_line(addr.line())
-    }
-
-    /// [`Cache::mark_dirty`] for an already line-aligned address.
-    pub fn mark_dirty_line(&mut self, line: Addr) -> bool {
+    /// Set the dirty bit on a present line-aligned `line`. Returns `true`
+    /// if present.
+    #[cfg(test)]
+    pub(crate) fn mark_dirty_line(&mut self, line: Addr) -> bool {
         debug_assert_eq!(line.line(), line, "caller resolves the line mask");
         match self.find(self.set_of(line), line.0) {
             Some(i) => {
@@ -363,6 +381,14 @@ impl Cache {
         (base..base + usize::from(self.occ[set]))
             .min_by_key(|&i| self.stamps[i])
             .map(|i| Addr(self.lines[i]))
+    }
+
+    /// The lines of set `set` with their dirty bits, least recent first.
+    #[cfg(test)]
+    pub(crate) fn lru_order(&self, set: usize) -> Vec<(Addr, bool)> {
+        let mut slots: Vec<usize> = self.slots_in(set).collect();
+        slots.sort_by_key(|&i| self.stamps[i]);
+        slots.into_iter().map(|i| (Addr(self.lines[i]), self.dirty[i])).collect()
     }
 }
 

@@ -1956,12 +1956,14 @@ impl Machine {
         cost += self.dtlb_cost(tid, addr);
         let res = self.hier.residency(line);
         let (fired, c) = self.probe_effects(tid, kind, line, res)?;
+        // A machine clear has just invalidated the line's L1i copy.
+        let res = if fired { Residency { l1i: false, ..res } } else { res };
         match *instr {
             Instr::Clflush { .. } | Instr::Clflushopt { .. } => {
-                self.hier.flush(line);
+                self.hier.flush(line, res);
             }
             Instr::Clwb { .. } => {
-                self.hier.writeback(line);
+                self.hier.writeback(line, res);
             }
             Instr::PrefetchT0 { .. } | Instr::PrefetchNta { .. } => {
                 if !fired {
@@ -1971,7 +1973,7 @@ impl Machine {
             // Stores and `lock inc` write the line.
             _ => {
                 self.count_data_level(tid, res.data_level());
-                self.hier.write_resident(line, res);
+                self.hier.write(line, res);
                 match *instr {
                     Instr::Store { src, size, .. } => {
                         let val = self.reg(tid, src);

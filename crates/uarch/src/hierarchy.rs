@@ -148,8 +148,6 @@ pub struct AccessInfo {
     pub level: Level,
     /// Data-side latency in cycles for that level.
     pub latency: u32,
-    /// Whether the line was resident in L1i before the access.
-    pub was_in_l1i: bool,
 }
 
 /// Outcome of a `clflush`-style invalidation.
@@ -239,12 +237,29 @@ impl CacheHierarchy {
         }
     }
 
-    /// Fill L2 and the LLC. `line` is line-aligned (all internal callers
-    /// resolve the mask exactly once per access).
-    fn fill_shared(&mut self, line: Addr) {
-        let ev = self.llc.insert_line(line, false);
-        self.back_invalidate(ev);
-        self.l2.insert_line(line, false);
+    /// Fill the line-aligned `line` into the shared levels that lack it —
+    /// the LLC first, with its back-invalidation, then L2 — and return the
+    /// level an access that missed its L1 hit. The caller has just touched
+    /// the levels that hold the line, which is all a fill of a present line
+    /// would do: every cache keeps its own stamp clock, so skipping the
+    /// re-insert changes only absolute stamp values, never the recency
+    /// order, and an LLC fill's back-invalidation removes another line,
+    /// never this one.
+    fn fill_shared(&mut self, line: Addr, in_l2: bool, in_llc: bool) -> Level {
+        if !in_llc {
+            let ev = self.llc.insert_absent_line(line, false);
+            self.back_invalidate(ev);
+        }
+        if !in_l2 {
+            self.l2.insert_absent_line(line, false);
+        }
+        if in_l2 {
+            Level::L2
+        } else if in_llc {
+            Level::Llc
+        } else {
+            Level::Dram
+        }
     }
 
     /// Instruction fetch of the line containing `addr`; fills L1i/L2/LLC.
@@ -257,11 +272,8 @@ impl CacheHierarchy {
     /// decisions, and therefore all observable behavior, are bit-identical
     /// to the probe-then-touch formulation at half the set scans.
     ///
-    /// The same argument lets an L1i miss fill only the levels it missed:
-    /// a touch that hit L2 or the LLC has just made the line the most
-    /// recent of its set there, which is all a fill of a present line
-    /// would do, and an LLC fill's back-invalidation removes another line,
-    /// never this one. The L1i fill skips its presence scan: the touch
+    /// The same argument lets an L1i miss fill only the levels it missed
+    /// (`fill_shared`). The L1i fill skips its presence scan: the touch
     /// found the line absent.
     pub fn fetch(&mut self, addr: Addr) -> AccessInfo {
         let line = addr.line();
@@ -270,24 +282,12 @@ impl CacheHierarchy {
         let in_llc = self.llc.touch_line(line);
         let level = if in_l1i {
             Level::L1i
-        } else if in_l2 {
-            Level::L2
-        } else if in_llc {
-            Level::Llc
         } else {
-            Level::Dram
-        };
-        if !in_l1i {
-            if !in_llc {
-                let ev = self.llc.insert_absent_line(line, false);
-                self.back_invalidate(ev);
-            }
-            if !in_l2 {
-                self.l2.insert_absent_line(line, false);
-            }
+            let level = self.fill_shared(line, in_l2, in_llc);
             self.l1i.insert_absent_line(line, false);
-        }
-        AccessInfo { level, latency: self.ifetch_extra(level), was_in_l1i: in_l1i }
+            level
+        };
+        AccessInfo { level, latency: self.ifetch_extra(level) }
     }
 
     /// The front-end's instruction fetch of a line-aligned `line`:
@@ -350,124 +350,92 @@ impl CacheHierarchy {
 
     /// Data read of the line containing `addr`; fills L1d/L2/LLC.
     ///
-    /// L1d-hit fast path: a read only re-stamps the L1d line, so the L2
-    /// and LLC scans are skipped entirely when the `touch` reports a hit
-    /// (their state is untouched on a hit in the original formulation
-    /// too — reads do not refresh outer-level LRU).
+    /// An L1d hit only re-stamps the L1d line: reads do not refresh
+    /// outer-level LRU. A miss touches L2 and the LLC, which reports
+    /// presence, and fills only the levels that lack the line, as
+    /// [`CacheHierarchy::fetch`] does.
     pub fn read(&mut self, addr: Addr) -> AccessInfo {
         let line = addr.line();
-        let was_in_l1i = self.l1i.contains_line(line);
         if self.l1d.touch_line(line) {
-            return AccessInfo {
-                level: Level::L1d,
-                latency: self.latency_of(Level::L1d),
-                was_in_l1i,
-            };
+            return AccessInfo { level: Level::L1d, latency: self.latency_of(Level::L1d) };
         }
-        let in_l2 = self.l2.contains_line(line);
-        let in_llc = self.llc.contains_line(line);
-        let level = if in_l2 {
-            Level::L2
-        } else if in_llc {
-            Level::Llc
-        } else {
-            Level::Dram
-        };
-        self.fill_shared(line);
-        self.l1d.insert_line(line, false);
-        AccessInfo { level, latency: self.latency_of(level), was_in_l1i }
+        let in_l2 = self.l2.touch_line(line);
+        let in_llc = self.llc.touch_line(line);
+        let level = self.fill_shared(line, in_l2, in_llc);
+        self.l1d.insert_absent_line(line, false);
+        AccessInfo { level, latency: self.latency_of(level) }
     }
 
     /// Data write (read-for-ownership) of the line containing `addr`.
     ///
     /// Invalidates any L1i copy — an instruction cache never holds a
-    /// modified line — and marks the L1d copy dirty. Same L1d-hit fast
-    /// path as [`CacheHierarchy::read`].
-    pub fn write(&mut self, addr: Addr) -> AccessInfo {
-        let line = addr.line();
-        let was_in_l1i = self.l1i.contains_line(line);
-        if was_in_l1i {
-            self.l1i.invalidate_line(line);
-        }
-        if self.l1d.touch_line(line) {
-            self.l1d.mark_dirty_line(line);
-            return AccessInfo {
-                level: Level::L1d,
-                latency: self.latency_of(Level::L1d),
-                was_in_l1i,
-            };
-        }
-        let in_l2 = self.l2.contains_line(line);
-        let in_llc = self.llc.contains_line(line);
-        let level = if in_l2 {
-            Level::L2
-        } else if in_llc {
-            Level::Llc
-        } else {
-            Level::Dram
-        };
-        self.fill_shared(line);
-        self.l1d.insert_line(line, true);
-        AccessInfo { level, latency: self.latency_of(level), was_in_l1i }
-    }
-
-    /// [`CacheHierarchy::write`] reusing a residency snapshot the caller
-    /// already computed — the probe hot path reads residency for its cost
-    /// model immediately before writing, and re-scanning four levels per
-    /// probe is measurable at millions of probes per trial.
+    /// modified line — and marks the L1d copy dirty, re-stamping it in the
+    /// same scan. An L1d miss touches the levels that hold the line and
+    /// fills the rest, as [`CacheHierarchy::read`] does.
     ///
-    /// `res` must come from [`CacheHierarchy::residency`] on the same line
-    /// with no intervening L1d/L2/LLC mutation. The L1i state *may* have
-    /// changed (an SMC machine clear invalidates the line between the
-    /// residency read and the write), which only turns the invalidation
-    /// into a no-op; `was_in_l1i` reports the snapshot's bit.
-    pub fn write_resident(&mut self, addr: Addr, res: Residency) -> AccessInfo {
+    /// `res` is the line's [`CacheHierarchy::residency`] snapshot: the
+    /// probe hot path reads it for its cost model just before writing, so
+    /// the write scans only the levels that hold the line. The L1d, L2 and
+    /// LLC must not have changed since; the L1i may have lost the line (an
+    /// SMC machine clear invalidates it in between), which only makes the
+    /// invalidation a no-op.
+    pub fn write(&mut self, addr: Addr, res: Residency) -> AccessInfo {
         let line = addr.line();
         if res.l1i {
             self.l1i.invalidate_line(line);
         }
-        if self.l1d.touch_line(line) {
-            self.l1d.mark_dirty_line(line);
-            return AccessInfo {
-                level: Level::L1d,
-                latency: self.latency_of(Level::L1d),
-                was_in_l1i: res.l1i,
-            };
+        if res.l1d {
+            self.l1d.touch_dirty_line(line);
+            return AccessInfo { level: Level::L1d, latency: self.latency_of(Level::L1d) };
         }
-        let level = if res.l2 {
-            Level::L2
-        } else if res.llc {
-            Level::Llc
-        } else {
-            Level::Dram
-        };
-        self.fill_shared(line);
-        self.l1d.insert_line(line, true);
-        AccessInfo { level, latency: self.latency_of(level), was_in_l1i: res.l1i }
+        if res.l2 {
+            self.l2.touch_line(line);
+        }
+        if res.llc {
+            self.llc.touch_line(line);
+        }
+        let level = self.fill_shared(line, res.l2, res.llc);
+        self.l1d.insert_absent_line(line, true);
+        AccessInfo { level, latency: self.latency_of(level) }
     }
 
-    /// `clflush`/`clflushopt`: invalidate the line from every level.
-    pub fn flush(&mut self, addr: Addr) -> FlushInfo {
+    /// `clflush`/`clflushopt`: invalidate the line from every level. `res`
+    /// is its residency snapshot, as for [`CacheHierarchy::write`]; only the
+    /// levels it marks present are scanned.
+    pub fn flush(&mut self, addr: Addr, res: Residency) -> FlushInfo {
         let line = addr.line();
-        let res = self.residency(line);
         let mut wrote_back = false;
-        for c in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.llc] {
-            if let Some(ev) = c.invalidate_line(line) {
-                wrote_back |= ev.dirty;
+        for (present, c) in self.levels_mut(res) {
+            if present {
+                if let Some(ev) = c.invalidate_line(line) {
+                    wrote_back |= ev.dirty;
+                }
             }
         }
         FlushInfo { was_cached: res.cached_anywhere(), was_in_l1i: res.l1i, wrote_back }
     }
 
-    /// `clwb`: write back any dirty copy but keep the line valid.
-    pub fn writeback(&mut self, addr: Addr) -> FlushInfo {
+    /// `clwb`: write back any dirty copy but keep the line valid. `res` as
+    /// for [`CacheHierarchy::flush`].
+    pub fn writeback(&mut self, addr: Addr, res: Residency) -> FlushInfo {
         let line = addr.line();
-        let res = self.residency(line);
         let mut wrote_back = false;
-        for c in [&mut self.l1i, &mut self.l1d, &mut self.l2, &mut self.llc] {
-            wrote_back |= c.clean_line(line);
+        for (present, c) in self.levels_mut(res) {
+            if present {
+                wrote_back |= c.clean_line(line);
+            }
         }
         FlushInfo { was_cached: res.cached_anywhere(), was_in_l1i: res.l1i, wrote_back }
+    }
+
+    /// Every level, paired with whether `res` marks the line present there.
+    fn levels_mut(&mut self, res: Residency) -> [(bool, &mut Cache); 4] {
+        [
+            (res.l1i, &mut self.l1i),
+            (res.l1d, &mut self.l1d),
+            (res.l2, &mut self.l2),
+            (res.llc, &mut self.llc),
+        ]
     }
 
     /// `prefetcht0`/`prefetchnta`: fill the data path.
@@ -486,7 +454,7 @@ impl CacheHierarchy {
     pub fn prefetch_ifetch(&mut self, addr: Addr) {
         let line = addr.line();
         if !self.l2.contains_line(line) && !self.llc.contains_line(line) {
-            self.fill_shared(line);
+            self.fill_shared(line, false, false);
         }
     }
 
@@ -511,14 +479,14 @@ impl CacheHierarchy {
 
     /// Remove the line from every level (used for experiment setup).
     pub fn evict_everywhere(&mut self, addr: Addr) {
-        self.flush(addr);
+        self.flush(addr, self.residency(addr));
     }
 
     /// Place a line at exactly the levels named by `residency`
     /// (experiment-setup helper; keeps LLC inclusion: any cached line is
     /// also placed in the LLC).
     pub fn place(&mut self, addr: Addr, residency: Residency) {
-        self.flush(addr);
+        self.evict_everywhere(addr);
         if residency.cached_anywhere() {
             self.llc.insert(addr, false);
         }
@@ -568,8 +536,7 @@ mod tests {
         let a = Addr(0xc000);
         h.fetch(a);
         assert!(h.residency(a).l1i);
-        let info = h.write(a);
-        assert!(info.was_in_l1i);
+        h.write(a, h.residency(a));
         let r = h.residency(a);
         assert!(!r.l1i, "store must invalidate the L1i copy");
         assert!(r.l1d);
@@ -582,10 +549,10 @@ mod tests {
         let a = Addr(0x10000);
         h.fetch(a);
         h.read(a);
-        let info = h.flush(a);
+        let info = h.flush(a, h.residency(a));
         assert!(info.was_cached && info.was_in_l1i);
         assert!(!h.residency(a).cached_anywhere());
-        let info2 = h.flush(a);
+        let info2 = h.flush(a, h.residency(a));
         assert!(!info2.was_cached);
     }
 
@@ -593,8 +560,8 @@ mod tests {
     fn writeback_keeps_line_valid() {
         let mut h = hier();
         let a = Addr(0x14000);
-        h.write(a);
-        let info = h.writeback(a);
+        h.write(a, h.residency(a));
+        let info = h.writeback(a, h.residency(a));
         assert!(info.wrote_back);
         assert!(h.residency(a).l1d);
         assert!(!h.l1d_is_dirty(a));
@@ -632,10 +599,18 @@ mod tests {
         assert!(!r.l1i, "but not into the L1i");
     }
 
+    /// The shared-level fill before accesses filled only the levels they
+    /// missed: the LLC and L2 inserts scan for the line first.
+    fn fill_rescanning(h: &mut CacheHierarchy, line: Addr) {
+        let ev = h.llc.insert_line(line, false);
+        h.back_invalidate(ev);
+        h.l2.insert_line(line, false);
+    }
+
     /// [`CacheHierarchy::fetch`] as it was before it skipped fills: an
     /// L1i miss refills the LLC, L2 and L1i through the inserts that scan
     /// for the line first.
-    fn fetch_refilling_every_level(h: &mut CacheHierarchy, addr: Addr) -> AccessInfo {
+    fn fetch_rescanning(h: &mut CacheHierarchy, addr: Addr) -> AccessInfo {
         let line = addr.line();
         let in_l1i = h.l1i.touch_line(line);
         let in_l2 = h.l2.touch_line(line);
@@ -647,35 +622,112 @@ mod tests {
             _ => Level::Dram,
         };
         if !in_l1i {
-            h.fill_shared(line);
+            fill_rescanning(h, line);
             h.l1i.insert_line(line, false);
         }
-        AccessInfo { level, latency: h.ifetch_extra(level), was_in_l1i: in_l1i }
+        AccessInfo { level, latency: h.ifetch_extra(level) }
     }
 
-    /// Every line of every set of `c`, least recent first.
-    fn lru_orders(c: &Cache) -> Vec<Vec<Addr>> {
-        (0..c.geometry().sets)
-            .map(|set| {
-                let mut order = Vec::new();
-                let mut scratch = c.clone();
-                while let Some(line) = scratch.lru_line(set) {
-                    order.push(line);
-                    scratch.invalidate(line);
-                }
-                order
-            })
-            .collect()
+    /// [`CacheHierarchy::read`] as it was before it filled only the levels
+    /// it missed: presence scans of L2 and the LLC, then a fill of all
+    /// three data-side levels through the scanning inserts.
+    fn read_rescanning(h: &mut CacheHierarchy, addr: Addr) -> AccessInfo {
+        let line = addr.line();
+        if h.l1d.touch_line(line) {
+            return AccessInfo { level: Level::L1d, latency: h.latency_of(Level::L1d) };
+        }
+        let in_l2 = h.l2.contains_line(line);
+        let in_llc = h.llc.contains_line(line);
+        let level = if in_l2 {
+            Level::L2
+        } else if in_llc {
+            Level::Llc
+        } else {
+            Level::Dram
+        };
+        fill_rescanning(h, line);
+        h.l1d.insert_line(line, false);
+        AccessInfo { level, latency: h.latency_of(level) }
     }
 
-    /// Filling only the levels an instruction fetch missed, with no
-    /// presence scan in the L1i, gives every access the outcome, every
-    /// line the residency and every set the LRU victim that refilling all
-    /// three levels gives — over fetches, reads, writes, flushes and noise
-    /// evictions that keep the sets full and back-invalidate through the
-    /// inclusive LLC, on a small hierarchy and on the Intel-like one.
+    /// [`CacheHierarchy::write`] as it was before it trusted the snapshot
+    /// beyond the level: a touch and a dirty-marking scan on an L1d hit,
+    /// the scanning fill on a miss.
+    fn write_rescanning(h: &mut CacheHierarchy, addr: Addr, res: Residency) -> AccessInfo {
+        let line = addr.line();
+        if res.l1i {
+            h.l1i.invalidate_line(line);
+        }
+        if h.l1d.touch_line(line) {
+            h.l1d.mark_dirty_line(line);
+            return AccessInfo { level: Level::L1d, latency: h.latency_of(Level::L1d) };
+        }
+        let level = if res.l2 {
+            Level::L2
+        } else if res.llc {
+            Level::Llc
+        } else {
+            Level::Dram
+        };
+        fill_rescanning(h, line);
+        h.l1d.insert_line(line, true);
+        AccessInfo { level, latency: h.latency_of(level) }
+    }
+
+    /// [`CacheHierarchy::flush`] as it was before it took the snapshot: a
+    /// residency scan of its own, then an invalidation at every level.
+    fn flush_rescanning(h: &mut CacheHierarchy, addr: Addr) -> FlushInfo {
+        let line = addr.line();
+        let res = h.residency(line);
+        let mut wrote_back = false;
+        for c in [&mut h.l1i, &mut h.l1d, &mut h.l2, &mut h.llc] {
+            if let Some(ev) = c.invalidate_line(line) {
+                wrote_back |= ev.dirty;
+            }
+        }
+        FlushInfo { was_cached: res.cached_anywhere(), was_in_l1i: res.l1i, wrote_back }
+    }
+
+    /// [`CacheHierarchy::writeback`] as it was before it took the
+    /// snapshot.
+    fn writeback_rescanning(h: &mut CacheHierarchy, addr: Addr) -> FlushInfo {
+        let line = addr.line();
+        let res = h.residency(line);
+        let mut wrote_back = false;
+        for c in [&mut h.l1i, &mut h.l1d, &mut h.l2, &mut h.llc] {
+            wrote_back |= c.clean_line(line);
+        }
+        FlushInfo { was_cached: res.cached_anywhere(), was_in_l1i: res.l1i, wrote_back }
+    }
+
+    /// [`CacheHierarchy::prefetch_ifetch`] through the scanning fill.
+    fn prefetch_ifetch_rescanning(h: &mut CacheHierarchy, addr: Addr) {
+        let line = addr.line();
+        if !h.l2.contains_line(line) && !h.llc.contains_line(line) {
+            fill_rescanning(h, line);
+        }
+    }
+
+    /// The four levels of `a` and `b`, pairwise.
+    fn level_pairs<'a>(
+        a: &'a CacheHierarchy,
+        b: &'a CacheHierarchy,
+    ) -> [(&'a Cache, &'a Cache); 4] {
+        [(&a.l1i, &b.l1i), (&a.l1d, &b.l1d), (&a.l2, &b.l2), (&a.llc, &b.llc)]
+    }
+
+    /// Touching only the levels a snapshot or a touch found the line in,
+    /// filling only the levels it missed without rescanning them, and
+    /// invalidating or cleaning only where the snapshot holds it, gives
+    /// every access the outcome, every line the residency and hint state,
+    /// and every set the LRU order and dirty bits that the rescanning
+    /// hierarchy gives — over fetches, reads, writes, flushes, write-backs,
+    /// next-line prefetches and noise evictions that keep the sets full and
+    /// back-invalidate through the inclusive LLC, with an SMC clear's L1i
+    /// invalidation between a probe's snapshot and its write, flush or
+    /// write-back, on a small hierarchy and on the Intel-like one.
     #[test]
-    fn fetch_fills_match_refilling_every_level() {
+    fn accesses_match_rescanning_every_level() {
         let small = HierarchyConfig {
             l1i: CacheGeometry { sets: 4, ways: 8 },
             l1d: CacheGeometry { sets: 4, ways: 8 },
@@ -703,28 +755,56 @@ mod tests {
                     1 => Addr((x >> 8) % (cfg.l1i.ways as u64 + 6) * l1i_stride),
                     _ => line,
                 };
-                match (x >> 20) % 10 {
-                    0..=4 => {
-                        let got = new.fetch(line);
-                        assert_eq!(got, fetch_refilling_every_level(&mut old, line), "fetch {i}");
+                let op = (x >> 20) % 12;
+                // A probe's snapshot; half the time an SMC clear then
+                // removes the line's L1i copy, and the engine hands the
+                // snapshot on without it (the rescanning write was handed
+                // the snapshot as taken).
+                let snapshot = old.residency(line);
+                let mut res = new.residency(line);
+                assert_eq!(res, snapshot, "residency before {i}");
+                if (6..=8).contains(&op) && res.l1i && (x >> 24) & 1 == 0 {
+                    assert!(new.invalidate_l1i(line) && old.invalidate_l1i(line));
+                    res.l1i = false;
+                }
+                match op {
+                    0..=3 => assert_eq!(new.fetch(line), fetch_rescanning(&mut old, line), "{i}"),
+                    4 | 5 => assert_eq!(new.read(line), read_rescanning(&mut old, line), "{i}"),
+                    6 => {
+                        let want = write_rescanning(&mut old, line, snapshot);
+                        assert_eq!(new.write(line, res), want, "write {i}");
                     }
-                    5 => assert_eq!(new.read(line), old.read(line), "read {i}"),
-                    6 => assert_eq!(new.write(line), old.write(line), "write {i}"),
-                    7 => assert_eq!(new.flush(line), old.flush(line), "flush {i}"),
+                    7 => assert_eq!(new.flush(line, res), flush_rescanning(&mut old, line), "{i}"),
+                    8 => {
+                        let want = writeback_rescanning(&mut old, line);
+                        assert_eq!(new.writeback(line, res), want, "writeback {i}");
+                    }
+                    9 => {
+                        let next = Addr(line.0 + crate::LINE_SIZE);
+                        new.prefetch_ifetch(next);
+                        prefetch_ifetch_rescanning(&mut old, next);
+                    }
                     _ => {
-                        let set = ((x >> 24) % cfg.l1i.sets as u64) as usize;
+                        let set = ((x >> 28) % cfg.l1i.sets as u64) as usize;
                         assert_eq!(new.evict_lru_l1i(set), old.evict_lru_l1i(set), "evict {i}");
                     }
                 }
                 assert_eq!(new.residency(line), old.residency(line), "residency after {i}");
-                let levels = [(&new.l1i, &old.l1i), (&new.l1d, &old.l1d), (&new.l2, &old.l2)];
-                for (a, b) in levels.into_iter().chain([(&new.llc, &old.llc)]) {
-                    let set = line.set_index(a.geometry().sets);
-                    assert_eq!(a.lru_line(set), b.lru_line(set), "LRU line after {i}");
+                // The LLC's set bits include every inner level's, so an
+                // access and its back-invalidations change only the sets of
+                // `line` (and of the prefetched line after it).
+                for probe in [line, Addr(line.0 + crate::LINE_SIZE)] {
+                    for (a, b) in level_pairs(&new, &old) {
+                        let set = probe.set_index(a.geometry().sets);
+                        assert_eq!(a.lru_order(set), b.lru_order(set), "LRU order after {i}");
+                        assert_eq!(a.is_hinted_mru(probe), b.is_hinted_mru(probe), "hint {i}");
+                    }
                 }
                 if i % 4000 == 0 && cfg == small {
-                    for (a, b) in [(&new.l1i, &old.l1i), (&new.l2, &old.l2), (&new.llc, &old.llc)] {
-                        assert_eq!(lru_orders(a), lru_orders(b), "LRU orders after {i}");
+                    for (a, b) in level_pairs(&new, &old) {
+                        for set in 0..a.geometry().sets {
+                            assert_eq!(a.lru_order(set), b.lru_order(set), "set {set} after {i}");
+                        }
                     }
                 }
             }

@@ -2,11 +2,36 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{Addr, PAGE_SIZE};
 
 /// Sentinel page base marking the last-page memo as empty.
 const NO_PAGE: u64 = u64::MAX;
+
+/// Hasher of a page base for [`Memory`]'s index: one multiply of the page
+/// number by an odd constant, the high half folded into the low bits that
+/// pick the bucket. A probing access touches a new page per eviction-set
+/// way, where SipHash was a measurable share of every store.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index hashes only u64 page bases");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, page: u64) {
+        let h = (page / PAGE_SIZE).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Sparse 64-bit memory backed by 4 KiB pages allocated on demand.
 ///
@@ -30,7 +55,7 @@ const NO_PAGE: u64 = u64::MAX;
 /// ```
 pub struct Memory {
     frames: Vec<Box<[u8; PAGE_SIZE as usize]>>,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
     /// `(page base, frame)` of the most recently resolved page — a `Cell`
     /// so read paths can refresh it through `&self`.
     last: Cell<(u64, u32)>,
@@ -38,7 +63,7 @@ pub struct Memory {
 
 impl Default for Memory {
     fn default() -> Memory {
-        Memory { frames: Vec::new(), index: HashMap::new(), last: Cell::new((NO_PAGE, 0)) }
+        Memory { frames: Vec::new(), index: HashMap::default(), last: Cell::new((NO_PAGE, 0)) }
     }
 }
 
@@ -204,6 +229,50 @@ mod tests {
             assert_eq!(m.read_u8(Addr(5 * PAGE_SIZE + i)), (i + 1) as u8);
         }
         assert_eq!(m.allocated_pages(), 2);
+    }
+
+    /// Thousands of pages, touched at 4 KiB strides in an interleaved
+    /// order across two regions: every page keeps its own bytes, frames
+    /// are numbered in first-touch order, a repeat touch allocates
+    /// nothing, and `clear` zeroes every page but keeps its frame.
+    #[test]
+    fn many_interleaved_pages_round_trip() {
+        const PAGES: u64 = 6000;
+        // A stride-7 walk over the page numbers (7 is prime to 6000, so
+        // every page comes once) in a low and a high region by turns.
+        let base = |k: u64| {
+            let region = if k.is_multiple_of(2) { 0x1000_0000 } else { 0x7fff_0000_0000 };
+            region + (k / 2 * 7 % PAGES) * PAGE_SIZE
+        };
+        let value = |k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut m = Memory::new();
+        for k in 0..2 * PAGES {
+            let off = k % (PAGE_SIZE - 16);
+            m.write_u64(Addr(base(k) + off), value(k));
+            m.write_u8(Addr(base(k) + PAGE_SIZE - 1), k as u8);
+            assert_eq!(m.allocated_pages() as u64, k + 1, "one frame per first touch");
+            assert_eq!(m.index[&base(k)] as u64, k, "frames in first-touch order");
+        }
+        // Touch every page again, in the opposite order.
+        for k in (0..2 * PAGES).rev() {
+            m.write_u8(Addr(base(k) + PAGE_SIZE - 2), !(k as u8));
+        }
+        assert_eq!(m.allocated_pages() as u64, 2 * PAGES, "repeat touches allocate nothing");
+        for k in 0..2 * PAGES {
+            let off = k % (PAGE_SIZE - 16);
+            assert_eq!(m.read_u64(Addr(base(k) + off)), value(k), "page {k}");
+            assert_eq!(m.read_u8(Addr(base(k) + PAGE_SIZE - 1)), k as u8);
+            assert_eq!(m.read_u8(Addr(base(k) + PAGE_SIZE - 2)), !(k as u8));
+        }
+        m.clear();
+        assert_eq!(m.allocated_pages() as u64, 2 * PAGES, "clear keeps the frames");
+        for k in 0..2 * PAGES {
+            assert_eq!(m.read_u64(Addr(base(k) + k % (PAGE_SIZE - 16))), 0, "cleared page {k}");
+            assert_eq!(m.read_u8(Addr(base(k) + PAGE_SIZE - 1)), 0);
+        }
+        m.write_u64(Addr(base(3)), 5);
+        assert_eq!(m.read_u64(Addr(base(3))), 5);
+        assert_eq!(m.allocated_pages() as u64, 2 * PAGES, "cleared frames are reused");
     }
 
     #[test]

@@ -43,9 +43,9 @@ proptest! {
             match op {
                 Op::Fetch(s) => { h.fetch(addr_of(*s)); }
                 Op::Read(s) => { h.read(addr_of(*s)); }
-                Op::Write(s) => { h.write(addr_of(*s)); }
-                Op::Flush(s) => { h.flush(addr_of(*s)); }
-                Op::Writeback(s) => { h.writeback(addr_of(*s)); }
+                Op::Write(s) => { let a = addr_of(*s); h.write(a, h.residency(a)); }
+                Op::Flush(s) => { let a = addr_of(*s); h.flush(a, h.residency(a)); }
+                Op::Writeback(s) => { let a = addr_of(*s); h.writeback(a, h.residency(a)); }
             }
             for slot in 0..=255u8 {
                 let r = h.residency(addr_of(slot));
@@ -68,18 +68,20 @@ proptest! {
                 Op::Fetch(s) => { h.fetch(addr_of(*s)); }
                 Op::Read(s) => { h.read(addr_of(*s)); }
                 Op::Write(s) => {
-                    h.write(addr_of(*s));
+                    let a = addr_of(*s);
+                    h.write(a, h.residency(a));
                     let r = h.residency(addr_of(*s));
                     prop_assert!(!r.l1i, "modified line may not stay in L1i");
                     prop_assert!(r.l1d, "write allocates into L1d");
                 }
                 Op::Flush(s) => {
-                    h.flush(addr_of(*s));
+                    let a = addr_of(*s);
+                    h.flush(a, h.residency(a));
                     prop_assert!(!h.residency(addr_of(*s)).cached_anywhere());
                 }
                 Op::Writeback(s) => {
                     let was = h.residency(addr_of(*s));
-                    h.writeback(addr_of(*s));
+                    h.writeback(addr_of(*s), was);
                     prop_assert_eq!(h.residency(addr_of(*s)), was, "clwb keeps residency");
                 }
             }
@@ -115,10 +117,11 @@ proptest! {
     fn prop_no_dirty_resurrection(slots in proptest::collection::vec(any::<u8>(), 1..60)) {
         let mut h = CacheHierarchy::new(HierarchyConfig::intel_like());
         for s in &slots {
-            h.write(addr_of(*s));
-            let f1 = h.flush(addr_of(*s));
+            let a = addr_of(*s);
+            h.write(a, h.residency(a));
+            let f1 = h.flush(a, h.residency(a));
             prop_assert!(f1.wrote_back, "first flush writes the dirty line back");
-            let f2 = h.flush(addr_of(*s));
+            let f2 = h.flush(a, h.residency(a));
             prop_assert!(!f2.wrote_back, "second flush has nothing to write");
             prop_assert!(!f2.was_cached);
         }
